@@ -40,7 +40,7 @@ from .riemann import (
     selfsim_dissipation,
     solve_riemann,
 )
-from .search import SearchConfig, certify, search_fan
+from .search import SearchConfig, search_fan
 
 __all__ = ["main", "run"]
 
@@ -219,7 +219,7 @@ def _cmd_search(args) -> int:
     if cand is None:
         _emit({"command": "search", "result": "no candidate found"}, args.format)
         return EXIT_FAIL
-    fan = certify(cand, cfg)
+    fan = cand.fan
     if fan is None:
         _emit({"command": "search", "result": "candidate failed certification",
                "candidate": cand.to_dict()}, args.format)

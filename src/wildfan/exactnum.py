@@ -62,17 +62,20 @@ class NegativeRadicand(ValueError):
 
 
 def default_precision_cap() -> int:
-    """Current interval precision cap in bits (env WILDFAN_PRECISION_CAP wins)."""
+    """Current interval precision cap in bits: a cap set by
+    set_precision_cap wins, then env WILDFAN_PRECISION_CAP, then 4096."""
+    if _precision_cap is not None:
+        return _precision_cap
     env = os.environ.get("WILDFAN_PRECISION_CAP")
     if env:
         try:
             return max(_STARTING_PRECISION, int(env))
         except ValueError:
             pass
-    return _precision_cap
+    return _DEFAULT_CAP
 
 
-_precision_cap = _DEFAULT_CAP
+_precision_cap: int | None = None
 
 
 def set_precision_cap(bits: int) -> None:
@@ -1034,12 +1037,12 @@ def xreal_from_json(obj) -> XReal:
         raise ValueError("boolean is not a number")
     if isinstance(obj, int):
         return Rational(obj)
-    if isinstance(obj, float):
-        return Rational(Fraction(obj))
     if isinstance(obj, str):
         if obj.startswith("["):
             raise ValueError("interval enclosures cannot be parsed back into expressions")
         return Rational(Fraction(obj))
     if isinstance(obj, dict) and set(obj) == {"d", "c"}:
+        if any(isinstance(c, float) for c in obj["c"]):
+            raise ValueError("tower coefficients must be exact, not JSON floats")
         return QuadExt(tuple(obj["d"]), tuple(Fraction(c) for c in obj["c"]))
     raise ValueError(f"not an XReal encoding: {obj!r}")

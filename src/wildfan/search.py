@@ -1,18 +1,22 @@
 """Numerical discovery of dominating fan subsolutions with exact
 rational certification.
 
-The Rankine-Hugoniot equalities are eliminated by construction: momentum
-and trace chains propagate from the left boundary, and the two remaining
-scalar equalities (the mass condition at the last interface and the
-telescoped normal-momentum condition) are solved as a linear system for
-the two middle densities, with determinant (mu1-mu2)(mu3-mu2)(mu3-mu1).
-The search therefore only fights strict inequalities: speed ordering,
-positivity, negative definiteness per region, the energy-flux inequality
-per interface, and the dominance target on the reference shock plane.
+The Rankine-Hugoniot equalities are eliminated by construction, in one
+closure (``chain_close``) that works verbatim over floats and over exact
+numbers.  Given the four speeds, the first density and the trace caps, the
+last mass condition and the telescoped normal-momentum condition are linear
+in the two middle densities, with determinant (mu1-mu2)(mu3-mu2)(mu3-mu1);
+the closure solves them, then chains the normal momenta and trace-free
+entries forward from the left boundary.  The search therefore only fights
+strict inequalities: speed ordering, positivity, negative definiteness per
+region, the energy-flux inequality per interface, and the dominance target
+on the reference shock plane.  Each float evaluation closes its point once.
 
 Certification rounds the free variables to small rationals, pins the
-matched plane speed to the exact reference shock speed, re-solves the
-closure in the quadratic tower, and re-runs the full exact verification.
+matched plane speed to the exact reference shock speed, re-runs the same
+closure in the quadratic tower, checks exactly that the chained last speed
+and the leftover residual reproduce the rounded speed and zero, and re-runs
+the full exact verification.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "Candidate",
     "DegenerateClosure",
     "chain_close",
-    "objective",
     "search_fan",
     "certify",
 ]
@@ -48,12 +51,11 @@ class DegenerateClosure(ZeroDivisionError):
 class SearchConfig:
     restarts: int = 64
     max_iters: int = 4000
-    margin_weight: float = 1.0
     rounding_denominator_cap: int = 10 ** 12
     rng_seed: int = 0
 
     def __post_init__(self):
-        if (self.restarts < 0 or self.max_iters <= 0 or self.margin_weight <= 0
+        if (self.restarts < 0 or self.max_iters <= 0
                 or self.rounding_denominator_cap <= 0 or self.rng_seed < 0):
             raise ValueError("config values must be positive")
 
@@ -65,7 +67,8 @@ _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32"
 
 @dataclass
 class Candidate:
-    """Float candidate: free variables plus the closed chain values."""
+    """Float candidate: free variables plus the closed chain values, and
+    the exact fan that ``search_fan`` certified from it, if any."""
 
     law: PressureLaw
     left: EulerState
@@ -81,6 +84,7 @@ class Candidate:
     residual: float = math.inf
     feasible: bool = False
     seed: int | None = None
+    fan: FanSubsolution | None = None
 
     def to_dict(self) -> dict:
         """Reproducibility dump: seed, pinned speed, free variables."""
@@ -108,43 +112,61 @@ def _float_law(law: PressureLaw):
             return base
         return base - rho * rho_star ** (gamma - 1.0) / (gamma - 1.0)
 
-    return gamma, p, P
+    return p, P
 
 
 def _boundary(law: PressureLaw, state: EulerState, as_float: bool):
+    """Lifted boundary state: (rho, m2, u11, q) for the closure and
+    (F2, e) for the energy-flux brackets."""
     z, e = lift_state(law, state)
-    vals = (state.rho, z.m[1], z.u11, z.q, z.F[1], e)
+    vals, flux = (state.rho, z.m[1], z.u11, z.q), (z.F[1], e)
     if as_float:
-        return tuple(float(v) for v in vals)
-    return vals
+        return tuple(map(float, vals)), tuple(map(float, flux))
+    return vals, flux
 
 
 # ---------------------------------------------------------------------------
-# chains and closure (generic over floats and exact numbers)
+# the closure (generic over floats and exact numbers)
 # ---------------------------------------------------------------------------
 
 def _is_zero(v) -> bool:
     return (v == 0.0) if isinstance(v, float) else (sign(v) == 0)
 
 
-def chain_close(law: PressureLaw, left: EulerState, right: EulerState,
-                mu012, rho123, q123):
-    """Close the Rankine-Hugoniot equalities by forward chaining.
+def chain_close(minus, plus, mu, rho1, q123):
+    """Close the Rankine-Hugoniot equalities of a three-region fan.
 
-    The momentum chain determines the interior normal momenta, the last
-    mass condition determines mu3, and the trace chain determines the
-    interior trace-free entries.  The normal-momentum condition at the
-    last interface telescopes to a relation without the q's, so no chain
-    variable can absorb it; it is returned as ``residual`` instead.
-    Works verbatim over floats or exact numbers.
+    ``minus`` and ``plus`` are the boundary values (rho, m2, u11, q) of the
+    lifted left and right states, ``mu`` holds all four speeds.  The last
+    mass condition and the normal-momentum condition at the last interface
+    (telescoped, so free of the interior q's) are solved as a 2x2 linear
+    system for (rho2, rho3).  The momentum and trace chains then determine
+    the interior normal momenta and trace-free entries from the left
+    boundary, the last mass condition gives the chained mu3, and the
+    last normal-momentum condition is returned as ``residual``; the solve
+    makes the chained mu3 equal ``mu[3]`` and the residual zero, exactly
+    over exact numbers and up to rounding over floats.  Works verbatim
+    over floats or exact numbers.
+
+    Returns ((rho1, rho2, rho3), (m1, m2, m3), (u1, u2, u3), mu3, residual);
+    raises DegenerateClosure on coincident speeds or rho3 equal to the
+    right boundary density.
     """
-    as_float = isinstance(mu012[0], float)
-    rho_m, m_m, u_m, q_m, _, _ = _boundary(law, left, as_float)
-    rho_p, m_p, u_p, q_p, _, _ = _boundary(law, right, as_float)
-
-    mu0, mu1, mu2 = mu012
-    rho1, rho2, rho3 = rho123
+    rho_m, m_m, u_m, q_m = minus
+    rho_p, m_p, u_p, q_p = plus
+    mu0, mu1, mu2, mu3 = mu
     q1, q2, q3 = q123
+
+    a1, a2 = mu1 - mu2, mu2 - mu3
+    a_rhs = mu0 * rho_m - m_m + (mu1 - mu0) * rho1 + m_p - mu3 * rho_p
+    b1, b2 = mu2 * mu2 - mu1 * mu1, mu3 * mu3 - mu2 * mu2
+    b_rhs = ((q_m - u_m) - (q_p - u_p)) - mu0 * mu0 * rho_m \
+        - (mu1 * mu1 - mu0 * mu0) * rho1 + mu3 * mu3 * rho_p
+    det = a1 * b2 - a2 * b1
+    if _is_zero(det):
+        raise DegenerateClosure("coincident interface speeds")
+    rho2 = (a_rhs * b2 - a2 * b_rhs) / det
+    rho3 = (a1 * b_rhs - a_rhs * b1) / det
 
     m1 = m_m - mu0 * (rho_m - rho1)
     m2 = m1 - mu1 * (rho1 - rho2)
@@ -152,30 +174,13 @@ def chain_close(law: PressureLaw, left: EulerState, right: EulerState,
     drho = rho3 - rho_p
     if _is_zero(drho):
         raise DegenerateClosure("rho3 equals the right boundary density")
-    mu3 = (m3 - m_p) / drho
+    mu3_chain = (m3 - m_p) / drho
 
     u1 = u_m - q_m + q1 + mu0 * (m_m - m1)
     u2 = u1 - q1 + q2 + mu1 * (m1 - m2)
     u3 = u2 - q2 + q3 + mu2 * (m2 - m3)
-    residual = mu3 * (m3 - m_p) - ((-1) * u3 + q3 + u_p - q_p)
-    return (mu0, mu1, mu2, mu3), (m1, m2, m3), (u1, u2, u3), residual
-
-
-def _closure_2x2(mu, rho1, rho_m, m_m, rho_p, m_p, diff):
-    """(rho2, rho3) solving the last mass condition and the telescoped
-    normal-momentum condition, given all four speeds and rho1."""
-    mu0, mu1, mu2, mu3 = mu
-    a1, a2 = mu1 - mu2, mu2 - mu3
-    a_rhs = mu0 * rho_m - m_m + (mu1 - mu0) * rho1 + m_p - mu3 * rho_p
-    b1, b2 = mu2 * mu2 - mu1 * mu1, mu3 * mu3 - mu2 * mu2
-    b_rhs = diff - mu0 * mu0 * rho_m - (mu1 * mu1 - mu0 * mu0) * rho1 \
-        + mu3 * mu3 * rho_p
-    det = a1 * b2 - a2 * b1
-    if _is_zero(det):
-        raise DegenerateClosure("coincident interface speeds")
-    rho2 = (a_rhs * b2 - a2 * b_rhs) / det
-    rho3 = (a1 * b_rhs - a_rhs * b1) / det
-    return rho2, rho3
+    residual = mu3_chain * (m3 - m_p) - (-u3 + q3 + u_p - q_p)
+    return (rho1, rho2, rho3), (m1, m2, m3), (u1, u2, u3), mu3_chain, residual
 
 
 # ---------------------------------------------------------------------------
@@ -186,111 +191,72 @@ class _Context:
     """Float boundary data and pressure callables, computed once."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
-        self.law = law
-        _, self.p, self.P = _float_law(law)
-        self.minus = _boundary(law, left, True)
-        self.plus = _boundary(law, right, True)
+        self.p, self.P = _float_law(law)
+        self.minus, (self.f_m, self.e_m) = _boundary(law, left, True)
+        self.plus, (self.f_p, self.e_p) = _boundary(law, right, True)
 
 
-def _evaluate_floats(ctx: _Context, sigma: float, x: np.ndarray):
-    """(mu, rho, m2, u11, brackets, margins, residual) for the candidate
-    vector, all in floats; margins contains 'closure': -1 on degeneracy."""
-    rho_m, m_m, u_m, q_m, f_m, e_m = ctx.minus
-    rho_p, m_p, u_p, q_p, f_p, e_p = ctx.plus
-    p, P = ctx.p, ctx.P
+def _close_floats(ctx: _Context, sigma: float, v):
+    """Close the float point whose first seven coordinates are (mu0, mu2,
+    mu3, rho1, q1, q2, q3), shared by both layouts below.
 
-    mu0, mu2, mu3, rho1, q1, q2, q3, f1, f2, f3 = (float(v) for v in x)
-    mu1 = sigma
-    margins: dict[str, float] = {}
-
-    mu = (mu0, mu1, mu2, mu3)
-    a1, a2 = mu1 - mu2, mu2 - mu3
-    a_rhs = mu0 * rho_m - m_m + (mu1 - mu0) * rho1 + m_p - mu3 * rho_p
-    b1, b2 = mu2 * mu2 - mu1 * mu1, mu3 * mu3 - mu2 * mu2
-    b_rhs = ((q_m - u_m) - (q_p - u_p)) - mu0 * mu0 * rho_m \
-        - (mu1 * mu1 - mu0 * mu0) * rho1 + mu3 * mu3 * rho_p
-    det = a1 * b2 - a2 * b1
-    if det == 0.0:
-        margins["closure"] = -1.0
-        return None, None, None, None, None, margins, math.inf
-    rho2 = (a_rhs * b2 - a2 * b_rhs) / det
-    rho3 = (a1 * b_rhs - a_rhs * b1) / det
-
-    margins["ord0"] = mu1 - mu0
-    margins["ord1"] = mu2 - mu1
-    margins["ord2"] = mu3 - mu2
-    margins["rho1"], margins["rho2"], margins["rho3"] = rho1, rho2, rho3
-    if min(rho1, rho2, rho3) <= 0.0 or rho3 == rho_p:
-        return None, None, None, None, None, margins, math.inf
-
-    m1 = m_m - mu0 * (rho_m - rho1)
-    m2 = m1 - mu1 * (rho1 - rho2)
-    m3 = m2 - mu2 * (rho2 - rho3)
-    mu3_chain = (m3 - m_p) / (rho3 - rho_p)
-    u1 = u_m - q_m + q1 + mu0 * (m_m - m1)
-    u2 = u1 - q1 + q2 + mu1 * (m1 - m2)
-    u3 = u2 - q2 + q3 + mu2 * (m2 - m3)
-    residual = abs(mu3_chain * (m3 - m_p) - (-u3 + q3 + u_p - q_p))
-
-    rhos = (rho1, rho2, rho3)
+    Returns (closed, margins).  ``closed`` is (mu, rhos, m2s, u11s, e,
+    residual), with the chained mu3 in ``mu`` and the region energies
+    between the boundary ones in ``e``; it is None when the closure
+    degenerates (margins {'closure': -1}) or a density is not positive.
+    ``margins`` holds the ordering, density, trace and determinant margins.
+    """
+    mu0, mu2, mu3, rho1, q1, q2, q3 = map(float, v[:7])
     qs = (q1, q2, q3)
-    m2s = (m1, m2, m3)
-    u11s = (u1, u2, u3)
+    try:
+        rhos, m2s, u11s, mu3_chain, residual = chain_close(
+            ctx.minus, ctx.plus, (mu0, sigma, mu2, mu3), rho1, qs)
+    except DegenerateClosure:
+        return None, {"closure": -1.0}
+    margins = {"ord0": sigma - mu0, "ord1": mu2 - sigma, "ord2": mu3 - mu2}
+    margins["rho1"], margins["rho2"], margins["rho3"] = rhos
+    if min(rhos) <= 0.0:
+        return None, margins
+
+    e = [ctx.e_m]
     for i in range(3):
-        pi = p(rhos[i])
+        pi = ctx.p(rhos[i])
         tr = m2s[i] ** 2 / rhos[i] + 2.0 * (pi - qs[i])
         margins[f"trace{i + 1}"] = -tr
         margins[f"det{i + 1}"] = ((-u11s[i] + pi - qs[i])
                                   * (m2s[i] ** 2 / rhos[i] + u11s[i] + pi - qs[i]))
+        e.append(qs[i] + ctx.P(rhos[i]) - pi)
+    e.append(ctx.e_p)
+    mu = (mu0, sigma, mu2, mu3_chain)
+    return (mu, rhos, m2s, u11s, e, abs(residual)), margins
 
-    e = [e_m] + [qs[i] + P(rhos[i]) - p(rhos[i]) for i in range(3)] + [e_p]
-    ff = [f_m, f1, f2, f3, f_p]
-    mu_full = (mu0, mu1, mu2, mu3_chain)
-    brackets = tuple(-mu_full[i] * (e[i] - e[i + 1]) + (ff[i] - ff[i + 1])
+
+def _brackets(ctx: _Context, mu, e, f123, margins: dict):
+    """Energy-flux brackets -mu[E] + [F2] per plane, also recorded as the
+    'rh4_i' margins."""
+    ff = (ctx.f_m, *f123, ctx.f_p)
+    brackets = tuple(-mu[i] * (e[i] - e[i + 1]) + (ff[i] - ff[i + 1])
                      for i in range(4))
     for i in range(4):
         margins[f"rh4_{i}"] = brackets[i]
-    return mu_full, rhos, m2s, u11s, brackets, margins, residual
+    return brackets
 
 
 def _evaluate(cand: Candidate, ctx: _Context | None = None) -> Candidate:
+    """Fill the chain values and margins of a candidate in the flux layout
+    (.., F12, F22, F32)."""
     if ctx is None:
         ctx = _Context(cand.law, cand.left, cand.right)
-    mu, rhos, m2s, u11s, brackets, margins, residual = \
-        _evaluate_floats(ctx, cand.sigma, cand.x)
+    closed, margins = _close_floats(ctx, cand.sigma, cand.x)
     cand.margins = margins
-    cand.residual = residual
     cand.feasible = False
-    if mu is None:
+    if closed is None:
+        cand.residual = math.inf
         return cand
-    cand.mu = mu
-    cand.rho = rhos
-    cand.m2 = m2s
-    cand.u11 = u11s
-    cand.brackets = brackets
-    cand.feasible = min(margins.values()) > 0.0 and residual < 1e-7
+    cand.mu, cand.rho, cand.m2, cand.u11, e, cand.residual = closed
+    cand.brackets = _brackets(ctx, cand.mu, e, map(float, cand.x[7:]), margins)
+    cand.feasible = min(margins.values()) > 0.0 and cand.residual < 1e-7
     return cand
-
-
-def objective(cand: Candidate, reference_entries, margin_weight: float = 1.0) -> float:
-    """Dominance surplus on the matched reference planes plus the weighted
-    worst margin; -inf when the candidate's planes cannot cover the
-    reference support or the closure failed."""
-    if not cand.margins or "closure" in cand.margins:
-        return -math.inf
-    surplus = math.inf
-    for speed, coeff in reference_entries:
-        matched = None
-        for i, mu in enumerate(cand.mu):
-            if abs(mu - float(speed)) <= 1e-9 * max(1.0, abs(float(speed))):
-                matched = i
-                break
-        if matched is None:
-            return -math.inf
-        surplus = min(surplus, cand.brackets[matched] - float(coeff))
-    if not reference_entries:
-        surplus = max(cand.brackets)
-    return surplus + margin_weight * min(cand.margins.values())
 
 
 # ---------------------------------------------------------------------------
@@ -304,39 +270,37 @@ def objective(cand: Candidate, reference_entries, margin_weight: float = 1.0) ->
 # (the flux chain telescopes), so maximizing the matched-plane bracket
 # means maximizing the budget while the outer brackets sit at the floor.
 
+def _fluxes(ctx: _Context, sigma: float, y, e):
+    """(F12, F22, F32) putting the outer-plane brackets of the closed point
+    y at its bracket coordinates (b0, b2, b3)."""
+    mu0, mu2, mu3, b0, b2, b3 = (float(y[i]) for i in (0, 1, 2, 7, 8, 9))
+    mus = (mu0, sigma, mu2, mu3)
+    budget = ctx.f_m - ctx.f_p - sum(mus[i] * (e[i] - e[i + 1]) for i in range(4))
+    b1 = budget - b0 - b2 - b3
+    f3 = b3 + mu3 * (e[3] - e[4]) + ctx.f_p
+    f2 = b2 + mu2 * (e[2] - e[3]) + f3
+    f1 = b1 + sigma * (e[1] - e[2]) + f2
+    return f1, f2, f3
+
+
 def _y_to_x(ctx: _Context, sigma: float, y) -> np.ndarray | None:
     """Map bracket coordinates (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3)
-    to the flux layout (.., F12, F22, F32); None on closure degeneracy."""
-    rho_m, m_m, u_m, q_m, f_m, e_m = ctx.minus
-    rho_p, m_p, u_p, q_p, f_p, e_p = ctx.plus
-    p, P = ctx.p, ctx.P
-    mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3 = (float(v) for v in y)
-    mu1 = sigma
-    try:
-        rho2, rho3 = _closure_2x2((mu0, mu1, mu2, mu3), rho1, rho_m, m_m,
-                                  rho_p, m_p, (q_m - u_m) - (q_p - u_p))
-    except DegenerateClosure:
+    to the flux layout (.., F12, F22, F32); None when the point does not
+    close with positive densities."""
+    closed, _ = _close_floats(ctx, sigma, y)
+    if closed is None:
         return None
-    if min(rho1, rho2, rho3) <= 0.0:
-        return None
-    e = [e_m, q1 + P(rho1) - p(rho1), q2 + P(rho2) - p(rho2),
-         q3 + P(rho3) - p(rho3), e_p]
-    mus = (mu0, mu1, mu2, mu3)
-    budget = f_m - f_p - sum(mus[i] * (e[i] - e[i + 1]) for i in range(4))
-    b1 = budget - b0 - b2 - b3
-    f3 = b3 + mu3 * (e[3] - e[4]) + f_p
-    f2 = b2 + mu2 * (e[2] - e[3]) + f3
-    f1 = b1 + mu1 * (e[1] - e[2]) + f2
-    return np.array([mu0, mu2, mu3, rho1, q1, q2, q3, f1, f2, f3])
+    return np.array([*map(float, y[:7]), *_fluxes(ctx, sigma, y, closed[4])])
 
 
 def _margins_at(ctx: _Context, sigma: float, ref_coeff: float, y):
-    x = _y_to_x(ctx, sigma, y)
-    if x is None:
+    """(dominance surplus, margins) at the bracket-coordinate point y;
+    (None, None) when it does not close with positive densities."""
+    closed, margins = _close_floats(ctx, sigma, y)
+    if closed is None:
         return None, None
-    mu, *_rest, brackets, margins, _residual = _evaluate_floats(ctx, sigma, x)
-    if mu is None:
-        return None, None
+    mu, e = closed[0], closed[4]
+    brackets = _brackets(ctx, mu, e, _fluxes(ctx, sigma, y, e), margins)
     return brackets[1] - ref_coeff, margins
 
 
@@ -380,8 +344,8 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     barrier, then retreat to the most interior point that keeps half of
     the achieved surplus.  Deterministic in cfg.rng_seed: restart k draws
     from seed rng_seed + k.  Returns the first candidate that certifies
-    exactly, else the best float-feasible candidate with positive surplus,
-    else None.
+    exactly (its ``fan`` holds the certified fan), else the best
+    float-feasible candidate with positive surplus, else None.
     """
     sol = solve_riemann(law, left, right)
     ref = selfsim_dissipation(law, sol)
@@ -419,21 +383,23 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
             continue
         cand = _evaluate(Candidate(law, left, right, sigma, x,
                                    seed=cfg.rng_seed + restart), ctx)
-        surplus = cand.brackets[1] - ref_coeff if cand.brackets else -1.0
-        if not cand.feasible or surplus <= floor \
-                or min(cand.margins.values()) < 0.5 * floor:
+        if not cand.feasible:
+            continue
+        surplus = cand.brackets[1] - ref_coeff
+        if surplus <= floor or min(cand.margins.values()) < 0.5 * floor:
             continue
         if best is None or surplus > best.brackets[1] - ref_coeff:
             best = cand
-        if certify(cand, cfg) is not None:
+        cand.fan = certify(cand, cfg)
+        if cand.fan is not None:
             return cand
     return best
 
 
 def _sample_start(rng: np.random.Generator, ctx: _Context, sigma: float,
                   floor: float) -> np.ndarray:
-    rho_m, m_m, u_m, q_m, f_m, e_m = ctx.minus
-    rho_p, m_p, u_p, q_p, f_p, e_p = ctx.plus
+    rho_m, _, _, q_m = ctx.minus
+    rho_p, _, _, q_p = ctx.plus
     lo_q, hi_q = sorted((q_m, q_p))
     span_q = max(hi_q - lo_q, 1.0)
     lo_r, hi_r = sorted((rho_m, rho_p))
@@ -475,23 +441,20 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     f123 = (rnd(cand.x[7]), rnd(cand.x[8]), rnd(cand.x[9]))
     mu = (mu0, sigma, mu2x, mu3x)
 
-    z_minus, _ = lift_state(law, left)
-    z_plus, _ = lift_state(law, right)
-    diff = (z_minus.q - z_minus.u11) - (z_plus.q - z_plus.u11)
+    minus, _ = _boundary(law, left, False)
+    plus, _ = _boundary(law, right, False)
     try:
-        rho2, rho3 = _closure_2x2(mu, rho1, left.rho, z_minus.m[1],
-                                  right.rho, z_plus.m[1], diff)
-        if sign(rho1) <= 0 or sign(rho2) <= 0 or sign(rho3) <= 0:
+        rhos, m2s, u11s, mu3_chain, residual = chain_close(
+            minus, plus, mu, rho1, q123)
+        if any(sign(rho) <= 0 for rho in rhos):
             return None
-        mu_full, m2s, u11s, residual = chain_close(
-            law, left, right, (mu0, sigma, mu2x), (rho1, rho2, rho3), q123)
         # both leftover equalities hold by construction of the 2x2 solve
-        if sign(mu_full[3] - mu3x) != 0 or sign(residual) != 0:
+        if sign(mu3_chain - mu3x) != 0 or sign(residual) != 0:
             return None
         zero = as_xreal(0)
         regions = tuple(
             (rho, PHPoint((zero, m2s[i]), u11s[i], zero, q123[i], (zero, f123[i])))
-            for i, rho in enumerate((rho1, rho2, rho3)))
+            for i, rho in enumerate(rhos))
         fan = FanSubsolution(law, mu, left, right, regions)
         if not verify_fan(fan).passed:
             return None

@@ -115,3 +115,27 @@ def test_search_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["result"] == "certified"
     assert "fan" in payload
+
+
+def test_json_float_exit_code(tmp_path, capsys):
+    # JSON floats are not exact numbers: top level and tower coefficients
+    for gamma, left_m in ((2.0, "0/1"), ("2/1", 0.5),
+                          ("2/1", {"d": [5], "c": ["0/1", 1.5]})):
+        data = {"gamma": gamma,
+                "left": {"rho": "1/1", "m": ["0/1", left_m]},
+                "right": {"rho": "4/1", "m": ["0/1", "0/1"]}}
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(data))
+        code, _ = invoke(capsys, "riemann", str(path))
+        assert code == 2
+
+
+def test_search_config_unknown_field_exit_code(tmp_path, capsys):
+    data = {"gamma": "2/1",
+            "left": {"rho": "1/1", "m": ["0/1", "0/1"]},
+            "right": {"rho": "4/1", "m": ["0/1", "0/1"]},
+            "config": {"restarts": 1, "margin_weight": 1.0}}
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(data))
+    code, _ = invoke(capsys, "search", str(path))
+    assert code == 2

@@ -197,9 +197,24 @@ def test_comparison_operators():
     assert s2 < Rational(3, 2)
 
 
+def test_xreal_from_json_rejects_floats():
+    # a JSON float is a binary approximation, not the number it spells
+    for enc in (0.1, 2.0, {"d": [5], "c": ["0/1", 0.5]}):
+        with pytest.raises(ValueError):
+            xreal_from_json(enc)
+    assert xreal_from_json({"d": [5], "c": [0, "1/2"]}) == QuadExt.sqrt_of(5) / 2
+
+
 def test_precision_cap_env_override(monkeypatch):
-    from wildfan.exactnum import default_precision_cap
+    import wildfan.exactnum as exactnum
+    from wildfan.exactnum import default_precision_cap, set_precision_cap
     monkeypatch.setenv("WILDFAN_PRECISION_CAP", "8192")
     assert default_precision_cap() == 8192
     monkeypatch.delenv("WILDFAN_PRECISION_CAP")
     assert default_precision_cap() == 4096
+    # an explicit cap wins over the environment; the global is restored
+    monkeypatch.setattr(exactnum, "_precision_cap", exactnum._precision_cap)
+    monkeypatch.setenv("WILDFAN_PRECISION_CAP", "128")
+    assert default_precision_cap() == 128
+    set_precision_cap(8192)
+    assert default_precision_cap() == 8192
