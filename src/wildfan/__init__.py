@@ -34,6 +34,7 @@ from .hull import (
     MatrixM,
     NotInV,
     WDecomposition,
+    WGeometry,
     A_j,
     f_j,
     in_K,

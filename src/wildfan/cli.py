@@ -224,7 +224,7 @@ def _cmd_search(args) -> int:
         _emit({"command": "search", "result": "candidate failed certification",
                "candidate": cand.to_dict()}, args.format)
         return EXIT_FAIL
-    comparison = beats_selfsimilar(fan)
+    comparison = cand.comparison
     payload = {
         "command": "search",
         "result": "certified",

@@ -30,7 +30,7 @@ from .exactnum import (
     xreal_from_json,
     xreal_to_json,
 )
-from .hull import in_W, WDecomposition
+from .hull import NotInV, WDecomposition, WGeometry
 from .model import EulerState, PHPoint, PressureLaw, lift_state, pressure, pressure_potential
 from .riemann import DissipationProfile, selfsim_dissipation, solve_riemann
 
@@ -250,11 +250,12 @@ def _merged_planes(a: DissipationProfile, b: DissipationProfile):
 
 def _weak_sign(x: XReal) -> tuple[int, bool]:
     """(sign, strictness certified).  For interval values whose strict sign
-    is out of reach, falls back to a certified one-sided bound."""
+    is out of reach, falls back to a certified one-sided bound taken at the
+    precision the sign search stopped at."""
     try:
         return sign(x), True
-    except Inconclusive:
-        iv = x.enclosure(64)
+    except Inconclusive as exc:
+        iv = x.enclosure(exc.precision)
         if iv.lo >= 0:
             return 1, False
         if iv.hi <= 0:
@@ -293,22 +294,31 @@ def compare_profiles(candidate: DissipationProfile,
     return ProfileOrder.EQUAL
 
 
+def _first_cap(law: PressureLaw, rho: XReal, z: PHPoint, max_doublings: int
+               ) -> tuple[XReal, WDecomposition] | None:
+    try:
+        geom = WGeometry(law, rho, z)
+    except (NotInV, Inconclusive):
+        return None  # M(z) is not certified negative definite: no cap helps
+    for n in range(1, max_doublings + 1):
+        Q = z.q * (2 ** n)
+        try:
+            ok, witness = geom.in_W(Q)
+        except Inconclusive:
+            continue
+        if ok:
+            return Q, witness
+    return None
+
+
 def find_Q(fan: FanSubsolution, max_doublings: int = 60
            ) -> tuple[tuple[XReal, WDecomposition], ...]:
     """Per region, the first cap in the doubling schedule q_i * 2^n whose
-    W-membership certifies, together with the witness decomposition."""
+    W-membership certifies, together with the witness decomposition.
+    The cap-independent geometry is built once per region."""
     out = []
     for rho, z in fan.regions:
-        found = None
-        for n in range(1, max_doublings + 1):
-            Q = z.q * (2 ** n)
-            try:
-                ok, witness = in_W(fan.law, rho, Q, z)
-            except Inconclusive:
-                continue
-            if ok:
-                found = (Q, witness)
-                break
+        found = _first_cap(fan.law, rho, z, max_doublings)
         if found is None:
             raise NotCertifiableWithinCap(
                 f"no certificate after {max_doublings} doublings")

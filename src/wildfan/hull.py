@@ -14,6 +14,13 @@ its flux freedom is the open polytope spanned by four flux vertices
 f^j = (A^j / r^j) sigma^j, and points with one of those fluxes split along
 a wave direction into two hull boundary points (the convex splitting used
 by the oscillation construction).
+
+In f^j only r^j depends on the cap Q, through the gap Q - q; M, det M and
+A^j do not.  WGeometry(law, rho, z) computes the cap-independent part once
+(M and its class, the two distinct A values, the flux deviation) and
+answers r^j, the vertex scales, f^j and W-membership for any cap from it.
+find_Q builds one per region and probes its whole doubling schedule
+through it; the module-level functions each build a single geometry.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "MatrixM",
     "LambdaClass",
     "WDecomposition",
+    "WGeometry",
     "NotInV",
     "HypothesesViolated",
     "SIGMA",
@@ -144,47 +152,6 @@ def in_V(law: PressureLaw, rho: XReal, Q: XReal,
     return sign(as_xreal(Q) - as_xreal(q)) > 0
 
 
-def _require_V(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint) -> MatrixM:
-    M = matrix_M(law, rho, z)
-    if lambda_class(M) is not LambdaClass.NEG_DEF:
-        raise NotInV("matrix is not negative definite")
-    if sign(as_xreal(Q) - z.q) <= 0:
-        raise NotInV("q >= Q")
-    return M
-
-
-def A_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> XReal:
-    """det(M) over the negated quadratic form along sigma^j rotated by 90deg.
-
-    Positive on V; equal in pairs A^1 = A^2 and A^3 = A^4.
-    """
-    M = _require_V(law, rho, Q, z)
-    s1, s2 = SIGMA[j - 1]
-    v = (as_xreal(s2), as_xreal(-s1))
-    return M.det() / (-M.quad_form(v))
-
-
-def r_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> XReal:
-    """Positive root of the flux-vertex quadratic; exact when the radicand
-    admits a square root in the tower."""
-    rho, Q = as_xreal(rho), as_xreal(Q)
-    A = A_j(law, rho, Q, z, j)
-    s1, s2 = SIGMA[j - 1]
-    msig = z.m[0] * s1 + z.m[1] * s2
-    gap = Q - z.q
-    radicand = msig * msig + 4 * rho * A + 4 * rho * gap
-    return (-msig + adjoin_sqrt(radicand)) / (2 * gap)
-
-
-def f_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> tuple[XReal, XReal]:
-    """Flux vertex f^j = (A^j / r^j) sigma^j, a positive multiple of sigma^j."""
-    A = A_j(law, rho, Q, z, j)
-    r = r_j(law, rho, Q, z, j)
-    s1, s2 = SIGMA[j - 1]
-    c = A / r
-    return (c * s1, c * s2)
-
-
 @dataclass(frozen=True)
 class WDecomposition:
     """Witness for W-membership: weights kappa_j > 0 summing to one with
@@ -194,42 +161,123 @@ class WDecomposition:
     vertices: tuple[tuple[XReal, XReal], ...]
 
 
-def in_W(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint) -> tuple[bool, WDecomposition | None]:
-    """W-membership with a constructive witness.
+class WGeometry:
+    """The cap-independent part of the W geometry at (rho, z).
 
-    In the diagonal flux coordinates a = (v1+v2)/2, b = (v1-v2)/2 and with
-    vertex scales c_j = A^j/r^j, the polytope condition collapses to
-
-        max(a/c1, -a/c2, 0) + max(b/c3, -b/c4, 0) < 1,
-
-    and any s strictly inside the remaining interval yields strictly
-    positive weights in closed form; we take the midpoint.
+    M, its class, det M, the two distinct A values (A^1 = A^2, A^3 = A^4),
+    the flux deviation with its diagonal coordinates and the m.sigma^j do
+    not depend on the cap Q; they are computed once here.  Only the vertex
+    roots r^j depend on Q, through the gap Q - q, and are built per call.
+    Raises NotInV unless M(z) is negative definite.
     """
-    rho, Q = as_xreal(rho), as_xreal(Q)
+
+    def __init__(self, law: PressureLaw, rho: XReal, z: PHPoint):
+        rho = as_xreal(rho)
+        M = matrix_M(law, rho, z)
+        if lambda_class(M) is not LambdaClass.NEG_DEF:
+            raise NotInV("matrix is not negative definite")
+        self.z = z
+        det = M.det()
+        # A^j = det M / -M[v, v] with v = sigma^j rotated by 90deg; the
+        # rotated directions agree up to sign in the pairs (1, 2) and (3, 4)
+        a12, a34 = (det / (-M.quad_form((as_xreal(s2), as_xreal(-s1))))
+                    for s1, s2 in (SIGMA[0], SIGMA[2]))
+        self.A = (a12, a12, a34, a34)
+        self.msig = tuple(z.m[0] * s1 + z.m[1] * s2 for s1, s2 in SIGMA)
+        self._four_rho = 4 * rho
+        # Q-independent head of the vertex radicand msig^2 + 4 rho A + 4 rho gap
+        self._rad_head = tuple(ms * ms + self._four_rho * A
+                               for ms, A in zip(self.msig, self.A))
+        self.rigid = rigid_flux(law, rho, z)
+        self.dev = (z.F[0] - self.rigid[0], z.F[1] - self.rigid[1])
+        self.a = (self.dev[0] + self.dev[1]) / 2
+        self.b = (self.dev[0] - self.dev[1]) / 2
+        self._neg_a, self._neg_b = (-1) * self.a, (-1) * self.b
+
+    def gap(self, Q: XReal) -> XReal:
+        """Q - q; raises NotInV unless it is positive."""
+        gap = as_xreal(Q) - self.z.q
+        if sign(gap) <= 0:
+            raise NotInV("q >= Q")
+        return gap
+
+    def _r(self, gap: XReal, j: int) -> XReal:
+        k = j - 1
+        radicand = self._rad_head[k] + self._four_rho * gap
+        return (-self.msig[k] + adjoin_sqrt(radicand)) / (2 * gap)
+
+    def r(self, Q: XReal, j: int) -> XReal:
+        """Positive root r^j of the flux-vertex quadratic at cap Q."""
+        return self._r(self.gap(Q), j)
+
+    def scales(self, Q: XReal) -> tuple[XReal, XReal, XReal, XReal]:
+        """The vertex scales c_j = A^j / r^j at cap Q."""
+        gap = self.gap(Q)
+        return tuple(A / self._r(gap, j) for j, A in zip((1, 2, 3, 4), self.A))
+
+    def f(self, Q: XReal, j: int) -> tuple[XReal, XReal]:
+        """Flux vertex f^j = c_j sigma^j at cap Q."""
+        c = self.A[j - 1] / self.r(Q, j)
+        s1, s2 = SIGMA[j - 1]
+        return (c * s1, c * s2)
+
+    def in_W(self, Q: XReal) -> tuple[bool, WDecomposition | None]:
+        """W-membership at cap Q with a constructive witness.
+
+        In the diagonal flux coordinates a = (v1+v2)/2, b = (v1-v2)/2 and
+        with vertex scales c_j, the polytope condition collapses to
+
+            max(a/c1, -a/c2, 0) + max(b/c3, -b/c4, 0) < 1,
+
+        and any s strictly inside the remaining interval yields strictly
+        positive weights in closed form; we take the midpoint.
+        """
+        try:
+            c1, c2, c3, c4 = cs = self.scales(Q)
+        except NotInV:
+            return False, None
+        a, b = self.a, self.b
+        lo = xmax(a / c1, self._neg_a / c2, 0)
+        hi = xmax(b / c3, self._neg_b / c4, 0)
+        if sign(1 - lo - hi) <= 0:
+            return False, None
+        s = (lo + (1 - hi)) / 2
+        k1 = (a + s * c2) / (c1 + c2)
+        k2 = s - k1
+        k3 = (b + (1 - s) * c4) / (c3 + c4)
+        k4 = (1 - s) - k3
+        vertices = tuple((c * s1, c * s2) for c, (s1, s2) in zip(cs, SIGMA))
+        return True, WDecomposition(kappa=(k1, k2, k3, k4), vertices=vertices)
+
+
+def A_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> XReal:
+    """det(M) over the negated quadratic form along sigma^j rotated by 90deg.
+
+    Positive on V; equal in pairs A^1 = A^2 and A^3 = A^4.
+    """
+    geom = WGeometry(law, rho, z)
+    geom.gap(Q)  # A^j does not depend on Q, but it is defined on V only
+    return geom.A[j - 1]
+
+
+def r_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> XReal:
+    """Positive root of the flux-vertex quadratic; exact when the radicand
+    admits a square root in the tower."""
+    return WGeometry(law, rho, z).r(Q, j)
+
+
+def f_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> tuple[XReal, XReal]:
+    """Flux vertex f^j = (A^j / r^j) sigma^j, a positive multiple of sigma^j."""
+    return WGeometry(law, rho, z).f(Q, j)
+
+
+def in_W(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint) -> tuple[bool, WDecomposition | None]:
+    """W-membership with a constructive witness (see WGeometry.in_W)."""
     try:
-        _require_V(law, rho, Q, z)
+        geom = WGeometry(law, rho, z)
     except NotInV:
         return False, None
-    cs = []
-    for j in (1, 2, 3, 4):
-        A = A_j(law, rho, Q, z, j)
-        r = r_j(law, rho, Q, z, j)
-        cs.append(A / r)
-    c1, c2, c3, c4 = cs
-    v = flux_deviation(law, rho, z)
-    a = (v[0] + v[1]) / 2
-    b = (v[0] - v[1]) / 2
-    lo = xmax(a / c1, (-1) * a / c2, 0)
-    hi = xmax(b / c3, (-1) * b / c4, 0)
-    if sign(1 - lo - hi) <= 0:
-        return False, None
-    s = (lo + (1 - hi)) / 2
-    k1 = (a + s * c2) / (c1 + c2)
-    k2 = s - k1
-    k3 = (b + (1 - s) * c4) / (c3 + c4)
-    k4 = (1 - s) - k3
-    vertices = tuple(f_j(law, rho, Q, z, j) for j in (1, 2, 3, 4))
-    return True, WDecomposition(kappa=(k1, k2, k3, k4), vertices=vertices)
+    return geom.in_W(Q)
 
 
 def split_flux_direction(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint,
@@ -241,23 +289,20 @@ def split_flux_direction(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint,
     z_{1,2} = z + mu_{-,+} zhat, and both endpoints on the hull boundary
     with rigid flux; mu_+ equals Q - q.
     """
-    rho, Q = as_xreal(rho), as_xreal(Q)
-    M = matrix_M(law, rho, z)
-    if lambda_class(M) is not LambdaClass.NEG_DEF:
-        raise HypothesesViolated("matrix not negative definite")
-    if sign(Q - z.q) <= 0:
-        raise HypothesesViolated("q >= Q")
-    dev = flux_deviation(law, rho, z)
-    fv = f_j(law, rho, Q, z, j)
-    if sign(dev[0] - fv[0]) != 0 or sign(dev[1] - fv[1]) != 0:
+    rho = as_xreal(rho)
+    try:
+        geom = WGeometry(law, rho, z)
+        gap = geom.gap(Q)
+    except NotInV as exc:
+        raise HypothesesViolated(str(exc)) from None
+    r = geom._r(gap, j)
+    s1, s2 = SIGMA[j - 1]
+    c = geom.A[j - 1] / r
+    dev = geom.dev
+    if sign(dev[0] - c * s1) != 0 or sign(dev[1] - c * s2) != 0:
         raise HypothesesViolated(f"flux deviation is not f^{j}")
 
-    A = A_j(law, rho, Q, z, j)
-    r = r_j(law, rho, Q, z, j)
-    s1, s2 = SIGMA[j - 1]
-    msig = z.m[0] * s1 + z.m[1] * s2
-    gap = Q - z.q
-    base = rho / r - msig
+    base = rho / r - geom.msig[j - 1]
     # the mu radicand 4 rho A + base^2 is the square of 2 r (Q-q) - base,
     # which the vertex quadratic makes nonnegative; no nested radical needed
     sqrt_term = 2 * r * gap - base
@@ -284,13 +329,10 @@ def split_flux_direction(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint,
 def w_flux_vertices(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint) -> tuple[PHPoint, ...]:
     """The four vertex-flux companions of a W-point: same (m, U, q), flux
     moved to rigid + f^j.  Their kappa-weighted barycenter is z."""
-    rho, Q = as_xreal(rho), as_xreal(Q)
-    rf = rigid_flux(law, rho, z)
-    out = []
-    for j in (1, 2, 3, 4):
-        fv = f_j(law, rho, Q, z, j)
-        out.append(PHPoint(z.m, z.u11, z.u12, z.q, (rf[0] + fv[0], rf[1] + fv[1])))
-    return tuple(out)
+    geom = WGeometry(law, rho, z)
+    rf = geom.rigid
+    return tuple(PHPoint(z.m, z.u11, z.u12, z.q, (rf[0] + c * s1, rf[1] + c * s2))
+                 for c, (s1, s2) in zip(geom.scales(Q), SIGMA))
 
 
 def in_Kco_mU(law: PressureLaw, rho: XReal, q: XReal,

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .exactnum import Inconclusive, XReal, as_xreal, sign
-from .fan import FanSubsolution, beats_selfsimilar, verify_fan
+from .fan import FanSubsolution, VerificationReport, beats_selfsimilar, verify_fan
 from .model import EulerState, PHPoint, PressureLaw, lift_state
 from .riemann import Shock, selfsim_dissipation, solve_riemann
 
@@ -68,7 +68,8 @@ _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32"
 @dataclass
 class Candidate:
     """Float candidate: free variables plus the closed chain values, and
-    the exact fan that ``search_fan`` certified from it, if any."""
+    the exact fan that ``certify`` built from it with its comparison
+    against the self-similar solution, if it certified."""
 
     law: PressureLaw
     left: EulerState
@@ -85,6 +86,7 @@ class Candidate:
     feasible: bool = False
     seed: int | None = None
     fan: FanSubsolution | None = None
+    comparison: VerificationReport | None = None
 
     def to_dict(self) -> dict:
         """Reproducibility dump: seed, pinned speed, free variables."""
@@ -344,7 +346,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     barrier, then retreat to the most interior point that keeps half of
     the achieved surplus.  Deterministic in cfg.rng_seed: restart k draws
     from seed rng_seed + k.  Returns the first candidate that certifies
-    exactly (its ``fan`` holds the certified fan), else the best
+    exactly (its ``fan`` and ``comparison`` are set), else the best
     float-feasible candidate with positive surplus, else None.
     """
     sol = solve_riemann(law, left, right)
@@ -390,8 +392,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
             continue
         if best is None or surplus > best.brackets[1] - ref_coeff:
             best = cand
-        cand.fan = certify(cand, cfg)
-        if cand.fan is not None:
+        if certify(cand, cfg) is not None:
             return cand
     return best
 
@@ -422,7 +423,8 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     """Round the free variables to rationals (denominator cap), pin the
     matched plane to the exact reference shock speed, re-close exactly in
     the tower, and run the full exact verification plus the dissipation
-    comparison.  None when any strict inequality is lost in rounding."""
+    comparison.  None when any strict inequality is lost in rounding;
+    otherwise the fan, also stored with its comparison report on ``cand``."""
     law, left, right = cand.law, cand.left, cand.right
     sol = solve_riemann(law, left, right)
     shock_speeds = [w.speed for w in sol.waves if isinstance(w, Shock)]
@@ -458,8 +460,10 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
         fan = FanSubsolution(law, mu, left, right, regions)
         if not verify_fan(fan).passed:
             return None
-        if not beats_selfsimilar(fan).passed:
+        comparison = beats_selfsimilar(fan)
+        if not comparison.passed:
             return None
+        cand.fan, cand.comparison = fan, comparison
         return fan
     except (DegenerateClosure, Inconclusive, ZeroDivisionError):
         return None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from wildfan.exactnum import QuadExt, Rational, sign
+from wildfan.exactnum import QuadExt, Rational, sign, xreal_to_json
 from wildfan.fan import (
     FanSubsolution,
     ProfileOrder,
@@ -195,3 +195,116 @@ def test_fan_json_roundtrip():
     assert fan_to_json(back) == data
     report = verify_fan(back)
     assert report.passed
+
+
+# find_Q(paper_example()) as recorded before the cap-independent hull geometry
+# was hoisted out of the doubling schedule: per region the cap (exact) and,
+# at 40 digits, the enclosures of the four kappas and of the four vertices.
+GOLDEN_FIND_Q = (
+    {
+        "Q": "13041664/43",
+        "kappa": (
+            "[0.4430300278060478590137362303695396245362,0.4430300278060478590137362303695396245363]",
+            "[0.0569699721939521409862637696304603754637,0.0569699721939521409862637696304603754638]",
+            "[0.0569699721939521409862637696304603754637,0.0569699721939521409862637696304603754638]",
+            "[0.4430300278060478590137362303695396245362,0.4430300278060478590137362303695396245363]",
+        ),
+        "vertices": (
+            ("[12.3497138119908257359613454302252507015586,12.3497138119908257359613454302252507015587]",
+             "[12.3497138119908257359613454302252507015586,12.3497138119908257359613454302252507015587]"),
+            ("[-12.3198871792339397577043585770679431459157,-12.3198871792339397577043585770679431459156]",
+             "[-12.3198871792339397577043585770679431459157,-12.3198871792339397577043585770679431459156]"),
+            ("[12.3198871792339397577043585770679431459156,12.3198871792339397577043585770679431459157]",
+             "[-12.3198871792339397577043585770679431459157,-12.3198871792339397577043585770679431459156]"),
+            ("[-12.3497138119908257359613454302252507015587,-12.3497138119908257359613454302252507015586]",
+             "[12.3497138119908257359613454302252507015586,12.3497138119908257359613454302252507015587]"),
+        ),
+    },
+    {
+        "Q": "416/1",
+        "kappa": (
+            "[0.0683848874929957478428414516847455078860,0.0683848874929957478428414516847455078861]",
+            "[0.4316151125070042521571585483152544921139,0.4316151125070042521571585483152544921140]",
+            "[0.4316151125070042521571585483152544921139,0.4316151125070042521571585483152544921140]",
+            "[0.0683848874929957478428414516847455078860,0.0683848874929957478428414516847455078861]",
+        ),
+        "vertices": (
+            ("[3.0511309344653374008469971556655749978726,3.0511309344653374008469971556655749978727]",
+             "[3.0511309344653374008469971556655749978726,3.0511309344653374008469971556655749978727]"),
+            ("[-2.9938677167289490294490907681286804115732,-2.9938677167289490294490907681286804115731]",
+             "[-2.9938677167289490294490907681286804115732,-2.9938677167289490294490907681286804115731]"),
+            ("[2.9938677167289490294490907681286804115731,2.9938677167289490294490907681286804115732]",
+             "[-2.9938677167289490294490907681286804115732,-2.9938677167289490294490907681286804115731]"),
+            ("[-3.0511309344653374008469971556655749978727,-3.0511309344653374008469971556655749978726]",
+             "[3.0511309344653374008469971556655749978726,3.0511309344653374008469971556655749978727]"),
+        ),
+    },
+    {
+        "Q": "22112/43",
+        "kappa": (
+            "[0.4442451784420364269144046113451920762220,0.4442451784420364269144046113451920762221]",
+            "[0.0557548215579635730855953886548079237779,0.0557548215579635730855953886548079237780]",
+            "[0.0557548215579635730855953886548079237779,0.0557548215579635730855953886548079237780]",
+            "[0.4442451784420364269144046113451920762220,0.4442451784420364269144046113451920762221]",
+        ),
+        "vertices": (
+            ("[0.1604566775001018636044215935273271179425,0.1604566775001018636044215935273271179426]",
+             "[0.1604566775001018636044215935273271179425,0.1604566775001018636044215935273271179426]"),
+            ("[-0.1603871007340497914366919887733715474767,-0.1603871007340497914366919887733715474766]",
+             "[-0.1603871007340497914366919887733715474767,-0.1603871007340497914366919887733715474766]"),
+            ("[0.1603871007340497914366919887733715474766,0.1603871007340497914366919887733715474767]",
+             "[-0.1603871007340497914366919887733715474767,-0.1603871007340497914366919887733715474766]"),
+            ("[-0.1604566775001018636044215935273271179426,-0.1604566775001018636044215935273271179425]",
+             "[0.1604566775001018636044215935273271179425,0.1604566775001018636044215935273271179426]"),
+        ),
+    },
+)
+
+
+def test_find_Q_paper_golden():
+    results = find_Q(paper_example())
+    assert len(results) == len(GOLDEN_FIND_Q)
+    for (Q, witness), golden in zip(results, GOLDEN_FIND_Q):
+        assert xreal_to_json(Q) == golden["Q"]
+        assert tuple(xreal_to_json(k, 40) for k in witness.kappa) == golden["kappa"]
+        assert tuple(tuple(xreal_to_json(c, 40) for c in v)
+                     for v in witness.vertices) == golden["vertices"]
+
+
+def test_find_Q_builds_geometry_once_per_region(monkeypatch):
+    import wildfan.hull as hull
+    calls = {"matrix_M": 0, "quad_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(hull, "matrix_M", counted("matrix_M", hull.matrix_M))
+    monkeypatch.setattr(hull.MatrixM, "quad_form",
+                        counted("quad_form", hull.MatrixM.quad_form))
+    fan = paper_example()
+    find_Q(fan)
+    assert len(fan.regions) == 3
+    assert calls == {"matrix_M": 3, "quad_form": 6}  # M once, two A values
+
+
+def test_weak_sign_bound_at_the_sign_cap(monkeypatch):
+    # with enclosure caching switched off, the one-sided bound must come from
+    # the precision the sign search reached, not from a fresh 64-bit pass
+    import wildfan.exactnum as exactnum
+    from wildfan.exactnum import Inconclusive, IntervalExpr, as_xreal, xmax
+    from wildfan.fan import _weak_sign
+
+    monkeypatch.setattr(exactnum, "_precision_cap", 128)
+    monkeypatch.setattr(IntervalExpr, "refine", IntervalExpr._eval)
+    root2 = IntervalExpr.sqrt(as_xreal(2))
+    fuzz = root2 * root2 - 2  # exactly zero, never separated from it
+    tiny = IntervalExpr.lift(Rational(1, 2 ** 100))
+    # nonnegative; below 2^-100 the rounding of the two leaves hides that
+    x = xmax(fuzz, 0) + (tiny - tiny)
+    assert x.enclosure(64).lo < 0
+    with pytest.raises(Inconclusive):
+        sign(x)
+    assert _weak_sign(x) == (1, False)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildfan.exactnum import Rational, adjoin_sqrt, as_xreal, sign, xmax
 from wildfan.hull import (
@@ -14,6 +16,7 @@ from wildfan.hull import (
     LambdaClass,
     MatrixM,
     NotInV,
+    WGeometry,
     A_j,
     f_j,
     flux_deviation,
@@ -273,3 +276,45 @@ def test_in_Kco_mU_monotone_in_q():
     assert in_Kco_mU(LAW2, Rational(2), z.q, z.m, z.u11, z.u12)
     assert in_Kco_mU(LAW2, Rational(2), z.q + 3, z.m, z.u11, z.u12)
     assert not in_Kco_mU(LAW2, Rational(2), z.q - Rational(1, 2), z.m, z.u11, z.u12)
+
+
+@st.composite
+def exact_V_points(draw):
+    """Exact (rho, z) with M(z) negative definite and q > 0, flux anywhere."""
+    def frac(lo, hi, den):
+        return Rational(Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, den))))
+
+    rho = frac(1, 30, 10)
+    m = (frac(-12, 12, 6), frac(-12, 12, 6))
+    u11, u12 = frac(-8, 8, 6), frac(-8, 8, 6)
+    p = pressure(LAW2, rho)
+    n11 = m[0] * m[0] / rho - u11 + p
+    n12 = m[0] * m[1] / rho - u12
+    n22 = m[1] * m[1] / rho + u11 + p
+    q = xmax(n11, n22) + xmax(n12, (-1) * n12) + frac(1, 20, 4)
+    z0 = PHPoint(m, u11, u12, q, (0, 0))
+    rf = rigid_flux(LAW2, rho, z0)
+    F = (rf[0] + frac(-400, 400, 4), rf[1] + frac(-400, 400, 4))
+    return rho, PHPoint(m, u11, u12, q, F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_V_points(), st.integers(0, 3))
+def test_geometry_reuse_matches_fresh_in_W(point, below):
+    rho, z = point
+    geom = WGeometry(LAW2, rho, z)
+    for n in range(1, 7):
+        Q = z.q * (2 ** n)
+        got, witness = geom.in_W(Q)
+        fresh, fresh_witness = in_W(LAW2, rho, Q, z)
+        assert got == fresh
+        if got:
+            assert witness.kappa == fresh_witness.kappa
+            assert witness.vertices == fresh_witness.vertices
+    # caps at or below q leave V: same verdicts and exceptions as before
+    Q = z.q - below
+    assert geom.in_W(Q) == (False, None) == in_W(LAW2, rho, Q, z)
+    with pytest.raises(NotInV):
+        A_j(LAW2, rho, Q, z, 1)
+    with pytest.raises(NotInV):
+        geom.r(Q, 3)

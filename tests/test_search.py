@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from wildfan.exactnum import QuadExt, Rational, sign
-from wildfan.fan import fan_dissipation_profile, fan_to_json, paper_example, verify_fan
+from wildfan.fan import (
+    beats_selfsimilar,
+    fan_dissipation_profile,
+    fan_to_json,
+    paper_example,
+    verify_fan,
+)
 from wildfan.model import EulerState, PressureLaw, lift_state
 from wildfan.riemann import solve_riemann
 from wildfan.search import (
@@ -143,6 +149,9 @@ def test_search_finds_certifiable_fan():
     fan = certify(cand, cfg)
     assert fan is not None
     assert fan_to_json(fan) == fan_to_json(cand.fan)
+    # the comparison certify ran is kept for the CLI, not recomputed there
+    assert cand.comparison.passed
+    assert cand.comparison.to_dict() == beats_selfsimilar(fan).to_dict()
     profile = fan_dissipation_profile(fan)
     surplus = profile.entries[1][1] - Rational(27, 4) * S5
     assert sign(surplus) == 1
