@@ -81,6 +81,16 @@ from .fan import (
     paper_example,
     verify_fan,
 )
-from .search import Candidate, SearchConfig, certify, chain_close, search_fan
 
 __version__ = "0.1.0"
+
+# The search names load scipy, so `wildfan.search` is imported on first use
+# of one of them, not with the package (PEP 562).
+_SEARCH_NAMES = frozenset({"Candidate", "SearchConfig", "certify", "chain_close", "search_fan"})
+
+
+def __getattr__(name: str):
+    if name in _SEARCH_NAMES:
+        from . import search
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

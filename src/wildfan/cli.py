@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 
-
+# convexint defers numpy to its first use, so this import costs the exact
+# commands next to nothing.
 from .convexint import build_oscillation, diagnostics_csv
 from .exactnum import (
     Inconclusive,
@@ -40,7 +41,6 @@ from .riemann import (
     selfsim_dissipation,
     solve_riemann,
 )
-from .search import SearchConfig, search_fan
 
 __all__ = ["main", "run"]
 
@@ -209,6 +209,8 @@ def _cmd_verify_fan(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchConfig, search_fan  # loads scipy: only here
+
     data = _load_json(args.file)
     law, left, right = _riemann_inputs(data)
     cfg_data = dict(data.get("config", {}))

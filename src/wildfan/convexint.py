@@ -13,14 +13,31 @@ algebraic in the mixed partials, so any residual is pure rounding noise.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .model import PHPoint
 from .wavecone import WaveDirection, in_Lambda
+
+
+def _lazy_import(name: str):
+    """Module `name`, executed on first attribute access unless it is
+    already imported (the `importlib.util.LazyLoader` recipe)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# numpy loads when a kernel first runs, not when the CLI imports this module
+np = _lazy_import("numpy")
 
 __all__ = [
     "NotAWaveDirection",
@@ -322,12 +339,12 @@ class PiecewisePoly(Profile1D):
 
 
 # quintic smoothstep: C^2 transitions with vanishing first two derivatives
-_SMOOTHSTEP = np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
+_SMOOTHSTEP = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)
 
 
 def _scaled_smoothstep(width: float, lo: float, hi: float) -> np.ndarray:
     """Coefficients of lo + (hi-lo) * S(u/width) in the local coordinate."""
-    c = _SMOOTHSTEP * (hi - lo)
+    c = np.array(_SMOOTHSTEP) * (hi - lo)
     scale = np.array([width ** -k for k in range(len(c))])
     out = c * scale
     out[0] += lo
@@ -473,11 +490,15 @@ class PDEResidual:
     by_row: dict[str, float]
 
 
-def verify_pde_identity(co: OperatorCoeffs, g: SmoothField, pts) -> PDEResidual:
+def verify_pde_identity(co: OperatorCoeffs, g: SmoothField, pts,
+                        cache=None) -> PDEResidual:
     """Residuals of the homogeneous system rows applied to the operator
     output, using order-four analytic derivatives of g.  For any field the
-    rows cancel algebraically, so the residual measures rounding only."""
-    cache: dict = {}
+    rows cancel algebraically, so the residual measures rounding only.
+    A cache shared with apply_operator on the same points reuses its
+    derivatives."""
+    if cache is None:
+        cache = {}
     by_row = {}
     scale = 1e-300
     for row, parts in _PDE_ROWS.items():
@@ -570,7 +591,7 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
     pts = _grid(box, grid_n)
     cache: dict = {}
     ztilde = apply_operator(co, field, pts, cache)
-    pde = verify_pde_identity(co, field, pts)
+    pde = verify_pde_identity(co, field, pts, cache)
 
     # exact plane-wave values of L[g_k]; the cutoff commutator is the gap
     a, b, c = eta_f

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import wildfan
 from wildfan.cli import run
 from wildfan.fan import fan_to_json, paper_example
 
@@ -139,3 +143,36 @@ def test_search_config_unknown_field_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _ = invoke(capsys, "search", str(path))
     assert code == 2
+
+
+_IMPORT_PROBE = """
+import json, sys
+import wildfan, wildfan.cli
+loaded = {"scipy": "scipy" in sys.modules,
+          "numpy executed": "numpy._core" in sys.modules or "numpy.core" in sys.modules}
+from wildfan import Candidate, SearchConfig, certify, chain_close, search_fan
+import wildfan.search as search
+same = all(obj is getattr(search, obj.__name__)
+           for obj in (Candidate, SearchConfig, certify, chain_close, search_fan))
+try:
+    wildfan.no_such_name
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps({"loaded": loaded, "same": same, "missing": missing}))
+"""
+
+
+def test_cli_import_loads_no_float_library():
+    # The exact commands need neither scipy nor numpy; the search names
+    # still resolve, on first use, to the objects of wildfan.search.
+    src = str(Path(wildfan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {
+        "loaded": {"scipy": False, "numpy executed": False},
+        "same": True,
+        "missing": "AttributeError",
+    }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,39 @@ def test_build_oscillation_diagnostics():
     csv = diagnostics_csv(diags)
     assert csv.splitlines()[0] == "k,fraction1,fraction2,commutator_sup,avg_norm"
     assert len(csv.splitlines()) == 3
+
+
+# float.hex of every OscillationDiagnostics field after k, for the laminate
+# inputs on a 16^3 grid with delta = 0.02 (recorded with numpy 2.4.6).
+OSCILLATION_GOLDEN = {
+    8: ("0x1.3333333333333p-1", "0x1.999999999999ap-3", "0x1.c33a80b4ca1f9p-1",
+        "0x1.5af3f04f92ed8p-3", "0x1.0000000000000p-39", "0x1.f76635fba87abp+12"),
+    16: ("0x1.3333333333333p-1", "0x1.999999999999ap-3", "0x1.c0d5fe01f57e2p-2",
+         "0x1.2372c6b0974b5p-3", "0x1.0000000000000p-39", "0x1.f76635fba87afp+13"),
+}
+
+
+def test_build_oscillation_golden_bits():
+    tau1, z1, z2, z_star = laminate_inputs()
+    box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    for k, expected in OSCILLATION_GOLDEN.items():
+        _, diag = build_oscillation(z_star, z1, z2, tau1, box, k, 0.02, grid_n=16)
+        values = [getattr(diag, f.name) for f in fields(diag)]
+        assert values[0] == k
+        assert tuple(v.hex() for v in values[1:]) == expected
+
+
+def test_pde_identity_warm_cache_matches_cold():
+    tau1, z1, z2, _ = laminate_inputs()
+    co = operator_coeffs(z2 - z1, in_Lambda(z2 - z1))
+    g = PlaneProfileField(build_staircase(tau1, 0.02).h, co.eta, freq=8.0, amp=8.0 ** -3)
+    field = ProductField(g, BumpField(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))))
+    rng = np.random.default_rng(11)
+    pts = tuple(rng.uniform(0.0, 1.0, size=300) for _ in range(3))
+    cache: dict = {}
+    apply_operator(co, field, pts, cache)
+    warm = verify_pde_identity(co, field, pts, cache)
+    assert warm == verify_pde_identity(co, field, pts)
 
 
 def test_nested_demo_runs():
