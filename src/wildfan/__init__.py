@@ -64,6 +64,7 @@ from .riemann import (
     Shock,
     Slip,
     VacuumFormation,
+    plane_bracket,
     selfsim_dissipation,
     solve_riemann,
 )
@@ -74,6 +75,7 @@ from .fan import (
     VerificationReport,
     beats_selfsimilar,
     compare_profiles,
+    compare_selfsimilar,
     fan_dissipation_profile,
     fan_from_json,
     fan_to_json,

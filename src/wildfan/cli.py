@@ -14,25 +14,21 @@ import sys
 # convexint defers numpy to its first use, so this import costs the exact
 # commands next to nothing.
 from .convexint import build_oscillation, diagnostics_csv
-from .exactnum import (
-    Inconclusive,
-    Rational,
-    set_precision_cap,
-    sign,
-    xreal_from_json,
-    xreal_to_json,
-)
+from .exactnum import Inconclusive, Rational, set_precision_cap, xreal_from_json, xreal_to_json
 from .fan import (
     Status,
-    beats_selfsimilar,
+    compare_selfsimilar,
     fan_dissipation_profile,
     fan_from_json,
     fan_to_json,
+    paper_chain,
     paper_example,
+    state_from_json,
+    state_to_json,
     verify_fan,
 )
 from .hull import f_j, rigid_flux, split_flux_direction
-from .model import EulerState, PHPoint, PressureLaw
+from .model import PHPoint, PressureLaw
 from .riemann import (
     Rarefaction,
     Shock,
@@ -96,18 +92,14 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _state_from_json(data: dict) -> EulerState:
-    return EulerState(xreal_from_json(data["rho"]),
-                      tuple(xreal_from_json(c) for c in data["m"]))
-
-
 def _riemann_inputs(data: dict):
     law = PressureLaw(gamma=xreal_from_json(data["gamma"]))
-    return law, _state_from_json(data["left"]), _state_from_json(data["right"])
+    return law, state_from_json(data["left"]), state_from_json(data["right"])
 
 
-def _report_payload(report) -> dict:
-    return report.to_dict()
+def _profile_json(profile) -> list:
+    return [{"speed": xreal_to_json(s), "coefficient": xreal_to_json(c)}
+            for s, c in profile.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -117,28 +109,18 @@ def _report_payload(report) -> dict:
 def _cmd_verify_example(args) -> int:
     fan = paper_example()
     report = verify_fan(fan)
-    comparison = beats_selfsimilar(fan)
-    profile = fan_dissipation_profile(fan)
-    sol = solve_riemann(fan.law, fan.left, fan.right)
-    reference = selfsim_dissipation(fan.law, sol)
-
-    planes = []
-    for (speed, coeff) in profile.entries:
-        ref_val = "0/1"
-        for rs, rc in reference.entries:
-            if sign(speed - rs) == 0:
-                ref_val = xreal_to_json(rc)
-        planes.append({
-            "speed": xreal_to_json(speed),
-            "coefficient": xreal_to_json(coeff),
-            "reference": ref_val,
-        })
+    comparison, merged = compare_selfsimilar(fan)
+    comparison = paper_chain(comparison, merged)
+    planes = [{"speed": xreal_to_json(speed),
+               "coefficient": xreal_to_json(coeff),
+               "reference": "0/1" if ref_coeff is None else xreal_to_json(ref_coeff)}
+              for speed, coeff, ref_coeff in merged if coeff is not None]
     verdict = next((c.witness for c in comparison.conditions
                     if c.name == "comparison"), "missing")
     payload = {
         "command": "verify-example",
-        "subsolution_check": _report_payload(report),
-        "comparison_check": _report_payload(comparison),
+        "subsolution_check": report.to_dict(),
+        "comparison_check": comparison.to_dict(),
         "planes": planes,
         "verdict": verdict,
     }
@@ -159,31 +141,24 @@ def _cmd_riemann(args) -> int:
     except VacuumFormation as exc:
         _emit({"command": "riemann", "error": f"vacuum formation: {exc}"}, args.format)
         return EXIT_FAIL
-    def state_json(s: EulerState) -> dict:
-        return {"rho": xreal_to_json(s.rho), "m": [xreal_to_json(c) for c in s.m]}
-
     waves = []
     for w in sol.waves:
         if isinstance(w, Shock):
             waves.append({"kind": "shock", "speed": xreal_to_json(w.speed),
-                          "left": state_json(w.left), "right": state_json(w.right)})
+                          "left": state_to_json(w.left), "right": state_to_json(w.right)})
         elif isinstance(w, Rarefaction):
             waves.append({"kind": "rarefaction",
                           "speed_lo": xreal_to_json(w.speed_lo),
                           "speed_hi": xreal_to_json(w.speed_hi),
-                          "left": state_json(w.left), "right": state_json(w.right)})
+                          "left": state_to_json(w.left), "right": state_to_json(w.right)})
         elif isinstance(w, Slip):
             waves.append({"kind": "slip", "speed": xreal_to_json(w.speed),
-                          "left": state_json(w.left), "right": state_json(w.right)})
-    profile = selfsim_dissipation(law, sol)
+                          "left": state_to_json(w.left), "right": state_to_json(w.right)})
     payload = {
         "command": "riemann",
         "exact": sol.exact,
         "waves": waves if waves else "no waves",
-        "dissipation": [
-            {"speed": xreal_to_json(s), "coefficient": xreal_to_json(c)}
-            for s, c in profile.entries
-        ],
+        "dissipation": _profile_json(selfsim_dissipation(law, sol)),
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -193,14 +168,10 @@ def _cmd_verify_fan(args) -> int:
     data = _load_json(args.file)
     fan = fan_from_json(data)
     report = verify_fan(fan)
-    profile = fan_dissipation_profile(fan)
     payload = {
         "command": "verify-fan",
-        "verification": _report_payload(report),
-        "dissipation": [
-            {"speed": xreal_to_json(s), "coefficient": xreal_to_json(c)}
-            for s, c in profile.entries
-        ],
+        "verification": report.to_dict(),
+        "dissipation": _profile_json(fan_dissipation_profile(fan)),
     }
     _emit(payload, args.format)
     if report.overall is Status.INCONCLUSIVE:
@@ -232,7 +203,7 @@ def _cmd_search(args) -> int:
         "result": "certified",
         "candidate": cand.to_dict(),
         "fan": fan_to_json(fan),
-        "comparison": _report_payload(comparison),
+        "comparison": comparison.to_dict(),
     }
     _emit(payload, args.format)
     return EXIT_OK if comparison.passed else EXIT_FAIL

@@ -366,12 +366,6 @@ class StaircaseProfile:
     f: PiecewisePoly
     h: PiecewisePoly
 
-    def h_profile(self) -> Profile1D:
-        return self.h
-
-    def plateau_values(self) -> tuple[float, float]:
-        return (-self.tau2, self.tau1)
-
 
 def build_staircase(tau1: float, delta: float) -> StaircaseProfile:
     """Construct the mollified square wave and its integrals."""

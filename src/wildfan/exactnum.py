@@ -34,7 +34,6 @@ __all__ = [
     "as_xreal",
     "sign",
     "adjoin_sqrt",
-    "sqrt_int_decompose",
     "default_precision_cap",
     "set_precision_cap",
     "xreal_to_json",
@@ -457,11 +456,6 @@ def _squarefree_decompose(n: int, bound: int = 1000) -> tuple[int, int]:
     else:
         d *= m
     return s, d
-
-
-def sqrt_int_decompose(n: int) -> tuple[int, int]:
-    """Public wrapper: n = s^2 * d with d the (bounded) square-free part."""
-    return _squarefree_decompose(n)
 
 
 class QuadExt(XReal):
@@ -913,10 +907,6 @@ class IntervalExpr(XReal):
         shown = f"~{float(self):.6g}" if iv or self.op == "leaf" else "unevaluated"
         return f"IntervalExpr({self.op}, {shown})"
 
-    def __float__(self) -> float:
-        iv = self.enclosure(64)
-        return float((iv.lo + iv.hi) / 2)
-
     __hash__ = object.__hash__
 
     def __eq__(self, other: object) -> bool:
@@ -1040,9 +1030,16 @@ def xreal_from_json(obj) -> XReal:
     if isinstance(obj, str):
         if obj.startswith("["):
             raise ValueError("interval enclosures cannot be parsed back into expressions")
-        return Rational(Fraction(obj))
+        return Rational(_fraction(obj))
     if isinstance(obj, dict) and set(obj) == {"d", "c"}:
         if any(isinstance(c, float) for c in obj["c"]):
             raise ValueError("tower coefficients must be exact, not JSON floats")
-        return QuadExt(tuple(obj["d"]), tuple(Fraction(c) for c in obj["c"]))
+        return QuadExt(tuple(obj["d"]), tuple(_fraction(c) for c in obj["c"]))
     raise ValueError(f"not an XReal encoding: {obj!r}")
+
+
+def _fraction(obj) -> Fraction:
+    try:
+        return Fraction(obj)
+    except ZeroDivisionError:  # "1/0" is malformed input like any other
+        raise ValueError(f"zero denominator in {obj!r}") from None

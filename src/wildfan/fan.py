@@ -32,7 +32,7 @@ from .exactnum import (
 )
 from .hull import NotInV, WDecomposition, WGeometry
 from .model import EulerState, PHPoint, PressureLaw, lift_state, pressure, pressure_potential
-from .riemann import DissipationProfile, selfsim_dissipation, solve_riemann
+from .riemann import DissipationProfile, plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
     "FanSubsolution",
@@ -46,9 +46,13 @@ __all__ = [
     "compare_profiles",
     "find_Q",
     "paper_example",
+    "paper_chain",
     "beats_selfsimilar",
+    "compare_selfsimilar",
     "fan_to_json",
     "fan_from_json",
+    "state_to_json",
+    "state_from_json",
 ]
 
 
@@ -181,11 +185,8 @@ def verify_fan(fan: FanSubsolution) -> VerificationReport:
         conds.append(_check(
             f"rh_normal[{i}]",
             mu * (za.m[1] - zb.m[1]) - ((-1) * za.u11 + za.q + zb.u11 - zb.q), "zero"))
-        e_a = _energy(law, rho_a, za.q)
-        e_b = _energy(law, rho_b, zb.q)
-        conds.append(_check(
-            f"rh_energy[{i}]",
-            (za.F[1] - zb.F[1]) - mu * (e_a - e_b), "nonneg"))
+        conds.append(_check(f"rh_energy[{i}]", _bracket(law, mu, recs[i], recs[i + 1]),
+                            "nonneg"))
 
     for i, (rho, z) in enumerate(fan.regions, start=1):
         p = pressure(law, rho)
@@ -199,17 +200,18 @@ def verify_fan(fan: FanSubsolution) -> VerificationReport:
     return VerificationReport(tuple(conds))
 
 
+def _bracket(law: PressureLaw, mu: XReal, rec_a, rec_b) -> XReal:
+    """plane_bracket between the records (rho, z) on either side of mu."""
+    (rho_a, za), (rho_b, zb) = rec_a, rec_b
+    return plane_bracket(mu, _energy(law, rho_a, za.q), _energy(law, rho_b, zb.q),
+                         za.F[1], zb.F[1])
+
+
 def fan_dissipation_profile(fan: FanSubsolution) -> DissipationProfile:
     """Bracket coefficient -mu_i [E] + [F2] on each interface plane."""
     recs = fan.records()
-    entries = []
-    for i in range(4):
-        (rho_a, za), (rho_b, zb) = recs[i], recs[i + 1]
-        e_a = _energy(fan.law, rho_a, za.q)
-        e_b = _energy(fan.law, rho_b, zb.q)
-        coeff = (-1) * fan.mu[i] * (e_a - e_b) + (za.F[1] - zb.F[1])
-        entries.append((fan.mu[i], coeff))
-    return DissipationProfile(entries)
+    return DissipationProfile([(fan.mu[i], _bracket(fan.law, fan.mu[i], recs[i], recs[i + 1]))
+                               for i in range(4)])
 
 
 class ProfileOrder(Enum):
@@ -221,26 +223,25 @@ class ProfileOrder(Enum):
 
 
 def _merged_planes(a: DissipationProfile, b: DissipationProfile):
-    """Union of plane speeds with per-profile coefficients (zero off
-    support), merged by exact speed comparison."""
+    """Union of plane speeds with per-profile coefficients (None off
+    support), merged by exact speed comparison; a matched plane has a's speed."""
     ia = ib = 0
     ea, eb = a.entries, b.entries
-    zero = as_xreal(0)
     while ia < len(ea) or ib < len(eb):
         if ia >= len(ea):
-            yield eb[ib][0], zero, eb[ib][1]
+            yield eb[ib][0], None, eb[ib][1]
             ib += 1
             continue
         if ib >= len(eb):
-            yield ea[ia][0], ea[ia][1], zero
+            yield ea[ia][0], ea[ia][1], None
             ia += 1
             continue
         s = sign(ea[ia][0] - eb[ib][0])
         if s < 0:
-            yield ea[ia][0], ea[ia][1], zero
+            yield ea[ia][0], ea[ia][1], None
             ia += 1
         elif s > 0:
-            yield eb[ib][0], zero, eb[ib][1]
+            yield eb[ib][0], None, eb[ib][1]
             ib += 1
         else:
             yield ea[ia][0], ea[ia][1], eb[ib][1]
@@ -263,22 +264,18 @@ def _weak_sign(x: XReal) -> tuple[int, bool]:
         raise
 
 
-def compare_profiles(candidate: DissipationProfile,
-                     reference: DissipationProfile) -> ProfileOrder:
-    """Plane-wise measure comparison.
-
-    Requires every candidate coefficient to be certified nonnegative
-    (admissibility).  'Dominates' only arises for interval-valued profiles
-    where >= holds everywhere but no strict plane can be certified.
-    """
+def _order(candidate: DissipationProfile, reference: DissipationProfile):
+    """(order, merged planes) of compare_profiles; the one plane walk."""
     for _, coeff in candidate.entries:
         s, _ = _weak_sign(coeff)
         if s < 0:
             raise ValueError("candidate profile has a negative coefficient")
+    planes = list(_merged_planes(candidate, reference))
+    zero = as_xreal(0)
     any_pos = any_neg = False
     strict_pos = False
-    for _, ca, cb in _merged_planes(candidate, reference):
-        s, strict = _weak_sign(ca - cb)
+    for _, ca, cb in planes:
+        s, strict = _weak_sign((zero if ca is None else ca) - (zero if cb is None else cb))
         if s > 0:
             any_pos = True
             if strict:
@@ -286,12 +283,22 @@ def compare_profiles(candidate: DissipationProfile,
         elif s < 0:
             any_neg = True
     if any_pos and any_neg:
-        return ProfileOrder.INCOMPARABLE
+        return ProfileOrder.INCOMPARABLE, planes
     if any_pos:
-        return ProfileOrder.STRICTLY_DOMINATES if strict_pos else ProfileOrder.DOMINATES
-    if any_neg:
-        return ProfileOrder.DOMINATED
-    return ProfileOrder.EQUAL
+        return (ProfileOrder.STRICTLY_DOMINATES if strict_pos else ProfileOrder.DOMINATES), planes
+    return (ProfileOrder.DOMINATED if any_neg else ProfileOrder.EQUAL), planes
+
+
+def compare_profiles(candidate: DissipationProfile,
+                     reference: DissipationProfile) -> ProfileOrder:
+    """Plane-wise measure comparison.
+
+    Requires every candidate coefficient to be certified nonnegative
+    (admissibility).  A plane missing from one side counts as coefficient
+    zero.  'Dominates' only arises for interval-valued profiles where >=
+    holds everywhere but no strict plane can be certified.
+    """
+    return _order(candidate, reference)[0]
 
 
 def _first_cap(law: PressureLaw, rho: XReal, z: PHPoint, max_doublings: int
@@ -376,9 +383,27 @@ def paper_example() -> FanSubsolution:
     return FanSubsolution(law, (mu0, mu1, mu2, mu3), left, right, regions)
 
 
-def beats_selfsimilar(fan: FanSubsolution) -> VerificationReport:
+def paper_chain(report: VerificationReport, planes) -> VerificationReport:
+    """The paper example's strict margin factors through 151/10: where the
+    candidate coefficient is (83033 - 8050 sqrt5)/4300, checks candidate >
+    151/10 > reference just before that plane's strict margin."""
+    paper_coeff = Rational(83033, 4300) - Rational(8050, 4300) * QuadExt.sqrt_of(5)
+    conds = list(report.conditions)
+    for speed, coeff, ref_coeff in planes:
+        if (coeff is None or ref_coeff is None or not coeff.is_exact
+                or sign(coeff - paper_coeff) != 0):
+            continue
+        at = [c.name for c in conds].index(f"strict_margin[{_speed_tag(speed)}]")
+        conds[at:at] = [_check("chain[candidate>151/10]", coeff - Rational(151, 10), "pos"),
+                        _check("chain[151/10>reference]", Rational(151, 10) - ref_coeff, "pos")]
+    return VerificationReport(tuple(conds))
+
+
+def compare_selfsimilar(fan: FanSubsolution) -> tuple[VerificationReport, list]:
     """Dissipation comparison against the self-similar solution of the same
-    Riemann data: solve, profile both, compare plane by plane."""
+    Riemann data: solve, profile both, compare plane by plane.  Returns the
+    report and the merged planes (speed, candidate coefficient, reference
+    coefficient; None off support), empty if the comparison did not finish."""
     conds: list[ConditionResult] = []
     sol = solve_riemann(fan.law, fan.left, fan.right)
     conds.append(ConditionResult(
@@ -388,33 +413,23 @@ def beats_selfsimilar(fan: FanSubsolution) -> VerificationReport:
     candidate = fan_dissipation_profile(fan)
 
     try:
-        verdict = compare_profiles(candidate, reference)
+        verdict, planes = _order(candidate, reference)
     except ValueError:
         conds.append(ConditionResult("candidate_admissible", Status.FAIL,
                                      "negative bracket coefficient"))
-        return VerificationReport(tuple(conds))
+        return VerificationReport(tuple(conds)), []
     except Inconclusive as exc:
         conds.append(ConditionResult("comparison", Status.INCONCLUSIVE, str(exc)))
-        return VerificationReport(tuple(conds))
+        return VerificationReport(tuple(conds)), []
 
-    for speed, ref_coeff in reference.entries:
-        covered = any(sign(speed - s) == 0 for s, _ in candidate.entries)
-        conds.append(ConditionResult(
-            f"covers_plane[{_speed_tag(speed)}]",
-            Status.PASS if covered else Status.FAIL,
-            f"reference coefficient {_witness(ref_coeff)}"))
-
-    # the counterexample's strict margin factors through 151/10
-    paper_coeff = Rational(83033, 4300) - Rational(8050, 4300) * QuadExt.sqrt_of(5)
-    for speed, coeff in candidate.entries:
-        for ref_speed, ref_coeff in reference.entries:
-            if sign(speed - ref_speed) != 0:
-                continue
-            if coeff.is_exact and sign(coeff - paper_coeff) == 0:
-                conds.append(_check("chain[candidate>151/10]",
-                                    coeff - Rational(151, 10), "pos"))
-                conds.append(_check("chain[151/10>reference]",
-                                    Rational(151, 10) - ref_coeff, "pos"))
+    for speed, coeff, ref_coeff in planes:
+        if ref_coeff is not None:
+            conds.append(ConditionResult(
+                f"covers_plane[{_speed_tag(speed)}]",
+                Status.PASS if coeff is not None else Status.FAIL,
+                f"reference coefficient {_witness(ref_coeff)}"))
+    for speed, coeff, ref_coeff in planes:
+        if coeff is not None and ref_coeff is not None:
             conds.append(_check(f"strict_margin[{_speed_tag(speed)}]",
                                 coeff - ref_coeff, "pos"))
 
@@ -422,20 +437,37 @@ def beats_selfsimilar(fan: FanSubsolution) -> VerificationReport:
         "comparison",
         Status.PASS if verdict is ProfileOrder.STRICTLY_DOMINATES else Status.FAIL,
         verdict.value))
-    return VerificationReport(tuple(conds))
+    return VerificationReport(tuple(conds)), planes
+
+
+def beats_selfsimilar(fan: FanSubsolution) -> VerificationReport:
+    """The report of compare_selfsimilar."""
+    return compare_selfsimilar(fan)[0]
 
 
 # ---------------------------------------------------------------------------
 # JSON fan files
 # ---------------------------------------------------------------------------
 
+def state_to_json(state: EulerState) -> dict:
+    return {"rho": xreal_to_json(state.rho), "m": [xreal_to_json(c) for c in state.m]}
+
+
+def _pair(data, name: str) -> tuple[XReal, XReal]:
+    if not isinstance(data, list) or len(data) != 2:
+        raise ValueError(f"{name} must be a list of two numbers, got {data!r}")
+    return xreal_from_json(data[0]), xreal_from_json(data[1])
+
+
+def state_from_json(data: dict) -> EulerState:
+    return EulerState(xreal_from_json(data["rho"]), _pair(data["m"], "m"))
+
+
 def fan_to_json(fan: FanSubsolution) -> dict:
     return {
         "gamma": xreal_to_json(fan.law.gamma),
-        "left": {"rho": xreal_to_json(fan.left.rho),
-                 "m": [xreal_to_json(c) for c in fan.left.m]},
-        "right": {"rho": xreal_to_json(fan.right.rho),
-                  "m": [xreal_to_json(c) for c in fan.right.m]},
+        "left": state_to_json(fan.left),
+        "right": state_to_json(fan.right),
         "mu": [xreal_to_json(m) for m in fan.mu],
         "regions": [
             {
@@ -453,16 +485,12 @@ def fan_to_json(fan: FanSubsolution) -> dict:
 
 def fan_from_json(data: dict) -> FanSubsolution:
     law = PressureLaw(gamma=xreal_from_json(data["gamma"]))
-    left = EulerState(xreal_from_json(data["left"]["rho"]),
-                      tuple(xreal_from_json(c) for c in data["left"]["m"]))
-    right = EulerState(xreal_from_json(data["right"]["rho"]),
-                       tuple(xreal_from_json(c) for c in data["right"]["m"]))
+    left, right = state_from_json(data["left"]), state_from_json(data["right"])
     mu = tuple(xreal_from_json(m) for m in data["mu"])
     regions = []
     for reg in data["regions"]:
-        z = PHPoint(tuple(xreal_from_json(c) for c in reg["m"]),
+        z = PHPoint(_pair(reg["m"], "m"),
                     xreal_from_json(reg["u11"]), xreal_from_json(reg["u12"]),
-                    xreal_from_json(reg["q"]),
-                    tuple(xreal_from_json(c) for c in reg["F"]))
+                    xreal_from_json(reg["q"]), _pair(reg["F"], "F"))
         regions.append((xreal_from_json(reg["rho"]), z))
     return FanSubsolution(law, mu, left, right, tuple(regions))

@@ -28,6 +28,7 @@ __all__ = [
     "Wave",
     "SelfSimilarSolution",
     "DissipationProfile",
+    "plane_bracket",
     "VacuumFormation",
     "solve_riemann",
     "selfsim_dissipation",
@@ -99,6 +100,12 @@ class DissipationProfile:
             if sign(s2 - s1) <= 0:
                 raise ValueError("plane speeds must be strictly increasing")
         object.__setattr__(self, "entries", tuple(items))
+
+
+def plane_bracket(mu, e_a, e_b, f_a, f_b):
+    """Dissipation bracket -mu [E] + [F2] on the plane y = mu t between the
+    states a and b (energies e, fluxes f), over floats or exact numbers."""
+    return (-1) * mu * (e_a - e_b) + (f_a - f_b)
 
 
 class _SpeedKey:
@@ -254,16 +261,11 @@ def solve_riemann(law: PressureLaw, left: EulerState, right: EulerState) -> Self
             waves.append(Rarefaction(as_xreal(Fraction(v_mid + c_m)),
                                      as_xreal(Fraction(v_r + c_r)), mid_right, right))
 
-    speeds = []
-    for w in waves:
-        if isinstance(w, Rarefaction):
-            speeds.extend([float(w.speed_lo), float(w.speed_hi)])
-        else:
-            speeds.append(float(w.speed))
+    sol = SelfSimilarSolution(law, left, right, tuple(waves), exact=False)
+    speeds = sol.speeds()
     if any(b < a - 1e-9 for a, b in zip(speeds, speeds[1:])):
         raise ArithmeticError("wave speeds are not ordered; solver failure")
-
-    return SelfSimilarSolution(law, left, right, tuple(waves), exact=False)
+    return sol
 
 
 def selfsim_dissipation(law: PressureLaw, sol: SelfSimilarSolution) -> DissipationProfile:
@@ -278,6 +280,6 @@ def selfsim_dissipation(law: PressureLaw, sol: SelfSimilarSolution) -> Dissipati
             continue
         z_left, e_left = lift_state(law, w.left)
         z_right, e_right = lift_state(law, w.right)
-        coeff = (-1) * w.speed * (e_left - e_right) + (z_left.F[1] - z_right.F[1])
-        entries.append((w.speed, coeff))
+        entries.append((w.speed, plane_bracket(w.speed, e_left, e_right,
+                                               z_left.F[1], z_right.F[1])))
     return DissipationProfile(entries)

@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 from .exactnum import Inconclusive, XReal, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, beats_selfsimilar, verify_fan
 from .model import EulerState, PHPoint, PressureLaw, lift_state
-from .riemann import Shock, selfsim_dissipation, solve_riemann
+from .riemann import Shock, plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
     "SearchConfig",
@@ -237,7 +237,7 @@ def _brackets(ctx: _Context, mu, e, f123, margins: dict):
     """Energy-flux brackets -mu[E] + [F2] per plane, also recorded as the
     'rh4_i' margins."""
     ff = (ctx.f_m, *f123, ctx.f_p)
-    brackets = tuple(-mu[i] * (e[i] - e[i + 1]) + (ff[i] - ff[i + 1])
+    brackets = tuple(plane_bracket(mu[i], e[i], e[i + 1], ff[i], ff[i + 1])
                      for i in range(4))
     for i in range(4):
         margins[f"rh4_{i}"] = brackets[i]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -176,3 +177,138 @@ def test_cli_import_loads_no_float_library():
         "same": True,
         "missing": "AttributeError",
     }
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes and per-command work
+# ---------------------------------------------------------------------------
+
+_S5_HALF3 = {"d": [5], "c": ["0/1", "3/2"]}
+_INPUTS = {
+    "paper_shock.json": {"gamma": "2/1", "left": {"rho": "1/1", "m": ["0/1", _S5_HALF3]},
+                         "right": {"rho": "4/1", "m": ["0/1", "0/1"]}},
+    "two_rarefaction.json": {"gamma": "2/1", "left": {"rho": "1/1", "m": ["0/1", "-1/2"]},
+                             "right": {"rho": "1/1", "m": ["0/1", "1/2"]}},
+    "gamma_one.json": {"gamma": "1/1", "left": {"rho": "1/1", "m": ["0/1", "3/2"]},
+                       "right": {"rho": "4/1", "m": ["0/1", "0/1"]}},
+    "slip.json": {"gamma": "2/1", "left": {"rho": "1/1", "m": ["1/1", "1/1"]},
+                  "right": {"rho": "1/1", "m": ["-1/1", "-1/1"]}},
+    "search8.json": {"gamma": "2/1", "left": {"rho": "1/1", "m": ["0/1", _S5_HALF3]},
+                     "right": {"rho": "4/1", "m": ["0/1", "0/1"]},
+                     "config": {"restarts": 8}},
+}
+
+# (argv, exit code, sha256 of stdout), recorded before the dissipation
+# comparison was folded into one plane walk; search bytes also pin the
+# numpy/scipy versions test_search_golden_bits pins.
+_GOLDEN = (
+    (("verify-example", "--format", "json"), 0,
+     "f0af6cae74a49d85cc2fee2552a00ec7eea6bd74fed184dd949c1337061ebdfd"),
+    (("verify-example", "--format", "table"), 0,
+     "12a992d4a6cdfaedd70949f4104768f7b218b6b429ae251e204788b3f92dd32d"),
+    (("verify-fan", "fan.json", "--format", "json"), 0,
+     "8a7f88d510d399961d498ca1394f9a4c5a5665e7e4fd39fc512bccd9d19f5858"),
+    (("verify-fan", "fan.json"), 0,
+     "b2fda15a7810488d7910773b35ded158c111b891e4ef48c54c3cb6459da9726e"),
+    (("verify-fan", "swapped.json", "--format", "table"), 1,
+     "504d5a24b8077e059faabf084b4d57a8544531375d7b0f46444235c3cdc350a4"),
+    (("riemann", "paper_shock.json", "--format", "json"), 0,
+     "2ad0e12de2833ee463da1dba9b0ba1703d307c2abfbcc28249abd7e768c3e242"),
+    (("riemann", "two_rarefaction.json", "--format", "json"), 0,
+     "c466dfbae48a2ba86945de6c28a20878f507ed64b9808a3694677032811450ec"),
+    (("riemann", "gamma_one.json", "--format", "json"), 0,
+     "b95a140d8250da9633135da5cfd604520f4fbb6e0da5ce6ec9a0ba403bbf1792"),
+    (("riemann", "gamma_one.json"), 0,
+     "81f2726223519f52a418ccbd1202cc6efe909fb500df8394a8cdf8a4a266c0f8"),
+    (("riemann", "slip.json", "--format", "json"), 0,
+     "677bbd590ba3adc12a5c9dcd7743480cf2c7a98affb3ad6980b50c72c3850a71"),
+    (("search", "search8.json", "--format", "json"), 0,
+     "c042ae649ff05ee39d250b2114cdc3131888c038aa70f3c8fa2b929bc07b6c74"),
+)
+
+
+def _write_inputs(tmp_path):
+    files = dict(_INPUTS)
+    files["fan.json"] = fan_to_json(paper_example())
+    swapped = fan_to_json(paper_example())
+    swapped["mu"][1], swapped["mu"][2] = swapped["mu"][2], swapped["mu"][1]
+    files["swapped.json"] = swapped
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+
+
+def test_cli_output_bytes_pinned(tmp_path, capsys):
+    _write_inputs(tmp_path)
+    for argv, code, digest in _GOLDEN:
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        got_code, out = invoke(capsys, *argv)
+        assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+
+def test_verify_example_solves_and_profiles_once(monkeypatch, capsys):
+    import wildfan.fan as fan_module
+    import wildfan.riemann as riemann_module
+
+    calls = {}
+    for fn in (riemann_module.solve_riemann, riemann_module.selfsim_dissipation,
+               fan_module.fan_dissipation_profile):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        calls[fn.__name__] = 0
+        # every module that looks the function up by name
+        for name, module in list(sys.modules.items()):
+            if (name == "wildfan" or name.startswith("wildfan.")) \
+                    and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    code, _ = invoke(capsys, "verify-example", "--format", "json")
+    assert code == 0
+    assert calls == {"solve_riemann": 1, "selfsim_dissipation": 1,
+                     "fan_dissipation_profile": 1}
+
+
+# ---------------------------------------------------------------------------
+# malformed numbers and vectors are parse errors (exit 2)
+# ---------------------------------------------------------------------------
+
+def _riemann_file(tmp_path, left):
+    data = {"gamma": "2/1", "left": left, "right": {"rho": "4/1", "m": ["0/1", "0/1"]}}
+    path = tmp_path / "riemann.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _fan_file(tmp_path, edit):
+    data = fan_to_json(paper_example())
+    edit(data)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_zero_denominator_exit_code(tmp_path, capsys):
+    for left in ({"rho": "1/0", "m": ["0/1", "0/1"]},
+                 {"rho": "1/1", "m": ["0/1", {"d": [5], "c": ["0/1", "3/0"]}]}):
+        code, _ = invoke(capsys, "riemann", _riemann_file(tmp_path, left))
+        assert code == 2
+
+    def zero_q(data):
+        data["regions"][1]["q"] = "1/0"
+    code, _ = invoke(capsys, "verify-fan", _fan_file(tmp_path, zero_q))
+    assert code == 2
+
+
+def test_wrong_length_vector_exit_code(tmp_path, capsys):
+    for m in (["0/1"], ["0/1", "0/1", "1/1"]):
+        code, _ = invoke(capsys, "riemann", _riemann_file(tmp_path, {"rho": "1/1", "m": m}))
+        assert code == 2
+
+    # a third component used to be dropped silently (verify-fan passed),
+    # a missing one raised IndexError
+    for edit in (lambda d: d["regions"][1]["m"].pop(),
+                 lambda d: d["regions"][1]["m"].append("1/1"),
+                 lambda d: d["regions"][1]["F"].pop(),
+                 lambda d: d["regions"][1]["F"].append("1/1"),
+                 lambda d: d["left"]["m"].append("1/1")):
+        code, _ = invoke(capsys, "verify-fan", _fan_file(tmp_path, edit))
+        assert code == 2

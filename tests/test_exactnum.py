@@ -205,6 +205,12 @@ def test_xreal_from_json_rejects_floats():
     assert xreal_from_json({"d": [5], "c": [0, "1/2"]}) == QuadExt.sqrt_of(5) / 2
 
 
+def test_xreal_from_json_zero_denominator_is_a_parse_error():
+    for enc in ("1/0", {"d": [5], "c": ["0/1", "3/0"]}):
+        with pytest.raises(ValueError):
+            xreal_from_json(enc)
+
+
 def test_precision_cap_env_override(monkeypatch):
     import wildfan.exactnum as exactnum
     from wildfan.exactnum import default_precision_cap, set_precision_cap

@@ -11,10 +11,12 @@ from wildfan.fan import (
     Status,
     beats_selfsimilar,
     compare_profiles,
+    compare_selfsimilar,
     fan_dissipation_profile,
     fan_from_json,
     fan_to_json,
     find_Q,
+    paper_chain,
     paper_example,
     verify_fan,
 )
@@ -113,11 +115,23 @@ def test_compare_profiles_antisymmetric():
 def test_beats_selfsimilar_paper():
     report = beats_selfsimilar(paper_example())
     assert report.passed
-    names = {c.name for c in report.conditions}
-    assert "chain[candidate>151/10]" in names
-    assert "chain[151/10>reference]" in names
+    # the paper's 151/10 chain is paper_chain's, not the general comparison's
+    assert not any(c.name.startswith("chain[") for c in report.conditions)
     assert any(c.name == "comparison" and c.witness == "StrictlyDominates"
                for c in report.conditions)
+
+
+def test_paper_chain_sits_before_the_shock_margin():
+    report, planes = compare_selfsimilar(paper_example())
+    assert report == beats_selfsimilar(paper_example())
+    # four candidate planes, the shock plane -sqrt5/2 matched by the reference
+    assert [ref is not None for _, _, ref in planes] == [False, True, False, False]
+    names = [c.name for c in paper_chain(report, planes).conditions]
+    at = names.index("strict_margin[-1.11803]")
+    assert names[at - 2:at] == ["chain[candidate>151/10]", "chain[151/10>reference]"]
+    assert [n for n in names if not n.startswith("chain[")] == [
+        c.name for c in report.conditions]
+    assert paper_chain(report, planes).passed
 
 
 def test_find_Q_certificates_reverify():

@@ -17,6 +17,7 @@ from wildfan.riemann import (
     Shock,
     Slip,
     VacuumFormation,
+    plane_bracket,
     selfsim_dissipation,
     solve_riemann,
 )
@@ -165,3 +166,11 @@ def test_profile_requires_increasing_speeds():
         DissipationProfile([(1, 1), (1, 2)])
     p = DissipationProfile([(2, 5), (0, 1)])
     assert float(p.entries[0][0]) == 0.0
+
+
+def test_plane_bracket_over_floats_and_exact_numbers():
+    # one formula: floats give -mu [E] + [F2] to the bit, tower numbers exactly
+    mu, e_a, e_b, f_a, f_b = -1.118033988749895, 2.5, 9.0, 3.75, 0.0
+    assert plane_bracket(mu, e_a, e_b, f_a, f_b) == -mu * (e_a - e_b) + (f_a - f_b)
+    assert sign(plane_bracket(S5 / 2, Rational(1), Rational(3), S5, Rational(0))) == 1
+    assert plane_bracket(S5 / 2, Rational(1), Rational(3), S5, Rational(0)) == 2 * S5
