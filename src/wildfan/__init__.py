@@ -86,7 +86,7 @@ from .fan import (
 
 __version__ = "0.1.0"
 
-# The search names load scipy, so `wildfan.search` is imported on first use
+# The search names load numpy, so `wildfan.search` is imported on first use
 # of one of them, not with the package (PEP 562).
 _SEARCH_NAMES = frozenset({"Candidate", "SearchConfig", "certify", "chain_close", "search_fan"})
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the requested verification fully passes, 1 on a
 verification failure, 2 on parse/usage errors, 3 when a certification is
-inconclusive at the precision cap.
+inconclusive: at the precision cap, or because well-formed input leaves the
+supported arithmetic (radicands beyond the two-radical tower, or the square
+root of a negative number).
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import sys
 # convexint defers numpy to its first use, so this import costs the exact
 # commands next to nothing.
 from .convexint import build_oscillation, diagnostics_csv
-from .exactnum import Inconclusive, Rational, set_precision_cap, xreal_from_json, xreal_to_json
+from .exactnum import (
+    Inconclusive,
+    NegativeRadicand,
+    RadicandMismatch,
+    Rational,
+    set_precision_cap,
+    xreal_from_json,
+    xreal_to_json,
+)
 from .fan import (
     Status,
     compare_selfsimilar,
@@ -180,7 +190,7 @@ def _cmd_verify_fan(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .search import SearchConfig, search_fan  # loads scipy: only here
+    from .search import SearchConfig, search_fan  # imports numpy, so only here
 
     data = _load_json(args.file)
     law, left, right = _riemann_inputs(data)
@@ -307,6 +317,9 @@ def run(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (RadicandMismatch, NegativeRadicand) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,13 @@ class InvalidReference(ValueError):
     """gamma = 1 needs a positive reference density in the potential."""
 
 
+def _two_components(name: str, v) -> tuple[XReal, XReal]:
+    """A planar vector of exactly two components."""
+    if len(v) != 2:
+        raise ValueError(f"{name} must have 2 components, got {len(v)}")
+    return as_xreal(v[0]), as_xreal(v[1])
+
+
 @dataclass(frozen=True)
 class PressureLaw:
     """p(rho) = rho**gamma with the reference density rho_star of the
@@ -79,7 +86,7 @@ class EulerState:
         if sign(r) <= 0:
             raise NonPositiveDensity(f"rho = {r}")
         object.__setattr__(self, "rho", r)
-        object.__setattr__(self, "m", (as_xreal(m[0]), as_xreal(m[1])))
+        object.__setattr__(self, "m", _two_components("m", m))
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,11 @@ class PHPoint:
     F: tuple[XReal, XReal]
 
     def __init__(self, m, u11, u12, q, F):
-        object.__setattr__(self, "m", (as_xreal(m[0]), as_xreal(m[1])))
+        object.__setattr__(self, "m", _two_components("m", m))
         object.__setattr__(self, "u11", as_xreal(u11))
         object.__setattr__(self, "u12", as_xreal(u12))
         object.__setattr__(self, "q", as_xreal(q))
-        object.__setattr__(self, "F", (as_xreal(F[0]), as_xreal(F[1])))
+        object.__setattr__(self, "F", _two_components("F", F))
 
     # 7-vector arithmetic, used by splits, laminates and barycenters
     def __add__(self, other: "PHPoint") -> "PHPoint":

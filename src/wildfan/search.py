@@ -10,7 +10,13 @@ the closure solves them, then chains the normal momenta and trace-free
 entries forward from the left boundary.  The search therefore only fights
 strict inequalities: speed ordering, positivity, negative definiteness per
 region, the energy-flux inequality per interface, and the dominance target
-on the reference shock plane.  Each float evaluation closes its point once.
+on the reference shock plane.  Each float evaluation closes its point once,
+in one kernel that returns the dominance surplus and the margins as a tuple.
+
+The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
+Python float lists: it reproduces scipy 1.17.1's, float for float, without
+importing scipy.  numpy is needed only for the seeded restart draws and for
+``np.argsort`` on tied simplex values.
 
 Certification rounds the free variables to small rationals, pins the
 matched plane speed to the exact reference shock speed, re-runs the same
@@ -22,11 +28,13 @@ the full exact verification.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exactnum import Inconclusive, XReal, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, beats_selfsimilar, verify_fan
@@ -117,14 +125,11 @@ def _float_law(law: PressureLaw):
     return p, P
 
 
-def _boundary(law: PressureLaw, state: EulerState, as_float: bool):
+def _boundary(law: PressureLaw, state: EulerState):
     """Lifted boundary state: (rho, m2, u11, q) for the closure and
     (F2, e) for the energy-flux brackets."""
     z, e = lift_state(law, state)
-    vals, flux = (state.rho, z.m[1], z.u11, z.q), (z.F[1], e)
-    if as_float:
-        return tuple(map(float, vals)), tuple(map(float, flux))
-    return vals, flux
+    return (state.rho, z.m[1], z.u11, z.q), (z.F[1], e)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +195,22 @@ def chain_close(minus, plus, mu, rho1, q123):
 # ---------------------------------------------------------------------------
 
 class _Context:
-    """Float boundary data and pressure callables, computed once."""
+    """Boundary data of one Riemann problem, computed once: the exact
+    lifted values for certification, and their floats with the float
+    pressure callables for the search."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
         self.p, self.P = _float_law(law)
-        self.minus, (self.f_m, self.e_m) = _boundary(law, left, True)
-        self.plus, (self.f_p, self.e_p) = _boundary(law, right, True)
+        self.exact_minus, (f_m, e_m) = _boundary(law, left)
+        self.exact_plus, (f_p, e_p) = _boundary(law, right)
+        self.minus = tuple(map(float, self.exact_minus))
+        self.plus = tuple(map(float, self.exact_plus))
+        self.f_m, self.e_m, self.f_p, self.e_p = map(float, (f_m, e_m, f_p, e_p))
+
+
+# Margin names, in the order the float kernel returns the margins.
+_MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
+            "trace2", "det2", "trace3", "det3", "rh4_0", "rh4_1", "rh4_2", "rh4_3")
 
 
 def _close_floats(ctx: _Context, sigma: float, v):
@@ -205,43 +220,40 @@ def _close_floats(ctx: _Context, sigma: float, v):
     Returns (closed, margins).  ``closed`` is (mu, rhos, m2s, u11s, e,
     residual), with the chained mu3 in ``mu`` and the region energies
     between the boundary ones in ``e``; it is None when the closure
-    degenerates (margins {'closure': -1}) or a density is not positive.
-    ``margins`` holds the ordering, density, trace and determinant margins.
+    degenerates (no margins) or a density is not positive (the margins
+    stop after the densities).  ``margins`` is a list of the ordering,
+    density, trace and determinant margins, in ``_MARGINS`` order.
     """
-    mu0, mu2, mu3, rho1, q1, q2, q3 = map(float, v[:7])
-    qs = (q1, q2, q3)
+    mu0, mu2, mu3, rho1, q1, q2, q3 = v[:7]
     try:
         rhos, m2s, u11s, mu3_chain, residual = chain_close(
-            ctx.minus, ctx.plus, (mu0, sigma, mu2, mu3), rho1, qs)
+            ctx.minus, ctx.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
     except DegenerateClosure:
-        return None, {"closure": -1.0}
-    margins = {"ord0": sigma - mu0, "ord1": mu2 - sigma, "ord2": mu3 - mu2}
-    margins["rho1"], margins["rho2"], margins["rho3"] = rhos
+        return None, []
     if min(rhos) <= 0.0:
-        return None, margins
+        return None, [sigma - mu0, mu2 - sigma, mu3 - mu2, *rhos]
 
-    e = [ctx.e_m]
-    for i in range(3):
-        pi = ctx.p(rhos[i])
-        tr = m2s[i] ** 2 / rhos[i] + 2.0 * (pi - qs[i])
-        margins[f"trace{i + 1}"] = -tr
-        margins[f"det{i + 1}"] = ((-u11s[i] + pi - qs[i])
-                                  * (m2s[i] ** 2 / rhos[i] + u11s[i] + pi - qs[i]))
-        e.append(qs[i] + ctx.P(rhos[i]) - pi)
-    e.append(ctx.e_p)
-    mu = (mu0, sigma, mu2, mu3_chain)
-    return (mu, rhos, m2s, u11s, e, abs(residual)), margins
+    p, P = ctx.p, ctx.P
+    r1, r2, r3 = rhos
+    (a1, a2, a3), (u1, u2, u3) = m2s, u11s
+    p1, p2, p3 = p(r1), p(r2), p(r3)
+    k1, k2, k3 = a1 ** 2 / r1, a2 ** 2 / r2, a3 ** 2 / r3
+    margins = [sigma - mu0, mu2 - sigma, mu3 - mu2, r1, r2, r3,
+               -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
+               -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
+               -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3)]
+    e = (ctx.e_m, q1 + P(r1) - p1, q2 + P(r2) - p2, q3 + P(r3) - p3, ctx.e_p)
+    return ((mu0, sigma, mu2, mu3_chain), rhos, m2s, u11s, e, abs(residual)), margins
 
 
-def _brackets(ctx: _Context, mu, e, f123, margins: dict):
-    """Energy-flux brackets -mu[E] + [F2] per plane, also recorded as the
-    'rh4_i' margins."""
-    ff = (ctx.f_m, *f123, ctx.f_p)
-    brackets = tuple(plane_bracket(mu[i], e[i], e[i + 1], ff[i], ff[i + 1])
-                     for i in range(4))
-    for i in range(4):
-        margins[f"rh4_{i}"] = brackets[i]
-    return brackets
+def _brackets(ctx: _Context, mu, e, f123):
+    """Energy-flux brackets -mu[E] + [F2] per plane, also the 'rh4_i'
+    margins."""
+    f1, f2, f3 = f123
+    return (plane_bracket(mu[0], e[0], e[1], ctx.f_m, f1),
+            plane_bracket(mu[1], e[1], e[2], f1, f2),
+            plane_bracket(mu[2], e[2], e[3], f2, f3),
+            plane_bracket(mu[3], e[3], e[4], f3, ctx.f_p))
 
 
 def _evaluate(cand: Candidate, ctx: _Context | None = None) -> Candidate:
@@ -249,20 +261,22 @@ def _evaluate(cand: Candidate, ctx: _Context | None = None) -> Candidate:
     (.., F12, F22, F32)."""
     if ctx is None:
         ctx = _Context(cand.law, cand.left, cand.right)
-    closed, margins = _close_floats(ctx, cand.sigma, cand.x)
-    cand.margins = margins
+    x = [float(v) for v in cand.x]
+    closed, margins = _close_floats(ctx, cand.sigma, x)
     cand.feasible = False
     if closed is None:
+        cand.margins = dict(zip(_MARGINS, margins)) if margins else {"closure": -1.0}
         cand.residual = math.inf
         return cand
     cand.mu, cand.rho, cand.m2, cand.u11, e, cand.residual = closed
-    cand.brackets = _brackets(ctx, cand.mu, e, map(float, cand.x[7:]), margins)
-    cand.feasible = min(margins.values()) > 0.0 and cand.residual < 1e-7
+    cand.brackets = _brackets(ctx, cand.mu, e, x[7:])
+    cand.margins = dict(zip(_MARGINS, (*margins, *cand.brackets)))
+    cand.feasible = min(cand.margins.values()) > 0.0 and cand.residual < 1e-7
     return cand
 
 
 # ---------------------------------------------------------------------------
-# search driver
+# the float kernel and the three phase objectives
 # ---------------------------------------------------------------------------
 
 # The optimizer works in "bracket coordinates": the three energy-flux
@@ -271,13 +285,16 @@ def _evaluate(cand: Candidate, ctx: _Context | None = None) -> Candidate:
 # plane-dissipation budget is fixed by the speeds and trace caps alone
 # (the flux chain telescopes), so maximizing the matched-plane bracket
 # means maximizing the budget while the outer brackets sit at the floor.
+#
+# Float sums run left to right from 0.0, as the builtin sum() adds on
+# Python 3.11; from 3.12 sum() compensates, which would move the bits.
 
 def _fluxes(ctx: _Context, sigma: float, y, e):
     """(F12, F22, F32) putting the outer-plane brackets of the closed point
     y at its bracket coordinates (b0, b2, b3)."""
-    mu0, mu2, mu3, b0, b2, b3 = (float(y[i]) for i in (0, 1, 2, 7, 8, 9))
-    mus = (mu0, sigma, mu2, mu3)
-    budget = ctx.f_m - ctx.f_p - sum(mus[i] * (e[i] - e[i + 1]) for i in range(4))
+    mu0, mu2, mu3, b0, b2, b3 = y[0], y[1], y[2], y[7], y[8], y[9]
+    budget = ctx.f_m - ctx.f_p - (0.0 + mu0 * (e[0] - e[1]) + sigma * (e[1] - e[2])
+                                  + mu2 * (e[2] - e[3]) + mu3 * (e[3] - e[4]))
     b1 = budget - b0 - b2 - b3
     f3 = b3 + mu3 * (e[3] - e[4]) + ctx.f_p
     f2 = b2 + mu2 * (e[2] - e[3]) + f3
@@ -292,33 +309,39 @@ def _y_to_x(ctx: _Context, sigma: float, y) -> np.ndarray | None:
     closed, _ = _close_floats(ctx, sigma, y)
     if closed is None:
         return None
-    return np.array([*map(float, y[:7]), *_fluxes(ctx, sigma, y, closed[4])])
+    return np.array([*y[:7], *_fluxes(ctx, sigma, y, closed[4])])
 
 
-def _margins_at(ctx: _Context, sigma: float, ref_coeff: float, y):
-    """(dominance surplus, margins) at the bracket-coordinate point y;
-    (None, None) when it does not close with positive densities."""
+def _kernel(ctx: _Context, sigma: float, ref_coeff: float, y):
+    """(dominance surplus, margins) at the bracket-coordinate point y, the
+    margins a tuple in ``_MARGINS`` order; None when the point does not
+    close with positive densities."""
     closed, margins = _close_floats(ctx, sigma, y)
     if closed is None:
-        return None, None
+        return None
     mu, e = closed[0], closed[4]
-    brackets = _brackets(ctx, mu, e, _fluxes(ctx, sigma, y, e), margins)
-    return brackets[1] - ref_coeff, margins
+    brackets = _brackets(ctx, mu, e, _fluxes(ctx, sigma, y, e))
+    return brackets[1] - ref_coeff, (*margins, *brackets)
 
 
 def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
-    surplus, margins = _margins_at(ctx, sigma, ref_coeff, y)
-    if margins is None:
+    point = _kernel(ctx, sigma, ref_coeff, y)
+    if point is None:
         return 1e6
-    return sum((floor - m) ** 2 for m in margins.values() if m < floor)
+    total = 0.0
+    for m in point[1]:
+        if m < floor:
+            total += (floor - m) ** 2
+    return total
 
 
 def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
-    surplus, margins = _margins_at(ctx, sigma, ref_coeff, y)
-    if margins is None:
+    point = _kernel(ctx, sigma, ref_coeff, y)
+    if point is None:
         return 1e9
+    surplus, margins = point
     barrier = 0.0
-    for m in margins.values():
+    for m in margins:
         if m <= 0.0:
             return 1e7
         barrier -= math.log(min(m / floor, 1e6))
@@ -326,15 +349,142 @@ def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
 
 
 def _retreat_score(ctx, sigma, ref_coeff, floor, target, y) -> float:
-    surplus, margins = _margins_at(ctx, sigma, ref_coeff, y)
-    if margins is None:
+    point = _kernel(ctx, sigma, ref_coeff, y)
+    if point is None:
         return 1e9
+    surplus, margins = point
     if surplus < target:
         return 1e6 * (1.0 + (target - surplus))
-    return -min(min(margins.values()), 100.0 * floor)
+    return -min(min(margins), 100.0 * floor)
 
+
+# ---------------------------------------------------------------------------
+# adaptive Nelder-Mead
+# ---------------------------------------------------------------------------
+
+class _Result(NamedTuple):
+    """The fields of scipy's OptimizeResult that the search reads."""
+
+    x: list
+    fun: float
+    nfev: int
+    nit: int
+
+
+def _order(sim: list, fsim: list):
+    """(sim, fsim, distinct): the simplex sorted by value in the order
+    np.argsort(fsim) gives.  A plain sort gives that order only when the
+    values are distinct and none is NaN; otherwise np.argsort decides,
+    since its tie order is not a stable sort's, and the phase-1 plateaus
+    (0.0 and 1e6) do tie."""
+    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+    f = [fsim[i] for i in ind]
+    distinct = all(a < b for a, b in zip(f, f[1:]))
+    if not distinct:
+        ind = np.argsort(fsim).tolist()
+        f = [fsim[i] for i in ind]
+    return [sim[i] for i in ind], f, distinct
+
+
+_XATOL, _FATOL = 1e-12, 1e-15
+
+
+def minimize(fun, x0, maxiter: int) -> _Result:
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012) on
+    Python float lists.
+
+    Runs scipy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
+    options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-15,
+    "adaptive": True})`` in the same operation order (initial simplex,
+    centroid as a column sum from 0.0 row by row, comparisons, simplex
+    order), so x, fun, nfev and nit come out bit for bit the same.
+    """
+    n = len(x0)
+    dim = float(n)
+    chi, psi, shrink = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [fun(x) for x in sim]
+    nfev = n + 1
+    sim, fsim, _ = _order(sim, fsim)
+    sim, fsim, distinct = _order(sim, fsim)  # scipy sorts twice here
+    zero = [0.0] * n
+    nit = 1
+    while nit < maxiter:
+        best, fbest = sim[0], fsim[0]
+        # fsim is sorted with any NaN last, so its largest |fsim[0] - f|
+        # is the last one's
+        if (abs(fbest - fsim[-1]) <= _FATOL
+                and all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best))):
+            break
+        # column sums of all but the worst vertex, row by row from 0.0
+        sums = zero
+        for x in sim[:-1]:
+            sums = map(add, sums, x)
+        sums = list(sums)
+        worst = sim[-1]
+        xr = [2 * (s / n) - w for s, w in zip(sums, worst)]
+        fxr = fun(xr)
+        nfev += 1
+        shrunk = False
+        if fxr < fbest:
+            xbar = [s / n for s in sums]
+            xe = [(1 + chi) * b - chi * w for b, w in zip(xbar, worst)]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            xbar = [s / n for s in sums]
+            if fxr < fsim[-1]:  # outside contraction
+                xc = [(1 + psi) * b - psi * w for b, w in zip(xbar, worst)]
+                fxc = fun(xc)
+                shrunk = not fxc <= fxr
+            else:  # inside contraction
+                xc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+                fxc = fun(xc)
+                shrunk = not fxc < fsim[-1]
+            nfev += 1
+            if not shrunk:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = [b + shrink * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = fun(sim[j])
+                nfev += n
+        nit += 1
+        # only the last vertex is new unless the simplex shrank: insert it
+        f = fsim[-1]
+        i = bisect_left(fsim, f, 0, n)
+        if distinct and not shrunk and f == f and (i == n or fsim[i] != f):
+            sim.insert(i, sim.pop())
+            fsim.insert(i, fsim.pop())
+        else:
+            sim, fsim, distinct = _order(sim, fsim)
+    # np.min(fsim): NaN when any value is NaN
+    fmin = fsim[0] if all(f == f for f in fsim) else math.nan
+    return _Result(sim[0], fmin, nfev, nit)
+
+
+# ---------------------------------------------------------------------------
+# search driver
+# ---------------------------------------------------------------------------
 
 _FLOOR = 2e-4
+
+
+def _exact_sigma(sol) -> XReal | None:
+    """Exact speed of the most negative reference shock; None when the
+    solution is not exact or has no shock."""
+    shock_speeds = [w.speed for w in sol.waves if isinstance(w, Shock)]
+    if not sol.exact or not shock_speeds:
+        return None
+    return min(shock_speeds, key=float)
 
 
 def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
@@ -355,10 +505,9 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     if not shocks:
         return None
     sigma, ref_coeff = min(shocks)  # most negative plane carries the target
+    sigma_exact = _exact_sigma(sol)
     ctx = _Context(law, left, right)
     floor = _FLOOR
-    opts = {"maxiter": cfg.max_iters, "xatol": 1e-12, "fatol": 1e-15,
-            "adaptive": True}
 
     best: Candidate | None = None
     for restart in range(cfg.restarts):
@@ -366,19 +515,19 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         y = _sample_start(rng, ctx, sigma, floor)
 
         feas = minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, floor, v),
-                        y, method="Nelder-Mead", options=opts)
+                        y, cfg.max_iters)
         if feas.fun > 0.0:
             continue
         y = feas.x
         for tau in (1e-2, 1e-3):
             y = minimize(lambda v: _barrier_score(ctx, sigma, ref_coeff, floor, tau, v),
-                         y, method="Nelder-Mead", options=opts).x
-        surplus, _ = _margins_at(ctx, sigma, ref_coeff, y)
-        if surplus is None or surplus <= 0.0:
+                         y, cfg.max_iters).x
+        point = _kernel(ctx, sigma, ref_coeff, y)
+        if point is None or point[0] <= 0.0:
             continue
-        target = 0.5 * surplus
+        target = 0.5 * point[0]
         y = minimize(lambda v: _retreat_score(ctx, sigma, ref_coeff, floor, target, v),
-                     y, method="Nelder-Mead", options=opts).x
+                     y, cfg.max_iters).x
 
         x = _y_to_x(ctx, sigma, y)
         if x is None:
@@ -392,7 +541,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
             continue
         if best is None or surplus > best.brackets[1] - ref_coeff:
             best = cand
-        if certify(cand, cfg) is not None:
+        if sigma_exact is not None and _certify(cand, cfg, sigma_exact, ctx) is not None:
             return cand
     return best
 
@@ -425,13 +574,17 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     the tower, and run the full exact verification plus the dissipation
     comparison.  None when any strict inequality is lost in rounding;
     otherwise the fan, also stored with its comparison report on ``cand``."""
-    law, left, right = cand.law, cand.left, cand.right
-    sol = solve_riemann(law, left, right)
-    shock_speeds = [w.speed for w in sol.waves if isinstance(w, Shock)]
-    if not sol.exact or not shock_speeds:
+    sigma = _exact_sigma(solve_riemann(cand.law, cand.left, cand.right))
+    if sigma is None:
         return None
-    sigma = min(shock_speeds, key=float)
+    return _certify(cand, cfg, sigma, _Context(cand.law, cand.left, cand.right))
 
+
+def _certify(cand: Candidate, cfg: SearchConfig, sigma: XReal,
+             ctx: _Context) -> FanSubsolution | None:
+    """``certify`` against the exact shock speed and the exact boundary
+    values the caller already has (``search_fan`` computes them once)."""
+    law, left, right = cand.law, cand.left, cand.right
     cap = cfg.rounding_denominator_cap
 
     def rnd(v) -> XReal:
@@ -443,11 +596,9 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     f123 = (rnd(cand.x[7]), rnd(cand.x[8]), rnd(cand.x[9]))
     mu = (mu0, sigma, mu2x, mu3x)
 
-    minus, _ = _boundary(law, left, False)
-    plus, _ = _boundary(law, right, False)
     try:
         rhos, m2s, u11s, mu3_chain, residual = chain_close(
-            minus, plus, mu, rho1, q123)
+            ctx.exact_minus, ctx.exact_plus, mu, rho1, q123)
         if any(sign(rho) <= 0 for rho in rhos):
             return None
         # both leftover equalities hold by construction of the 2x2 solve

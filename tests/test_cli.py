@@ -153,6 +153,7 @@ loaded = {"scipy": "scipy" in sys.modules,
           "numpy executed": "numpy._core" in sys.modules or "numpy.core" in sys.modules}
 from wildfan import Candidate, SearchConfig, certify, chain_close, search_fan
 import wildfan.search as search
+loaded["scipy after search"] = "scipy" in sys.modules
 same = all(obj is getattr(search, obj.__name__)
            for obj in (Candidate, SearchConfig, certify, chain_close, search_fan))
 try:
@@ -166,14 +167,15 @@ print(json.dumps({"loaded": loaded, "same": same, "missing": missing}))
 
 def test_cli_import_loads_no_float_library():
     # The exact commands need neither scipy nor numpy; the search names
-    # still resolve, on first use, to the objects of wildfan.search.
+    # still resolve, on first use, to the objects of wildfan.search, which
+    # does not load scipy either.
     src = str(Path(wildfan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == {
-        "loaded": {"scipy": False, "numpy executed": False},
+        "loaded": {"scipy": False, "numpy executed": False, "scipy after search": False},
         "same": True,
         "missing": "AttributeError",
     }
@@ -200,7 +202,8 @@ _INPUTS = {
 
 # (argv, exit code, sha256 of stdout), recorded before the dissipation
 # comparison was folded into one plane walk; search bytes also pin the
-# numpy/scipy versions test_search_golden_bits pins.
+# numpy version test_search_golden_bits pins (default_rng draws the
+# restart starts, np.argsort orders tied simplex values).
 _GOLDEN = (
     (("verify-example", "--format", "json"), 0,
      "f0af6cae74a49d85cc2fee2552a00ec7eea6bd74fed184dd949c1337061ebdfd"),
@@ -312,3 +315,25 @@ def test_wrong_length_vector_exit_code(tmp_path, capsys):
                  lambda d: d["left"]["m"].append("1/1")):
         code, _ = invoke(capsys, "verify-fan", _fan_file(tmp_path, edit))
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# well-formed input outside the supported arithmetic is inconclusive (exit 3)
+# ---------------------------------------------------------------------------
+
+def test_unsupported_arithmetic_exit_code(tmp_path, monkeypatch, capsys):
+    def gamma_three_halves(data):
+        data["gamma"] = "3/2"
+    code = run(["verify-fan", _fan_file(tmp_path, gamma_three_halves)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "need more than two independent radicals" in captured.err
+
+    import wildfan.cli as cli_module
+    from wildfan.exactnum import NegativeRadicand
+
+    def negative_radicand(args):
+        raise NegativeRadicand("sqrt of -1")
+    monkeypatch.setitem(cli_module._HANDLERS, "verify-example", negative_radicand)
+    code = run(["verify-example"])
+    assert (code, capsys.readouterr().err) == (3, "error: sqrt of -1\n")

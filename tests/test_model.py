@@ -12,6 +12,7 @@ from wildfan.model import (
     EulerState,
     InvalidReference,
     NonPositiveDensity,
+    PHPoint,
     PressureLaw,
     lift_state,
     pressure,
@@ -132,3 +133,18 @@ def test_phpoint_vector_ops():
 def PHPointFactory(offset: int = 0):
     from wildfan.model import PHPoint
     return PHPoint((offset, 1 + offset), 2, 3, 4 + offset, (5, 6))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EulerState(1, (0, 1, 7)),
+    lambda: EulerState(1, (0,)),
+    lambda: PHPoint((0, 1, 7), 0, 0, 1, (0, 1)),
+    lambda: PHPoint((0,), 0, 0, 1, (0, 1)),
+    lambda: PHPoint((0, 1), 0, 0, 1, (0, 1, 7)),
+    lambda: PHPoint((0, 1), 0, 0, 1, ()),
+])
+def test_vectors_must_have_two_components(make):
+    # a third component used to be dropped silently, a missing one raised
+    # IndexError
+    with pytest.raises(ValueError, match="must have 2 components"):
+        make()

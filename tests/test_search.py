@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from wildfan.exactnum import QuadExt, Rational, sign
+from wildfan.exactnum import QuadExt, Rational, adjoin_sqrt, sign
 from wildfan.fan import (
     beats_selfsimilar,
     fan_dissipation_profile,
@@ -14,14 +20,22 @@ from wildfan.fan import (
     verify_fan,
 )
 from wildfan.model import EulerState, PressureLaw, lift_state
-from wildfan.riemann import solve_riemann
+from wildfan.riemann import selfsim_dissipation, solve_riemann
 from wildfan.search import (
+    _FLOOR,
     Candidate,
     DegenerateClosure,
     SearchConfig,
+    _barrier_score,
+    _Context,
     _evaluate,
+    _infeasibility,
+    _kernel,
+    _retreat_score,
+    _sample_start,
     certify,
     chain_close,
+    minimize,
     search_fan,
 )
 
@@ -203,3 +217,112 @@ def test_search_golden_bits(restarts, rng_seed):
     seed, x_hex = GOLDEN_SEARCH[restarts, rng_seed]
     assert cand is not None and cand.seed == seed
     assert [float(v).hex() for v in cand.x] == x_hex
+
+
+def test_search_solves_the_riemann_problem_once(monkeypatch):
+    # certify's exact shock speed and boundary values come from search_fan
+    import wildfan.search as search_module
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_riemann(*args)
+    monkeypatch.setattr(search_module, "solve_riemann", counted)
+    left, right = paper_boundary()
+    cand = search_fan(LAW2, left, right, SearchConfig(restarts=4, rng_seed=3))
+    assert cand is not None and cand.fan is not None
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# minimize against scipy's adaptive Nelder-Mead
+# ---------------------------------------------------------------------------
+
+def _weak_boundary():
+    # exact single shock rho 1 -> 5/4, v_r = 0: m_l^2 = (rho_r^2 - 1)(rho_r - 1)/rho_r
+    left = EulerState(1, (Rational(0), adjoin_sqrt(Rational(9, 80))))
+    right = EulerState(Rational(5, 4), (Rational(0), Rational(0)))
+    return left, right
+
+
+@lru_cache(maxsize=None)
+def _problem(name):
+    left, right = paper_boundary() if name == "paper" else _weak_boundary()
+    sol = solve_riemann(LAW2, left, right)
+    assert sol.exact
+    sigma, ref_coeff = min((float(s), float(c))
+                           for s, c in selfsim_dissipation(LAW2, sol).entries)
+    return _Context(LAW2, left, right), sigma, ref_coeff
+
+
+@lru_cache(maxsize=None)
+def _feasible_start(name, seed):
+    """A start after a full feasibility phase, where the barrier and
+    retreat phases do their real work."""
+    ctx, sigma, ref_coeff = _problem(name)
+    y = _sample_start(np.random.default_rng(seed), ctx, sigma, _FLOOR)
+    return tuple(minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v),
+                          y, 4000).x)
+
+
+def _phase_objective(name, phase, start):
+    ctx, sigma, ref_coeff = _problem(name)
+    if phase == "feasibility":
+        return lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v)
+    if phase == "barrier":
+        return lambda v: _barrier_score(ctx, sigma, ref_coeff, _FLOOR, 1e-2, v)
+    point = _kernel(ctx, sigma, ref_coeff, start)
+    target = 0.5 * point[0] if point is not None and point[0] > 0.0 else 0.0
+    return lambda v: _retreat_score(ctx, sigma, ref_coeff, _FLOOR, target, v)
+
+
+def _plateau(v):
+    """Piecewise constant with ties: 1e6 on one side, steps and 0.0 on the
+    other."""
+    if v[0] > 0.5:
+        return 1e6
+    return 0.0 if v[-1] < 0.0 else float(math.floor(4.0 * v[-1]))
+
+
+def _nan_bowl(v):
+    """A bowl that turns NaN past a wall."""
+    if v[0] > 1.0:
+        return math.nan
+    total = 0.0
+    for i, c in enumerate(v):
+        total += (i + 1) * (c - 0.25) ** 2
+    return total
+
+
+def _assert_same_as_scipy(fun, x0, maxiter):
+    ours = minimize(fun, x0, maxiter)
+    ref = scipy.optimize.minimize(
+        fun, np.array(x0, dtype=float), method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-15, "adaptive": True})
+    assert [float(v).hex() for v in ours.x] == [float(v).hex() for v in ref.x]
+    assert float(ours.fun).hex() == float(ref.fun).hex()
+    assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["paper", "weak"]),
+       phase=st.sampled_from(["feasibility", "barrier", "retreat"]),
+       seed=st.integers(0, 3), warm=st.booleans(), maxiter=st.integers(1, 600))
+def test_minimize_matches_scipy_on_the_phase_objectives(name, phase, seed, warm, maxiter):
+    ctx, sigma, _ = _problem(name)
+    if warm:
+        start = list(_feasible_start(name, seed))
+    else:
+        start = list(_sample_start(np.random.default_rng(seed), ctx, sigma, _FLOOR))
+    _assert_same_as_scipy(_phase_objective(name, phase, start), start, maxiter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fun=st.sampled_from([_plateau, _nan_bowl]),
+       x0=st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=1, max_size=10),
+       maxiter=st.integers(1, 400))
+@example(fun=_nan_bowl, x0=[0.99, 0.0], maxiter=1)  # NaN left in the simplex
+def test_minimize_matches_scipy_on_ties_and_nan(fun, x0, maxiter):
+    _assert_same_as_scipy(fun, x0, maxiter)
