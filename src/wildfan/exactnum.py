@@ -10,16 +10,22 @@ Three carriers, all immutable:
   rational powers, evaluated with outward-rounded dyadic intervals at
   adaptive precision.
 
-Sign queries are exact for ``Rational``/``QuadExt`` and certified for
-``IntervalExpr``: the enclosure is refined with doubling precision until it
-excludes zero (or is a single point), and ``Inconclusive`` is raised once the
-precision cap is reached.  A wrong sign is never returned.
+Signs and inverses of ``Rational``/``QuadExt`` values are decided
+algebraically, with no rounding.  A tower element x = A + B*sqrt(d), with d
+the top radicand and A, B one level down, has the sign of A when B = 0 or
+sign A = sign B, the sign of B when A = 0, and sign A * sign(A^2 - d*B^2)
+otherwise; its inverse is (A - B*sqrt(d)) / (A^2 - d*B^2).  Both recurse
+into Q(sqrt(d1)).
+
+Intervals serve ``IntervalExpr`` only: its enclosure is refined with doubling
+precision until it excludes zero (or is a single point), and ``Inconclusive``
+is raised once the precision cap is reached.  The cap is 4096 bits unless
+``set_precision_cap`` sets another.  A wrong sign is never returned.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -41,7 +47,6 @@ __all__ = [
 ]
 
 _STARTING_PRECISION = 64
-_DEFAULT_CAP = 4096
 
 
 class Inconclusive(Exception):
@@ -61,20 +66,12 @@ class NegativeRadicand(ValueError):
 
 
 def default_precision_cap() -> int:
-    """Current interval precision cap in bits: a cap set by
-    set_precision_cap wins, then env WILDFAN_PRECISION_CAP, then 4096."""
-    if _precision_cap is not None:
-        return _precision_cap
-    env = os.environ.get("WILDFAN_PRECISION_CAP")
-    if env:
-        try:
-            return max(_STARTING_PRECISION, int(env))
-        except ValueError:
-            pass
-    return _DEFAULT_CAP
+    """Current interval precision cap in bits: the cap set by
+    set_precision_cap, else 4096."""
+    return _precision_cap
 
 
-_precision_cap: int | None = None
+_precision_cap = 4096
 
 
 def set_precision_cap(bits: int) -> None:
@@ -92,17 +89,6 @@ def _round_down(x: Fraction, prec: int) -> Fraction:
 
 def _round_up(x: Fraction, prec: int) -> Fraction:
     return Fraction(-((-x.numerator) * (1 << prec) // x.denominator), 1 << prec)
-
-
-def _isqrt_floor(n: int) -> int:
-    return math.isqrt(n)
-
-
-def _isqrt_ceil(n: int) -> int:
-    if n <= 0:
-        return 0
-    s = math.isqrt(n - 1)
-    return s + 1
 
 
 def _iroot_floor(n: int, k: int) -> int:
@@ -180,17 +166,6 @@ class _Ival:
             raise ZeroDivisionError("interval straddles zero")
         return _Ival(1 / self.hi, 1 / self.lo)
 
-    def sqrt(self, prec: int) -> "_Ival":
-        lo = max(self.lo, Fraction(0))
-        if self.hi < 0:
-            raise NegativeRadicand(f"sqrt of {self}")
-        scale = 1 << (2 * prec)
-        nlo = lo.numerator * scale // lo.denominator
-        lo_root = Fraction(_isqrt_floor(nlo), 1 << prec)
-        nhi = -((-self.hi.numerator) * scale // self.hi.denominator)
-        hi_root = Fraction(_isqrt_ceil(nhi), 1 << prec)
-        return _Ival(lo_root, hi_root)
-
     def root(self, k: int, prec: int) -> "_Ival":
         """k-th root for a nonnegative interval."""
         lo = max(self.lo, Fraction(0))
@@ -209,13 +184,6 @@ class _Ival:
         if self.lo <= 0:
             raise ValueError("log of interval touching zero")
         return _Ival(_ln_down(self.lo, prec), _ln_up(self.hi, prec))
-
-
-def _sqrt_int_interval(d: int, prec: int) -> _Ival:
-    scale = 1 << (2 * prec)
-    lo = Fraction(_isqrt_floor(d * scale), 1 << prec)
-    hi = Fraction(_isqrt_ceil(d * scale), 1 << prec)
-    return _Ival(lo, hi)
 
 
 def _atanh_series(u: Fraction, prec: int) -> _Ival:
@@ -450,7 +418,7 @@ def _squarefree_decompose(n: int, bound: int = 1000) -> tuple[int, int]:
                 d *= f
         f += 1 if f == 2 else 2
     # leftover cofactor: pull out a perfect-square part if it is one
-    r = _isqrt_floor(m)
+    r = math.isqrt(m)
     if r * r == m:
         s *= r
     else:
@@ -475,13 +443,13 @@ class QuadExt(XReal):
             raise ValueError("tower supports one or two radicands")
         if any(d <= 1 for d in rads):
             raise ValueError("radicands must be > 1")
-        if any(_isqrt_floor(d) ** 2 == d for d in rads):
+        if any(math.isqrt(d) ** 2 == d for d in rads):
             raise ValueError("radicands must not be perfect squares")
         if len(rads) == 2:
             if rads[0] == rads[1]:
                 raise ValueError("radicands must be distinct")
             prod = rads[0] * rads[1]
-            if _isqrt_floor(prod) ** 2 == prod:
+            if math.isqrt(prod) ** 2 == prod:
                 raise ValueError("radicands generate the same field")
         if rads != tuple(sorted(rads)):
             raise ValueError("radicands must be sorted ascending")
@@ -533,7 +501,8 @@ class QuadExt(XReal):
             if mask == 0:
                 total = total + _Ival.point(c)
             else:
-                total = total + _sqrt_int_interval(self._basis_radicand(mask), work).scale(c)
+                root = _Ival.point(Fraction(self._basis_radicand(mask))).root(2, work)
+                total = total + root.scale(c)
         return total.round(prec)
 
     def __neg__(self) -> "QuadExt":
@@ -557,46 +526,20 @@ class QuadExt(XReal):
                 out[i ^ j] += a * b * factor
         return QuadExt(self.radicands, out)
 
-    def _conjugates(self) -> list["QuadExt"]:
-        """All nontrivial Galois conjugates (sign flips of the radicals)."""
-        n = len(self.radicands)
-        out = []
-        for signs in range(1, 1 << n):
-            coeffs = []
-            for mask, c in enumerate(self.coeffs):
-                flip = bin(mask & signs).count("1") % 2
-                coeffs.append(-c if flip else c)
-            out.append(QuadExt(self.radicands, coeffs))
-        return out
+    def _integer_coeffs(self) -> tuple[int, list[int]]:
+        """(den, c) with den > 0 and self = (sum of c on the basis) / den."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def inverse(self) -> "QuadExt":
         if self.is_zero():
             raise ZeroDivisionError("division by certified zero")
-        prod = QuadExt.from_rational(1, self.radicands)
-        for conj in self._conjugates():
-            prod = prod._mul_same_tower(conj)
-        norm = self._mul_same_tower(prod)
-        if not norm.is_rational():
-            raise ArithmeticError("field norm failed to be rational")
-        nv = norm.rational_value()
-        if nv == 0:
-            # dependent radicals would be a construction bug
-            raise ZeroDivisionError("division by certified zero")
-        return QuadExt(self.radicands, tuple(c / nv for c in prod.coeffs))
+        den, c = self._integer_coeffs()
+        p, q = _tower_inverse(c, self.radicands)
+        return QuadExt(self.radicands, tuple(Fraction(den * v, q) for v in p))
 
     def sign_exact(self) -> int:
-        if self.is_zero():
-            return 0
-        prec = _STARTING_PRECISION
-        while True:
-            iv = self.enclosure(prec)
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
-            prec *= 2
-            # a nonzero element of the tower is bounded away from 0, so this
-            # loop terminates; no cap needed
+        return _tower_sign(self._integer_coeffs()[1], self.radicands)
 
     def __repr__(self) -> str:
         return f"QuadExt(d={self.radicands}, c={[str(c) for c in self.coeffs]})"
@@ -629,6 +572,48 @@ class QuadExt(XReal):
             return hash(self.coeffs[0])
         used = tuple((d, c) for (d, c) in _canonical_terms(self))
         return hash(used)
+
+
+# Tower elements with integer coefficients c on the basis of radical products
+# of `rads`, split by the top radicand d as A + B*sqrt(d): A = c[:h], B = c[h:].
+
+def _mul_below(x: Sequence[int], y: Sequence[int], rads: tuple[int, ...]) -> list[int]:
+    """x*y in Q (no radicand) or in Q(sqrt(e)) (one radicand e)."""
+    if not rads:
+        return [x[0] * y[0]]
+    (e,) = rads
+    return [x[0] * y[0] + e * x[1] * y[1], x[0] * y[1] + x[1] * y[0]]
+
+
+def _relative_norm(c: Sequence[int], rads: tuple[int, ...]) -> list[int]:
+    """A^2 - d*B^2, one level below c's tower."""
+    h, d, below = len(c) // 2, rads[-1], rads[:-1]
+    a, b = c[:h], c[h:]
+    return [u - d * v for u, v in zip(_mul_below(a, a, below), _mul_below(b, b, below))]
+
+
+def _tower_sign(c: Sequence[int], rads: tuple[int, ...]) -> int:
+    """Exact sign by the real-quadratic rule, recursing one level down."""
+    if not rads:
+        return (c[0] > 0) - (c[0] < 0)
+    h, below = len(c) // 2, rads[:-1]
+    sa = _tower_sign(c[:h], below)
+    sb = _tower_sign(c[h:], below)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa * _tower_sign(_relative_norm(c, rads), below)
+
+
+def _tower_inverse(c: Sequence[int], rads: tuple[int, ...]) -> tuple[list[int], int]:
+    """(p, q) with 1/c = p/q: (A - B*sqrt(d)) times the inverse of the
+    relative norm, which is taken the same way one level down."""
+    if not rads:
+        return [1], c[0]
+    h, below = len(c) // 2, rads[:-1]
+    p, q = _tower_inverse(_relative_norm(c, rads), below)
+    return _mul_below(c[:h], p, below) + [-v for v in _mul_below(c[h:], p, below)], q
 
 
 def _canonical_terms(x: QuadExt) -> Iterable[tuple[int, Fraction]]:
@@ -679,7 +664,7 @@ def _compositum(radicands: Iterable[int]) -> tuple[tuple[int, ...], dict[int, tu
                 if mask & (1 << i):
                     prod *= bd
                     denom *= bd
-            r = _isqrt_floor(prod)
+            r = math.isqrt(prod)
             if r * r == prod:
                 images[d] = (Fraction(r, denom), mask)
                 expressed = True
@@ -822,7 +807,9 @@ class IntervalExpr(XReal):
             return (-self.args[0].refine(prec)).round(prec)
         a = self.args[0].refine(prec + 4)
         if op == "sqrt":
-            return a.sqrt(prec)
+            if a.hi < 0:
+                raise NegativeRadicand(f"sqrt of {a}")
+            return a.root(2, prec)
         if op == "log":
             if a.lo <= 0:
                 if a.hi <= 0:
@@ -872,35 +859,30 @@ class IntervalExpr(XReal):
         self._best_prec = prec
         return iv
 
-    def enclosure(self, prec: int) -> _Ival:
-        cap = max(prec, default_precision_cap())
-        p = max(_STARTING_PRECISION, prec)
-        while True:
-            try:
-                return self.refine(p)
-            except _NeedsRefinement:
-                if p >= cap:
-                    raise Inconclusive(p, "divisor enclosure straddles zero at cap")
-                p = min(2 * p, cap)
-
-    def sign_certified(self, precision_cap: int | None = None) -> int:
-        cap = precision_cap or default_precision_cap()
-        prec = _STARTING_PRECISION
+    def _refine_until(self, decide, prec: int, cap: int, message: str = ""):
+        """decide(enclosure) at prec, 2*prec, ... up to cap, until it answers
+        (is not None); Inconclusive at the cap."""
         while True:
             try:
                 iv = self.refine(prec)
             except _NeedsRefinement:
-                iv = None
-            if iv is not None:
-                if iv.lo > 0:
-                    return 1
-                if iv.hi < 0:
-                    return -1
-                if iv.lo == iv.hi == 0:
-                    return 0
+                pass
+            else:
+                answer = decide(iv)
+                if answer is not None:
+                    return answer
             if prec >= cap:
-                raise Inconclusive(prec)
+                raise Inconclusive(prec, message)
             prec = min(2 * prec, cap)
+
+    def enclosure(self, prec: int) -> _Ival:
+        return self._refine_until(lambda iv: iv, max(_STARTING_PRECISION, prec),
+                                  max(prec, default_precision_cap()),
+                                  "divisor enclosure straddles zero at cap")
+
+    def sign_certified(self, precision_cap: int | None = None) -> int:
+        return self._refine_until(_interval_sign, _STARTING_PRECISION,
+                                  precision_cap or default_precision_cap())
 
     def __repr__(self) -> str:
         iv = self._best if self._best is not None else None
@@ -916,6 +898,17 @@ class IntervalExpr(XReal):
 class _NeedsRefinement(Exception):
     def __init__(self, precision: int):
         self.precision = precision
+
+
+def _interval_sign(iv: _Ival) -> int | None:
+    """The sign every point of iv has, or None."""
+    if iv.lo > 0:
+        return 1
+    if iv.hi < 0:
+        return -1
+    if iv.lo == iv.hi == 0:
+        return 0
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,55 +14,75 @@ from wildfan.fan import FanSubsolution, paper_example, verify_fan
 from wildfan.model import PHPoint
 
 
-def random_quadext(rng: random.Random, d1: int, d2: int) -> QuadExt:
-    return QuadExt((d1, d2), tuple(
-        Fraction(rng.randint(-15, 15), rng.randint(1, 12)) for _ in range(4)))
+def random_quadext(rng: random.Random, *radicands: int) -> QuadExt:
+    return QuadExt(radicands, tuple(
+        Fraction(rng.randint(-15, 15), rng.randint(1, 12))
+        for _ in range(1 << len(radicands))))
 
 
 def to_sympy(x: QuadExt):
-    d1, d2 = x.radicands
-    basis = [sp.Integer(1), sp.sqrt(d1), sp.sqrt(d2), sp.sqrt(d1 * d2)]
+    basis = [sp.Integer(1)]
+    for d in x.radicands:  # (1, sqrt d1[, sqrt d2, sqrt(d1*d2)])
+        basis += [b * sp.sqrt(d) for b in basis]
     return sum(sp.Rational(c.numerator, c.denominator) * b
                for c, b in zip(x.coeffs, basis))
 
 
+def _field_op_cases(rng: random.Random, pairs: int):
+    """(got, want) for +, -, *, / on random pairs in Q(sqrt2, sqrt7) and,
+    one radicand down, in Q(sqrt7)."""
+    for radicands in ((2, 7), (7,)):
+        for _ in range(pairs):
+            a = random_quadext(rng, *radicands)
+            b = random_quadext(rng, *radicands)
+            for op in ("add", "sub", "mul", "div"):
+                if op == "div" and b.is_zero():
+                    continue
+                got = {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b}[op]
+                want = {"add": to_sympy(a) + to_sympy(b),
+                        "sub": to_sympy(a) - to_sympy(b),
+                        "mul": to_sympy(a) * to_sympy(b),
+                        "div": to_sympy(a) / to_sympy(b)}[op]
+                yield got, want
+
+
 def test_field_ops_match_sympy_exactly():
-    rng = random.Random(101)
-    for _ in range(10):
-        a = random_quadext(rng, 2, 7)
-        b = random_quadext(rng, 2, 7)
-        for op in ("add", "sub", "mul", "div"):
-            if op == "div" and b.is_zero():
-                continue
-            got = {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b}[op]
-            want = {"add": to_sympy(a) + to_sympy(b),
-                    "sub": to_sympy(a) - to_sympy(b),
-                    "mul": to_sympy(a) * to_sympy(b),
-                    "div": to_sympy(a) / to_sympy(b)}[op]
-            assert sp.simplify(to_sympy(got) - want) == 0
+    for got, want in _field_op_cases(random.Random(101), 10):
+        # radsimp rationalises the quotient's denominator; expand then
+        # collects the result on the radical basis, so this is a zero test
+        assert sp.expand(sp.radsimp(to_sympy(got) - want)) == 0
 
 
 def test_field_ops_match_sympy_numerically():
-    rng = random.Random(102)
-    for _ in range(120):
-        a = random_quadext(rng, 2, 7)
-        b = random_quadext(rng, 2, 7)
-        for op in ("add", "sub", "mul", "div"):
-            if op == "div" and b.is_zero():
-                continue
-            got = {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b}[op]
-            want = {"add": to_sympy(a) + to_sympy(b),
-                    "sub": to_sympy(a) - to_sympy(b),
-                    "mul": to_sympy(a) * to_sympy(b),
-                    "div": to_sympy(a) / to_sympy(b)}[op]
-            diff = sp.N(to_sympy(got) - want, 50)
-            assert abs(diff) < sp.Float("1e-45")
+    for got, want in _field_op_cases(random.Random(102), 120):
+        diff = sp.N(to_sympy(got) - want, 50)
+        assert abs(diff) < sp.Float("1e-45")
+
+
+def _paper_coordinates():
+    fan = paper_example()
+    values = [*fan.mu, fan.left.rho, *fan.left.m, fan.right.rho, *fan.right.m]
+    for rho, z in fan.regions:
+        values += [rho, *z.m, z.u11, z.u12, z.q, *z.F]
+    return [v for v in values if isinstance(v, QuadExt)]
+
+
+def _sign_cases(rng: random.Random):
+    for _ in range(100):
+        yield random_quadext(rng, 3, 5)
+    for _ in range(40):
+        yield random_quadext(rng, 7)
+    # x minus a 1e-9-denominator rational close to it: the enclosure of such
+    # a difference needs many bits, the relative norm decides it
+    for radicands in ((5, 1141), (2, 7), (7,)):
+        for _ in range(40):
+            x = random_quadext(rng, *radicands)
+            yield x - Fraction(float(x)).limit_denominator(10 ** 9)
+    yield from _paper_coordinates()
 
 
 def test_signs_match_sympy():
-    rng = random.Random(103)
-    for _ in range(100):
-        a = random_quadext(rng, 3, 5)
+    for a in _sign_cases(random.Random(103)):
         expected = int(sp.sign(sp.N(to_sympy(a), 60))) if not a.is_zero() else 0
         assert sign(a) == expected
 

@@ -48,7 +48,7 @@ def test_pressure_potential_closed_forms():
 
     iso = PressureLaw(gamma=1, rho_star=1)
     v = pressure_potential(iso, Rational(1))
-    assert sign(v, precision_cap=256) in (0, 1) or True  # value is exactly 0
+    assert sign(v, precision_cap=256) == 0  # value is exactly 0
     iv = v.enclosure(128)
     assert float(iv.lo) <= 0.0 <= float(iv.hi)
     assert float(iv.hi - iv.lo) < 1e-30
