@@ -220,28 +220,28 @@ def _cmd_search(args) -> int:
 
 
 def _laminate_demo_inputs():
-    """Canonical laminate: the isotropic vertex-flux point and its split."""
+    """Canonical laminate: the two ends of the isotropic vertex-flux point's split."""
     law = PressureLaw(gamma=2)
     rho, Q = Rational(1), Rational(4)
     base = PHPoint((0, 0), 0, 0, 3, (0, 0))
     rf = rigid_flux(law, rho, base)
     fv = f_j(law, rho, Q, base, 1)
     vert = PHPoint(base.m, base.u11, base.u12, base.q, (rf[0] + fv[0], rf[1] + fv[1]))
-    tau1, z1, tau2, z2, _ = split_flux_direction(law, rho, Q, vert, 1)
-    return float(tau1), z1, z2, vert
+    _, z1, _, z2, _ = split_flux_direction(law, rho, Q, vert, 1)
+    return z1, z2
 
 
 def _cmd_oscillate(args) -> int:
     data = _load_json(args.file)
+    unknown = sorted(set(data) - {"tau1", "delta", "ks", "grid"})
+    if unknown:
+        raise ValueError(f"unknown oscillate keys {unknown}; allowed: tau1, delta, ks, grid")
     tau1 = float(data.get("tau1", 0.4))
     delta = float(data.get("delta", 0.02))
     ks = [int(k) for k in data.get("ks", [8, 16, 32])]
     grid_n = int(data.get("grid", 48))
-    box = tuple(tuple(float(v) for v in pair)
-                for pair in data.get("box", [[0, 1], [0, 1], [0, 1]]))
-    split_tau1, z1, z2, vert = _laminate_demo_inputs()
-    if data.get("use_split_weights", False):
-        tau1 = split_tau1
+    box = ((0.0, 1.0),) * 3
+    z1, z2 = _laminate_demo_inputs()
     z_star = tau1 * z1 + (1.0 - tau1) * z2
     diags = []
     for k in ks:

@@ -561,8 +561,8 @@ def _grid(box, n: int):
 
 
 def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
-                      box, k: int, delta: float, bump: BumpField | None = None,
-                      grid_n: int = 48) -> tuple[dict[str, np.ndarray], OscillationDiagnostics]:
+                      box, k: int, delta: float, grid_n: int = 48
+                      ) -> tuple[dict[str, np.ndarray], OscillationDiagnostics]:
     """Localized laminate oscillation between z1 and z2 around their convex
     combination z_star, with plateau/commutator/average diagnostics.
 
@@ -578,8 +578,7 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
     profile = build_staircase(tau1, delta)
     eta_f = co.eta
     g_k = PlaneProfileField(profile.h, eta_f, freq=float(k), amp=float(k) ** -3)
-    if bump is None:
-        bump = BumpField(box)
+    bump = BumpField(box)
     field = ProductField(g_k, bump)
 
     pts = _grid(box, grid_n)

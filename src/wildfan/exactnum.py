@@ -4,8 +4,11 @@ Three carriers, all immutable:
 
 * ``Rational`` -- arbitrary-precision fractions.
 * ``QuadExt`` -- elements of a real quadratic tower Q(sqrt(d1), sqrt(d2))
-  with at most two radicands, stored on the basis
-  (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)).
+  with at most two radicands, stored as integer numerators on the basis
+  (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)) over one denominator.  All of its
+  arithmetic runs on those integers, through one product (``_tower_mul``).
+  Radicands are validated where a tower enters: the constructor,
+  ``from_rational``, ``sqrt_of``, JSON and the compositum of two towers.
 * ``IntervalExpr`` -- an expression DAG over +, -, *, /, sqrt, log and
   rational powers, evaluated with outward-rounded dyadic intervals at
   adaptive precision.
@@ -397,8 +400,8 @@ class Rational(XReal):
         return hash(self.value)
 
 
-def _squarefree_decompose(n: int, bound: int = 1000) -> tuple[int, int]:
-    """n = s*s*d with d free of square factors below `bound` (and not itself
+def _squarefree_decompose(n: int) -> tuple[int, int]:
+    """n = s*s*d with d free of square factors up to 1000 (and not itself
     a perfect square).  Trial division keeps radicands canonical for the
     small numbers that arise here; hidden large square factors do not affect
     correctness of the zero test, only canonicality."""
@@ -407,7 +410,7 @@ def _squarefree_decompose(n: int, bound: int = 1000) -> tuple[int, int]:
     s, d = 1, 1
     m = n
     f = 2
-    while f * f <= m and f <= bound:
+    while f * f <= m and f <= 1000:
         if m % f == 0:
             count = 0
             while m % f == 0:
@@ -430,12 +433,15 @@ class QuadExt(XReal):
     """Element of Q(sqrt(d1)[, sqrt(d2)]) on the basis of radical products.
 
     ``radicands`` is a sorted tuple of one or two distinct non-square
-    integers > 1; ``coeffs`` has length 2 or 4 and is indexed by the bitmask
-    of participating radicands: for two radicands the basis order is
-    (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)).
+    integers > 1.  The value is stored as integer numerators ``nums`` over
+    one denominator ``den`` (den > 0, gcd(den, *nums) == 1), indexed by the
+    bitmask of participating radicands: for two radicands the basis order is
+    (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)).  ``coeffs`` gives the same vector
+    as Fractions.  The constructor validates the radicands; arithmetic
+    results inside an already validated tower skip that check.
     """
 
-    __slots__ = ("radicands", "coeffs")
+    __slots__ = ("radicands", "nums", "den")
 
     def __init__(self, radicands: Sequence[int], coeffs: Sequence[Fraction | int]):
         rads = tuple(int(d) for d in radicands)
@@ -453,11 +459,24 @@ class QuadExt(XReal):
                 raise ValueError("radicands generate the same field")
         if rads != tuple(sorted(rads)):
             raise ValueError("radicands must be sorted ascending")
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != 1 << len(rads):
             raise ValueError("coefficient count must be 2**len(radicands)")
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in cs))
         self.radicands = rads
-        self.coeffs = cs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
+
+    @staticmethod
+    def _reduced(rads: tuple[int, ...], nums: Sequence[int], den: int) -> "QuadExt":
+        """nums/den in the validated tower rads, divided by gcd(den, *nums)."""
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        x = object.__new__(QuadExt)
+        x.radicands = rads
+        x.nums = tuple(n // g for n in nums)
+        x.den = den // g
+        return x
 
     # -- helpers -------------------------------------------------------------
 
@@ -474,122 +493,96 @@ class QuadExt(XReal):
             raise ValueError("perfect square; use Rational")
         return QuadExt((df,), (0, s))
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _basis_radicand(self, mask: int) -> int:
-        prod = 1
-        for i, d in enumerate(self.radicands):
-            if mask & (1 << i):
-                prod *= d
-        return prod
+        return not any(self.nums)
 
     def enclosure(self, prec: int) -> _Ival:
         work = prec + 8
         total = _Ival.point(Fraction(0))
-        for mask, c in enumerate(self.coeffs):
-            if c == 0:
+        for d, n in zip(_basis_radicands(self.radicands), self.nums):
+            if n == 0:
                 continue
-            if mask == 0:
+            c = Fraction(n, self.den)
+            if d == 1:
                 total = total + _Ival.point(c)
             else:
-                root = _Ival.point(Fraction(self._basis_radicand(mask))).root(2, work)
-                total = total + root.scale(c)
+                total = total + _Ival.point(Fraction(d)).root(2, work).scale(c)
         return total.round(prec)
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(self.radicands, tuple(-c for c in self.coeffs))
-
-    def _mul_same_tower(self, other: "QuadExt") -> "QuadExt":
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                # basis(i)*basis(j) = prod_{k in i&j} d_k * basis(i^j)
-                factor = 1
-                common = i & j
-                for k, d in enumerate(self.radicands):
-                    if common & (1 << k):
-                        factor *= d
-                out[i ^ j] += a * b * factor
-        return QuadExt(self.radicands, out)
-
-    def _integer_coeffs(self) -> tuple[int, list[int]]:
-        """(den, c) with den > 0 and self = (sum of c on the basis) / den."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return QuadExt._reduced(self.radicands, [-n for n in self.nums], self.den)
 
     def inverse(self) -> "QuadExt":
         if self.is_zero():
             raise ZeroDivisionError("division by certified zero")
-        den, c = self._integer_coeffs()
-        p, q = _tower_inverse(c, self.radicands)
-        return QuadExt(self.radicands, tuple(Fraction(den * v, q) for v in p))
+        p, q = _tower_inverse(self.nums, self.radicands)
+        return QuadExt._reduced(self.radicands, [self.den * v for v in p], q)
 
     def sign_exact(self) -> int:
-        return _tower_sign(self._integer_coeffs()[1], self.radicands)
+        return _tower_sign(self.nums, self.radicands)
 
     def __repr__(self) -> str:
         return f"QuadExt(d={self.radicands}, c={[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        names = {0: ""}
-        for i, d in enumerate(self.radicands):
-            names[1 << i] = f"sqrt({d})"
-        if len(self.radicands) == 2:
-            names[3] = f"sqrt({self.radicands[0] * self.radicands[1]})"
-        parts = []
-        for mask, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"{c}*{names[mask]}" if mask else f"{c}")
+        parts = [f"{c}*sqrt({d})" if d > 1 else f"{c}"
+                 for d, c in zip(_basis_radicands(self.radicands), self.coeffs) if c != 0]
         return " + ".join(parts) if parts else "0"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Rational, QuadExt)):
-            diff = _binop(self, as_xreal(other), "sub")
-            if isinstance(diff, QuadExt):
-                return diff.is_zero()
-            if isinstance(diff, Rational):
-                return diff.value == 0
-            return NotImplemented
+            return _binop(self, as_xreal(other), "sub").is_zero()
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
-        used = tuple((d, c) for (d, c) in _canonical_terms(self))
-        return hash(used)
+            return hash(self.rational_value())
+        return hash(tuple(_canonical_terms(self)))
 
 
 # Tower elements with integer coefficients c on the basis of radical products
 # of `rads`, split by the top radicand d as A + B*sqrt(d): A = c[:h], B = c[h:].
 
-def _mul_below(x: Sequence[int], y: Sequence[int], rads: tuple[int, ...]) -> list[int]:
-    """x*y in Q (no radicand) or in Q(sqrt(e)) (one radicand e)."""
+def _basis_radicands(rads: Sequence[int]) -> list[int]:
+    """For every mask, the product of the radicands in it: basis(mask) is
+    its square root."""
+    out = [1]
+    for d in rads:
+        out += [f * d for f in out]
+    return out
+
+
+def _tower_mul(x: Sequence[int], y: Sequence[int], rads: tuple[int, ...]) -> list[int]:
+    """x*y by basis(i)*basis(j) = prod_{k in i&j} d_k * basis(i^j)."""
     if not rads:
         return [x[0] * y[0]]
-    (e,) = rads
-    return [x[0] * y[0] + e * x[1] * y[1], x[0] * y[1] + x[1] * y[0]]
+    factors = _basis_radicands(rads)
+    out = [0] * len(x)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i ^ j] += a * b * factors[i & j]
+    return out
 
 
 def _relative_norm(c: Sequence[int], rads: tuple[int, ...]) -> list[int]:
     """A^2 - d*B^2, one level below c's tower."""
     h, d, below = len(c) // 2, rads[-1], rads[:-1]
     a, b = c[:h], c[h:]
-    return [u - d * v for u, v in zip(_mul_below(a, a, below), _mul_below(b, b, below))]
+    return [u - d * v for u, v in zip(_tower_mul(a, a, below), _tower_mul(b, b, below))]
 
 
 def _tower_sign(c: Sequence[int], rads: tuple[int, ...]) -> int:
@@ -613,17 +606,14 @@ def _tower_inverse(c: Sequence[int], rads: tuple[int, ...]) -> tuple[list[int], 
         return [1], c[0]
     h, below = len(c) // 2, rads[:-1]
     p, q = _tower_inverse(_relative_norm(c, rads), below)
-    return _mul_below(c[:h], p, below) + [-v for v in _mul_below(c[h:], p, below)], q
+    return _tower_mul(c[:h], p, below) + [-v for v in _tower_mul(c[h:], p, below)], q
 
 
 def _canonical_terms(x: QuadExt) -> Iterable[tuple[int, Fraction]]:
     """(radicand, coefficient) pairs for nonzero basis elements, plus the
     rational part keyed by radicand 1."""
-    yield (1, x.coeffs[0])
-    for mask in range(1, len(x.coeffs)):
-        c = x.coeffs[mask]
-        if c != 0:
-            yield (x._basis_radicand(mask), c)
+    yield from ((d, c) for d, c in zip(_basis_radicands(x.radicands), x.coeffs)
+                if d == 1 or c != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +689,19 @@ def _rebase(x: QuadExt, basis: tuple[int, ...],
     return QuadExt(basis, out)
 
 
+def _embed(num: int, den: int, rads: tuple[int, ...]) -> QuadExt:
+    """num/den as an element of the validated tower rads."""
+    return QuadExt._reduced(rads, [num] + [0] * ((1 << len(rads)) - 1), den)
+
+
 def _unify(a: QuadExt, b: QuadExt) -> tuple[QuadExt, QuadExt]:
     if a.radicands == b.radicands:
         return a, b
     # rational-valued elements live in any tower
     if a.is_rational():
-        return QuadExt.from_rational(a.rational_value(), b.radicands), b
+        return _embed(a.nums[0], a.den, b.radicands), b
     if b.is_rational():
-        return a, QuadExt.from_rational(b.rational_value(), a.radicands)
+        return a, _embed(b.nums[0], b.den, a.radicands)
     basis, images = _compositum(tuple(a.radicands) + tuple(b.radicands))
     return _rebase(a, basis, images), _rebase(b, basis, images)
 
@@ -730,23 +725,23 @@ def _binop(a: XReal, b: XLike, op: str) -> XReal:
                 raise ZeroDivisionError("division by certified zero")
             return Rational(a.value / b.value)
 
-    # promote rationals into the other operand's tower
-    if isinstance(a, Rational) and isinstance(b, QuadExt):
-        a = QuadExt.from_rational(a.value, b.radicands)
-    elif isinstance(b, Rational) and isinstance(a, QuadExt):
-        b = QuadExt.from_rational(b.value, a.radicands)
-    assert isinstance(a, QuadExt) and isinstance(b, QuadExt)
+    # promote a rational into the other operand's tower
+    if isinstance(a, Rational):
+        a = _embed(a.numerator, a.denominator, b.radicands)
+    elif isinstance(b, Rational):
+        b = _embed(b.numerator, b.denominator, a.radicands)
     a, b = _unify(a, b)
 
-    if op == "add":
-        return QuadExt(a.radicands, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    rads = a.radicands
+    if op in ("mul", "div"):
+        if op == "div":
+            b = b.inverse()
+        return QuadExt._reduced(rads, _tower_mul(a.nums, b.nums, rads), a.den * b.den)
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
     if op == "sub":
-        return QuadExt(a.radicands, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-    if op == "mul":
-        return a._mul_same_tower(b)
-    if op == "div":
-        return a._mul_same_tower(b.inverse())
-    raise AssertionError(op)
+        sb = -sb
+    return QuadExt._reduced(rads, [u * sa + v * sb for u, v in zip(a.nums, b.nums)], den)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_oscillate_csv(tmp_path, capsys):
     assert lines[1].startswith("8,")
 
 
+def test_oscillate_rejects_unknown_keys(tmp_path, capsys):
+    # a key the command does not read is a parse error, not silently dropped
+    for key in ("box", "use_split_weights", "tua1"):
+        cfgf = tmp_path / "osc.json"
+        cfgf.write_text(json.dumps({"tau1": 0.4, "ks": [8], "grid": 12, key: 1}))
+        assert run(["oscillate", str(cfgf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err
+
+
 def test_search_command(tmp_path, capsys):
     data = {"gamma": "2/1",
             "left": {"rho": "1/1",

@@ -3,6 +3,8 @@ mutation coverage of the fan checker."""
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -14,13 +16,15 @@ from wildfan.fan import FanSubsolution, paper_example, verify_fan
 from wildfan.model import PHPoint
 
 
-def random_quadext(rng: random.Random, *radicands: int) -> QuadExt:
+def random_quadext(rng: random.Random, *radicands: int, size: int = 15) -> QuadExt:
     return QuadExt(radicands, tuple(
-        Fraction(rng.randint(-15, 15), rng.randint(1, 12))
+        Fraction(rng.randint(-size, size), rng.randint(1, max(12, size)))
         for _ in range(1 << len(radicands))))
 
 
-def to_sympy(x: QuadExt):
+def to_sympy(x: QuadExt | Rational):
+    if isinstance(x, Rational):
+        return sp.Rational(x.numerator, x.denominator)
     basis = [sp.Integer(1)]
     for d in x.radicands:  # (1, sqrt d1[, sqrt d2, sqrt(d1*d2)])
         basis += [b * sp.sqrt(d) for b in basis]
@@ -28,33 +32,41 @@ def to_sympy(x: QuadExt):
                for c, b in zip(x.coeffs, basis))
 
 
+def _operand_pairs(rng: random.Random, pairs: int):
+    """Random pairs in Q(sqrt2, sqrt7) and in Q(sqrt7); across the towers
+    (2,) and (7,), and (5,) and (5, 1141); with a Rational on either side;
+    and with coefficients around 1e12."""
+    for _ in range(pairs):
+        for ra, rb in (((2, 7), (2, 7)), ((7,), (7,)), ((2,), (7,)), ((5,), (5, 1141))):
+            yield random_quadext(rng, *ra), random_quadext(rng, *rb)
+        r = Rational(rng.randint(-15, 15), rng.randint(1, 12))
+        yield r, random_quadext(rng, 2, 7)
+        yield random_quadext(rng, 5, 1141), r
+        yield (random_quadext(rng, 2, 7, size=10 ** 12),
+               random_quadext(rng, 2, 7, size=10 ** 12))
+
+
 def _field_op_cases(rng: random.Random, pairs: int):
-    """(got, want) for +, -, *, / on random pairs in Q(sqrt2, sqrt7) and,
-    one radicand down, in Q(sqrt7)."""
-    for radicands in ((2, 7), (7,)):
-        for _ in range(pairs):
-            a = random_quadext(rng, *radicands)
-            b = random_quadext(rng, *radicands)
-            for op in ("add", "sub", "mul", "div"):
-                if op == "div" and b.is_zero():
-                    continue
-                got = {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b}[op]
-                want = {"add": to_sympy(a) + to_sympy(b),
-                        "sub": to_sympy(a) - to_sympy(b),
-                        "mul": to_sympy(a) * to_sympy(b),
-                        "div": to_sympy(a) / to_sympy(b)}[op]
-                yield got, want
+    """(got, want) for +, -, *, / on _operand_pairs; every result is in
+    lowest terms over a positive denominator."""
+    for a, b in _operand_pairs(rng, pairs):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            if op is operator.truediv and b == 0:
+                continue
+            got = op(a, b)
+            assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+            yield got, op(to_sympy(a), to_sympy(b))
 
 
 def test_field_ops_match_sympy_exactly():
-    for got, want in _field_op_cases(random.Random(101), 10):
+    for got, want in _field_op_cases(random.Random(101), 5):
         # radsimp rationalises the quotient's denominator; expand then
         # collects the result on the radical basis, so this is a zero test
         assert sp.expand(sp.radsimp(to_sympy(got) - want)) == 0
 
 
 def test_field_ops_match_sympy_numerically():
-    for got, want in _field_op_cases(random.Random(102), 120):
+    for got, want in _field_op_cases(random.Random(102), 40):
         diff = sp.N(to_sympy(got) - want, 50)
         assert abs(diff) < sp.Float("1e-45")
 

@@ -96,6 +96,17 @@ def test_same_field_radicands_merge():
     assert float(s) == pytest.approx(3 * 2 ** 0.5)
 
 
+def test_square_radicands_rejected_at_the_boundary():
+    # arithmetic results skip the radicand checks; the entry points keep them
+    for rads in ((4,), (2, 9), (2, 8)):
+        with pytest.raises(ValueError):
+            QuadExt(rads, [1] + [0] * ((1 << len(rads)) - 1))
+        with pytest.raises(ValueError):
+            QuadExt.from_rational(1, rads)
+    with pytest.raises(ValueError):
+        xreal_from_json({"d": [9], "c": ["1/1", "0/1"]})
+
+
 def test_random_field_ops_roundtrip():
     rng = random.Random(7)
     for _ in range(1000):

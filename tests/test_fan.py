@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildfan.exactnum import QuadExt, Rational, sign, xreal_to_json
 from wildfan.fan import (
@@ -22,7 +24,7 @@ from wildfan.fan import (
 )
 from wildfan.hull import in_K, in_W
 from wildfan.model import EulerState, PHPoint, PressureLaw, lift_state, pressure
-from wildfan.riemann import DissipationProfile
+from wildfan.riemann import DissipationProfile, Shock, solve_riemann
 
 S5 = QuadExt.sqrt_of(5)
 S1141 = QuadExt.sqrt_of(1141)
@@ -119,6 +121,36 @@ def test_beats_selfsimilar_paper():
     assert not any(c.name.startswith("chain[") for c in report.conditions)
     assert any(c.name == "comparison" and c.witness == "StrictlyDominates"
                for c in report.conditions)
+
+
+def _shifted_left_fan(shift):
+    """paper_example() with the left m2 lowered by shift and mu1 moved onto
+    the shock speed of the float-bisected reference of those data."""
+    fan = paper_example()
+    left = EulerState(fan.left.rho, (fan.left.m[0], fan.left.m[1] - shift))
+    sol = solve_riemann(fan.law, left, fan.right)
+    shocks = [w.speed for w in sol.waves if isinstance(w, Shock)]
+    mu = (fan.mu[0], shocks[0], *fan.mu[2:]) if shocks else fan.mu
+    return FanSubsolution(fan.law, mu, left, fan.right, fan.regions), sol
+
+
+def test_comparison_with_unsolved_reference_is_inconclusive():
+    # the candidate's plane sits on the rounded shock speed, so every sign
+    # of the comparison certifies; only the reference itself is not exact
+    fan, sol = _shifted_left_fan(Rational(1, 10 ** 6))
+    assert not sol.exact
+    report = beats_selfsimilar(fan)
+    solved = report.conditions[0]
+    assert (solved.name, solved.status) == ("selfsimilar_solved", Status.INCONCLUSIVE)
+    assert report.overall is Status.INCONCLUSIVE
+
+
+@settings(max_examples=20, deadline=None)
+@given(num=st.integers(-1000, 1000).filter(bool), digits=st.integers(3, 9))
+def test_inexact_reference_never_passes(num, digits):
+    fan, sol = _shifted_left_fan(Rational(num, 10 ** digits))
+    if not sol.exact:
+        assert beats_selfsimilar(fan).overall is not Status.PASS
 
 
 def test_paper_chain_sits_before_the_shock_margin():
