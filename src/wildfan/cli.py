@@ -37,7 +37,7 @@ from .fan import (
     state_to_json,
     verify_fan,
 )
-from .hull import f_j, rigid_flux, split_flux_direction
+from .hull import split_flux_direction, w_flux_vertices
 from .model import PHPoint, PressureLaw
 from .riemann import (
     Rarefaction,
@@ -223,10 +223,7 @@ def _laminate_demo_inputs():
     """Canonical laminate: the two ends of the isotropic vertex-flux point's split."""
     law = PressureLaw(gamma=2)
     rho, Q = Rational(1), Rational(4)
-    base = PHPoint((0, 0), 0, 0, 3, (0, 0))
-    rf = rigid_flux(law, rho, base)
-    fv = f_j(law, rho, Q, base, 1)
-    vert = PHPoint(base.m, base.u11, base.u12, base.q, (rf[0] + fv[0], rf[1] + fv[1]))
+    vert = w_flux_vertices(law, rho, Q, PHPoint((0, 0), 0, 0, 3, (0, 0)))[0]
     _, z1, _, z2, _ = split_flux_direction(law, rho, Q, vert, 1)
     return z1, z2
 
@@ -271,7 +268,8 @@ def _cmd_oscillate(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table", "csv"),
-                        default=argparse.SUPPRESS, help="report format")
+                        default=argparse.SUPPRESS,
+                        help="report format (csv: oscillate only)")
     common.add_argument("--precision-cap", type=int, default=argparse.SUPPRESS,
                         help="interval precision cap in bits")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -311,6 +309,9 @@ def run(argv=None) -> int:
     args.format = getattr(args, "format", "table")
     args.seed = getattr(args, "seed", None)
     args.precision_cap = getattr(args, "precision_cap", None)
+    if args.format == "csv" and args.command != "oscillate":
+        print("error: --format csv is for oscillate only", file=sys.stderr)
+        return EXIT_PARSE
     if args.precision_cap is not None:
         set_precision_cap(args.precision_cap)
     try:

@@ -549,7 +549,7 @@ class QuadExt(XReal):
     def __hash__(self) -> int:
         if self.is_rational():
             return hash(self.rational_value())
-        return hash(tuple(_canonical_terms(self)))
+        return hash((self.coeffs[0], *_canonical_terms(self)))
 
 
 # Tower elements with integer coefficients c on the basis of radical products
@@ -609,11 +609,15 @@ def _tower_inverse(c: Sequence[int], rads: tuple[int, ...]) -> tuple[list[int], 
     return _tower_mul(c[:h], p, below) + [-v for v in _tower_mul(c[h:], p, below)], q
 
 
-def _canonical_terms(x: QuadExt) -> Iterable[tuple[int, Fraction]]:
-    """(radicand, coefficient) pairs for nonzero basis elements, plus the
-    rational part keyed by radicand 1."""
-    yield from ((d, c) for d, c in zip(_basis_radicands(x.radicands), x.coeffs)
-                if d == 1 or c != 0)
+def _canonical_terms(x: QuadExt) -> list[tuple[int, Fraction]]:
+    """x's irrational terms c*sqrt(D), each as (sign of c, c*c*D), sorted.
+
+    The radical products of a valid tower have distinct square-free parts,
+    so these terms are those of x's one expansion over square-free
+    radicands: equal values give equal pairs in any tower, with nothing
+    to factor."""
+    return sorted(((c > 0) - (c < 0), c * c * prod)
+                  for prod, c in zip(_basis_radicands(x.radicands)[1:], x.coeffs[1:]) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +738,9 @@ def _binop(a: XReal, b: XLike, op: str) -> XReal:
 
     rads = a.radicands
     if op in ("mul", "div"):
+        if op == "div" and b.is_rational() and b.nums[0]:
+            # a rational divisor scales the denominator
+            return QuadExt._reduced(rads, [n * b.den for n in a.nums], a.den * b.nums[0])
         if op == "div":
             b = b.inverse()
         return QuadExt._reduced(rads, _tower_mul(a.nums, b.nums, rads), a.den * b.den)

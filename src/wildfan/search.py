@@ -11,7 +11,9 @@ entries forward from the left boundary.  The search therefore only fights
 strict inequalities: speed ordering, positivity, negative definiteness per
 region, the energy-flux inequality per interface, and the dominance target
 on the reference shock plane.  Each float evaluation closes its point once,
-in one kernel that returns the dominance surplus and the margins as a tuple.
+in one kernel that returns the dominance surplus, the margins, the fluxes
+and the closure residual.  That kernel scores every optimizer step and also
+closes each restart's final point.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
@@ -58,13 +60,11 @@ class DegenerateClosure(ZeroDivisionError):
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 64
-    max_iters: int = 4000
     rounding_denominator_cap: int = 10 ** 12
     rng_seed: int = 0
 
     def __post_init__(self):
-        if (self.restarts < 0 or self.max_iters <= 0
-                or self.rounding_denominator_cap <= 0 or self.rng_seed < 0):
+        if self.restarts < 0 or self.rounding_denominator_cap <= 0 or self.rng_seed < 0:
             raise ValueError("config values must be positive")
 
 
@@ -75,22 +75,16 @@ _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32"
 
 @dataclass
 class Candidate:
-    """Float candidate: free variables plus the closed chain values, and
-    the exact fan that ``certify`` built from it with its comparison
-    against the self-similar solution, if it certified."""
+    """Float candidate: free variables and their margins, and the exact fan
+    that ``certify`` built from it with its comparison against the
+    self-similar solution, if it certified."""
 
     law: PressureLaw
     left: EulerState
     right: EulerState
     sigma: float
     x: np.ndarray
-    mu: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    rho: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    m2: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    u11: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    brackets: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     margins: dict = field(default_factory=dict)
-    residual: float = math.inf
     feasible: bool = False
     seed: int | None = None
     fan: FanSubsolution | None = None
@@ -123,13 +117,6 @@ def _float_law(law: PressureLaw):
         return base - rho * rho_star ** (gamma - 1.0) / (gamma - 1.0)
 
     return p, P
-
-
-def _boundary(law: PressureLaw, state: EulerState):
-    """Lifted boundary state: (rho, m2, u11, q) for the closure and
-    (F2, e) for the energy-flux brackets."""
-    z, e = lift_state(law, state)
-    return (state.rho, z.m[1], z.u11, z.q), (z.F[1], e)
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +178,23 @@ def chain_close(minus, plus, mu, rho1, q123):
 
 
 # ---------------------------------------------------------------------------
-# float evaluation of a candidate
+# the float closure
 # ---------------------------------------------------------------------------
 
 class _Context:
     """Boundary data of one Riemann problem, computed once: the exact
-    lifted values for certification, and their floats with the float
-    pressure callables for the search."""
+    lifted values (rho, m2, u11, q) for certification, and their floats
+    with the boundary F2 and energies and the float pressure callables
+    for the search."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
         self.p, self.P = _float_law(law)
-        self.exact_minus, (f_m, e_m) = _boundary(law, left)
-        self.exact_plus, (f_p, e_p) = _boundary(law, right)
+        (z_m, e_m), (z_p, e_p) = lift_state(law, left), lift_state(law, right)
+        self.exact_minus = (left.rho, z_m.m[1], z_m.u11, z_m.q)
+        self.exact_plus = (right.rho, z_p.m[1], z_p.u11, z_p.q)
         self.minus = tuple(map(float, self.exact_minus))
         self.plus = tuple(map(float, self.exact_plus))
-        self.f_m, self.e_m, self.f_p, self.e_p = map(float, (f_m, e_m, f_p, e_p))
+        self.f_m, self.e_m, self.f_p, self.e_p = map(float, (z_m.F[1], e_m, z_p.F[1], e_p))
 
 
 # Margin names, in the order the float kernel returns the margins.
@@ -215,23 +204,22 @@ _MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
 
 def _close_floats(ctx: _Context, sigma: float, v):
     """Close the float point whose first seven coordinates are (mu0, mu2,
-    mu3, rho1, q1, q2, q3), shared by both layouts below.
+    mu3, rho1, q1, q2, q3).
 
-    Returns (closed, margins).  ``closed`` is (mu, rhos, m2s, u11s, e,
-    residual), with the chained mu3 in ``mu`` and the region energies
-    between the boundary ones in ``e``; it is None when the closure
-    degenerates (no margins) or a density is not positive (the margins
-    stop after the densities).  ``margins`` is a list of the ordering,
-    density, trace and determinant margins, in ``_MARGINS`` order.
+    Returns (mu, e, margins, residual): the speeds with the chained mu3,
+    the region energies between the boundary ones, the ordering, density,
+    trace and determinant margins in ``_MARGINS`` order, and the absolute
+    closure residual.  None when the closure degenerates or a density is
+    not positive.
     """
     mu0, mu2, mu3, rho1, q1, q2, q3 = v[:7]
     try:
         rhos, m2s, u11s, mu3_chain, residual = chain_close(
             ctx.minus, ctx.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
     except DegenerateClosure:
-        return None, []
+        return None
     if min(rhos) <= 0.0:
-        return None, [sigma - mu0, mu2 - sigma, mu3 - mu2, *rhos]
+        return None
 
     p, P = ctx.p, ctx.P
     r1, r2, r3 = rhos
@@ -243,36 +231,7 @@ def _close_floats(ctx: _Context, sigma: float, v):
                -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
                -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3)]
     e = (ctx.e_m, q1 + P(r1) - p1, q2 + P(r2) - p2, q3 + P(r3) - p3, ctx.e_p)
-    return ((mu0, sigma, mu2, mu3_chain), rhos, m2s, u11s, e, abs(residual)), margins
-
-
-def _brackets(ctx: _Context, mu, e, f123):
-    """Energy-flux brackets -mu[E] + [F2] per plane, also the 'rh4_i'
-    margins."""
-    f1, f2, f3 = f123
-    return (plane_bracket(mu[0], e[0], e[1], ctx.f_m, f1),
-            plane_bracket(mu[1], e[1], e[2], f1, f2),
-            plane_bracket(mu[2], e[2], e[3], f2, f3),
-            plane_bracket(mu[3], e[3], e[4], f3, ctx.f_p))
-
-
-def _evaluate(cand: Candidate, ctx: _Context | None = None) -> Candidate:
-    """Fill the chain values and margins of a candidate in the flux layout
-    (.., F12, F22, F32)."""
-    if ctx is None:
-        ctx = _Context(cand.law, cand.left, cand.right)
-    x = [float(v) for v in cand.x]
-    closed, margins = _close_floats(ctx, cand.sigma, x)
-    cand.feasible = False
-    if closed is None:
-        cand.margins = dict(zip(_MARGINS, margins)) if margins else {"closure": -1.0}
-        cand.residual = math.inf
-        return cand
-    cand.mu, cand.rho, cand.m2, cand.u11, e, cand.residual = closed
-    cand.brackets = _brackets(ctx, cand.mu, e, x[7:])
-    cand.margins = dict(zip(_MARGINS, (*margins, *cand.brackets)))
-    cand.feasible = min(cand.margins.values()) > 0.0 and cand.residual < 1e-7
-    return cand
+    return (mu0, sigma, mu2, mu3_chain), e, margins, abs(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +261,23 @@ def _fluxes(ctx: _Context, sigma: float, y, e):
     return f1, f2, f3
 
 
-def _y_to_x(ctx: _Context, sigma: float, y) -> np.ndarray | None:
-    """Map bracket coordinates (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3)
-    to the flux layout (.., F12, F22, F32); None when the point does not
-    close with positive densities."""
-    closed, _ = _close_floats(ctx, sigma, y)
-    if closed is None:
-        return None
-    return np.array([*y[:7], *_fluxes(ctx, sigma, y, closed[4])])
-
-
 def _kernel(ctx: _Context, sigma: float, ref_coeff: float, y):
-    """(dominance surplus, margins) at the bracket-coordinate point y, the
-    margins a tuple in ``_MARGINS`` order; None when the point does not
-    close with positive densities."""
-    closed, margins = _close_floats(ctx, sigma, y)
+    """(surplus, margins, fluxes, residual) at the bracket-coordinate point
+    y (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3): the dominance surplus, the
+    margins as a tuple in ``_MARGINS`` order (the energy-flux brackets
+    -mu[E] + [F2] per plane last), the fluxes (F12, F22, F32) and the
+    absolute closure residual; None when the point does not close with
+    positive densities."""
+    closed = _close_floats(ctx, sigma, y)
     if closed is None:
         return None
-    mu, e = closed[0], closed[4]
-    brackets = _brackets(ctx, mu, e, _fluxes(ctx, sigma, y, e))
-    return brackets[1] - ref_coeff, (*margins, *brackets)
+    mu, e, margins, residual = closed
+    f1, f2, f3 = fluxes = _fluxes(ctx, sigma, y, e)
+    brackets = (plane_bracket(mu[0], e[0], e[1], ctx.f_m, f1),
+                plane_bracket(mu[1], e[1], e[2], f1, f2),
+                plane_bracket(mu[2], e[2], e[3], f2, f3),
+                plane_bracket(mu[3], e[3], e[4], f3, ctx.f_p))
+    return brackets[1] - ref_coeff, (*margins, *brackets), fluxes, residual
 
 
 def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
@@ -339,7 +295,7 @@ def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
     point = _kernel(ctx, sigma, ref_coeff, y)
     if point is None:
         return 1e9
-    surplus, margins = point
+    surplus, margins = point[:2]
     barrier = 0.0
     for m in margins:
         if m <= 0.0:
@@ -352,7 +308,7 @@ def _retreat_score(ctx, sigma, ref_coeff, floor, target, y) -> float:
     point = _kernel(ctx, sigma, ref_coeff, y)
     if point is None:
         return 1e9
-    surplus, margins = point
+    surplus, margins = point[:2]
     if surplus < target:
         return 1e6 * (1.0 + (target - surplus))
     return -min(min(margins), 100.0 * floor)
@@ -476,6 +432,7 @@ def minimize(fun, x0, maxiter: int) -> _Result:
 # ---------------------------------------------------------------------------
 
 _FLOOR = 2e-4
+_MAX_ITERS = 4000
 
 
 def _exact_sigma(sol) -> XReal | None:
@@ -510,37 +467,37 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     floor = _FLOOR
 
     best: Candidate | None = None
+    best_surplus = 0.0
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.rng_seed + restart)
         y = _sample_start(rng, ctx, sigma, floor)
 
         feas = minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, floor, v),
-                        y, cfg.max_iters)
+                        y, _MAX_ITERS)
         if feas.fun > 0.0:
             continue
         y = feas.x
         for tau in (1e-2, 1e-3):
             y = minimize(lambda v: _barrier_score(ctx, sigma, ref_coeff, floor, tau, v),
-                         y, cfg.max_iters).x
+                         y, _MAX_ITERS).x
         point = _kernel(ctx, sigma, ref_coeff, y)
         if point is None or point[0] <= 0.0:
             continue
         target = 0.5 * point[0]
         y = minimize(lambda v: _retreat_score(ctx, sigma, ref_coeff, floor, target, v),
-                     y, cfg.max_iters).x
+                     y, _MAX_ITERS).x
 
-        x = _y_to_x(ctx, sigma, y)
-        if x is None:
+        point = _kernel(ctx, sigma, ref_coeff, y)
+        if point is None:
             continue
-        cand = _evaluate(Candidate(law, left, right, sigma, x,
-                                   seed=cfg.rng_seed + restart), ctx)
-        if not cand.feasible:
+        surplus, margins, fluxes, residual = point
+        if not (residual < 1e-7 and surplus > floor and min(margins) >= 0.5 * floor):
             continue
-        surplus = cand.brackets[1] - ref_coeff
-        if surplus <= floor or min(cand.margins.values()) < 0.5 * floor:
-            continue
-        if best is None or surplus > best.brackets[1] - ref_coeff:
-            best = cand
+        cand = Candidate(law, left, right, sigma, np.array([*y[:7], *fluxes]),
+                         margins=dict(zip(_MARGINS, margins)), feasible=True,
+                         seed=cfg.rng_seed + restart)
+        if surplus > best_surplus:  # surplus > floor > 0: the first one wins
+            best, best_surplus = cand, surplus
         if sigma_exact is not None and _certify(cand, cfg, sigma_exact, ctx) is not None:
             return cand
     return best

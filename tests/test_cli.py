@@ -146,14 +146,26 @@ def test_json_float_exit_code(tmp_path, capsys):
 
 
 def test_search_config_unknown_field_exit_code(tmp_path, capsys):
-    data = {"gamma": "2/1",
-            "left": {"rho": "1/1", "m": ["0/1", "0/1"]},
-            "right": {"rho": "4/1", "m": ["0/1", "0/1"]},
-            "config": {"restarts": 1, "margin_weight": 1.0}}
-    path = tmp_path / "search.json"
-    path.write_text(json.dumps(data))
-    code, _ = invoke(capsys, "search", str(path))
-    assert code == 2
+    # max_iters was a config field; the iteration cap is now fixed
+    for key, value in (("margin_weight", 1.0), ("max_iters", 10)):
+        data = {"gamma": "2/1",
+                "left": {"rho": "1/1", "m": ["0/1", "0/1"]},
+                "right": {"rho": "4/1", "m": ["0/1", "0/1"]},
+                "config": {"restarts": 1, key: value}}
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(data))
+        code, _ = invoke(capsys, "search", str(path))
+        assert code == 2, key
+
+
+def test_csv_format_only_for_oscillate(tmp_path, capsys):
+    _write_inputs(tmp_path)
+    for argv in (("verify-example", "--format", "csv"),
+                 ("--format", "csv", "verify-fan", str(tmp_path / "fan.json")),
+                 ("riemann", str(tmp_path / "paper_shock.json"), "--format", "csv")):
+        assert run(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "csv" in err
 
 
 _IMPORT_PROBE = """

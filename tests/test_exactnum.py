@@ -96,6 +96,26 @@ def test_same_field_radicands_merge():
     assert float(s) == pytest.approx(3 * 2 ** 0.5)
 
 
+def test_equal_values_in_different_towers_hash_equal():
+    # sqrt(8) = 2*sqrt(2), sqrt(12) = 2*sqrt(3) and sqrt(1013*1009^2) =
+    # 1009*sqrt(1013), a square factor beyond the trial division of
+    # _squarefree_decompose: each pair is one value
+    pairs = ((xreal_from_json({"d": [8], "c": ["0/1", "1/1"]}), QuadExt.sqrt_of(8)),
+             (QuadExt((2, 6), (0, 0, 0, 1)), QuadExt((2, 3), (0, 0, 2, 0))),
+             (QuadExt((1013 * 1009 ** 2,), (5, -1)), QuadExt((1013,), (5, -1009))))
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_division_by_rational_valued_tower_element():
+    a = QuadExt((2, 7), (1, Fraction(-2, 3), 5, 7))
+    assert a / QuadExt.from_rational(Fraction(-4, 9), (2, 7)) == a * Fraction(-9, 4)
+    with pytest.raises(ZeroDivisionError):
+        a / QuadExt.from_rational(0, (2, 7))
+
+
 def test_square_radicands_rejected_at_the_boundary():
     # arithmetic results skip the radicand checks; the entry points keep them
     for rads in ((4,), (2, 9), (2, 8)):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildfan.exactnum import QuadExt, Rational, sign, xreal_to_json
@@ -151,6 +151,41 @@ def test_inexact_reference_never_passes(num, digits):
     fan, sol = _shifted_left_fan(Rational(num, 10 ** digits))
     if not sol.exact:
         assert beats_selfsimilar(fan).overall is not Status.PASS
+
+
+def _scaled_fan(fan, k):
+    """gamma = 2 scaling: rho -> k^2 rho, m -> k^3 m, mu -> k mu,
+    (u11, u12, q) -> k^4 (...), F -> k^5 F."""
+    def state(s):
+        return EulerState(k ** 2 * s.rho, tuple(k ** 3 * c for c in s.m))
+    regions = tuple(
+        (k ** 2 * rho, PHPoint(tuple(k ** 3 * c for c in z.m), k ** 4 * z.u11,
+                               k ** 4 * z.u12, k ** 4 * z.q, tuple(k ** 5 * c for c in z.F)))
+        for rho, z in fan.regions)
+    return FanSubsolution(fan.law, tuple(k * m for m in fan.mu),
+                          state(fan.left), state(fan.right), regions)
+
+
+@settings(max_examples=20, deadline=None)
+@given(num=st.integers(1, 9), den=st.integers(1, 9))
+@example(num=2, den=1)
+@example(num=3, den=2)
+@example(num=7, den=5)
+def test_scaling_keeps_verdicts_and_scales_the_profile(num, den):
+    fan = paper_example()
+    k = Rational(num, den)
+    scaled = _scaled_fan(fan, k)
+    for check in (verify_fan, lambda f: compare_selfsimilar(f)[0]):
+        got, want = check(scaled), check(fan)
+        assert got.passed
+        # condition names carry plane speeds, which scale too
+        assert [c.status for c in got.conditions] == [c.status for c in want.conditions]
+    base = fan_dissipation_profile(fan).entries
+    got = fan_dissipation_profile(scaled).entries
+    assert len(got) == len(base)
+    for (s, c), (s_k, c_k) in zip(base, got):
+        assert sign(s_k - k * s) == 0
+        assert sign(c_k - k ** 5 * c) == 0
 
 
 def test_paper_chain_sits_before_the_shock_margin():

@@ -1,4 +1,4 @@
-"""Chain closure, candidate evaluation, search and exact certification."""
+"""Chain closure, the float kernel, search and exact certification."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from wildfan.search import (
     SearchConfig,
     _barrier_score,
     _Context,
-    _evaluate,
     _infeasibility,
     _kernel,
     _retreat_score,
@@ -119,21 +118,27 @@ def test_chain_close_degenerate():
                     fan.regions[0][0], tuple(z.q for _, z in fan.regions))
 
 
-def test_evaluate_paper_variables_feasible():
+def test_kernel_paper_variables_feasible():
     left, right = paper_boundary()
-    cand = _evaluate(Candidate(LAW2, left, right, SIGMA_F, paper_x()))
-    assert cand.feasible
-    assert min(cand.margins.values()) > 0
-    assert cand.residual < 1e-10
-    assert abs(cand.rho[1] - 3.19) < 1e-9
-    assert abs(cand.rho[2] - 4.005) < 1e-9
+    x = paper_x()
+    # bracket coordinates: the paper's outer-plane coefficients b0, b2, b3
+    coeffs = [float(c) for _, c in fan_dissipation_profile(paper_example()).entries]
+    y = [*x[:7], coeffs[0], coeffs[2], coeffs[3]]
     ref = 27 / 4 * 5 ** 0.5
-    assert cand.brackets[1] - ref > 0.03
+    surplus, margins, fluxes, residual = _kernel(
+        _Context(LAW2, left, right), SIGMA_F, ref, y)
+    assert min(margins) > 0
+    assert residual < 1e-10
+    assert surplus > 0.03
+    assert all(abs(f - want) < 1e-9 for f, want in zip(fluxes, x[7:]))
+    rhos = chain_close(MINUS_F, PLUS_F, (y[0], SIGMA_F, y[1], y[2]), y[3], y[4:7])[0]
+    assert abs(rhos[1] - 3.19) < 1e-9
+    assert abs(rhos[2] - 4.005) < 1e-9
 
 
 def test_certify_paper_variables():
     left, right = paper_boundary()
-    cand = _evaluate(Candidate(LAW2, left, right, SIGMA_F, paper_x()))
+    cand = Candidate(LAW2, left, right, SIGMA_F, paper_x())
     fan = certify(cand, SearchConfig(restarts=1))
     assert fan is not None
     assert verify_fan(fan).passed
@@ -145,7 +150,7 @@ def test_certify_rejects_zero_margin_candidate():
     left, right = paper_boundary()
     x = paper_x()
     x[4] -= 2.5  # wreck q1: subsolution trace goes nonnegative
-    cand = _evaluate(Candidate(LAW2, left, right, SIGMA_F, x))
+    cand = Candidate(LAW2, left, right, SIGMA_F, x)
     assert certify(cand, SearchConfig(restarts=1)) is None
 
 
