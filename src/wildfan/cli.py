@@ -14,7 +14,9 @@ import json
 import sys
 
 # convexint defers numpy to its first use, so this import costs the exact
-# commands next to nothing.
+# commands no numpy.  It stays at module level because the benchmark's
+# tracer (perfbench/layertrace.py) finds wildfan.convexint in sys.modules
+# after importing this module; `search` imports its module in its handler.
 from .convexint import build_oscillation, diagnostics_csv
 from .exactnum import (
     Inconclusive,
@@ -219,26 +221,40 @@ def _cmd_search(args) -> int:
     return EXIT_OK if comparison.passed else EXIT_FAIL
 
 
-def _laminate_demo_inputs():
-    """Canonical laminate: the two ends of the isotropic vertex-flux point's split."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _oscillate_config(data) -> tuple[float, float, list, int]:
+    """(tau1, delta, ks, grid) of an oscillate file; anything but JSON
+    numbers, a non-empty list of positive integer ks and an integer grid of
+    at least 2 is a parse error."""
+    if not isinstance(data, dict):
+        raise ValueError("oscillate input must be a JSON object")
+    unknown = sorted(set(data) - {"tau1", "delta", "ks", "grid"})
+    if unknown:
+        raise ValueError(f"unknown oscillate keys {unknown}; allowed: tau1, delta, ks, grid")
+    tau1, delta = data.get("tau1", 0.4), data.get("delta", 0.02)
+    ks, grid_n = data.get("ks", [8, 16, 32]), data.get("grid", 48)
+    for key, value in (("tau1", tau1), ("delta", delta)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"oscillate {key} must be a number, got {value!r}")
+    if not (isinstance(ks, list) and ks and all(_is_int(k) and k > 0 for k in ks)):
+        raise ValueError(f"oscillate ks must be a non-empty list of positive integers, "
+                         f"got {ks!r}")
+    if not (_is_int(grid_n) and grid_n >= 2):
+        raise ValueError(f"oscillate grid must be an integer >= 2, got {grid_n!r}")
+    return float(tau1), float(delta), ks, grid_n
+
+
+def _cmd_oscillate(args) -> int:
+    tau1, delta, ks, grid_n = _oscillate_config(_load_json(args.file))
+    # canonical laminate: the two ends of the isotropic vertex-flux point's split
     law = PressureLaw(gamma=2)
     rho, Q = Rational(1), Rational(4)
     vert = w_flux_vertices(law, rho, Q, PHPoint((0, 0), 0, 0, 3, (0, 0)))[0]
     _, z1, _, z2, _ = split_flux_direction(law, rho, Q, vert, 1)
-    return z1, z2
-
-
-def _cmd_oscillate(args) -> int:
-    data = _load_json(args.file)
-    unknown = sorted(set(data) - {"tau1", "delta", "ks", "grid"})
-    if unknown:
-        raise ValueError(f"unknown oscillate keys {unknown}; allowed: tau1, delta, ks, grid")
-    tau1 = float(data.get("tau1", 0.4))
-    delta = float(data.get("delta", 0.02))
-    ks = [int(k) for k in data.get("ks", [8, 16, 32])]
-    grid_n = int(data.get("grid", 48))
     box = ((0.0, 1.0),) * 3
-    z1, z2 = _laminate_demo_inputs()
     z_star = tau1 * z1 + (1.0 - tau1) * z2
     diags = []
     for k in ks:

@@ -168,8 +168,10 @@ _PDE_ROWS: dict[str, list[tuple[str, int, float]]] = {
 class SmoothField:
     """A scalar field with analytic partial derivatives up to order four.
 
-    Implementations provide _deriv_values(mi, pts); evaluation goes through
-    a shared per-call cache so repeated mixed partials are computed once.
+    Implementations provide _deriv_values(mi, pts, cache); evaluation goes
+    through a shared per-call cache so repeated mixed partials are computed
+    once (PlaneProfileField caches h^(n) once per order instead of each
+    partial).
     """
 
     def _deriv_values(self, mi: tuple[int, int, int], pts, cache) -> np.ndarray:
@@ -227,14 +229,21 @@ class PlaneProfileField(SmoothField):
         self.freq = freq
         self.amp = amp
 
-    def _deriv_values(self, mi, pts, cache):
-        t, x, y = pts
+    def deriv(self, mi, pts, cache=None) -> np.ndarray:
+        # every partial of order n is h^(n)(arg) times a monomial in eta, so
+        # the cache holds h^(n)(arg) once per order, not each partial
+        if cache is None:
+            cache = {}
         kt, kx, ky = mi
         n = kt + kx + ky
         a, b, c = self.eta
-        arg = self.freq * (a * t + b * x + c * y)
-        h_n = self.profile.deriv1d(n)
-        return (self.amp * self.freq ** n * a ** kt * b ** kx * c ** ky) * h_n(arg)
+        key = (id(self), "h", n)
+        h_n = cache.get(key)
+        if h_n is None:
+            t, x, y = pts
+            arg = self.freq * (a * t + b * x + c * y)
+            h_n = cache[key] = self.profile.deriv1d(n)(arg)
+        return (self.amp * self.freq ** n * a ** kt * b ** kx * c ** ky) * h_n
 
 
 class ProductField(SmoothField):
@@ -440,13 +449,17 @@ class BumpField(SmoothField):
                      for i in range(3))
 
     def _deriv_values(self, mi, pts, cache):
-        t, x, y = pts
         vals = []
-        for order, coord, i in zip(mi, (t, x, y), range(3)):
-            u = (coord - self.centers[i]) / self.radii[i]
-            d = self.b1.deriv1d(order)
-            vals.append(d(np.clip(u, -1.0, 1.0)) / self.radii[i] ** order
-                        * (np.abs(u) <= 1.0))
+        for i, (order, coord) in enumerate(zip(mi, pts)):
+            # one factor per (axis, order): n values on a sparse grid
+            key = (id(self), "axis", i, order)
+            val = cache.get(key)
+            if val is None:
+                u = (coord - self.centers[i]) / self.radii[i]
+                d = self.b1.deriv1d(order)
+                val = cache[key] = (d(np.clip(u, -1.0, 1.0)) / self.radii[i] ** order
+                                    * (np.abs(u) <= 1.0))
+            vals.append(val)
         return vals[0] * vals[1] * vals[2]
 
 
@@ -555,9 +568,10 @@ class OscillationDiagnostics:
 
 
 def _grid(box, n: int):
+    """Sparse tensor grid: axis arrays of shapes (n,1,1), (1,n,1), (1,1,n)
+    that broadcast to the n^3 points."""
     axes = [np.linspace(lo, hi, n) for lo, hi in box]
-    T, X, Y = np.meshgrid(*axes, indexing="ij")
-    return T.ravel(), X.ravel(), Y.ravel()
+    return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
@@ -568,7 +582,9 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
 
     The perturbation is L_{z2-z1}[g_k * Phi] with g_k(x) = k^-3 h(k x.eta);
     on the region where Phi is identically one it takes exactly the values
-    z1 - z_star and z2 - z_star on complementary plateau slabs.
+    z1 - z_star and z2 - z_star on complementary plateau slabs.  The
+    components come back as flat arrays over the grid_n^3 points of the box
+    (t slowest, y fastest).
     """
     direction = in_Lambda(z2 - z1)
     if direction is None:
@@ -583,7 +599,7 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
 
     pts = _grid(box, grid_n)
     cache: dict = {}
-    ztilde = apply_operator(co, field, pts, cache)
+    terms = apply_operator(co, field, pts, cache)
     pde = verify_pde_identity(co, field, pts, cache)
 
     # exact plane-wave values of L[g_k]; the cutoff commutator is the gap
@@ -594,30 +610,29 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
     dz = _phpoint_floats(z2) - _phpoint_floats(z1)
     commutator = 0.0
     for comp, dzc in zip(_COMPONENTS, dz):
-        gap = ztilde[comp] - dzc * fvals * phi
+        gap = terms[comp] - dzc * fvals * phi
         commutator = max(commutator, float(np.max(np.abs(gap))))
 
     # plateau fractions strictly inside the flat-top region (points exactly
     # on the cutoff seam see the transition piece's one-sided derivatives)
-    inner = bump.inner_box()
-    mask = np.ones_like(pts[0], dtype=bool)
-    for coord, (lo, hi) in zip(pts, inner):
+    mask = True
+    for coord, (lo, hi) in zip(pts, bump.inner_box()):
         margin = 1e-9 * (hi - lo)
-        mask &= (coord > lo + margin) & (coord < hi - margin)
+        mask = mask & (coord > lo + margin) & (coord < hi - margin)
     zs = _phpoint_floats(z_star)
     z1v, z2v = _phpoint_floats(z1), _phpoint_floats(z2)
     scale = max(float(np.max(np.abs(dz))), 1e-300)
     tol = 1e-9 * scale
-    at1 = np.ones_like(pts[0], dtype=bool)
-    at2 = np.ones_like(pts[0], dtype=bool)
+    at1 = at2 = mask
     for comp, zsc, z1c, z2c in zip(_COMPONENTS, zs, z1v, z2v):
-        total = zsc + ztilde[comp]
-        at1 &= np.abs(total - z1c) <= tol
-        at2 &= np.abs(total - z2c) <= tol
+        total = zsc + terms[comp]
+        at1 = at1 & (np.abs(total - z1c) <= tol)
+        at2 = at2 & (np.abs(total - z2c) <= tol)
     n_inner = int(np.count_nonzero(mask))
-    fraction1 = float(np.count_nonzero(at1 & mask)) / max(n_inner, 1)
-    fraction2 = float(np.count_nonzero(at2 & mask)) / max(n_inner, 1)
+    fraction1 = float(np.count_nonzero(at1)) / max(n_inner, 1)
+    fraction2 = float(np.count_nonzero(at2)) / max(n_inner, 1)
 
+    ztilde = {comp: vals.ravel() for comp, vals in terms.items()}
     avg = max(abs(float(np.mean(ztilde[comp]))) for comp in _COMPONENTS)
 
     diag = OscillationDiagnostics(

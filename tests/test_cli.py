@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wildfan
 from wildfan.cli import run
 from wildfan.fan import fan_to_json, paper_example
@@ -117,6 +119,21 @@ def test_oscillate_rejects_unknown_keys(tmp_path, capsys):
         assert out == "" and key in err
 
 
+@pytest.mark.parametrize("edit", [
+    {"ks": [0]}, {"ks": [-8]}, {"ks": [8.5]}, {"ks": [8.0]}, {"ks": [True]},
+    {"ks": ["8"]}, {"ks": []}, {"ks": 8}, {"grid": 8.9}, {"grid": 1},
+    {"grid": True}, {"grid": "32"}, {"tau1": "0.4"}, {"delta": None},
+], ids=lambda edit: ",".join(f"{k}={json.dumps(v)}" for k, v in edit.items()))
+def test_oscillate_rejects_malformed_values(tmp_path, capsys, edit):
+    # ks [0] used to die in a ZeroDivisionError traceback (exit 1), grid 1
+    # printed all-zero diagnostics, and the others were coerced silently
+    cfgf = tmp_path / "osc.json"
+    cfgf.write_text(json.dumps({"tau1": 0.4, "delta": 0.02, "ks": [8], "grid": 12, **edit}))
+    assert run(["oscillate", str(cfgf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and next(iter(edit)) in err
+
+
 def test_search_command(tmp_path, capsys):
     data = {"gamma": "2/1",
             "left": {"rho": "1/1",
@@ -168,6 +185,17 @@ def test_csv_format_only_for_oscillate(tmp_path, capsys):
         assert out == "" and "csv" in err
 
 
+def _probe(script: str, *args: str) -> dict:
+    """JSON printed by `script` in a fresh interpreter that imports the
+    package from this checkout."""
+    src = str(Path(wildfan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 _IMPORT_PROBE = """
 import json, sys
 import wildfan, wildfan.cli
@@ -191,16 +219,73 @@ def test_cli_import_loads_no_float_library():
     # The exact commands need neither scipy nor numpy; the search names
     # still resolve, on first use, to the objects of wildfan.search, which
     # does not load scipy either.
-    src = str(Path(wildfan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {
+    assert _probe(_IMPORT_PROBE) == {
         "loaded": {"scipy": False, "numpy executed": False, "scipy after search": False},
         "same": True,
         "missing": "AttributeError",
     }
+
+
+_EXACT_COMMANDS_PROBE = """
+import contextlib, io, json, sys
+from wildfan.cli import run
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(
+    m for m in ("wildfan.search", "numpy._core", "numpy.core", "scipy")
+    if m in sys.modules)}))
+"""
+
+
+def test_exact_commands_load_no_float_module(tmp_path):
+    # the exact commands run no float code: the CLI imports `search` in its
+    # handler, and convexint, which it imports for the benchmark's tracer,
+    # defers numpy to oscillate's first kernel
+    _write_inputs(tmp_path)
+    argvs = [["verify-example", "--format", "json"],
+             ["verify-fan", str(tmp_path / "fan.json")],
+             ["riemann", str(tmp_path / "paper_shock.json"), "--format", "json"],
+             ["riemann", str(tmp_path / "two_rarefaction.json")]]
+    assert _probe(_EXACT_COMMANDS_PROBE, json.dumps(argvs)) == \
+        {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+_NAMESPACE_PROBE = """
+import importlib, json, sys
+import wildfan
+# before anything imports them, the submodules resolve as attributes
+modules = [m for m in ("exactnum", "model", "hull", "wavecone", "riemann", "fan", "search")
+           if m not in dir(wildfan) or getattr(wildfan, m) is not sys.modules["wildfan." + m]]
+star = {}
+exec("from wildfan import *", star)
+problems = []
+for name in wildfan.__all__:
+    homes = [m for m in ("exactnum", "model", "hull", "wavecone", "riemann", "fan", "search")
+             if name in importlib.import_module("wildfan." + m).__all__]
+    obj = getattr(wildfan, name)
+    if not homes or any(obj is not getattr(sys.modules["wildfan." + m], name) for m in homes):
+        problems.append(name + ": not its home module's object")
+    if name not in dir(wildfan):
+        problems.append(name + ": missing from dir()")
+    if star.get(name) is not obj:
+        problems.append(name + ": not bound by import *")
+try:
+    wildfan.no_such_name
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps({"names": len(wildfan.__all__), "problems": problems, "missing": missing,
+                  "unbound submodules": modules}))
+"""
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    result = _probe(_NAMESPACE_PROBE)
+    assert result["names"] == 74  # what the package exported when it imported eagerly
+    assert result["problems"] == [] and result["missing"] == "AttributeError"
+    assert result["unbound submodules"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +305,8 @@ _INPUTS = {
     "search8.json": {"gamma": "2/1", "left": {"rho": "1/1", "m": ["0/1", _S5_HALF3]},
                      "right": {"rho": "4/1", "m": ["0/1", "0/1"]},
                      "config": {"restarts": 8}},
+    "osc_bench.json": {"tau1": 0.4, "delta": 0.02, "ks": [8, 16], "grid": 32},
+    "osc_small.json": {"tau1": 0.3, "delta": 0.03, "ks": [4, 12], "grid": 16},
 }
 
 # (argv, exit code, sha256 of stdout), recorded before the dissipation
@@ -249,6 +336,17 @@ _GOLDEN = (
      "677bbd590ba3adc12a5c9dcd7743480cf2c7a98affb3ad6980b50c72c3850a71"),
     (("search", "search8.json", "--format", "json"), 0,
      "c042ae649ff05ee39d250b2114cdc3131888c038aa70f3c8fa2b929bc07b6c74"),
+    # the benchmark's oscillate config and a small one, recorded on the
+    # dense grid before the sparse grid and the per-order caches; the JSON
+    # carries every float's repr, so it pins the diagnostics bit for bit
+    (("oscillate", "osc_bench.json", "--format", "csv"), 0,
+     "042cb3e357dd1d392792523e0c81a48c5ecc7c6c03dcece7b1d62c7de2ce14a9"),
+    (("oscillate", "osc_bench.json", "--format", "json"), 0,
+     "8847ca65697f782bab1a355a7f7adc5386d0a9bb23cce872928748ecdce50b9c"),
+    (("oscillate", "osc_small.json", "--format", "csv"), 0,
+     "90dac99596fb9787f6a2e6fe14188186d39827c74b5f7dcd1ddbbb53968ec051"),
+    (("oscillate", "osc_small.json", "--format", "json"), 0,
+     "f8f0f3635bc898c674f3528c801df272366291d2560e81155ffd393a9ae39bfb"),
 )
 
 
