@@ -23,6 +23,7 @@ from .exactnum import (
     NegativeRadicand,
     RadicandMismatch,
     Rational,
+    _is_int,
     set_precision_cap,
     xreal_from_json,
     xreal_to_json,
@@ -219,10 +220,6 @@ def _cmd_search(args) -> int:
     }
     _emit(payload, args.format)
     return EXIT_OK if comparison.passed else EXIT_FAIL
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _oscillate_config(data) -> tuple[float, float, list, int]:

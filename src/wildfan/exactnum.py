@@ -1,24 +1,24 @@
 """Exact real arithmetic for certified inequality checking.
 
-Three carriers, all immutable:
+Two carriers, both immutable:
 
-* ``Rational`` -- arbitrary-precision fractions.
 * ``QuadExt`` -- elements of a real quadratic tower Q(sqrt(d1), sqrt(d2))
   with at most two radicands, stored as integer numerators on the basis
   (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)) over one denominator.  All of its
   arithmetic runs on those integers, through one product (``_tower_mul``).
-  Radicands are validated where a tower enters: the constructor,
-  ``from_rational``, ``sqrt_of``, JSON and the compositum of two towers.
+  ``Rational`` is its subclass for the radicand-free tower Q: one numerator
+  over one denominator, chosen only by ``QuadExt._reduced``.  Radicands are
+  validated where a tower enters: the constructor, ``from_rational``,
+  ``sqrt_of``, JSON and the compositum of two towers.
 * ``IntervalExpr`` -- an expression DAG over +, -, *, /, sqrt, log and
   rational powers, evaluated with outward-rounded dyadic intervals at
   adaptive precision.
 
-Signs and inverses of ``Rational``/``QuadExt`` values are decided
-algebraically, with no rounding.  A tower element x = A + B*sqrt(d), with d
-the top radicand and A, B one level down, has the sign of A when B = 0 or
-sign A = sign B, the sign of B when A = 0, and sign A * sign(A^2 - d*B^2)
-otherwise; its inverse is (A - B*sqrt(d)) / (A^2 - d*B^2).  Both recurse
-into Q(sqrt(d1)).
+Signs and inverses of ``QuadExt`` values are decided algebraically, with no
+rounding.  A tower element x = A + B*sqrt(d), with d the top radicand and A,
+B one level down, has the sign of A when B = 0 or sign A = sign B, the sign
+of B when A = 0, and sign A * sign(A^2 - d*B^2) otherwise; its inverse is
+(A - B*sqrt(d)) / (A^2 - d*B^2).  Both recurse down the tower to Q.
 
 Intervals serve ``IntervalExpr`` only: its enclosure is refined with doubling
 precision until it excludes zero (or is a single point), and ``Inconclusive``
@@ -352,54 +352,6 @@ class XReal:
         return float((iv.lo + iv.hi) / 2)
 
 
-class Rational(XReal):
-    """Exact rational number (normalized fraction, positive denominator)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, numerator: int | Fraction | str | "Rational" = 0,
-                 denominator: int | None = None):
-        if isinstance(numerator, Rational):
-            value = numerator.value
-        elif denominator is not None:
-            value = Fraction(numerator, denominator)
-        else:
-            value = Fraction(numerator)
-        self.value = value
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def enclosure(self, prec: int) -> _Ival:
-        return _Ival.point(self.value).round(prec)
-
-    def __neg__(self) -> "Rational":
-        return Rational(-self.value)
-
-    def __repr__(self) -> str:
-        return f"Rational({self.value})"
-
-    def __str__(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        if isinstance(other, Rational):
-            return self.value == other.value
-        if isinstance(other, QuadExt):
-            return other == self
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-
 def _squarefree_decompose(n: int) -> tuple[int, int]:
     """n = s*s*d with d free of square factors up to 1000 (and not itself
     a perfect square).  Trial division keeps radicands canonical for the
@@ -433,11 +385,11 @@ class QuadExt(XReal):
     """Element of Q(sqrt(d1)[, sqrt(d2)]) on the basis of radical products.
 
     ``radicands`` is a sorted tuple of one or two distinct non-square
-    integers > 1.  The value is stored as integer numerators ``nums`` over
-    one denominator ``den`` (den > 0, gcd(den, *nums) == 1), indexed by the
-    bitmask of participating radicands: for two radicands the basis order is
-    (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)).  ``coeffs`` gives the same vector
-    as Fractions.  The constructor validates the radicands; arithmetic
+    integers > 1, empty for the ``Rational`` subclass.  The value is stored
+    as integer numerators ``nums`` over one denominator ``den`` (den > 0,
+    gcd(den, *nums) == 1), indexed by the bitmask of participating
+    radicands: for two radicands the basis order is (1, sqrt(d1), sqrt(d2),
+    sqrt(d1*d2)).  ``coeffs`` gives the same vector as Fractions.  The constructor validates the radicands; arithmetic
     results inside an already validated tower skip that check.
     """
 
@@ -470,9 +422,10 @@ class QuadExt(XReal):
 
     @staticmethod
     def _reduced(rads: tuple[int, ...], nums: Sequence[int], den: int) -> "QuadExt":
-        """nums/den in the validated tower rads, divided by gcd(den, *nums)."""
+        """nums/den in the validated tower rads, divided by gcd(den, *nums);
+        a Rational when rads is empty."""
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-        x = object.__new__(QuadExt)
+        x = object.__new__(QuadExt if rads else Rational)
         x.radicands = rads
         x.nums = tuple(n // g for n in nums)
         x.den = den // g
@@ -510,15 +463,10 @@ class QuadExt(XReal):
 
     def enclosure(self, prec: int) -> _Ival:
         work = prec + 8
-        total = _Ival.point(Fraction(0))
-        for d, n in zip(_basis_radicands(self.radicands), self.nums):
-            if n == 0:
-                continue
-            c = Fraction(n, self.den)
-            if d == 1:
-                total = total + _Ival.point(c)
-            else:
-                total = total + _Ival.point(Fraction(d)).root(2, work).scale(c)
+        total = _Ival.point(Fraction(self.nums[0], self.den))
+        for d, n in zip(_basis_radicands(self.radicands)[1:], self.nums[1:]):
+            if n:
+                total = total + _Ival.point(Fraction(d)).root(2, work).scale(Fraction(n, self.den))
         return total.round(prec)
 
     def __neg__(self) -> "QuadExt":
@@ -542,7 +490,7 @@ class QuadExt(XReal):
         return " + ".join(parts) if parts else "0"
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Rational, QuadExt)):
+        if isinstance(other, (int, Fraction, QuadExt)) and not isinstance(other, bool):
             return _binop(self, as_xreal(other), "sub").is_zero()
         return NotImplemented
 
@@ -550,6 +498,43 @@ class QuadExt(XReal):
         if self.is_rational():
             return hash(self.rational_value())
         return hash((self.coeffs[0], *_canonical_terms(self)))
+
+
+class Rational(QuadExt):
+    """Exact rational number: the element of the radicand-free tower, one
+    integer numerator over a positive denominator."""
+
+    __slots__ = ()
+
+    def __init__(self, numerator: int | Fraction | str | "Rational" = 0,
+                 denominator: int | None = None):
+        if isinstance(numerator, Rational):
+            value = numerator.value
+        elif denominator is not None:
+            value = Fraction(numerator, denominator)
+        else:
+            value = Fraction(numerator)
+        self.radicands = ()
+        self.nums = (value.numerator,)
+        self.den = value.denominator
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def numerator(self) -> int:
+        return self.nums[0]
+
+    @property
+    def denominator(self) -> int:
+        return self.den
+
+    def __repr__(self) -> str:
+        return f"Rational({self.value})"
+
+    def __str__(self) -> str:
+        return f"{self.nums[0]}/{self.den}"
 
 
 # Tower elements with integer coefficients c on the basis of radical products
@@ -629,14 +614,8 @@ def as_xreal(v: XLike | float | str) -> XReal:
         return v
     if isinstance(v, bool):
         raise TypeError("bool is not a number here")
-    if isinstance(v, int):
+    if isinstance(v, (int, Fraction, float, str)):
         return Rational(v)
-    if isinstance(v, Fraction):
-        return Rational(v)
-    if isinstance(v, float):
-        return Rational(Fraction(v))
-    if isinstance(v, str):
-        return Rational(Fraction(v))
     raise TypeError(f"cannot interpret {v!r} as XReal")
 
 
@@ -701,10 +680,11 @@ def _embed(num: int, den: int, rads: tuple[int, ...]) -> QuadExt:
 def _unify(a: QuadExt, b: QuadExt) -> tuple[QuadExt, QuadExt]:
     if a.radicands == b.radicands:
         return a, b
-    # rational-valued elements live in any tower
-    if a.is_rational():
+    # rational-valued elements live in any tower; a radicand-free operand
+    # moves first, so a rational-valued tower element keeps its tower
+    if not a.radicands or (b.radicands and a.is_rational()):
         return _embed(a.nums[0], a.den, b.radicands), b
-    if b.is_rational():
+    if not b.radicands or b.is_rational():
         return a, _embed(b.nums[0], b.den, a.radicands)
     basis, images = _compositum(tuple(a.radicands) + tuple(b.radicands))
     return _rebase(a, basis, images), _rebase(b, basis, images)
@@ -717,23 +697,6 @@ def _binop(a: XReal, b: XLike, op: str) -> XReal:
     if isinstance(a, IntervalExpr) or isinstance(b, IntervalExpr):
         return IntervalExpr._binop(IntervalExpr.lift(a), IntervalExpr.lift(b), op)
 
-    if isinstance(a, Rational) and isinstance(b, Rational):
-        if op == "add":
-            return Rational(a.value + b.value)
-        if op == "sub":
-            return Rational(a.value - b.value)
-        if op == "mul":
-            return Rational(a.value * b.value)
-        if op == "div":
-            if b.value == 0:
-                raise ZeroDivisionError("division by certified zero")
-            return Rational(a.value / b.value)
-
-    # promote a rational into the other operand's tower
-    if isinstance(a, Rational):
-        a = _embed(a.numerator, a.denominator, b.radicands)
-    elif isinstance(b, Rational):
-        b = _embed(b.numerator, b.denominator, a.radicands)
     a, b = _unify(a, b)
 
     rads = a.radicands
@@ -921,8 +884,6 @@ def sign(x: XLike, precision_cap: int | None = None) -> int:
     """Certified sign in {-1, 0, +1}; raises Inconclusive only for interval
     expressions whose value cannot be separated from zero at the cap."""
     x = as_xreal(x)
-    if isinstance(x, Rational):
-        return (x.value > 0) - (x.value < 0)
     if isinstance(x, QuadExt):
         return x.sign_exact()
     return x.sign_certified(precision_cap)
@@ -952,32 +913,25 @@ def xmax(*values: XLike) -> XReal:
 def adjoin_sqrt(x: XLike) -> XReal:
     """Square root of a nonnegative XReal.
 
-    Rational inputs produce exact results: either rational (perfect square)
-    or a one-radicand QuadExt.  Rational-valued QuadExt inputs behave the
-    same inside their tower.  Anything else falls back to a certified
-    IntervalExpr sqrt node.
+    Rational-valued inputs, in any tower, produce exact results: either
+    rational (perfect square) or a one-radicand QuadExt.  Any other tower
+    element or expression falls back to a certified IntervalExpr sqrt node.
     """
     x = as_xreal(x)
-    if isinstance(x, QuadExt) and x.is_rational():
-        x = Rational(x.rational_value())
-    if isinstance(x, Rational):
-        v = x.value
-        if v < 0:
-            raise NegativeRadicand(f"sqrt of {v}")
-        if v == 0:
-            return Rational(0)
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, d = _squarefree_decompose(v.numerator * v.denominator)
-        if d == 1:
-            return Rational(Fraction(s, v.denominator))
-        return QuadExt((d,), (0, Fraction(s, v.denominator)))
     if isinstance(x, QuadExt):
         sgn = x.sign_exact()
         if sgn < 0:
-            raise NegativeRadicand("certified-negative radicand")
+            raise NegativeRadicand(f"sqrt of {x}")
         if sgn == 0:
             return Rational(0)
-        return IntervalExpr.sqrt(x)
+        if not x.is_rational():
+            return IntervalExpr.sqrt(x)
+        # sqrt(p/q) = sqrt(p*q)/q
+        v = x.rational_value()
+        s, d = _squarefree_decompose(v.numerator * v.denominator)
+        if d == 1:
+            return Rational(s, v.denominator)
+        return QuadExt((d,), (0, Fraction(s, v.denominator)))
     try:
         if x.sign_certified(precision_cap=256) < 0:
             raise NegativeRadicand("certified-negative radicand")
@@ -994,7 +948,7 @@ def xreal_to_json(x: XReal, enclosure_digits: int = 24):
     """JSON-encodable form: rationals as "p/q", tower elements as
     {"d": [...], "c": [...]}, intervals as a decimal enclosure "[lo,hi]"."""
     if isinstance(x, Rational):
-        return f"{x.value.numerator}/{x.value.denominator}"
+        return str(x)
     if isinstance(x, QuadExt):
         return {
             "d": list(x.radicands),
@@ -1027,10 +981,19 @@ def xreal_from_json(obj) -> XReal:
             raise ValueError("interval enclosures cannot be parsed back into expressions")
         return Rational(_fraction(obj))
     if isinstance(obj, dict) and set(obj) == {"d", "c"}:
-        if any(isinstance(c, float) for c in obj["c"]):
-            raise ValueError("tower coefficients must be exact, not JSON floats")
-        return QuadExt(tuple(obj["d"]), tuple(_fraction(c) for c in obj["c"]))
+        d, c = obj["d"], obj["c"]
+        if not (isinstance(d, list) and all(_is_int(r) for r in d)):
+            raise ValueError(f"tower radicands must be a list of JSON integers, got {d!r}")
+        if not (isinstance(c, list) and all(_is_int(x) or isinstance(x, str) for x in c)):
+            raise ValueError(f"tower coefficients must be a list of JSON integers "
+                             f"or \"p/q\" strings, got {c!r}")
+        return QuadExt(d, [_fraction(x) for x in c])
     raise ValueError(f"not an XReal encoding: {obj!r}")
+
+
+def _is_int(obj) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 def _fraction(obj) -> Fraction:

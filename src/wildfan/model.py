@@ -10,7 +10,6 @@ nonlinearity; the lift also returns the energy density E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactnum import (
     IntervalExpr,
@@ -134,8 +133,6 @@ class PHPoint:
 def _gamma_parts(law: PressureLaw) -> tuple[int, int] | None:
     """(num, den) when gamma is rational, else None."""
     g = law.gamma
-    if isinstance(g, Rational):
-        return g.value.numerator, g.value.denominator
     if isinstance(g, QuadExt) and g.is_rational():
         v = g.rational_value()
         return v.numerator, v.denominator
@@ -150,10 +147,10 @@ def _rational_pow(x: XReal, num: int, den: int) -> XReal:
         return adjoin_sqrt(x) ** num
     if isinstance(x, Rational) and x.value > 0:
         # exact only if x is a perfect den-th power
-        n, d = x.value.numerator, x.value.denominator
+        n, d = x.numerator, x.denominator
         rn, rd = _iroot_floor(n, den), _iroot_floor(d, den)
         if rn ** den == n and rd ** den == d:
-            return Rational(Fraction(rn, rd)) ** num
+            return Rational(rn, rd) ** num
     return IntervalExpr.pow_rational(x, num, den)
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import Inconclusive, XReal, as_xreal, sign
+from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, beats_selfsimilar, verify_fan
 from .model import EulerState, PHPoint, PressureLaw, lift_state
 from .riemann import Shock, plane_bracket, selfsim_dissipation, solve_riemann
@@ -64,8 +64,10 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0 or self.rounding_denominator_cap <= 0 or self.rng_seed < 0:
-            raise ValueError("config values must be positive")
+        for name, least in (("restarts", 0), ("rounding_denominator_cap", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ValueError(f"config {name} must be an integer >= {least}, got {value!r}")
 
 
 # free-variable layout (symmetric ansatz: the boundary tangential momenta

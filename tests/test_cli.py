@@ -163,16 +163,23 @@ def test_json_float_exit_code(tmp_path, capsys):
 
 
 def test_search_config_unknown_field_exit_code(tmp_path, capsys):
-    # max_iters was a config field; the iteration cap is now fixed
-    for key, value in (("margin_weight", 1.0), ("max_iters", 10)):
+    # max_iters was a config field; the iteration cap is now fixed.  Values
+    # are integers (a bool or a float is not), and the message names the key
+    for key, value in (("margin_weight", 1.0), ("max_iters", 10),
+                       ("restarts", True), ("rng_seed", True), ("restarts", 8.0),
+                       ("rng_seed", "0"), ("restarts", -1), ("rng_seed", -1),
+                       ("rounding_denominator_cap", 1.5), ("rounding_denominator_cap", 0),
+                       ("rounding_denominator_cap", None)):
         data = {"gamma": "2/1",
                 "left": {"rho": "1/1", "m": ["0/1", "0/1"]},
                 "right": {"rho": "4/1", "m": ["0/1", "0/1"]},
                 "config": {"restarts": 1, key: value}}
         path = tmp_path / "search.json"
         path.write_text(json.dumps(data))
-        code, _ = invoke(capsys, "search", str(path))
-        assert code == 2, key
+        code = run(["search", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), key
+        assert key in captured.err
 
 
 def test_csv_format_only_for_oscillate(tmp_path, capsys):
@@ -419,6 +426,21 @@ def test_zero_denominator_exit_code(tmp_path, capsys):
         data["regions"][1]["q"] = "1/0"
     code, _ = invoke(capsys, "verify-fan", _fan_file(tmp_path, zero_q))
     assert code == 2
+
+
+@pytest.mark.parametrize("tower", [
+    {"d": [5.5], "c": ["0/1", "3/2"]},  # was truncated to (3/2)*sqrt(5)
+    {"d": ["5"], "c": ["0/1", "3/2"]},
+    {"d": [True], "c": ["0/1", "3/2"]},
+    {"d": 5, "c": ["0/1", "3/2"]},
+    {"d": [5], "c": "03"},  # was read digit by digit as 3*sqrt(5)
+    {"d": [5], "c": ["0/1", True]},
+    {"d": [5], "c": {"0": "3/2"}},
+    {"d": [], "c": ["1/2"]},
+])
+def test_malformed_tower_exit_code(tmp_path, capsys, tower):
+    code, out = invoke(capsys, "riemann", _riemann_file(tmp_path, {"rho": "1/1", "m": ["0/1", tower]}))
+    assert (code, out) == (2, "")
 
 
 def test_wrong_length_vector_exit_code(tmp_path, capsys):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildfan.exactnum import (
     Inconclusive,
@@ -29,6 +33,46 @@ def test_rational_basic():
     assert (Rational(1) / Rational(4)) == Rational(1, 4)
     with pytest.raises(ZeroDivisionError):
         Rational(1) / Rational(0)
+
+
+def _float_of(v: Fraction) -> float:
+    """float() of an exact value: the midpoint of its 64-bit dyadic enclosure."""
+    return float(Fraction(math.floor(v * 2 ** 64) + math.ceil(v * 2 ** 64), 2 ** 65))
+
+
+_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+_FRACTIONS = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_FRACTIONS, q=_FRACTIONS, op=st.sampled_from(_OPS))
+def test_radicand_free_tower_matches_fraction(p, q, op):
+    # Rational is the radicand-free QuadExt; Fraction is its reference
+    a, b = Rational(p), Rational(q)
+    assert isinstance(a, QuadExt) and a.radicands == ()
+    if op is operator.truediv and q == 0:
+        with pytest.raises(ZeroDivisionError):
+            op(a, b)
+        return
+    got, want = op(a, b), op(p, q)
+    assert type(got) is Rational and got.radicands == ()
+    assert got == want and got.value == want
+    assert sign(got) == (want > 0) - (want < 0)
+    assert hash(got) == hash(want)
+    assert float(got) == _float_of(want)
+    assert xreal_to_json(got) == f"{want.numerator}/{want.denominator}"
+    # mixing with a tower keeps the tower, also for a rational-valued element
+    s5 = QuadExt.sqrt_of(5)
+    x = QuadExt((5, 1141), (p, 0, q, 1))
+    x_rational = QuadExt.from_rational(q, (5, 1141))
+    for other in (s5, x, x_rational):
+        for lhs, rhs in ((a, other), (other, a)):
+            if op is operator.truediv and rhs.is_zero():
+                continue
+            mixed = op(lhs, rhs)
+            assert type(mixed) is QuadExt and mixed.radicands == other.radicands
+    if q:
+        assert op(x_rational, b) == op(q, q) and op(x_rational, b).radicands == (5, 1141)
 
 
 def test_sqrt5_squared_stays_in_tower():
@@ -118,7 +162,7 @@ def test_division_by_rational_valued_tower_element():
 
 def test_square_radicands_rejected_at_the_boundary():
     # arithmetic results skip the radicand checks; the entry points keep them
-    for rads in ((4,), (2, 9), (2, 8)):
+    for rads in ((), (4,), (2, 9), (2, 8)):
         with pytest.raises(ValueError):
             QuadExt(rads, [1] + [0] * ((1 << len(rads)) - 1))
         with pytest.raises(ValueError):

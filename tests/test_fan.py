@@ -188,6 +188,59 @@ def test_scaling_keeps_verdicts_and_scales_the_profile(num, den):
         assert sign(c_k - k ** 5 * c) == 0
 
 
+def _reflected_fan(fan):
+    """x2 -> -x2: planes y = mu t become y = -mu t, so mu -> (-mu3, -mu2,
+    -mu1, -mu0); the boundary states swap and the regions reverse; m2,
+    u12 and F2 change sign (U -> R U R with R = diag(1, -1))."""
+    def state(s):
+        return EulerState(s.rho, (s.m[0], -s.m[1]))
+    regions = tuple(
+        (rho, PHPoint((z.m[0], -z.m[1]), z.u11, -z.u12, z.q, (z.F[0], -z.F[1])))
+        for rho, z in reversed(fan.regions))
+    return FanSubsolution(fan.law, tuple(-m for m in reversed(fan.mu)),
+                          state(fan.right), state(fan.left), regions)
+
+
+def _reflected_name(name):
+    """The condition of the original fan that a reflected condition reads:
+    ordering i <-> 2-i, interface i <-> 3-i, region i <-> 4-i."""
+    kind, index = name.rstrip("]").split("[")
+    if kind == "ordering":
+        i = 2 - int(index[2])
+        return f"ordering[mu{i}<mu{i + 1}]"
+    return f"{kind}[{(3 if kind.startswith('rh_') else 4) - int(index)}]"
+
+
+def _assert_reflection_keeps_verdicts(fan):
+    mirrored = _reflected_fan(fan)
+    want = {c.name: (c.status, c.witness) for c in verify_fan(fan).conditions}
+    got = {_reflected_name(c.name): (c.status, c.witness)
+           for c in verify_fan(mirrored).conditions}
+    assert got == want
+    assert ([c.status for c in compare_selfsimilar(mirrored)[0].conditions]
+            == [c.status for c in compare_selfsimilar(fan)[0].conditions])
+    base = fan_dissipation_profile(fan).entries
+    got_profile = fan_dissipation_profile(mirrored).entries
+    assert len(got_profile) == len(base)
+    for (s, c), (s_r, c_r) in zip(reversed(base), got_profile):
+        assert sign(s_r + s) == 0
+        assert sign(c_r - c) == 0
+
+
+def test_reflection_keeps_every_verdict_and_coefficient():
+    fan = paper_example()
+    _assert_reflection_keeps_verdicts(fan)
+    assert verify_fan(_reflected_fan(fan)).passed
+    caps = [xreal_to_json(Q) for Q, _ in find_Q(fan)]
+    assert [xreal_to_json(Q) for Q, _ in find_Q(_reflected_fan(fan))] == caps[::-1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(num=st.integers(1, 9), den=st.integers(1, 9))
+def test_reflection_of_rescaled_fans(num, den):
+    _assert_reflection_keeps_verdicts(_scaled_fan(paper_example(), Rational(num, den)))
+
+
 def test_paper_chain_sits_before_the_shock_margin():
     report, planes = compare_selfsimilar(paper_example())
     assert report == beats_selfsimilar(paper_example())
