@@ -13,10 +13,11 @@ import argparse
 import json
 import sys
 
-# convexint defers numpy to its first use, so this import costs the exact
-# commands no numpy.  It stays at module level because the benchmark's
-# tracer (perfbench/layertrace.py) finds wildfan.convexint in sys.modules
-# after importing this module; `search` imports its module in its handler.
+# convexint defers numpy to its first use and wavecone to build_oscillation,
+# so this import costs the exact commands neither.  It stays at module level
+# because the benchmark's tracer (perfbench/layertrace.py) finds
+# wildfan.convexint in sys.modules after importing this module; `search`
+# imports its module in its handler.
 from .convexint import build_oscillation, diagnostics_csv
 from .exactnum import (
     Inconclusive,

@@ -16,11 +16,13 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .model import PHPoint
-from .wavecone import WaveDirection, in_Lambda
+from .model import PHPoint, Record
+
+if TYPE_CHECKING:
+    from .wavecone import WaveDirection
 
 
 def _lazy_import(name: str):
@@ -85,8 +87,7 @@ def _phpoint_floats(z: PHPoint) -> np.ndarray:
     return np.array([float(c) for c in z.components()], dtype=float)
 
 
-@dataclass(frozen=True)
-class OperatorCoeffs:
+class OperatorCoeffs(Record):
     """Coefficients (alpha..zeta) of the suitable third-order operator for a
     wave-cone element, together with its direction eta = (a, b, c)."""
 
@@ -360,8 +361,7 @@ def _scaled_smoothstep(width: float, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StaircaseProfile:
+class StaircaseProfile(Record):
     """Mollified period-1 square wave f and its periodic antiderivatives.
 
     f equals -tau2 on [delta, tau1-delta] and tau1 on [tau1+delta, 1-delta]
@@ -490,8 +490,7 @@ def apply_operator(co: OperatorCoeffs, g: SmoothField, pts, cache=None) -> dict[
     return out
 
 
-@dataclass(frozen=True)
-class PDEResidual:
+class PDEResidual(Record):
     max_residual: float
     scale: float
     by_row: dict[str, float]
@@ -556,8 +555,7 @@ def plane_wave_check(co: OperatorCoeffs, z: PHPoint, eta: WaveDirection,
 # the localized oscillation and its diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OscillationDiagnostics:
+class OscillationDiagnostics(Record):
     k: int
     fraction1: float
     fraction2: float
@@ -586,6 +584,8 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
     components come back as flat arrays over the grid_n^3 points of the box
     (t slowest, y fastest).
     """
+    from .wavecone import in_Lambda  # exact commands never compile wavecone
+
     direction = in_Lambda(z2 - z1)
     if direction is None:
         raise NotLambdaDirection("z2 - z1 admits no spatial wave direction")

@@ -348,8 +348,21 @@ class XReal:
         return sign(self - as_xreal(other)) >= 0
 
     def __float__(self) -> float:
-        iv = self.enclosure(64)
-        return float((iv.lo + iv.hi) / 2)
+        """The double nearest the value: the enclosure is refined until both
+        ends round to the same double, so its precision follows the value's
+        magnitude.  The rounded midpoint is returned instead for a value on
+        a rounding tie at the precision cap, and for an interval expression
+        whose enclosure still holds zero at 256 bits (it may be zero, which
+        refinement never decides)."""
+        prec, cap = _STARTING_PRECISION, default_precision_cap()
+        while True:
+            iv = self.enclosure(prec)
+            lo = float(iv.lo)
+            if lo == float(iv.hi):
+                return lo
+            if prec >= cap or (prec >= 256 and not self.is_exact and iv.contains_zero()):
+                return float((iv.lo + iv.hi) / 2)
+            prec = min(2 * prec, cap)
 
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
@@ -396,7 +409,9 @@ class QuadExt(XReal):
     __slots__ = ("radicands", "nums", "den")
 
     def __init__(self, radicands: Sequence[int], coeffs: Sequence[Fraction | int]):
-        rads = tuple(int(d) for d in radicands)
+        rads = tuple(radicands)
+        if not all(_is_int(d) for d in rads):
+            raise ValueError(f"radicands must be integers, got {rads!r}")
         if not 1 <= len(rads) <= 2:
             raise ValueError("tower supports one or two radicands")
         if any(d <= 1 for d in rads):
@@ -460,6 +475,11 @@ class QuadExt(XReal):
 
     def is_zero(self) -> bool:
         return not any(self.nums)
+
+    def __float__(self) -> float:
+        if self.is_rational():
+            return self.nums[0] / self.den  # int division rounds correctly
+        return super().__float__()
 
     def enclosure(self, prec: int) -> _Ival:
         work = prec + 8

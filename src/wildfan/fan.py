@@ -17,7 +17,6 @@ which is the measure order restricted to plane-supported dissipation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .exactnum import (
@@ -31,7 +30,9 @@ from .exactnum import (
     xreal_to_json,
 )
 from .hull import NotInV, WDecomposition, WGeometry, matrix_M
-from .model import EulerState, PHPoint, PressureLaw, lift_state, pressure, pressure_potential
+from .model import (
+    EulerState, PHPoint, PressureLaw, Record, lift_state, pressure, pressure_potential,
+)
 from .riemann import DissipationProfile, plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
@@ -60,8 +61,7 @@ class NotCertifiableWithinCap(RuntimeError):
     """No cap in the doubling schedule certified the region memberships."""
 
 
-@dataclass(frozen=True)
-class FanSubsolution:
+class FanSubsolution(Record):
     """Interface speeds, boundary Riemann states, three interior records."""
 
     law: PressureLaw
@@ -98,15 +98,13 @@ class Status(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     name: str
     status: Status
     witness: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     conditions: tuple[ConditionResult, ...]
 
     @property

@@ -25,11 +25,10 @@ through it; the module-level functions each build a single geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .exactnum import XReal, adjoin_sqrt, as_xreal, sign, xmax
-from .model import PHPoint, PressureLaw, pressure, pressure_potential
+from .model import PHPoint, PressureLaw, Record, pressure, pressure_potential
 
 __all__ = [
     "MatrixM",
@@ -67,8 +66,7 @@ class HypothesesViolated(ValueError):
 SIGMA: tuple[tuple[int, int], ...] = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-@dataclass(frozen=True)
-class MatrixM:
+class MatrixM(Record):
     """Symmetric 2x2 matrix by entries (m11, m12, m22)."""
 
     m11: XReal
@@ -152,8 +150,7 @@ def in_V(law: PressureLaw, rho: XReal, Q: XReal,
     return sign(as_xreal(Q) - as_xreal(q)) > 0
 
 
-@dataclass(frozen=True)
-class WDecomposition:
+class WDecomposition(Record):
     """Witness for W-membership: weights kappa_j > 0 summing to one with
     sum kappa_j f^j equal to the flux deviation."""
 

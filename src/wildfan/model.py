@@ -9,8 +9,6 @@ nonlinearity; the lift also returns the energy density E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import (
     IntervalExpr,
     QuadExt,
@@ -42,6 +40,63 @@ class InvalidReference(ValueError):
     """gamma = 1 needs a positive reference density in the potential."""
 
 
+class Record:
+    """Base of the package's value records.
+
+    The fields are a subclass's own annotations, in order, and ``_fields``
+    names them (as on a namedtuple).  A subclass may keep its own
+    validating ``__init__``, which stores fields with ``object.__setattr__``;
+    otherwise it takes the fields positionally or by keyword.  Equality is
+    by class and field tuple, ``hash`` is the hash of the field tuple,
+    ``repr`` is ``Name(field=value, ...)``, and assigning or deleting an
+    attribute raises ``AttributeError`` unless the class is declared with
+    ``frozen=False``.  Nothing is generated per class, so defining the
+    records adds next to nothing to the CLI's start-up.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # each field exactly once: all are named and none is given twice
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {fields}, got "
+                            f"{len(args)} positional and {sorted(kwargs)} by keyword")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _two_components(name: str, v) -> tuple[XReal, XReal]:
     """A planar vector of exactly two components."""
     if len(v) != 2:
@@ -49,8 +104,7 @@ def _two_components(name: str, v) -> tuple[XReal, XReal]:
     return as_xreal(v[0]), as_xreal(v[1])
 
 
-@dataclass(frozen=True)
-class PressureLaw:
+class PressureLaw(Record):
     """p(rho) = rho**gamma with the reference density rho_star of the
     pressure potential.  Default rho_star: 0 for gamma > 1 (potential
     rho**gamma/(gamma-1)), 1 for gamma = 1 (potential rho*log(rho))."""
@@ -73,8 +127,7 @@ class PressureLaw:
         object.__setattr__(self, "rho_star", rs)
 
 
-@dataclass(frozen=True)
-class EulerState:
+class EulerState(Record):
     """Classical state (rho, m); vacuum excluded."""
 
     rho: XReal
@@ -88,8 +141,7 @@ class EulerState:
         object.__setattr__(self, "m", _two_components("m", m))
 
 
-@dataclass(frozen=True)
-class PHPoint:
+class PHPoint(Record):
     """Phase-space point (m, U, q, F); U = [[u11, u12], [u12, -u11]]."""
 
     m: tuple[XReal, XReal]

@@ -15,11 +15,10 @@ point with stated tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Inconclusive, XReal, as_xreal, sign
-from .model import EulerState, PressureLaw, lift_state, pressure
+from .model import EulerState, PressureLaw, Record, lift_state, pressure
 
 __all__ = [
     "Shock",
@@ -39,23 +38,20 @@ class VacuumFormation(ValueError):
     """Wave curves fail to intersect at positive density."""
 
 
-@dataclass(frozen=True)
-class Shock:
+class Shock(Record):
     speed: XReal
     left: EulerState
     right: EulerState
 
 
-@dataclass(frozen=True)
-class Rarefaction:
+class Rarefaction(Record):
     speed_lo: XReal
     speed_hi: XReal
     left: EulerState
     right: EulerState
 
 
-@dataclass(frozen=True)
-class Slip:
+class Slip(Record):
     speed: XReal
     left: EulerState
     right: EulerState
@@ -64,8 +60,7 @@ class Slip:
 Wave = Shock | Rarefaction | Slip
 
 
-@dataclass(frozen=True)
-class SelfSimilarSolution:
+class SelfSimilarSolution(Record):
     law: PressureLaw
     left: EulerState
     right: EulerState
@@ -82,8 +77,7 @@ class SelfSimilarSolution:
         return out
 
 
-@dataclass(frozen=True)
-class DissipationProfile:
+class DissipationProfile(Record):
     """Plane-supported dissipation: sorted (speed, bracket coefficient).
 
     Coefficients are the raw bracket values -mu [E] + [F2]; the positive

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
@@ -40,7 +39,7 @@ import numpy as np
 
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, beats_selfsimilar, verify_fan
-from .model import EulerState, PHPoint, PressureLaw, lift_state
+from .model import EulerState, PHPoint, PressureLaw, Record, lift_state
 from .riemann import Shock, plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
@@ -57,17 +56,18 @@ class DegenerateClosure(ZeroDivisionError):
     """Closure division degenerates (equal densities or speeds)."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    restarts: int = 64
-    rounding_denominator_cap: int = 10 ** 12
-    rng_seed: int = 0
+class SearchConfig(Record):
+    restarts: int
+    rounding_denominator_cap: int
+    rng_seed: int
 
-    def __post_init__(self):
-        for name, least in (("restarts", 0), ("rounding_denominator_cap", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
+    def __init__(self, restarts=64, rounding_denominator_cap=10 ** 12, rng_seed=0):
+        for name, value, least in (("restarts", restarts, 0),
+                                   ("rounding_denominator_cap", rounding_denominator_cap, 1),
+                                   ("rng_seed", rng_seed, 0)):
             if not _is_int(value) or value < least:
                 raise ValueError(f"config {name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 # free-variable layout (symmetric ansatz: the boundary tangential momenta
@@ -75,8 +75,7 @@ class SearchConfig:
 _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32")
 
 
-@dataclass
-class Candidate:
+class Candidate(Record, frozen=False):
     """Float candidate: free variables and their margins, and the exact fan
     that ``certify`` built from it with its comparison against the
     self-similar solution, if it certified."""
@@ -86,11 +85,17 @@ class Candidate:
     right: EulerState
     sigma: float
     x: np.ndarray
-    margins: dict = field(default_factory=dict)
-    feasible: bool = False
-    seed: int | None = None
-    fan: FanSubsolution | None = None
-    comparison: VerificationReport | None = None
+    margins: dict
+    feasible: bool
+    seed: int | None
+    fan: FanSubsolution | None
+    comparison: VerificationReport | None
+
+    def __init__(self, law, left, right, sigma, x, margins=None, feasible=False,
+                 seed=None, fan=None, comparison=None):
+        self.law, self.left, self.right, self.sigma, self.x = law, left, right, sigma, x
+        self.margins = {} if margins is None else margins
+        self.feasible, self.seed, self.fan, self.comparison = feasible, seed, fan, comparison
 
     def to_dict(self) -> dict:
         """Reproducibility dump: seed, pinned speed, free variables."""

@@ -14,10 +14,8 @@ columns), so membership is decided without any rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import XReal, as_xreal, sign
-from .model import PHPoint
+from .model import PHPoint, Record
 
 __all__ = [
     "WaveDirection",
@@ -39,8 +37,7 @@ class NForTooLarge(ValueError):
     """Family too large for the exhaustive split search."""
 
 
-@dataclass(frozen=True)
-class WaveDirection:
+class WaveDirection(Record):
     eta_t: XReal
     eta_x: tuple[XReal, XReal]
 
@@ -48,8 +45,7 @@ class WaveDirection:
         return (self.eta_t, self.eta_x[0], self.eta_x[1])
 
 
-@dataclass(frozen=True)
-class WeightedFamily:
+class WeightedFamily(Record):
     """Finite family of weighted phase points; weights sum to one."""
 
     pairs: tuple[tuple[XReal, PHPoint], ...]

@@ -241,7 +241,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(run(argv))
 print(json.dumps({"codes": codes, "loaded": sorted(
-    m for m in ("wildfan.search", "numpy._core", "numpy.core", "scipy")
+    m for m in ("wildfan.search", "wildfan.wavecone", "numpy._core", "numpy.core", "scipy",
+                "dataclasses", "inspect")
     if m in sys.modules)}))
 """
 
@@ -249,7 +250,9 @@ print(json.dumps({"codes": codes, "loaded": sorted(
 def test_exact_commands_load_no_float_module(tmp_path):
     # the exact commands run no float code: the CLI imports `search` in its
     # handler, and convexint, which it imports for the benchmark's tracer,
-    # defers numpy to oscillate's first kernel
+    # defers numpy to oscillate's first kernel and wavecone to
+    # build_oscillation.  The records are plain classes, so neither
+    # `dataclasses` nor the `inspect` it pulls in is loaded
     _write_inputs(tmp_path)
     argvs = [["verify-example", "--format", "json"],
              ["verify-fan", str(tmp_path / "fan.json")],

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -239,7 +237,7 @@ def test_build_oscillation_golden_bits():
     box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
     for k, expected in OSCILLATION_GOLDEN.items():
         _, diag = build_oscillation(z_star, z1, z2, tau1, box, k, 0.02, grid_n=16)
-        values = [getattr(diag, f.name) for f in fields(diag)]
+        values = [getattr(diag, name) for name in diag._fields]
         assert values[0] == k
         assert tuple(v.hex() for v in values[1:]) == expected
 

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildfan.exactnum import (
@@ -35,11 +35,6 @@ def test_rational_basic():
         Rational(1) / Rational(0)
 
 
-def _float_of(v: Fraction) -> float:
-    """float() of an exact value: the midpoint of its 64-bit dyadic enclosure."""
-    return float(Fraction(math.floor(v * 2 ** 64) + math.ceil(v * 2 ** 64), 2 ** 65))
-
-
 _OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 _FRACTIONS = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 9)
 
@@ -59,7 +54,7 @@ def test_radicand_free_tower_matches_fraction(p, q, op):
     assert got == want and got.value == want
     assert sign(got) == (want > 0) - (want < 0)
     assert hash(got) == hash(want)
-    assert float(got) == _float_of(want)
+    assert float(got) == float(want)
     assert xreal_to_json(got) == f"{want.numerator}/{want.denominator}"
     # mixing with a tower keeps the tower, also for a rational-valued element
     s5 = QuadExt.sqrt_of(5)
@@ -161,14 +156,34 @@ def test_division_by_rational_valued_tower_element():
 
 
 def test_square_radicands_rejected_at_the_boundary():
-    # arithmetic results skip the radicand checks; the entry points keep them
-    for rads in ((), (4,), (2, 9), (2, 8)):
+    # arithmetic results skip the radicand checks; the entry points keep
+    # them, and a radicand is an integer (5.9 was truncated to sqrt(5))
+    for rads in ((), (4,), (2, 9), (2, 8), (5.5,), (5.9,), (Fraction(11, 2),), (5, 7.5)):
         with pytest.raises(ValueError):
             QuadExt(rads, [1] + [0] * ((1 << len(rads)) - 1))
         with pytest.raises(ValueError):
             QuadExt.from_rational(1, rads)
     with pytest.raises(ValueError):
         xreal_from_json({"d": [9], "c": ["1/1", "0/1"]})
+
+
+_SCALED = st.builds(lambda q, e: q * Fraction(10) ** e,
+                    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 9).filter(bool),
+                    st.integers(-300, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.one_of(_SCALED, _FRACTIONS))
+@example(q=Fraction(1, 10 ** 7))
+def test_float_is_correctly_rounded(q):
+    # tiny, huge and ordinary values round to the nearest double, as
+    # Fraction does; 64 fixed-point bits made 1e-7 read 9.999999999997533e-08
+    assert float(Rational(q)) == float(q)
+    if q:
+        # an irrational value, against sqrt(2) to 3000 bits (no tie is
+        # that close to a double)
+        root2 = Fraction(math.isqrt(2 << 6000), 1 << 3000)
+        assert float(QuadExt.sqrt_of(2) * Rational(q)) == float(root2 * q)
 
 
 def test_random_field_ops_roundtrip():
@@ -250,6 +265,10 @@ def test_pow_and_log_nodes():
     iv = ln.enclosure(96)
     assert abs(float((iv.lo + iv.hi) / 2) - 0.6931471805599453) < 1e-15
     assert float(iv.hi - iv.lo) < 1e-25
+    # float() rounds correctly where refinement separates the value from a
+    # tie, and stops at 256 bits on an expression it cannot tell from zero
+    assert (float(x), float(ln)) == (8.0, 0.6931471805599453)
+    assert abs(float(ln - IntervalExpr.log(as_xreal(2)))) < 2.0 ** -255
 
 
 def test_serialization():

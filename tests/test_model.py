@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wildfan.exactnum import QuadExt, Rational, sign
+from wildfan.fan import ConditionResult, Status
 from wildfan.model import (
     EulerState,
     InvalidReference,
@@ -18,6 +19,8 @@ from wildfan.model import (
     pressure,
     pressure_potential,
 )
+from wildfan.riemann import Shock, Slip
+from wildfan.search import Candidate, SearchConfig
 
 
 def test_pressure_gamma2():
@@ -148,3 +151,38 @@ def test_vectors_must_have_two_components(make):
     # IndexError
     with pytest.raises(ValueError, match="must have 2 components"):
         make()
+
+
+def test_records_are_class_aware_hashable_and_frozen():
+    left, right = EulerState(1, (0, 0)), EulerState(4, (0, 0))
+    shock = Shock(Rational(1), left, right)
+    # equality is by class and field tuple, not by fields alone
+    assert shock != Slip(Rational(1), left, right)
+    assert shock == Shock(speed=Rational(1), right=right, left=left)
+    assert Shock._fields == ("speed", "left", "right")
+    assert hash(shock) == hash((Rational(1), left, right))
+    assert hash(left) == hash((Rational(1), (Rational(0), Rational(0))))
+    cond = ConditionResult("weights_sum_to_one", Status.PASS, "1")
+    assert repr(cond) == ("ConditionResult(name='weights_sum_to_one', "
+                          "status=<Status.PASS: 'Pass'>, witness='1')")
+    for record, name in ((shock, "speed"), (left, "rho"), (cond, "witness")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, Rational(2))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    # the generic constructor takes the fields and nothing else
+    for args, kwargs in (((Rational(1), left), {}), ((Rational(1), left, right, 0), {}),
+                         ((Rational(1), left, right), {"speed": 0}),
+                         ((Rational(1), left, right), {"mu": 0})):
+        with pytest.raises(TypeError):
+            Shock(*args, **kwargs)
+    # a validating constructor stays in charge of its fields
+    with pytest.raises(ValueError):
+        SearchConfig(restarts=-1)
+    assert SearchConfig() == SearchConfig(64, 10 ** 12, 0)
+    # the search candidate is the one mutable record
+    cand = Candidate(PressureLaw(2), left, right, -1.0, [0.0])
+    cand.feasible = True
+    assert cand.feasible and cand.margins == {} and cand.fan is None
+    with pytest.raises(TypeError):
+        hash(cand)
