@@ -14,8 +14,7 @@ _HOMES = {
     "exactnum": (
         "Inconclusive", "IntervalExpr", "NegativeRadicand", "QuadExt",
         "RadicandMismatch", "Rational", "XReal", "adjoin_sqrt", "as_xreal",
-        "default_precision_cap", "set_precision_cap", "sign",
-        "xreal_from_json", "xreal_to_json",
+        "sign", "xreal_from_json", "xreal_to_json",
     ),
     "model": (
         "EulerState", "InvalidReference", "NonPositiveDensity", "PHPoint",

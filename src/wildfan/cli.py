@@ -25,7 +25,6 @@ from .exactnum import (
     RadicandMismatch,
     Rational,
     _is_int,
-    set_precision_cap,
     xreal_from_json,
     xreal_to_json,
 )
@@ -284,8 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table", "csv"),
                         default=argparse.SUPPRESS,
                         help="report format (csv: oscillate only)")
-    common.add_argument("--precision-cap", type=int, default=argparse.SUPPRESS,
-                        help="interval precision cap in bits")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="search seed override (default 0)")
 
@@ -322,12 +319,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     args.format = getattr(args, "format", "table")
     args.seed = getattr(args, "seed", None)
-    args.precision_cap = getattr(args, "precision_cap", None)
     if args.format == "csv" and args.command != "oscillate":
         print("error: --format csv is for oscillate only", file=sys.stderr)
         return EXIT_PARSE
-    if args.precision_cap is not None:
-        set_precision_cap(args.precision_cap)
     try:
         return _HANDLERS[args.command](args)
     except Inconclusive as exc:

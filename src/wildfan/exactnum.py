@@ -22,8 +22,9 @@ of B when A = 0, and sign A * sign(A^2 - d*B^2) otherwise; its inverse is
 
 Intervals serve ``IntervalExpr`` only: its enclosure is refined with doubling
 precision until it excludes zero (or is a single point), and ``Inconclusive``
-is raised once the precision cap is reached.  The cap is 4096 bits unless
-``set_precision_cap`` sets another.  A wrong sign is never returned.
+is raised once the precision cap is reached.  The cap is the constant
+``_PRECISION_CAP`` (4096 bits); ``sign(x, precision_cap=n)`` is the one
+per-call override.  A wrong sign is never returned.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ __all__ = [
     "as_xreal",
     "sign",
     "adjoin_sqrt",
-    "default_precision_cap",
-    "set_precision_cap",
     "xreal_to_json",
     "xreal_from_json",
 ]
 
 _STARTING_PRECISION = 64
+_PRECISION_CAP = 4096
 
 
 class Inconclusive(Exception):
@@ -66,20 +66,6 @@ class RadicandMismatch(ValueError):
 
 class NegativeRadicand(ValueError):
     """Square root of a certified-negative quantity was requested."""
-
-
-def default_precision_cap() -> int:
-    """Current interval precision cap in bits: the cap set by
-    set_precision_cap, else 4096."""
-    return _precision_cap
-
-
-_precision_cap = 4096
-
-
-def set_precision_cap(bits: int) -> None:
-    global _precision_cap
-    _precision_cap = max(_STARTING_PRECISION, int(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +116,6 @@ class _Ival:
 
     def round(self, prec: int) -> "_Ival":
         return _Ival(_round_down(self.lo, prec), _round_up(self.hi, prec))
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def intersect(self, other: "_Ival") -> "_Ival":
         lo = max(self.lo, other.lo)
@@ -332,9 +315,6 @@ class XReal:
 
     # -- certified comparisons ----------------------------------------------
 
-    def sign(self, precision_cap: int | None = None) -> int:
-        return sign(self, precision_cap)
-
     def __lt__(self, other: XLike) -> bool:
         return sign(self - as_xreal(other)) < 0
 
@@ -354,7 +334,7 @@ class XReal:
         a rounding tie at the precision cap, and for an interval expression
         whose enclosure still holds zero at 256 bits (it may be zero, which
         refinement never decides)."""
-        prec, cap = _STARTING_PRECISION, default_precision_cap()
+        prec, cap = _STARTING_PRECISION, _PRECISION_CAP
         while True:
             iv = self.enclosure(prec)
             lo = float(iv.lo)
@@ -862,12 +842,12 @@ class IntervalExpr(XReal):
 
     def enclosure(self, prec: int) -> _Ival:
         return self._refine_until(lambda iv: iv, max(_STARTING_PRECISION, prec),
-                                  max(prec, default_precision_cap()),
+                                  max(prec, _PRECISION_CAP),
                                   "divisor enclosure straddles zero at cap")
 
     def sign_certified(self, precision_cap: int | None = None) -> int:
         return self._refine_until(_interval_sign, _STARTING_PRECISION,
-                                  precision_cap or default_precision_cap())
+                                  precision_cap or _PRECISION_CAP)
 
     def __repr__(self) -> str:
         iv = self._best if self._best is not None else None

@@ -287,13 +287,16 @@ def compare_profiles(candidate: DissipationProfile,
     return _order(candidate, reference)[0]
 
 
-def _first_cap(law: PressureLaw, rho: XReal, z: PHPoint, max_doublings: int
+_MAX_DOUBLINGS = 60
+
+
+def _first_cap(law: PressureLaw, rho: XReal, z: PHPoint
                ) -> tuple[XReal, WDecomposition] | None:
     try:
         geom = WGeometry(law, rho, z)
     except (NotInV, Inconclusive):
         return None  # M(z) is not certified negative definite: no cap helps
-    for n in range(1, max_doublings + 1):
+    for n in range(1, _MAX_DOUBLINGS + 1):
         Q = z.q * (2 ** n)
         try:
             ok, witness = geom.in_W(Q)
@@ -304,17 +307,16 @@ def _first_cap(law: PressureLaw, rho: XReal, z: PHPoint, max_doublings: int
     return None
 
 
-def find_Q(fan: FanSubsolution, max_doublings: int = 60
-           ) -> tuple[tuple[XReal, WDecomposition], ...]:
-    """Per region, the first cap in the doubling schedule q_i * 2^n whose
-    W-membership certifies, together with the witness decomposition.
-    The cap-independent geometry is built once per region."""
+def find_Q(fan: FanSubsolution) -> tuple[tuple[XReal, WDecomposition], ...]:
+    """Per region, the first cap in the doubling schedule q_i * 2^n,
+    n <= 60, whose W-membership certifies, together with the witness
+    decomposition.  The cap-independent geometry is built once per region."""
     out = []
     for rho, z in fan.regions:
-        found = _first_cap(fan.law, rho, z, max_doublings)
+        found = _first_cap(fan.law, rho, z)
         if found is None:
             raise NotCertifiableWithinCap(
-                f"no certificate after {max_doublings} doublings")
+                f"no certificate after {_MAX_DOUBLINGS} doublings")
         out.append(found)
     return tuple(out)
 

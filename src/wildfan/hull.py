@@ -165,7 +165,9 @@ class WGeometry:
     the flux deviation with its diagonal coordinates and the m.sigma^j do
     not depend on the cap Q; they are computed once here.  Only the vertex
     roots r^j depend on Q, through the gap Q - q, and are built per call.
-    Raises NotInV unless M(z) is negative definite.
+    Their radicands m.sigma^j^2 + 4 rho (A^j + gap) agree in the same pairs
+    (m.sigma^2 = -m.sigma^1, m.sigma^4 = -m.sigma^3), so one square root
+    serves each pair.  Raises NotInV unless M(z) is negative definite.
     """
 
     def __init__(self, law: PressureLaw, rho: XReal, z: PHPoint):
@@ -182,9 +184,10 @@ class WGeometry:
         self.A = (a12, a12, a34, a34)
         self.msig = tuple(z.m[0] * s1 + z.m[1] * s2 for s1, s2 in SIGMA)
         self._four_rho = 4 * rho
-        # Q-independent head of the vertex radicand msig^2 + 4 rho A + 4 rho gap
-        self._rad_head = tuple(ms * ms + self._four_rho * A
-                               for ms, A in zip(self.msig, self.A))
+        # Q-independent head of the vertex radicand msig^2 + 4 rho A + 4 rho
+        # gap, once per pair (j = 1, 2 and j = 3, 4)
+        self._rad_head = tuple(self.msig[k] * self.msig[k] + self._four_rho * self.A[k]
+                               for k in (0, 2))
         self.rigid = rigid_flux(law, rho, z)
         self.dev = (z.F[0] - self.rigid[0], z.F[1] - self.rigid[1])
         self.a = (self.dev[0] + self.dev[1]) / 2
@@ -198,19 +201,25 @@ class WGeometry:
             raise NotInV("q >= Q")
         return gap
 
-    def _r(self, gap: XReal, j: int) -> XReal:
-        k = j - 1
-        radicand = self._rad_head[k] + self._four_rho * gap
-        return (-self.msig[k] + adjoin_sqrt(radicand)) / (2 * gap)
+    def _sqrt(self, gap: XReal, j: int) -> XReal:
+        """Square root of the vertex radicand of r^j, shared within its pair."""
+        return adjoin_sqrt(self._rad_head[(j - 1) // 2] + self._four_rho * gap)
+
+    def _r(self, gap: XReal, j: int, root: XReal) -> XReal:
+        return (-self.msig[j - 1] + root) / (2 * gap)
 
     def r(self, Q: XReal, j: int) -> XReal:
         """Positive root r^j of the flux-vertex quadratic at cap Q."""
-        return self._r(self.gap(Q), j)
+        gap = self.gap(Q)
+        return self._r(gap, j, self._sqrt(gap, j))
 
     def scales(self, Q: XReal) -> tuple[XReal, XReal, XReal, XReal]:
-        """The vertex scales c_j = A^j / r^j at cap Q."""
+        """The vertex scales c_j = A^j / r^j at cap Q, from two square roots."""
         gap = self.gap(Q)
-        return tuple(A / self._r(gap, j) for j, A in zip((1, 2, 3, 4), self.A))
+        root12, root34 = self._sqrt(gap, 1), self._sqrt(gap, 3)
+        return tuple(A / self._r(gap, j, root)
+                     for j, A, root in zip((1, 2, 3, 4), self.A,
+                                           (root12, root12, root34, root34)))
 
     def f(self, Q: XReal, j: int) -> tuple[XReal, XReal]:
         """Flux vertex f^j = c_j sigma^j at cap Q."""
@@ -292,7 +301,7 @@ def split_flux_direction(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint,
         gap = geom.gap(Q)
     except NotInV as exc:
         raise HypothesesViolated(str(exc)) from None
-    r = geom._r(gap, j)
+    r = geom._r(gap, j, geom._sqrt(gap, j))
     s1, s2 = SIGMA[j - 1]
     c = geom.A[j - 1] / r
     dev = geom.dev

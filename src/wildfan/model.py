@@ -49,21 +49,16 @@ class Record:
     otherwise it takes the fields positionally or by keyword.  Equality is
     by class and field tuple, ``hash`` is the hash of the field tuple,
     ``repr`` is ``Name(field=value, ...)``, and assigning or deleting an
-    attribute raises ``AttributeError`` unless the class is declared with
-    ``frozen=False``.  Nothing is generated per class, so defining the
-    records adds next to nothing to the CLI's start-up.
+    attribute raises ``AttributeError``.  Nothing is generated per class,
+    so defining the records adds next to nothing to the CLI's start-up.
     """
 
     __slots__ = ()
     _fields = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -177,9 +172,6 @@ class PHPoint(Record):
     def components(self) -> tuple[XReal, ...]:
         return (self.m[0], self.m[1], self.u11, self.u12, self.q,
                 self.F[0], self.F[1])
-
-    def is_exact(self) -> bool:
-        return all(not isinstance(c, IntervalExpr) for c in self.components())
 
 
 def _gamma_parts(law: PressureLaw) -> tuple[int, int] | None:

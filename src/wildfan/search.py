@@ -75,10 +75,10 @@ class SearchConfig(Record):
 _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32")
 
 
-class Candidate(Record, frozen=False):
-    """Float candidate: free variables and their margins, and the exact fan
-    that ``certify`` built from it with its comparison against the
-    self-similar solution, if it certified."""
+class Candidate(Record):
+    """Float candidate: free variables and their margins, and, on the
+    candidate ``search_fan`` returns once it certified, the exact fan built
+    from it with its comparison against the self-similar solution."""
 
     law: PressureLaw
     left: EulerState
@@ -93,9 +93,8 @@ class Candidate(Record, frozen=False):
 
     def __init__(self, law, left, right, sigma, x, margins=None, feasible=False,
                  seed=None, fan=None, comparison=None):
-        self.law, self.left, self.right, self.sigma, self.x = law, left, right, sigma, x
-        self.margins = {} if margins is None else margins
-        self.feasible, self.seed, self.fan, self.comparison = feasible, seed, fan, comparison
+        super().__init__(law, left, right, sigma, x, {} if margins is None else margins,
+                         feasible, seed, fan, comparison)
 
     def to_dict(self) -> dict:
         """Reproducibility dump: seed, pinned speed, free variables."""
@@ -500,13 +499,15 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         surplus, margins, fluxes, residual = point
         if not (residual < 1e-7 and surplus > floor and min(margins) >= 0.5 * floor):
             continue
-        cand = Candidate(law, left, right, sigma, np.array([*y[:7], *fluxes]),
-                         margins=dict(zip(_MARGINS, margins)), feasible=True,
-                         seed=cfg.rng_seed + restart)
+        fields = (law, left, right, sigma, np.array([*y[:7], *fluxes]),
+                  dict(zip(_MARGINS, margins)), True, cfg.rng_seed + restart)
+        cand = Candidate(*fields)
         if surplus > best_surplus:  # surplus > floor > 0: the first one wins
             best, best_surplus = cand, surplus
-        if sigma_exact is not None and _certify(cand, cfg, sigma_exact, ctx) is not None:
-            return cand
+        if sigma_exact is not None:
+            certified = _certify(cand, cfg, sigma_exact, ctx)
+            if certified is not None:
+                return Candidate(*fields, *certified)
     return best
 
 
@@ -537,17 +538,19 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     matched plane to the exact reference shock speed, re-close exactly in
     the tower, and run the full exact verification plus the dissipation
     comparison.  None when any strict inequality is lost in rounding;
-    otherwise the fan, also stored with its comparison report on ``cand``."""
+    otherwise the fan.  ``cand`` is left as it is."""
     sigma = _exact_sigma(solve_riemann(cand.law, cand.left, cand.right))
     if sigma is None:
         return None
-    return _certify(cand, cfg, sigma, _Context(cand.law, cand.left, cand.right))
+    certified = _certify(cand, cfg, sigma, _Context(cand.law, cand.left, cand.right))
+    return None if certified is None else certified[0]
 
 
-def _certify(cand: Candidate, cfg: SearchConfig, sigma: XReal,
-             ctx: _Context) -> FanSubsolution | None:
+def _certify(cand: Candidate, cfg: SearchConfig, sigma: XReal, ctx: _Context
+             ) -> tuple[FanSubsolution, VerificationReport] | None:
     """``certify`` against the exact shock speed and the exact boundary
-    values the caller already has (``search_fan`` computes them once)."""
+    values the caller already has (``search_fan`` computes them once);
+    the fan with its comparison report."""
     law, left, right = cand.law, cand.left, cand.right
     cap = cfg.rounding_denominator_cap
 
@@ -578,7 +581,6 @@ def _certify(cand: Candidate, cfg: SearchConfig, sigma: XReal,
         comparison = beats_selfsimilar(fan)
         if not comparison.passed:
             return None
-        cand.fan, cand.comparison = fan, comparison
-        return fan
+        return fan, comparison
     except (DegenerateClosure, Inconclusive, ZeroDivisionError):
         return None

@@ -192,6 +192,14 @@ def test_csv_format_only_for_oscillate(tmp_path, capsys):
         assert out == "" and "csv" in err
 
 
+def test_precision_cap_option_is_a_usage_error(capsys):
+    # the cap is fixed; the option that used to set it is unknown
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-example", "--precision-cap", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision-cap 64" in capsys.readouterr().err
+
+
 def _probe(script: str, *args: str) -> dict:
     """JSON printed by `script` in a fresh interpreter that imports the
     package from this checkout."""
@@ -293,7 +301,7 @@ print(json.dumps({"names": len(wildfan.__all__), "problems": problems, "missing"
 
 def test_lazy_namespace_resolves_every_public_name():
     result = _probe(_NAMESPACE_PROBE)
-    assert result["names"] == 74  # what the package exported when it imported eagerly
+    assert result["names"] == 72  # every public name of the seven submodules
     assert result["problems"] == [] and result["missing"] == "AttributeError"
     assert result["unbound submodules"] == []
 

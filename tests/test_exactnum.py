@@ -306,11 +306,25 @@ def test_xreal_from_json_zero_denominator_is_a_parse_error():
 
 
 def test_precision_cap_env_override(monkeypatch):
-    # the cap is set explicitly or not at all: the environment does not move it
-    import wildfan.exactnum as exactnum
-    from wildfan.exactnum import default_precision_cap, set_precision_cap
-    monkeypatch.setattr(exactnum, "_precision_cap", exactnum._precision_cap)
+    # the cap is the fixed 4096 bits or a per-call argument: the environment
+    # does not move it.  sqrt(2) - floor(sqrt(2) 2^200)/2^200 lies in
+    # (0, 2^-200), so its sign needs about 200 bits.
     monkeypatch.setenv("WILDFAN_PRECISION_CAP", "128")
-    assert default_precision_cap() == 4096
-    set_precision_cap(8192)
-    assert default_precision_cap() == 8192
+
+    def close_to_sqrt2():
+        return IntervalExpr.sqrt(as_xreal(2)) - Rational(math.isqrt(2 << 400), 1 << 200)
+
+    assert sign(close_to_sqrt2()) == 1
+    with pytest.raises(Inconclusive):
+        sign(close_to_sqrt2(), precision_cap=128)
+
+
+def test_adjoin_sqrt_of_interval_expression():
+    root2 = IntervalExpr.sqrt(as_xreal(2))
+    with pytest.raises(NegativeRadicand):
+        adjoin_sqrt(root2 - 2)
+    fourth = adjoin_sqrt(root2)
+    assert isinstance(fourth, IntervalExpr)
+    iv = fourth.enclosure(200)
+    assert iv.lo ** 4 <= 2 <= iv.hi ** 4  # encloses 2^(1/4)
+    assert iv.hi - iv.lo < Fraction(1, 2 ** 190)

@@ -319,7 +319,7 @@ def test_find_Q_raises_outside_relaxed_set():
     bad = FanSubsolution(fan.law, fan.mu, fan.left, fan.right,
                          ((rho1, flat),) + fan.regions[1:])
     with pytest.raises(NotCertifiableWithinCap):
-        find_Q(bad, max_doublings=5)
+        find_Q(bad)
 
 
 def test_fan_json_roundtrip():
@@ -431,7 +431,7 @@ def test_weak_sign_bound_at_the_sign_cap(monkeypatch):
     from wildfan.exactnum import Inconclusive, IntervalExpr, as_xreal, xmax
     from wildfan.fan import _weak_sign
 
-    monkeypatch.setattr(exactnum, "_precision_cap", 128)
+    monkeypatch.setattr(exactnum, "_PRECISION_CAP", 128)
     monkeypatch.setattr(IntervalExpr, "refine", IntervalExpr._eval)
     root2 = IntervalExpr.sqrt(as_xreal(2))
     fuzz = root2 * root2 - 2  # exactly zero, never separated from it

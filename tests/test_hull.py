@@ -318,3 +318,24 @@ def test_geometry_reuse_matches_fresh_in_W(point, below):
         A_j(LAW2, rho, Q, z, 1)
     with pytest.raises(NotInV):
         geom.r(Q, 3)
+
+
+def test_in_W_takes_one_square_root_per_vertex_pair(monkeypatch):
+    # r^1, r^2 share their radicand, and so do r^3, r^4
+    import wildfan.hull as hull
+    from wildfan.fan import paper_example
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return adjoin_sqrt(x)
+
+    monkeypatch.setattr(hull, "adjoin_sqrt", counted)
+    fan = paper_example()
+    for rho, z in fan.regions:
+        geom = WGeometry(fan.law, rho, z)
+        for n in (1, 4):
+            calls.clear()
+            geom.in_W(z.q * 2 ** n)
+            assert len(calls) == 2

@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
-from wildfan.exactnum import QuadExt, Rational, sign
+from wildfan.exactnum import IntervalExpr, QuadExt, Rational, sign
 from wildfan.fan import ConditionResult, Status
 from wildfan.model import (
     EulerState,
@@ -36,6 +37,20 @@ def test_pressure_gamma_three_halves():
     v = pressure(law, Rational(2))
     assert isinstance(v, QuadExt)
     assert sign(v * v - Rational(8)) == 0  # (2^{3/2})^2 = 8
+
+
+def test_pressure_gamma_four_thirds():
+    law = PressureLaw(gamma=Rational(4, 3))
+    # a perfect cube stays rational
+    assert pressure(law, Rational(8)) == Rational(16)
+    # any other density is a rational-power node: 2^(4/3) = cbrt(16)
+    v = pressure(law, Rational(2))
+    assert isinstance(v, IntervalExpr)
+    iv = v.enclosure(200)
+    assert iv.lo ** 3 <= 16 <= iv.hi ** 3
+    oracle = sp.N(sp.Integer(2) ** sp.Rational(4, 3), 60)
+    for end in (iv.lo, iv.hi):
+        assert abs(sp.Rational(end.numerator, end.denominator) - oracle) < sp.Float("1e-55", 60)
 
 
 def test_pressure_rejects_vacuum():
@@ -180,9 +195,12 @@ def test_records_are_class_aware_hashable_and_frozen():
     with pytest.raises(ValueError):
         SearchConfig(restarts=-1)
     assert SearchConfig() == SearchConfig(64, 10 ** 12, 0)
-    # the search candidate is the one mutable record
+    # the search candidate is frozen like every other record
     cand = Candidate(PressureLaw(2), left, right, -1.0, [0.0])
-    cand.feasible = True
-    assert cand.feasible and cand.margins == {} and cand.fan is None
-    with pytest.raises(TypeError):
-        hash(cand)
+    assert cand.margins == {} and not cand.feasible and cand.fan is None
+    for name in Candidate._fields:
+        with pytest.raises(AttributeError):
+            setattr(cand, name, None)
+        with pytest.raises(AttributeError):
+            delattr(cand, name)
+    assert Candidate._fields[-2:] == ("fan", "comparison")

@@ -141,6 +141,7 @@ def test_certify_paper_variables():
     cand = Candidate(LAW2, left, right, SIGMA_F, paper_x())
     fan = certify(cand, SearchConfig(restarts=1))
     assert fan is not None
+    assert cand.fan is None and cand.comparison is None  # certify returns, never stores
     assert verify_fan(fan).passed
     profile = fan_dissipation_profile(fan)
     assert sign(profile.entries[1][1] - Rational(27, 4) * S5) == 1
