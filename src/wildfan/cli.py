@@ -3,8 +3,8 @@
 Exit codes: 0 when the requested verification fully passes, 1 on a
 verification failure, 2 on parse/usage errors, 3 when a certification is
 inconclusive: at the precision cap, or because well-formed input leaves the
-supported arithmetic (radicands beyond the two-radical tower, or the square
-root of a negative number).
+supported arithmetic (more than four independent square roots, or the
+square root of a negative number).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .exactnum import (
     NegativeRadicand,
     RadicandMismatch,
     Rational,
+    _basis_radicands,
     _is_int,
     xreal_from_json,
     xreal_to_json,
@@ -69,16 +70,9 @@ def _emit(payload: dict, fmt: str) -> None:
 def _pretty(value):
     """Human rendering for table mode; tower encodings become radical sums."""
     if isinstance(value, dict) and set(value) == {"d", "c"}:
-        names = ["1"]
-        d = value["d"]
-        names.extend(f"sqrt({r})" for r in d)
-        if len(d) == 2:
-            names.append(f"sqrt({d[0] * d[1]})")
-        parts = []
-        for coeff, name in zip(value["c"], names):
-            if coeff.startswith("0/"):
-                continue
-            parts.append(coeff if name == "1" else f"{coeff}*{name}")
+        parts = [coeff if prod == 1 else f"{coeff}*sqrt({prod})"
+                 for coeff, prod in zip(value["c"], _basis_radicands(value["d"]))
+                 if not coeff.startswith("0/")]
         return " + ".join(parts) if parts else "0"
     return value
 

@@ -213,17 +213,10 @@ class PolynomialField(SmoothField):
         return out
 
 
-class Profile1D:
-    """1D profile exposing derivatives by order (vectorized callables)."""
-
-    def deriv1d(self, order: int):
-        raise NotImplementedError
-
-
 class PlaneProfileField(SmoothField):
     """g(t,x,y) = amp * h(freq * (t,x,y).eta) for a 1D profile h."""
 
-    def __init__(self, profile: Profile1D, eta: tuple[float, float, float],
+    def __init__(self, profile: PiecewisePoly, eta: tuple[float, float, float],
                  freq: float = 1.0, amp: float = 1.0):
         self.profile = profile
         self.eta = eta
@@ -271,7 +264,7 @@ class ProductField(SmoothField):
 # piecewise polynomials (staircase profile, bump)
 # ---------------------------------------------------------------------------
 
-class PiecewisePoly(Profile1D):
+class PiecewisePoly:
     """Piecewise polynomial on breakpoints, local coordinates per piece;
     optionally evaluated periodically on its domain."""
 
@@ -467,10 +460,6 @@ class BumpField(SmoothField):
 # operator application and residuals
 # ---------------------------------------------------------------------------
 
-def _coeff_value(co: OperatorCoeffs, name: str) -> float:
-    return getattr(co, name)
-
-
 def apply_operator(co: OperatorCoeffs, g: SmoothField, pts, cache=None) -> dict[str, np.ndarray]:
     """Evaluate the seven third-derivative combinations at the points."""
     if cache is None:
@@ -479,7 +468,7 @@ def apply_operator(co: OperatorCoeffs, g: SmoothField, pts, cache=None) -> dict[
     for comp in _COMPONENTS:
         acc = None
         for name, mult, mi in _L_TERMS[comp]:
-            cval = _coeff_value(co, name)
+            cval = getattr(co, name)
             if cval == 0.0 and mult != 0:
                 continue
             term = (mult * cval) * g.deriv(mi, pts, cache)
@@ -511,7 +500,7 @@ def verify_pde_identity(co: OperatorCoeffs, g: SmoothField, pts,
         acc = None
         for comp, axis, srow in parts:
             for name, mult, mi in _L_TERMS[comp]:
-                cval = _coeff_value(co, name)
+                cval = getattr(co, name)
                 if cval == 0.0:
                     continue
                 dmi = list(mi)
@@ -542,7 +531,7 @@ def plane_wave_check(co: OperatorCoeffs, z: PHPoint, eta: WaveDirection,
     for comp, target in zip(_COMPONENTS, zv):
         acc = np.zeros_like(h3v)
         for name, mult, mi in _L_TERMS[comp]:
-            cval = _coeff_value(co, name)
+            cval = getattr(co, name)
             if cval == 0.0:
                 continue
             kt, kx, ky = mi

@@ -2,14 +2,17 @@
 
 Two carriers, both immutable:
 
-* ``QuadExt`` -- elements of a real quadratic tower Q(sqrt(d1), sqrt(d2))
-  with at most two radicands, stored as integer numerators on the basis
-  (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)) over one denominator.  All of its
-  arithmetic runs on those integers, through one product (``_tower_mul``).
+* ``QuadExt`` -- elements of a real quadratic tower Q(sqrt(d1), ..., sqrt(dn))
+  with 1 <= n <= ``_MAX_RADICANDS`` (4) integer radicands, stored as integer
+  numerators on the basis of radical products (1, sqrt(d1), sqrt(d2),
+  sqrt(d1*d2), sqrt(d3), ...) over one denominator.  All of its arithmetic
+  runs on those integers, through one product (``_tower_mul``).
   ``Rational`` is its subclass for the radicand-free tower Q: one numerator
-  over one denominator, chosen only by ``QuadExt._reduced``.  Radicands are
-  validated where a tower enters: the constructor, ``from_rational``,
-  ``sqrt_of``, JSON and the compositum of two towers.
+  over one denominator, chosen only by ``QuadExt._reduced``.  One rule
+  validates radicands where a tower enters (the constructor, hence
+  ``from_rational``, ``sqrt_of`` and JSON): they are their own compositum
+  basis (``_compositum``).  Two towers meet in their compositum, which
+  raises ``RadicandMismatch`` beyond ``_MAX_RADICANDS`` independent radicands.
 * ``IntervalExpr`` -- an expression DAG over +, -, *, /, sqrt, log and
   rational powers, evaluated with outward-rounded dyadic intervals at
   adaptive precision.
@@ -50,6 +53,7 @@ __all__ = [
 
 _STARTING_PRECISION = 64
 _PRECISION_CAP = 4096
+_MAX_RADICANDS = 4  # independent integer radicands of a tower: 16 coefficients
 
 
 class Inconclusive(Exception):
@@ -375,37 +379,33 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 class QuadExt(XReal):
-    """Element of Q(sqrt(d1)[, sqrt(d2)]) on the basis of radical products.
+    """Element of Q(sqrt(d1), ..., sqrt(dn)) on the basis of radical products.
 
-    ``radicands`` is a sorted tuple of one or two distinct non-square
-    integers > 1, empty for the ``Rational`` subclass.  The value is stored
-    as integer numerators ``nums`` over one denominator ``den`` (den > 0,
-    gcd(den, *nums) == 1), indexed by the bitmask of participating
-    radicands: for two radicands the basis order is (1, sqrt(d1), sqrt(d2),
-    sqrt(d1*d2)).  ``coeffs`` gives the same vector as Fractions.  The constructor validates the radicands; arithmetic
-    results inside an already validated tower skip that check.
+    ``radicands`` is a tuple of 1 to ``_MAX_RADICANDS`` positive integers
+    that is its own compositum basis: sorted ascending, with no product of
+    a nonempty subset a perfect square (so none is 1 or a square, and no
+    two are equal or differ by a square factor).  It is empty for the
+    ``Rational`` subclass.  The value is stored as integer numerators
+    ``nums`` over one denominator ``den`` (den > 0, gcd(den, *nums) == 1),
+    indexed by the bitmask of participating radicands: basis(mask) is the
+    square root of the product of the radicands in mask, so two radicands
+    give (1, sqrt(d1), sqrt(d2), sqrt(d1*d2)).  ``coeffs`` gives the same
+    vector as Fractions.  The constructor validates the radicands;
+    arithmetic results inside an already validated tower (``_reduced``)
+    skip that check.
     """
 
     __slots__ = ("radicands", "nums", "den")
 
     def __init__(self, radicands: Sequence[int], coeffs: Sequence[Fraction | int]):
         rads = tuple(radicands)
-        if not all(_is_int(d) for d in rads):
-            raise ValueError(f"radicands must be integers, got {rads!r}")
-        if not 1 <= len(rads) <= 2:
-            raise ValueError("tower supports one or two radicands")
-        if any(d <= 1 for d in rads):
-            raise ValueError("radicands must be > 1")
-        if any(math.isqrt(d) ** 2 == d for d in rads):
-            raise ValueError("radicands must not be perfect squares")
-        if len(rads) == 2:
-            if rads[0] == rads[1]:
-                raise ValueError("radicands must be distinct")
-            prod = rads[0] * rads[1]
-            if math.isqrt(prod) ** 2 == prod:
-                raise ValueError("radicands generate the same field")
-        if rads != tuple(sorted(rads)):
-            raise ValueError("radicands must be sorted ascending")
+        if not all(_is_int(d) and d > 0 for d in rads):
+            raise ValueError(f"radicands must be positive integers, got {rads!r}")
+        if not 1 <= len(rads) <= _MAX_RADICANDS:
+            raise ValueError(f"a tower has 1 to {_MAX_RADICANDS} radicands, got {len(rads)}")
+        if _compositum(rads)[0] != rads:
+            raise ValueError(f"radicands {rads!r} are not their own compositum basis "
+                             f"(sorted, no product of a nonempty subset a square)")
         cs = [Fraction(c) for c in coeffs]
         if len(cs) != 1 << len(rads):
             raise ValueError("coefficient count must be 2**len(radicands)")
@@ -622,15 +622,19 @@ def as_xreal(v: XLike | float | str) -> XReal:
 def _compositum(radicands: Iterable[int]) -> tuple[tuple[int, ...], dict[int, tuple[Fraction, int]]]:
     """Independent basis for the field generated by the given radicands.
 
-    Returns the basis tuple plus, for every input radicand d, a pair
-    (c, mask) with sqrt(d) = c * prod_{i in mask} sqrt(basis[i]).
-    Raises RadicandMismatch beyond two independent radicands.
+    Radicands are taken in ascending order; each one whose square root is
+    a rational multiple of a basis product (mask 0 included, for a square)
+    is expressed by it, and every other one joins the basis.  Returns the
+    basis tuple plus, for every input radicand d, a pair (c, mask) with
+    sqrt(d) = c * prod_{i in mask} sqrt(basis[i]).  A valid tower is its
+    own compositum basis.  Raises RadicandMismatch beyond _MAX_RADICANDS
+    independent radicands.
     """
     basis: list[int] = []
     images: dict[int, tuple[Fraction, int]] = {}
     for d in sorted(set(radicands)):
         expressed = False
-        for mask in range(1, 1 << len(basis)):
+        for mask in range(1 << len(basis)):
             prod = d
             denom = 1
             for i, bd in enumerate(basis):
@@ -643,9 +647,9 @@ def _compositum(radicands: Iterable[int]) -> tuple[tuple[int, ...], dict[int, tu
                 expressed = True
                 break
         if not expressed:
-            if len(basis) >= 2:
-                raise RadicandMismatch(
-                    f"radicands {sorted(set(radicands))} need more than two independent radicals")
+            if len(basis) >= _MAX_RADICANDS:
+                raise RadicandMismatch(f"radicands {sorted(set(radicands))} need more than "
+                                       f"{_MAX_RADICANDS} independent radicals")
             basis.append(d)
             images[d] = (Fraction(1), 1 << (len(basis) - 1))
     return tuple(basis), images
@@ -669,7 +673,8 @@ def _rebase(x: QuadExt, basis: tuple[int, ...],
                         coeff *= bd
                 new_mask ^= mi
         out[new_mask] += coeff
-    return QuadExt(basis, out)
+    den = math.lcm(*(c.denominator for c in out))
+    return QuadExt._reduced(basis, [c.numerator * (den // c.denominator) for c in out], den)
 
 
 def _embed(num: int, den: int, rads: tuple[int, ...]) -> QuadExt:
@@ -695,7 +700,7 @@ def _binop(a: XReal, b: XLike, op: str) -> XReal:
         b = as_xreal(b)
 
     if isinstance(a, IntervalExpr) or isinstance(b, IntervalExpr):
-        return IntervalExpr._binop(IntervalExpr.lift(a), IntervalExpr.lift(b), op)
+        return IntervalExpr(op, (IntervalExpr.lift(a), IntervalExpr.lift(b)))
 
     a, b = _unify(a, b)
 
@@ -744,10 +749,6 @@ class IntervalExpr(XReal):
         if isinstance(x, IntervalExpr):
             return x
         return IntervalExpr("leaf", payload=x)
-
-    @staticmethod
-    def _binop(a: "IntervalExpr", b: "IntervalExpr", op: str) -> "IntervalExpr":
-        return IntervalExpr(op, (a, b))
 
     @staticmethod
     def sqrt(x: XReal) -> "IntervalExpr":

@@ -84,16 +84,16 @@ class Candidate(Record):
     left: EulerState
     right: EulerState
     sigma: float
-    x: np.ndarray
-    margins: dict
+    x: tuple[float, ...]
+    margins: tuple[tuple[str, float], ...]
     feasible: bool
     seed: int | None
     fan: FanSubsolution | None
     comparison: VerificationReport | None
 
-    def __init__(self, law, left, right, sigma, x, margins=None, feasible=False,
+    def __init__(self, law, left, right, sigma, x, margins=(), feasible=False,
                  seed=None, fan=None, comparison=None):
-        super().__init__(law, left, right, sigma, x, {} if margins is None else margins,
+        super().__init__(law, left, right, sigma, tuple(map(float, x)), tuple(margins),
                          feasible, seed, fan, comparison)
 
     def to_dict(self) -> dict:
@@ -102,7 +102,7 @@ class Candidate(Record):
             "seed": self.seed,
             "sigma": self.sigma,
             "variables": {name: float(v) for name, v in zip(_VAR_NAMES, self.x)},
-            "margins": {k: float(v) for k, v in self.margins.items()},
+            "margins": {k: float(v) for k, v in self.margins},
             "feasible": self.feasible,
         }
 
@@ -499,8 +499,8 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         surplus, margins, fluxes, residual = point
         if not (residual < 1e-7 and surplus > floor and min(margins) >= 0.5 * floor):
             continue
-        fields = (law, left, right, sigma, np.array([*y[:7], *fluxes]),
-                  dict(zip(_MARGINS, margins)), True, cfg.rng_seed + restart)
+        fields = (law, left, right, sigma, (*y[:7], *fluxes),
+                  tuple(zip(_MARGINS, margins)), True, cfg.rng_seed + restart)
         cand = Candidate(*fields)
         if surplus > best_surplus:  # surplus > floor > 0: the first one wins
             best, best_surplus = cand, surplus

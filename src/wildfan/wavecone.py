@@ -107,11 +107,9 @@ def in_Lambda(z: PHPoint) -> WaveDirection | None:
             kern = k
             break
     if kern is None:
-        # rank one: kernel is the plane u . eta = 0
-        if sign(u[1]) == 0 and sign(u[2]) == 0:
-            eta = (as_xreal(0), as_xreal(1), as_xreal(0))
-        else:
-            eta = (as_xreal(0), u[2], (-1) * u[1])
+        # rank one: kernel is the plane u . eta = 0.  u[1:] is nonzero: a
+        # first nonzero row (x, 0, 0) would force m = 0, then q = 0, so x = 0
+        eta = (as_xreal(0), u[2], (-1) * u[1])
     else:
         # rank >= 2: kernel is spanned by the cross product if rank is 2
         for r in nonzero:

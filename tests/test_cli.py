@@ -84,6 +84,19 @@ def test_verify_fan_good_and_broken(tmp_path, capsys):
     assert "ordering" in out and "Fail" in out
 
 
+def test_gamma_three_halves_fan_is_a_certified_fail(tmp_path, capsys):
+    # rho**(1/2) enters the pressure: towers such as (5, 13, 319, 1141)
+    def gamma_three_halves(data):
+        data["gamma"] = "3/2"
+    code, out = invoke(capsys, "--format", "json", "verify-fan",
+                       _fan_file(tmp_path, gamma_three_halves))
+    assert code == 1
+    conditions = json.loads(out)["verification"]["conditions"]
+    assert {c["status"] for c in conditions} == {"Pass", "Fail"}
+    assert [c["name"] for c in conditions if c["status"] == "Fail"] == [
+        "rh_energy[2]", "rh_normal[3]", "rh_energy[3]"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -475,12 +488,13 @@ def test_wrong_length_vector_exit_code(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_unsupported_arithmetic_exit_code(tmp_path, monkeypatch, capsys):
-    def gamma_three_halves(data):
-        data["gamma"] = "3/2"
-    code = run(["verify-fan", _fan_file(tmp_path, gamma_three_halves)])
+    def depth_three_q(data):
+        # a q in Q(sqrt2, sqrt3, sqrt7) meets the fan's sqrt5 and sqrt1141
+        data["regions"][1]["q"] = {"d": [2, 3, 7], "c": ["0/1"] * 7 + ["1/1"]}
+    code = run(["verify-fan", _fan_file(tmp_path, depth_three_q)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "need more than two independent radicals" in captured.err
+    assert "need more than 4 independent radicals" in captured.err
 
     import wildfan.cli as cli_module
     from wildfan.exactnum import NegativeRadicand

@@ -3,6 +3,7 @@ mutation coverage of the fan checker."""
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import random
@@ -11,8 +12,8 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from wildfan.exactnum import IntervalExpr, QuadExt, Rational, as_xreal, sign
-from wildfan.fan import FanSubsolution, paper_example, verify_fan
+from wildfan.exactnum import IntervalExpr, QuadExt, Rational, as_xreal, sign, xreal_from_json
+from wildfan.fan import FanSubsolution, Status, fan_from_json, fan_to_json, paper_example, verify_fan
 from wildfan.model import PHPoint
 
 
@@ -26,7 +27,7 @@ def to_sympy(x: QuadExt | Rational):
     if isinstance(x, Rational):
         return sp.Rational(x.numerator, x.denominator)
     basis = [sp.Integer(1)]
-    for d in x.radicands:  # (1, sqrt d1[, sqrt d2, sqrt(d1*d2)])
+    for d in x.radicands:  # (1, sqrt d1, sqrt d2, sqrt(d1*d2), sqrt d3, ...)
         basis += [b * sp.sqrt(d) for b in basis]
     return sum(sp.Rational(c.numerator, c.denominator) * b
                for c, b in zip(x.coeffs, basis))
@@ -35,9 +36,14 @@ def to_sympy(x: QuadExt | Rational):
 def _operand_pairs(rng: random.Random, pairs: int):
     """Random pairs in Q(sqrt2, sqrt7) and in Q(sqrt7); across the towers
     (2,) and (7,), and (5,) and (5, 1141); with a Rational on either side;
-    and with coefficients around 1e12."""
-    for _ in range(pairs):
-        for ra, rb in (((2, 7), (2, 7)), ((7,), (7,)), ((2,), (7,)), ((5,), (5, 1141))):
+    and with coefficients around 1e12.  Each round adds one deep pair, in
+    turn: in (2, 3, 5), in (2, 3, 5, 7), and the cross-tower pairs that
+    merge to depth 4, (2, 3) with (5, 7) and (5, 13) with (319, 1141)."""
+    deep = (((2, 3, 5), (2, 3, 5)), ((2, 3, 5, 7), (2, 3, 5, 7)),
+            ((2, 3), (5, 7)), ((5, 13), (319, 1141)))
+    for i in range(pairs):
+        for ra, rb in (((2, 7), (2, 7)), ((7,), (7,)), ((2,), (7,)), ((5,), (5, 1141)),
+                       deep[i % len(deep)]):
             yield random_quadext(rng, *ra), random_quadext(rng, *rb)
         r = Rational(rng.randint(-15, 15), rng.randint(1, 12))
         yield r, random_quadext(rng, 2, 7)
@@ -60,9 +66,11 @@ def _field_op_cases(rng: random.Random, pairs: int):
 
 def test_field_ops_match_sympy_exactly():
     for got, want in _field_op_cases(random.Random(101), 5):
-        # radsimp rationalises the quotient's denominator; expand then
-        # collects the result on the radical basis, so this is a zero test
-        assert sp.expand(sp.radsimp(to_sympy(got) - want)) == 0
+        # a quotient is multiplied back by its denominator (radsimp cannot
+        # rationalise one of depth 3 or 4); expand then collects the result
+        # on the radical basis, so this is a zero test
+        num, den = sp.fraction(want)
+        assert sp.expand(to_sympy(got) * den - num) == 0
 
 
 def test_field_ops_match_sympy_numerically():
@@ -84,9 +92,12 @@ def _sign_cases(rng: random.Random):
         yield random_quadext(rng, 3, 5)
     for _ in range(40):
         yield random_quadext(rng, 7)
+    for radicands in ((2, 3, 5), (2, 3, 5, 7), (5, 13, 319, 1141)):
+        for _ in range(20):
+            yield random_quadext(rng, *radicands)
     # x minus a 1e-9-denominator rational close to it: the enclosure of such
     # a difference needs many bits, the relative norm decides it
-    for radicands in ((5, 1141), (2, 7), (7,)):
+    for radicands in ((5, 1141), (2, 7), (7,), (2, 3, 5), (2, 3, 5, 7), (5, 13, 319, 1141)):
         for _ in range(40):
             x = random_quadext(rng, *radicands)
             yield x - Fraction(float(x)).limit_denominator(10 ** 9)
@@ -97,6 +108,22 @@ def test_signs_match_sympy():
     for a in _sign_cases(random.Random(103)):
         expected = int(sp.sign(sp.N(to_sympy(a), 60))) if not a.is_zero() else 0
         assert sign(a) == expected
+
+
+def test_gamma_three_halves_paper_fan_signs_match_sympy():
+    # gamma = 3/2 takes sqrt(rho) of each density: every condition lies in
+    # a tower of up to four radicands, such as (5, 13, 319, 1141)
+    fan = fan_from_json({**fan_to_json(paper_example()), "gamma": "3/2"})
+    conditions = verify_fan(fan).conditions
+    assert {c.name for c in conditions if c.status is not Status.PASS} == {
+        "rh_energy[2]", "rh_normal[3]", "rh_energy[3]"}
+    assert all(c.status is not Status.INCONCLUSIVE for c in conditions)
+    for c in conditions:
+        # a tower witness is the repr of its JSON dict
+        w = xreal_from_json(ast.literal_eval(c.witness) if c.witness.startswith("{")
+                            else c.witness)
+        expected = int(sp.sign(sp.N(to_sympy(w), 60))) if not w.is_zero() else 0
+        assert sign(w) == expected
 
 
 def test_interval_enclosures_contain_true_values():

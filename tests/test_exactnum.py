@@ -120,9 +120,10 @@ def test_adjoin_sqrt_field_element_gives_interval():
 
 
 def test_radicand_mismatch_three_radicals():
-    a = QuadExt((2, 5), (1, 1, 0, 0))
-    b = QuadExt.sqrt_of(3)
-    with pytest.raises(RadicandMismatch):
+    # the limit: a depth-4 tower and a fifth independent radicand
+    a = QuadExt((2, 3, 5, 7), (1,) + (0,) * 14 + (1,))
+    b = QuadExt.sqrt_of(11)
+    with pytest.raises(RadicandMismatch, match="need more than 4 independent radicals"):
         a + b
 
 
@@ -133,6 +134,11 @@ def test_same_field_radicands_merge():
     s = a + b
     assert isinstance(s, QuadExt)
     assert float(s) == pytest.approx(3 * 2 ** 0.5)
+    # sqrt65 = sqrt5*sqrt13 is a basis product of (5, 13); (319, 1141)
+    # merges with it to depth 4
+    c = QuadExt((5, 13), (1, 2, 3, 4))
+    assert (c + QuadExt.sqrt_of(65)).radicands == (5, 13)
+    assert (c * QuadExt((319, 1141), (5, 6, 7, 8))).radicands == (5, 13, 319, 1141)
 
 
 def test_equal_values_in_different_towers_hash_equal():
@@ -156,15 +162,44 @@ def test_division_by_rational_valued_tower_element():
 
 
 def test_square_radicands_rejected_at_the_boundary():
-    # arithmetic results skip the radicand checks; the entry points keep
-    # them, and a radicand is an integer (5.9 was truncated to sqrt(5))
-    for rads in ((), (4,), (2, 9), (2, 8), (5.5,), (5.9,), (Fraction(11, 2),), (5, 7.5)):
+    # arithmetic results skip the radicand check; the entry points keep it:
+    # 1 to 4 positive integers (5.9 was truncated to sqrt(5)) that are their
+    # own compositum basis, which (2, 3, 6) is not: sqrt6 = sqrt2*sqrt3
+    for rads in ((), (4,), (2, 9), (2, 8), (5.5,), (5.9,), (Fraction(11, 2),), (5, 7.5),
+                 (2, 3, 6), (3, 2), (0,), (-5,), (1,), (2, 2), (2, 3, 5, 7, 11)):
         with pytest.raises(ValueError):
             QuadExt(rads, [1] + [0] * ((1 << len(rads)) - 1))
         with pytest.raises(ValueError):
             QuadExt.from_rational(1, rads)
     with pytest.raises(ValueError):
         xreal_from_json({"d": [9], "c": ["1/1", "0/1"]})
+
+
+def test_depth_four_tower_and_its_basis_names():
+    x = QuadExt((2, 3, 5, 7), range(16))
+    assert x.radicands == (2, 3, 5, 7) and x.coeffs == tuple(map(Fraction, range(16)))
+    assert xreal_from_json(xreal_to_json(x)) == x
+    # the basis in bitmask order: every product of the radicands is named
+    assert str(QuadExt((2, 3, 5), range(1, 9))) == (
+        "1 + 2*sqrt(2) + 3*sqrt(3) + 4*sqrt(6) + 5*sqrt(5) + 6*sqrt(10)"
+        " + 7*sqrt(15) + 8*sqrt(30)")
+
+
+_PRIMES = st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1, max_size=4).map(sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rads=_PRIMES, near=st.booleans())
+def test_sign_agrees_with_enclosure_on_deep_towers(data, rads, near):
+    # near: x minus a close rational, so the sign rests on the relative norm
+    cs = data.draw(st.lists(st.fractions(-20, 20, max_denominator=20),
+                            min_size=1 << len(rads), max_size=1 << len(rads)))
+    x = QuadExt(rads, cs)
+    if near:
+        x = x - Fraction(float(x)).limit_denominator(10 ** 9)
+    iv = x.enclosure(256)
+    if iv.lo > 0 or iv.hi < 0:
+        assert sign(x) == (1 if iv.lo > 0 else -1)
 
 
 _SCALED = st.builds(lambda q, e: q * Fraction(10) ** e,
@@ -254,6 +289,8 @@ def test_interval_division_by_possible_zero():
 def test_interval_sign_separates_nonzero():
     expr = IntervalExpr.sqrt(as_xreal(2)) + IntervalExpr.sqrt(as_xreal(3)) - as_xreal(3)
     assert sign(expr) == 1  # sqrt2 + sqrt3 = 3.146... > 3
+    neg = -IntervalExpr.sqrt(as_xreal(2))
+    assert neg.op == "neg" and sign(neg) == -1
 
 
 def test_pow_and_log_nodes():

@@ -51,6 +51,17 @@ def test_paper_shock_dissipation_bracket():
     assert sign(coeff - Rational(27, 4) * S5) == 0
 
 
+def test_expanding_hugoniot_data_fail_lax():
+    # the paper's data with the left normal momentum negated still satisfy
+    # [v]^2 = [p][rho]/(rho_l rho_r), but v rises across the jump: Lax
+    # rejects the shock and both waves are rarefactions
+    left, right = paper_data()
+    left = EulerState(left.rho, (left.m[0], -left.m[1]))
+    sol = solve_riemann(LAW2, left, right)
+    assert not sol.exact
+    assert [type(w) for w in sol.waves] == [Rarefaction, Rarefaction]
+
+
 def test_constant_data_no_waves():
     s = EulerState(2, (1, 1))
     sol = solve_riemann(LAW2, s, s)

@@ -36,6 +36,12 @@ def test_diag_traceless_not_in_cone():
     assert in_Lambda(z) is None
 
 
+def test_rank_one_kernel_is_the_plane_of_the_only_row():
+    # m = 0, U = 0, q = 0: only the row (q, F) = (0, 3, 5) is nonzero
+    d = in_Lambda(PHPoint((0, 0), 0, 0, 0, (3, 5)))
+    assert d.as_tuple() == (0, 5, -3)
+
+
 def test_difference_of_lifted_points_in_cone():
     z1, _ = lift_state(LAW2, EulerState(1, (1, 0)))
     z2, _ = lift_state(LAW2, EulerState(1, (0, 1)))
