@@ -17,8 +17,8 @@ _HOMES = {
         "sign", "xreal_from_json", "xreal_to_json",
     ),
     "model": (
-        "EulerState", "InvalidReference", "NonPositiveDensity", "PHPoint",
-        "PressureLaw", "lift_state", "pressure", "pressure_potential",
+        "EulerState", "NonPositiveDensity", "PHPoint", "PressureLaw",
+        "lift_state", "pressure", "pressure_potential",
     ),
     "hull": (
         "HypothesesViolated", "LambdaClass", "MatrixM", "NotInV",

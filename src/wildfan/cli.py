@@ -43,14 +43,7 @@ from .fan import (
 )
 from .hull import split_flux_direction, w_flux_vertices
 from .model import PHPoint, PressureLaw
-from .riemann import (
-    Rarefaction,
-    Shock,
-    Slip,
-    VacuumFormation,
-    selfsim_dissipation,
-    solve_riemann,
-)
+from .riemann import VacuumFormation, selfsim_dissipation, solve_riemann
 
 __all__ = ["main", "run"]
 
@@ -148,19 +141,11 @@ def _cmd_riemann(args) -> int:
     except VacuumFormation as exc:
         _emit({"command": "riemann", "error": f"vacuum formation: {exc}"}, args.format)
         return EXIT_FAIL
-    waves = []
-    for w in sol.waves:
-        if isinstance(w, Shock):
-            waves.append({"kind": "shock", "speed": xreal_to_json(w.speed),
-                          "left": state_to_json(w.left), "right": state_to_json(w.right)})
-        elif isinstance(w, Rarefaction):
-            waves.append({"kind": "rarefaction",
-                          "speed_lo": xreal_to_json(w.speed_lo),
-                          "speed_hi": xreal_to_json(w.speed_hi),
-                          "left": state_to_json(w.left), "right": state_to_json(w.right)})
-        elif isinstance(w, Slip):
-            waves.append({"kind": "slip", "speed": xreal_to_json(w.speed),
-                          "left": state_to_json(w.left), "right": state_to_json(w.right)})
+    # a wave record's fields are its speeds and its left and right states
+    waves = [{"kind": type(w).__name__.lower(),
+              **{name: (state_to_json if name in ("left", "right") else xreal_to_json)(
+                  getattr(w, name)) for name in w._fields}}
+             for w in sol.waves]
     payload = {
         "command": "riemann",
         "exact": sol.exact,

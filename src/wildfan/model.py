@@ -25,7 +25,6 @@ __all__ = [
     "EulerState",
     "PHPoint",
     "NonPositiveDensity",
-    "InvalidReference",
     "pressure",
     "pressure_potential",
     "lift_state",
@@ -34,10 +33,6 @@ __all__ = [
 
 class NonPositiveDensity(ValueError):
     """Density must be strictly positive (no vacuum)."""
-
-
-class InvalidReference(ValueError):
-    """gamma = 1 needs a positive reference density in the potential."""
 
 
 class Record:
@@ -100,26 +95,18 @@ def _two_components(name: str, v) -> tuple[XReal, XReal]:
 
 
 class PressureLaw(Record):
-    """p(rho) = rho**gamma with the reference density rho_star of the
-    pressure potential.  Default rho_star: 0 for gamma > 1 (potential
-    rho**gamma/(gamma-1)), 1 for gamma = 1 (potential rho*log(rho))."""
+    """p(rho) = rho**gamma for a rational gamma >= 1; any other gamma is
+    rejected here, so every later use of the law has a rational exponent."""
 
     gamma: XReal
-    rho_star: XReal
 
-    def __init__(self, gamma=2, rho_star=None):
+    def __init__(self, gamma=2):
         g = as_xreal(gamma)
+        if not (isinstance(g, QuadExt) and g.is_rational()):
+            raise ValueError(f"gamma must be rational, got {g}")
         if sign(g - 1) < 0:
             raise ValueError("gamma must be >= 1")
-        if rho_star is None:
-            rho_star = 0 if sign(g - 1) > 0 else 1
-        rs = as_xreal(rho_star)
-        if sign(g - 1) == 0 and sign(rs) <= 0:
-            raise InvalidReference("gamma = 1 requires rho_star > 0")
-        if sign(rs) < 0:
-            raise ValueError("rho_star must be >= 0")
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "rho_star", rs)
 
 
 class EulerState(Record):
@@ -174,13 +161,10 @@ class PHPoint(Record):
                 self.F[0], self.F[1])
 
 
-def _gamma_parts(law: PressureLaw) -> tuple[int, int] | None:
-    """(num, den) when gamma is rational, else None."""
-    g = law.gamma
-    if isinstance(g, QuadExt) and g.is_rational():
-        v = g.rational_value()
-        return v.numerator, v.denominator
-    return None
+def _gamma_parts(law: PressureLaw) -> tuple[int, int]:
+    """(num, den) of the rational gamma."""
+    v = law.gamma.rational_value()
+    return v.numerator, v.denominator
 
 
 def _rational_pow(x: XReal, num: int, den: int) -> XReal:
@@ -203,30 +187,21 @@ def pressure(law: PressureLaw, rho: XReal) -> XReal:
     rho = as_xreal(rho)
     if sign(rho) <= 0:
         raise NonPositiveDensity(f"rho = {rho}")
-    parts = _gamma_parts(law)
-    if parts is None:
-        raise ValueError("gamma must be rational")
-    return _rational_pow(rho, *parts)
+    return _rational_pow(rho, *_gamma_parts(law))
 
 
 def pressure_potential(law: PressureLaw, rho: XReal) -> XReal:
-    """P(rho) = rho * integral_{rho_star}^{rho} p(r)/r^2 dr, in closed form."""
+    """P(rho) = rho**gamma/(gamma-1) for gamma > 1, rho*log(rho) for
+    gamma = 1: a solution of rho P'' = p'.  P is fixed only up to a linear
+    term c*rho, which adds c*(-mu[rho] + [m2]) = 0 to every bracket
+    -mu[E] + [F2] by the mass condition, so no verdict depends on it."""
     rho = as_xreal(rho)
     if sign(rho) <= 0:
         raise NonPositiveDensity(f"rho = {rho}")
-    parts = _gamma_parts(law)
-    if parts is None:
-        raise ValueError("gamma must be rational")
-    num, den = parts
+    num, den = _gamma_parts(law)
     if num == den:  # gamma = 1
-        if sign(law.rho_star) <= 0:
-            raise InvalidReference("gamma = 1 requires rho_star > 0")
-        return rho * IntervalExpr.log(rho / law.rho_star)
-    gm1 = law.gamma - 1
-    main = pressure(law, rho) / gm1
-    if sign(law.rho_star) == 0:
-        return main
-    return main - rho * _rational_pow(law.rho_star, num - den, den) / gm1
+        return rho * IntervalExpr.log(rho)
+    return pressure(law, rho) / (law.gamma - 1)
 
 
 def lift_state(law: PressureLaw, state: EulerState) -> tuple[PHPoint, XReal]:

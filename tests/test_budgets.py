@@ -1,0 +1,90 @@
+"""Operation budgets: call counts of whole operations, which host noise
+cannot blur.
+
+Each bound is the count of the change that last lowered it.  Budgets only
+go down: a change that beats one lowers it to the new count.  The counters
+are patched with ``raising=True``, so a renamed function fails the test
+instead of silently counting nothing.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from wildfan import exactnum, hull, search
+from wildfan.exactnum import IntervalExpr, QuadExt, Rational, adjoin_sqrt
+from wildfan.fan import beats_selfsimilar, find_Q, paper_example, verify_fan
+from wildfan.model import EulerState, PressureLaw
+
+LAW2 = PressureLaw(gamma=2)
+
+_EXACT_COUNTERS = (
+    (exactnum, "_tower_sign"),
+    (exactnum, "_tower_mul"),
+    (IntervalExpr, "_refine_until"),
+    (QuadExt, "enclosure"),
+    (hull.WGeometry, "in_W"),
+    (exactnum._Ival, "root"),
+)
+
+
+def _counted(monkeypatch, targets) -> dict[str, int]:
+    """Count the calls of each (owner, name) from now on, by name."""
+    counts = {}
+    for owner, name in targets:
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper, raising=True)
+    return counts
+
+
+def _within(counts: dict[str, int], budget: dict[str, int]) -> None:
+    assert counts.keys() == budget.keys()
+    over = {name: (counts[name], budget[name]) for name in budget if counts[name] > budget[name]}
+    assert not over, f"over budget (count, budget): {over}"
+
+
+@pytest.mark.parametrize("operation, budget", [
+    (verify_fan, {"_tower_sign": 243, "_tower_mul": 163, "_refine_until": 0,
+                  "enclosure": 0, "in_W": 0, "root": 0}),
+    (beats_selfsimilar, {"_tower_sign": 214, "_tower_mul": 161, "_refine_until": 0,
+                         "enclosure": 2, "in_W": 0, "root": 2}),
+    (find_Q, {"_tower_sign": 494, "_tower_mul": 481, "_refine_until": 25,
+              "enclosure": 525, "in_W": 25, "root": 900}),
+], ids=["verify_fan", "beats_selfsimilar", "find_Q"])
+def test_exact_operation_budget(monkeypatch, operation, budget):
+    fan = paper_example()  # built before counting: only the operation is counted
+    counts = _counted(monkeypatch, _EXACT_COUNTERS)
+    operation(fan)
+    _within(counts, budget)
+
+
+def _paper_shock():
+    s5 = QuadExt.sqrt_of(5)
+    return (EulerState(1, (Rational(0), Rational(3, 2) * s5)),
+            EulerState(4, (Rational(0), Rational(0))))
+
+
+def _weak_shock():
+    # rho 1 -> 5/4 with v_r = 0: a shock too weak for any restart to certify
+    return (EulerState(1, (Rational(0), adjoin_sqrt(Rational(9, 80)))),
+            EulerState(Rational(5, 4), (Rational(0), Rational(0))))
+
+
+def test_search_weak_miss_budget(monkeypatch):
+    counts = _counted(monkeypatch, [(search, "_kernel")])
+    cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=2, rng_seed=0))
+    assert cand is None
+    _within(counts, {"_kernel": 10448})
+
+
+def test_search_paper_shock_budget(monkeypatch):
+    # restarts past the certified one do not run
+    counts = _counted(monkeypatch, [(search, "_kernel")])
+    cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
+    assert cand is not None and cand.fan is not None and cand.seed == 2
+    _within(counts, {"_kernel": 43975})

@@ -162,6 +162,47 @@ def test_search_command(tmp_path, capsys):
     assert "fan" in payload
 
 
+def _normal_data(tmp_path, v_left, v_right, **extra):
+    """Riemann data at unit density with normal velocities v_left, v_right."""
+    data = {"gamma": "2/1", "left": {"rho": "1/1", "m": ["0/1", v_left]},
+            "right": {"rho": "1/1", "m": ["0/1", v_right]}, **extra}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_riemann_vacuum_exit_code(tmp_path, capsys):
+    code, out = invoke(capsys, "--format", "json", "riemann",
+                       _normal_data(tmp_path, "-10/1", "10/1"))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("vacuum formation: ")
+
+
+def test_search_without_certificate_exit_codes(tmp_path, capsys):
+    # two rarefactions: no reference shock plane to beat
+    code, out = invoke(capsys, "--format", "json", "search",
+                       _normal_data(tmp_path, "-1/2", "1/2"))
+    assert (code, json.loads(out)["result"]) == (1, "no candidate found")
+    # two shocks: no exact reference speed to pin, so the float candidate
+    # stays uncertified; --seed overrides the file's rng_seed
+    path = _normal_data(tmp_path, "1/1", "-1/1", config={"restarts": 1, "rng_seed": 0})
+    code, out = invoke(capsys, "--format", "json", "search", path, "--seed", "3")
+    payload = json.loads(out)
+    assert (code, payload["result"]) == (1, "candidate failed certification")
+    assert payload["candidate"]["seed"] == 3
+
+
+def test_non_rational_gamma_exit_code(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"gamma": {"d": [2], "c": ["0/1", "1/1"]},
+                                "left": {"rho": "1/1", "m": ["0/1", "0/1"]},
+                                "right": {"rho": "4/1", "m": ["0/1", "0/1"]}}))
+    code = run(["riemann", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "gamma must be rational" in captured.err
+
+
 def test_json_float_exit_code(tmp_path, capsys):
     # JSON floats are not exact numbers: top level and tower coefficients
     for gamma, left_m in ((2.0, "0/1"), ("2/1", 0.5),
@@ -176,8 +217,9 @@ def test_json_float_exit_code(tmp_path, capsys):
 
 
 def test_search_config_unknown_field_exit_code(tmp_path, capsys):
-    # max_iters was a config field; the iteration cap is now fixed.  Values
-    # are integers (a bool or a float is not), and the message names the key
+    # max_iters and rounding_denominator_cap were config fields; the
+    # iteration cap and the rounding cap are now fixed.  Values are integers
+    # (a bool or a float is not), and the message names the key
     for key, value in (("margin_weight", 1.0), ("max_iters", 10),
                        ("restarts", True), ("rng_seed", True), ("restarts", 8.0),
                        ("rng_seed", "0"), ("restarts", -1), ("rng_seed", -1),
@@ -314,7 +356,7 @@ print(json.dumps({"names": len(wildfan.__all__), "problems": problems, "missing"
 
 def test_lazy_namespace_resolves_every_public_name():
     result = _probe(_NAMESPACE_PROBE)
-    assert result["names"] == 72  # every public name of the seven submodules
+    assert result["names"] == 71  # every public name of the seven submodules
     assert result["problems"] == [] and result["missing"] == "AttributeError"
     assert result["unbound submodules"] == []
 

@@ -13,7 +13,6 @@ from wildfan.exactnum import IntervalExpr, QuadExt, Rational, sign
 from wildfan.fan import ConditionResult, Status
 from wildfan.model import (
     EulerState,
-    InvalidReference,
     NonPositiveDensity,
     PHPoint,
     PressureLaw,
@@ -54,6 +53,15 @@ def test_pressure_gamma_four_thirds():
         assert abs(sp.Rational(end.numerator, end.denominator) - oracle) < sp.Float("1e-55", 60)
 
 
+def test_pressure_law_rejects_non_rational_gamma():
+    # gamma is checked once, where the law is built, not at first use
+    for gamma in (QuadExt.sqrt_of(2), IntervalExpr.log(Rational(3))):
+        with pytest.raises(ValueError, match="gamma must be rational"):
+            PressureLaw(gamma)
+    with pytest.raises(ValueError, match="gamma must be >= 1"):
+        PressureLaw(Rational(1, 2))
+
+
 def test_pressure_rejects_vacuum():
     law = PressureLaw(gamma=2)
     with pytest.raises(NonPositiveDensity):
@@ -61,25 +69,16 @@ def test_pressure_rejects_vacuum():
 
 
 def test_pressure_potential_closed_forms():
-    law = PressureLaw(gamma=2)  # rho_star defaults to 0
+    law = PressureLaw(gamma=2)  # P = rho^2
     assert pressure_potential(law, Rational(4)) == Rational(16)
     assert pressure_potential(law, Rational(52, 25)) == Rational(2704, 625)
 
-    iso = PressureLaw(gamma=1, rho_star=1)
+    iso = PressureLaw(gamma=1)  # P = rho log rho
     v = pressure_potential(iso, Rational(1))
     assert sign(v, precision_cap=256) == 0  # value is exactly 0
     iv = v.enclosure(128)
     assert float(iv.lo) <= 0.0 <= float(iv.hi)
     assert float(iv.hi - iv.lo) < 1e-30
-
-    with pytest.raises(InvalidReference):
-        PressureLaw(gamma=1, rho_star=0)
-
-
-def test_pressure_potential_general_reference():
-    law = PressureLaw(gamma=2, rho_star=1)
-    # P(rho) = rho^2 - rho for gamma=2, rho_star=1
-    assert pressure_potential(law, Rational(3)) == Rational(6)
 
 
 def test_lift_rest_state():
@@ -195,7 +194,7 @@ def test_records_are_class_aware_hashable_and_frozen():
     # a validating constructor stays in charge of its fields
     with pytest.raises(ValueError):
         SearchConfig(restarts=-1)
-    assert SearchConfig() == SearchConfig(64, 10 ** 12, 0)
+    assert SearchConfig() == SearchConfig(64, 0)
     # the search candidate is frozen like every other record
     cand = Candidate(PressureLaw(2), left, right, -1.0, [0.0])
     assert cand.margins == () and not cand.feasible and cand.fan is None

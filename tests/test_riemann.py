@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wildfan.exactnum import QuadExt, Rational, sign
-from wildfan.model import EulerState, PressureLaw
+from wildfan.exactnum import QuadExt, Rational, adjoin_sqrt, sign
+from wildfan.model import EulerState, PressureLaw, lift_state, pressure
 from wildfan.riemann import (
     DissipationProfile,
     Rarefaction,
@@ -170,6 +172,39 @@ def test_isothermal_exact_shock_with_log_energy():
     assert sign(coeff) == 1
     # hand oracle: -sigma(E_L - E_R) + F2_L = (9/8 - 8 ln2)/2 + 51/16
     assert abs(float(coeff) - (15 / 4 - 4 * math.log(2))) < 1e-12
+
+
+_SIZES = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.sampled_from([1, Fraction(3, 2), 2, 3]), rho=_SIZES, ratio=_SIZES,
+       u=st.fractions(min_value=-2, max_value=2, max_denominator=8),
+       v_r=st.fractions(min_value=-2, max_value=2, max_denominator=8))
+def test_exact_shock_satisfies_rankine_hugoniot_and_dissipates(gamma, rho, ratio, u, v_r):
+    # the exact path decides only the jump relation and the Lax test; the
+    # Rankine-Hugoniot residuals at the speed it returns must vanish
+    # exactly, and the shock must dissipate
+    assume(ratio != 1)
+    if Fraction(gamma).denominator == 2:  # squares keep rho^(3/2) rational
+        rho, ratio = rho * rho, ratio * ratio
+    law = PressureLaw(gamma)
+    rho_l, rho_r = Rational(rho), Rational(rho * ratio)
+    jump_sq = ((pressure(law, rho_r) - pressure(law, rho_l)) * (rho_r - rho_l)
+               / (rho_l * rho_r))
+    v_l = Rational(v_r) + adjoin_sqrt(jump_sq)  # v drops across the shock
+    left = EulerState(rho_l, (rho_l * u, rho_l * v_l))
+    right = EulerState(rho_r, (rho_r * u, rho_r * v_r))
+    sol = solve_riemann(law, left, right)
+    assert sol.exact and [type(w) for w in sol.waves] == [Shock]
+    s = sol.waves[0].speed
+    (za, _), (zb, _) = lift_state(law, left), lift_state(law, right)
+    residuals = (s * (rho_l - rho_r) - (za.m[1] - zb.m[1]),
+                 s * (za.m[0] - zb.m[0]) - (za.u12 - zb.u12),
+                 s * (za.m[1] - zb.m[1]) - ((-1) * za.u11 + za.q + zb.u11 - zb.q))
+    assert [sign(r) for r in residuals] == [0, 0, 0]
+    (speed, coeff), = selfsim_dissipation(law, sol).entries
+    assert speed == s and sign(coeff) >= 0
 
 
 def test_profile_requires_increasing_speeds():

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wildfan.exactnum import QuadExt, Rational, adjoin_sqrt, sign
@@ -104,6 +105,25 @@ def test_chain_close_float_residuals_tiny():
                 -u_seq[i] + q_seq[i] + u_seq[i + 1] - q_seq[i + 1])
             assert abs(r1) < 1e-9 * scale
             assert abs(r3) < 1e-9 * scale * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=16),
+                   min_size=4, max_size=4),
+       rho1=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=16),
+       qs=st.lists(st.fractions(min_value=0, max_value=30, max_denominator=16),
+                   min_size=3, max_size=3))
+def test_exact_chain_close_solves_the_last_interface(mu, rho1, qs):
+    # certify reads neither output: over exact numbers the 2x2 solve makes
+    # the chained mu3 equal mu[3] and the residual zero, identically
+    left, right = paper_boundary()
+    try:
+        _, _, _, mu3, residual = chain_close(
+            boundary_values(left), boundary_values(right), tuple(map(Rational, mu)),
+            Rational(rho1), tuple(map(Rational, qs)))
+    except DegenerateClosure:
+        assume(False)
+    assert sign(mu3 - mu[3]) == 0 and sign(residual) == 0
 
 
 def test_chain_close_degenerate():
