@@ -21,7 +21,10 @@ Signs and inverses of ``QuadExt`` values are decided algebraically, with no
 rounding.  A tower element x = A + B*sqrt(d), with d the top radicand and A,
 B one level down, has the sign of A when B = 0 or sign A = sign B, the sign
 of B when A = 0, and sign A * sign(A^2 - d*B^2) otherwise; its inverse is
-(A - B*sqrt(d)) / (A^2 - d*B^2).  Both recurse down the tower to Q.
+(A - B*sqrt(d)) / (A^2 - d*B^2).  Both recurse down the tower to Q.  The
+sign rule also runs on levels whose radicands and coefficients are
+``QuadExt`` elements (``_tower_sign``), which is how ``hull`` decides
+W-membership exactly.
 
 Intervals serve ``IntervalExpr`` only: its enclosure is refined with doubling
 precision until it excludes zero (or is a single point), and ``Inconclusive``
@@ -571,7 +574,16 @@ def _relative_norm(c: Sequence[int], rads: tuple[int, ...]) -> list[int]:
 
 
 def _tower_sign(c: Sequence[int], rads: tuple[int, ...]) -> int:
-    """Exact sign by the real-quadratic rule, recursing one level down."""
+    """Exact sign by the real-quadratic rule, recursing one level down.
+
+    The rule holds for any positive radicand d, because A - B*sqrt(d) has
+    the sign of A when sign A = -sign B, and (A + B*sqrt(d))(A - B*sqrt(d))
+    = A^2 - d*B^2.  So it needs no independence between the radicands, and
+    they and the coefficients may be QuadExt elements instead of integers:
+    the tower then sits on top of theirs, and the base case compares a
+    coefficient with 0 by its own sign (hull decides W-membership over
+    (R12, R34) this way).
+    """
     if not rads:
         return (c[0] > 0) - (c[0] < 0)
     h, below = len(c) // 2, rads[:-1]

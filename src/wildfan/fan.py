@@ -33,7 +33,9 @@ from .hull import NotInV, WDecomposition, WGeometry, matrix_M
 from .model import (
     EulerState, PHPoint, PressureLaw, Record, lift_state, pressure, pressure_potential,
 )
-from .riemann import DissipationProfile, plane_bracket, selfsim_dissipation, solve_riemann
+from .riemann import (
+    DissipationProfile, SelfSimilarSolution, plane_bracket, selfsim_dissipation, solve_riemann,
+)
 
 __all__ = [
     "FanSubsolution",
@@ -387,13 +389,17 @@ def paper_chain(report: VerificationReport, planes) -> VerificationReport:
     return VerificationReport(tuple(conds))
 
 
-def compare_selfsimilar(fan: FanSubsolution) -> tuple[VerificationReport, list]:
+def compare_selfsimilar(fan: FanSubsolution, sol: SelfSimilarSolution | None = None
+                        ) -> tuple[VerificationReport, list]:
     """Dissipation comparison against the self-similar solution of the same
-    Riemann data: solve, profile both, compare plane by plane.  Returns the
-    report and the merged planes (speed, candidate coefficient, reference
-    coefficient; None off support), empty if the comparison did not finish."""
+    Riemann data: solve (unless the caller passes its solution ``sol`` of
+    fan's law and boundary states), profile both, compare plane by plane.
+    Returns the report and the merged planes (speed, candidate coefficient,
+    reference coefficient; None off support), empty if the comparison did
+    not finish."""
     conds: list[ConditionResult] = []
-    sol = solve_riemann(fan.law, fan.left, fan.right)
+    if sol is None:
+        sol = solve_riemann(fan.law, fan.left, fan.right)
     # a float-bisected reference is no ground for a certified verdict
     conds.append(ConditionResult(
         "selfsimilar_solved", Status.PASS if sol.exact else Status.INCONCLUSIVE,

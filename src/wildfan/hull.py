@@ -21,13 +21,17 @@ A^j do not.  WGeometry(law, rho, z) computes the cap-independent part once
 answers r^j, the vertex scales, f^j and W-membership for any cap from it.
 find_Q builds one per region and probes its whole doubling schedule
 through it; the module-level functions each build a single geometry.
+
+On tower data (as at gamma = 2) W-membership is decided with no rounding,
+by the tower sign rule two levels up (see WGeometry.in_W); the witness
+weights stay interval expressions over the roots r^j.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .exactnum import XReal, adjoin_sqrt, as_xreal, sign, xmax
+from .exactnum import QuadExt, XReal, _tower_sign, adjoin_sqrt, as_xreal, sign, xmax
 from .model import PHPoint, PressureLaw, Record, pressure, pressure_potential
 
 __all__ = [
@@ -193,6 +197,15 @@ class WGeometry:
         self.a = (self.dev[0] + self.dev[1]) / 2
         self.b = (self.dev[0] - self.dev[1]) / 2
         self._neg_a, self._neg_b = (-1) * self.a, (-1) * self.b
+        # the cap-independent terms of the slack X + Y sqrt(R12) + Z sqrt(R34)
+        # (see in_W), on tower data only
+        self._slack_terms = None
+        if all(isinstance(v, QuadExt) for v in (rho, a12, a34, *self.msig, self.a, self.b)):
+            abs_a = self.a if sign(self.a) >= 0 else self._neg_a
+            abs_b = self.b if sign(self.b) >= 0 else self._neg_b
+            self._slack_terms = (2 * a12 * a34,
+                                 self.a * a34 * self.msig[0] + self.b * a12 * self.msig[2],
+                                 (-1) * abs_a * a34, (-1) * abs_b * a12)
 
     def gap(self, Q: XReal) -> XReal:
         """Q - q; raises NotInV unless it is positive."""
@@ -215,7 +228,9 @@ class WGeometry:
 
     def scales(self, Q: XReal) -> tuple[XReal, XReal, XReal, XReal]:
         """The vertex scales c_j = A^j / r^j at cap Q, from two square roots."""
-        gap = self.gap(Q)
+        return self._scales(self.gap(Q))
+
+    def _scales(self, gap: XReal) -> tuple[XReal, XReal, XReal, XReal]:
         root12, root34 = self._sqrt(gap, 1), self._sqrt(gap, 3)
         return tuple(A / self._r(gap, j, root)
                      for j, A, root in zip((1, 2, 3, 4), self.A,
@@ -227,25 +242,51 @@ class WGeometry:
         s1, s2 = SIGMA[j - 1]
         return (c * s1, c * s2)
 
+    def _slack_sign(self, gap: XReal) -> int | None:
+        """Exact sign of the polytope slack 1 - lo - hi of in_W at this gap;
+        None unless the geometry and the gap are tower elements."""
+        if self._slack_terms is None or not isinstance(gap, QuadExt):
+            return None
+        two_aa, x_tail, y, z = self._slack_terms
+        rad12, rad34 = (head + self._four_rho * gap for head in self._rad_head)
+        return _tower_sign([gap * two_aa + x_tail, y, z, 0], (rad12, rad34))
+
     def in_W(self, Q: XReal) -> tuple[bool, WDecomposition | None]:
         """W-membership at cap Q with a constructive witness.
 
         In the diagonal flux coordinates a = (v1+v2)/2, b = (v1-v2)/2 and
         with vertex scales c_j, the polytope condition collapses to
 
-            max(a/c1, -a/c2, 0) + max(b/c3, -b/c4, 0) < 1,
+            lo + hi < 1,  lo = max(a/c1, -a/c2, 0),  hi = max(b/c3, -b/c4, 0),
 
         and any s strictly inside the remaining interval yields strictly
         positive weights in closed form; we take the midpoint.
+
+        With g = Q - q, m1 = m.sigma^1 = -m.sigma^2, m3 = m.sigma^3 =
+        -m.sigma^4 and R12 = m1^2 + 4 rho (A^1 + g), R34 likewise, the roots
+        are r^{1,2} = (-+m1 + sqrt(R12)) / (2g).  As c_j > 0, lo is |a|
+        times the root that sign(a) picks over A^1, and hi likewise, so the
+        slack 1 - lo - hi times 2g A^1 A^3 > 0 is
+
+            X + Y sqrt(R12) + Z sqrt(R34),  X = 2g A^1 A^3 + a A^3 m1 + b A^1 m3,
+                                            Y = -|a| A^3,  Z = -|b| A^1.
+
+        On tower data its sign decides membership exactly, and a failing
+        cap takes no square root.  Other data (interval expressions, as at
+        gamma = 1) are decided by refining sign(1 - lo - hi).
         """
         try:
-            c1, c2, c3, c4 = cs = self.scales(Q)
+            gap = self.gap(Q)
         except NotInV:
             return False, None
+        slack = self._slack_sign(gap)
+        if slack is not None and slack <= 0:
+            return False, None
+        c1, c2, c3, c4 = cs = self._scales(gap)
         a, b = self.a, self.b
         lo = xmax(a / c1, self._neg_a / c2, 0)
         hi = xmax(b / c3, self._neg_b / c4, 0)
-        if sign(1 - lo - hi) <= 0:
+        if slack is None and sign(1 - lo - hi) <= 0:
             return False, None
         s = (lo + (1 - hi)) / 2
         k1 = (a + s * c2) / (c1 + c2)

@@ -38,9 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
-from .fan import FanSubsolution, VerificationReport, beats_selfsimilar, verify_fan
+from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
 from .model import EulerState, PHPoint, PressureLaw, Record, lift_state
-from .riemann import Shock, plane_bracket, selfsim_dissipation, solve_riemann
+from .riemann import SelfSimilarSolution, Shock, plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
     "SearchConfig",
@@ -501,7 +501,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         if surplus > best_surplus:  # surplus > floor > 0: the first one wins
             best, best_surplus = cand, surplus
         if sigma_exact is not None:
-            certified = _certify(cand, sigma_exact, ctx)
+            certified = _certify(cand, sol, sigma_exact, ctx)
             if certified is not None:
                 return Candidate(*fields, *certified)
     return best
@@ -537,18 +537,19 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     inequality is lost in rounding; otherwise the fan.  ``cand`` is left
     as it is.  Nothing in ``cfg`` changes the result: its fields steer the
     restarts of ``search_fan`` only."""
-    sigma = _exact_sigma(solve_riemann(cand.law, cand.left, cand.right))
+    sol = solve_riemann(cand.law, cand.left, cand.right)
+    sigma = _exact_sigma(sol)
     if sigma is None:
         return None
-    certified = _certify(cand, sigma, _Context(cand.law, cand.left, cand.right))
+    certified = _certify(cand, sol, sigma, _Context(cand.law, cand.left, cand.right))
     return None if certified is None else certified[0]
 
 
-def _certify(cand: Candidate, sigma: XReal, ctx: _Context
+def _certify(cand: Candidate, sol: SelfSimilarSolution, sigma: XReal, ctx: _Context
              ) -> tuple[FanSubsolution, VerificationReport] | None:
-    """``certify`` against the exact shock speed and the exact boundary
-    values the caller already has (``search_fan`` computes them once);
-    the fan with its comparison report."""
+    """``certify`` against the reference solution, its exact shock speed
+    and the exact boundary values the caller already has (``search_fan``
+    computes them once); the fan with its comparison report."""
     law, left, right = cand.law, cand.left, cand.right
 
     def rnd(v) -> XReal:
@@ -574,7 +575,7 @@ def _certify(cand: Candidate, sigma: XReal, ctx: _Context
         fan = FanSubsolution(law, mu, left, right, regions)
         if not verify_fan(fan).passed:
             return None
-        comparison = beats_selfsimilar(fan)
+        comparison = compare_selfsimilar(fan, sol)[0]
         if not comparison.passed:
             return None
         return fan, comparison

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from wildfan.exactnum import IntervalExpr, QuadExt, Rational, as_xreal, sign, xreal_from_json
+from wildfan.exactnum import (IntervalExpr, QuadExt, Rational, _tower_sign, as_xreal, sign,
+                              xreal_from_json)
 from wildfan.fan import FanSubsolution, Status, fan_from_json, fan_to_json, paper_example, verify_fan
 from wildfan.model import PHPoint
 
@@ -124,6 +125,47 @@ def test_gamma_three_halves_paper_fan_signs_match_sympy():
                             else c.witness)
         expected = int(sp.sign(sp.N(to_sympy(w), 60))) if not w.is_zero() else 0
         assert sign(w) == expected
+
+
+def test_nested_tower_signs_match_sympy():
+    # _tower_sign one level up: coefficients and radicands in Q(sqrt5), the
+    # form in which hull decides W-membership.  The value is
+    # X + Y sqrt(R1) + Z sqrt(R2) + W sqrt(R1) sqrt(R2)
+    rng = random.Random(109)
+
+    def positive():
+        r = random_quadext(rng, 5)
+        return r if sign(r) > 0 else r * (-1) + Rational(1, 7)
+
+    def value(c, rads):
+        r1, r2 = (sp.sqrt(to_sympy(r)) for r in rads)
+        x, y, z, w = (to_sympy(v) for v in c)
+        return x + y * r1 + z * r2 + w * r1 * r2
+
+    for _ in range(60):
+        rads = (positive(), positive())
+        c = [random_quadext(rng, 5) for _ in range(4)]
+        # a coefficient or two set to zero, and a near-cancelling X
+        for k in rng.sample(range(4), rng.randint(0, 2)):
+            c[k] = Rational(0)
+        if rng.random() < 0.5:
+            c[0] = c[0] - Fraction(float(value(c, rads))).limit_denominator(10 ** 6)
+        assert _tower_sign(c, rads) == int(sp.sign(sp.N(value(c, rads), 60)))
+
+    # a constructed zero over dependent radicands R2 = R1 t^2 (t > 0), so
+    # sqrt(R2) = t sqrt(R1) and sqrt(R1 R2) = R1 t: X = -W R1 t and Y = -Z t
+    # cancel; the rule needs no independence of R1 and R2
+    for _ in range(20):
+        r1, t = positive(), positive()
+        r2 = r1 * t * t
+        z, w = random_quadext(rng, 5), random_quadext(rng, 5)
+        c = [(-1) * w * r1 * t, (-1) * z * t, z, w]
+        assert sp.expand(to_sympy(r2) - to_sympy(r1) * to_sympy(t) ** 2) == 0  # multiplied back
+        assert sp.expand(to_sympy(c[0]) + to_sympy(w) * to_sympy(r1) * to_sympy(t)) == 0
+        assert sp.expand(to_sympy(c[1]) + to_sympy(z) * to_sympy(t)) == 0
+        assert _tower_sign(c, (r1, r2)) == 0
+        eps = Rational(rng.choice((-1, 1)), 10 ** 12)
+        assert _tower_sign([c[0] + eps, *c[1:]], (r1, r2)) == sign(eps)
 
 
 def test_interval_enclosures_contain_true_values():

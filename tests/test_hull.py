@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wildfan.exactnum import Rational, adjoin_sqrt, as_xreal, sign, xmax
+from wildfan.exactnum import Inconclusive, Rational, adjoin_sqrt, as_xreal, sign, xmax
 from wildfan.hull import (
     SIGMA,
     HypothesesViolated,
@@ -321,7 +321,9 @@ def test_geometry_reuse_matches_fresh_in_W(point, below):
 
 
 def test_in_W_takes_one_square_root_per_vertex_pair(monkeypatch):
-    # r^1, r^2 share their radicand, and so do r^3, r^4
+    # a failing cap is decided in the tower with no square root; a
+    # certifying one takes one root per vertex pair for its witness (r^1, r^2
+    # share their radicand, and so do r^3, r^4)
     import wildfan.hull as hull
     from wildfan.fan import paper_example
 
@@ -335,7 +337,95 @@ def test_in_W_takes_one_square_root_per_vertex_pair(monkeypatch):
     fan = paper_example()
     for rho, z in fan.regions:
         geom = WGeometry(fan.law, rho, z)
-        for n in (1, 4):
+        ok, n = False, 0
+        while not ok:
+            n += 1
             calls.clear()
-            geom.in_W(z.q * 2 ** n)
-            assert len(calls) == 2
+            ok, _ = geom.in_W(z.q * 2 ** n)
+            assert len(calls) == (2 if ok else 0)
+        assert n > 1  # failing caps were probed too
+
+
+@st.composite
+def perturbed_paper_regions(draw):
+    """A gamma = 2 paper region with q and F shifted by rationals.  The flux
+    is drawn free, or on a diagonal through the rigid flux, where the
+    deviation coordinate a or b is exactly 0."""
+    from wildfan.fan import paper_example
+
+    def shift(lo, hi, den):
+        return Rational(draw(st.integers(lo, hi)), draw(st.integers(1, den)))
+
+    rho, z = paper_example().regions[draw(st.integers(0, 2))]
+    q = z.q + shift(-1, 200, 100)
+    rf = rigid_flux(LAW2, rho, PHPoint(z.m, z.u11, z.u12, q, (0, 0)))
+    d = shift(-60, 60, 8)
+    F = {"free": (z.F[0] + shift(-60, 60, 8), z.F[1] + d),
+         "a=0": (rf[0] + d, rf[1] - d),
+         "b=0": (rf[0] + d, rf[1] + d)}[draw(st.sampled_from(("free", "a=0", "b=0")))]
+    return rho, PHPoint(z.m, z.u11, z.u12, q, F)
+
+
+def _interval_slack_sign(geom, Q):
+    """sign(1 - lo - hi) refined over the roots r^j, as in_W decides it on
+    interval data; None where 256 bits do not decide it."""
+    c1, c2, c3, c4 = geom.scales(Q)
+    lo = xmax(geom.a / c1, (-1) * geom.a / c2, 0)
+    hi = xmax(geom.b / c3, (-1) * geom.b / c4, 0)
+    try:
+        return sign(1 - lo - hi, precision_cap=256)
+    except Inconclusive:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(perturbed_paper_regions())
+def test_exact_W_decision_matches_the_interval_slack(point):
+    # caps one doubling either side of the first certifying one, and caps
+    # bisected towards the W boundary between them
+    rho, z = point
+    try:
+        geom = WGeometry(LAW2, rho, z)
+    except NotInV:
+        assume(False)
+    n = next((n for n in range(1, 31) if geom.in_W(z.q * 2 ** n)[0]), None)
+    assume(n is not None)
+    out, inside = z.q * 2 ** (n - 1), z.q * 2 ** n
+    caps = [inside, z.q * 2 ** (n + 1)] + ([out] if n > 1 else [])
+    for _ in range(4):
+        if n == 1:
+            break
+        mid = (out + inside) / 2
+        caps.append(mid)
+        if geom.in_W(mid)[0]:
+            inside = mid
+        else:
+            out = mid
+    for Q in caps:
+        exact = geom._slack_sign(geom.gap(Q))
+        assert exact is not None  # tower data take the exact path
+        assert geom.in_W(Q)[0] == (exact > 0)
+        interval = _interval_slack_sign(geom, Q)
+        if interval is not None:
+            assert exact == interval
+
+
+def test_interval_data_keep_the_refined_W_decision():
+    # at gamma = 1 the potential rho log rho makes the flux deviation an
+    # interval expression: in_W refines sign(1 - lo - hi) instead, and
+    # agrees with the float scan one doubling either side of its first cap
+    from wildfan.fan import paper_example
+
+    law1 = PressureLaw(gamma=1)
+    failing = 0
+    for rho, z in paper_example().regions:
+        geom = WGeometry(law1, rho, z)
+        assert geom._slack_sign(geom.gap(z.q * 2)) is None
+        n = next(n for n in range(1, 31) if geom.in_W(z.q * 2 ** n)[0])
+        for cap in [z.q * 2 ** k for k in range(max(n - 1, 1), n + 2)]:
+            ok, witness = geom.in_W(cap)
+            assert ok == scan_feasible(geom.scales(cap), geom.a, geom.b)
+            if ok:
+                assert all(sign(k) > 0 for k in witness.kappa)
+            failing += not ok
+    assert failing  # region 1 first certifies at 2^4 q

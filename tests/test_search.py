@@ -246,7 +246,9 @@ def test_search_golden_bits(restarts, rng_seed):
 
 
 def test_search_solves_the_riemann_problem_once(monkeypatch):
-    # certify's exact shock speed and boundary values come from search_fan
+    # certify's exact shock speed, boundary values and reference solution
+    # come from search_fan; the comparison does not solve again
+    import wildfan.fan as fan_module
     import wildfan.search as search_module
 
     calls = []
@@ -254,7 +256,8 @@ def test_search_solves_the_riemann_problem_once(monkeypatch):
     def counted(*args):
         calls.append(args)
         return solve_riemann(*args)
-    monkeypatch.setattr(search_module, "solve_riemann", counted)
+    for module in (search_module, fan_module):
+        monkeypatch.setattr(module, "solve_riemann", counted, raising=True)
     left, right = paper_boundary()
     cand = search_fan(LAW2, left, right, SearchConfig(restarts=4, rng_seed=3))
     assert cand is not None and cand.fan is not None
