@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 # Public name -> home submodule.  `import wildfan` loads no submodule: each
 # one is imported on first use of one of its names or of the submodule
 # itself (PEP 562), so a command pays only for the modules it calls, and
-# numpy (`search`, `convexint`) loads only where it is needed.
+# numpy (`convexint`'s kernels) loads only where it is needed.
 _HOMES = {
     "exactnum": (
         "Inconclusive", "IntervalExpr", "NegativeRadicand", "QuadExt",

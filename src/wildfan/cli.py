@@ -172,7 +172,7 @@ def _cmd_verify_fan(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .search import SearchConfig, search_fan  # imports numpy, so only here
+    from .search import SearchConfig, search_fan  # the float search, so only here
 
     data = _load_json(args.file)
     law, left, right = _riemann_inputs(data)

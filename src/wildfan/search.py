@@ -17,8 +17,10 @@ closes each restart's final point.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
-importing scipy.  numpy is needed only for the seeded restart draws and for
-``np.argsort`` on tied simplex values.
+importing scipy, once scipy's argsort breaks ties stably.  The module
+imports no numpy: ``_PCG64`` draws the restart starts exactly as numpy's
+``default_rng`` does, and ``_order`` breaks ties in the simplex order by
+index, so the search bits depend neither on the CPU nor on numpy.
 
 Certification rounds the free variables to rationals of denominator at
 most 10**12, pins the matched plane speed to the exact reference shock
@@ -34,8 +36,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
-
-import numpy as np
 
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
@@ -328,18 +328,14 @@ class _Result(NamedTuple):
 
 
 def _order(sim: list, fsim: list):
-    """(sim, fsim, distinct): the simplex sorted by value in the order
-    np.argsort(fsim) gives.  A plain sort gives that order only when the
-    values are distinct and none is NaN; otherwise np.argsort decides,
-    since its tie order is not a stable sort's, and the phase-1 plateaus
-    (0.0 and 1e6) do tie."""
-    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+    """(sim, fsim, distinct): the simplex sorted by value, tied values in
+    index order and NaN last: numpy's argsort order with kind="stable",
+    which does not depend on the CPU.  scipy's default argsort picks its
+    tie order by CPU feature, and the phase-1 plateaus (0.0 and 1e6) do
+    tie, so scipy matches ``minimize`` only with a stable argsort."""
+    ind = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
     f = [fsim[i] for i in ind]
-    distinct = all(a < b for a, b in zip(f, f[1:]))
-    if not distinct:
-        ind = np.argsort(fsim).tolist()
-        f = [fsim[i] for i in ind]
-    return [sim[i] for i in ind], f, distinct
+    return [sim[i] for i in ind], f, all(a < b for a, b in zip(f, f[1:]))
 
 
 _XATOL, _FATOL = 1e-12, 1e-15
@@ -422,7 +418,7 @@ def minimize(fun, x0, maxiter: int) -> _Result:
             fsim.insert(i, fsim.pop())
         else:
             sim, fsim, distinct = _order(sim, fsim)
-    # np.min(fsim): NaN when any value is NaN
+    # scipy's min of fsim: NaN when any value is NaN
     fmin = fsim[0] if all(f == f for f in fsim) else math.nan
     return _Result(sim[0], fmin, nfev, nit)
 
@@ -471,8 +467,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     best: Candidate | None = None
     best_surplus = 0.0
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.rng_seed + restart)
-        y = _sample_start(rng, ctx, sigma, floor)
+        y = _sample_start(_PCG64(cfg.rng_seed + restart), ctx, sigma, floor)
 
         feas = minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, floor, v),
                         y, _MAX_ITERS)
@@ -507,8 +502,63 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     return best
 
 
-def _sample_start(rng: np.random.Generator, ctx: _Context, sigma: float,
-                  floor: float) -> np.ndarray:
+class _PCG64:
+    """numpy's ``default_rng(seed).uniform(a, b)``, bit for bit, in pure
+    Python: SeedSequence's hash mixing of the seed's 32-bit words into a
+    4-word pool, expanded to four 64-bit words that seed PCG64, a 128-bit
+    LCG with XSL-RR output (O'Neill, HMC-CS-2014-0905); each draw scales
+    the top 53 bits of one output to [0, 1)."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+    _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+    def __init__(self, seed: int) -> None:
+        m32 = self._M32
+        words = [seed & m32]  # the seed's 32-bit words, lowest first
+        while seed >> 32:
+            seed >>= 32
+            words.append(seed & m32)
+        const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & m32
+            value = value * const & m32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state: eight 32-bit words, paired into 64-bit ones
+        const, out = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & m32
+            value = value * const & m32
+            out.append(value ^ value >> 16)
+        s0, s1, s2, s3 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & self._M128
+        self._state = ((self._inc + (s0 << 64 | s1)) * self._MULT + self._inc) & self._M128
+
+    def uniform(self, a: float, b: float) -> float:
+        state = self._state = (self._state * self._MULT + self._inc) & self._M128
+        word = ((state >> 64) ^ state) & self._M64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & self._M64
+        return a + (b - a) * ((word >> 11) * 2.0 ** -53)
+
+
+def _sample_start(rng: _PCG64, ctx: _Context, sigma: float, floor: float) -> list:
     rho_m, _, _, q_m = ctx.minus
     rho_p, _, _, q_p = ctx.plus
     lo_q, hi_q = sorted((q_m, q_p))
@@ -522,7 +572,7 @@ def _sample_start(rng: np.random.Generator, ctx: _Context, sigma: float,
     rho1 = rng.uniform(lo_r, hi_r)
     q1, q2, q3 = (lo_q + span_q * rng.uniform(0.2, 1.3) for _ in range(3))
     b0, b2, b3 = (rng.uniform(floor, 20 * floor) for _ in range(3))
-    return np.array([mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3])
+    return [mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +38,8 @@ from wildfan.search import (
     _Context,
     _infeasibility,
     _kernel,
+    _order,
+    _PCG64,
     _retreat_score,
     _sample_start,
     certify,
@@ -212,26 +221,25 @@ def test_search_deterministic():
     cfg = SearchConfig(restarts=4, rng_seed=3)
     a = search_fan(LAW2, left, right, cfg)
     b = search_fan(LAW2, left, right, cfg)
-    if a is None:
-        assert b is None
-    else:
-        assert np.allclose(a.x, b.x)
+    assert a is not None and b is not None
+    assert (a.seed, [v.hex() for v in a.x]) == (b.seed, [v.hex() for v in b.x])
 
 
 # Restart seed and free variables (float.hex) of the paper-boundary search,
-# recorded before the float closure was merged into chain_close: the same
-# seeds must keep producing the same Nelder-Mead trajectories bit for bit.
+# recorded when the simplex order became a stable sort (ties by index, NaN
+# last): the same seeds must keep producing the same Nelder-Mead
+# trajectories bit for bit, on any CPU and without numpy.
 GOLDEN_SEARCH = {
     (4, 3): (3, [
-        "-0x1.54d7fe4fd28ccp+0", "-0x1.b7e3ee9f19d8cp-1", "0x1.d1ac5c94cbc24p+1",
-        "0x1.0426272bfa70dp+1", "0x1.2360080a15177p+3", "0x1.8c2eefe2d3f82p+3",
-        "0x1.0111358b60e39p+4", "0x1.6458c8f693862p+4", "0x1.b4de0eb958da8p+1",
-        "0x1.f516316e363c1p-3"]),
+        "-0x1.573bd2c2290eep+0", "-0x1.b79e0d8646e80p-1", "0x1.d4747b6d74fdep+1",
+        "0x1.fe67108e63880p+0", "0x1.202f7bd1bf1b4p+3", "0x1.8bce74f75aa5fp+3",
+        "0x1.011500858da7bp+4", "0x1.661d1bdab4a36p+4", "0x1.b66c6867f4ac4p+1",
+        "0x1.fce57ae24992fp-3"]),
     (16, 0): (2, [
-        "-0x1.51681045d90a5p+0", "-0x1.bc2a0c3e5df12p-1", "0x1.d3bde2b0d6c4cp+1",
-        "0x1.02a047aa32ab0p+1", "0x1.21af7290bfcf1p+3", "0x1.90bd26c806aa4p+3",
-        "0x1.00fca009b2d0dp+4", "0x1.65fe25b8a2a97p+4", "0x1.a61ae9b476846p+1",
-        "0x1.d0c245a9e3dcfp-3"]),
+        "-0x1.575945b281217p+0", "-0x1.b70741dedf9a2p-1", "0x1.d3c52bb8fb8c0p+1",
+        "0x1.ff6c551626086p+0", "0x1.2092ec6d65df8p+3", "0x1.8ba38740d54d9p+3",
+        "0x1.0116f23605243p+4", "0x1.65d62020657bap+4", "0x1.b6b0ed1f010e3p+1",
+        "0x1.ffd50962b4f20p-3"]),
 }
 
 
@@ -243,6 +251,55 @@ def test_search_golden_bits(restarts, rng_seed):
     seed, x_hex = GOLDEN_SEARCH[restarts, rng_seed]
     assert cand is not None and cand.seed == seed
     assert [float(v).hex() for v in cand.x] == x_hex
+
+
+_NO_NUMPY_SEARCH = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from wildfan.exactnum import QuadExt, Rational
+from wildfan.model import EulerState, PressureLaw
+from wildfan.search import SearchConfig, search_fan
+left = EulerState(1, (Rational(0), Rational(3, 2) * QuadExt.sqrt_of(5)))
+right = EulerState(4, (Rational(0), Rational(0)))
+cand = search_fan(PressureLaw(gamma=2), left, right, SearchConfig(restarts=16, rng_seed=0))
+print(json.dumps([cand.seed, [v.hex() for v in cand.x], cand.fan is not None]))
+"""
+
+
+def test_search_golden_bits_without_numpy():
+    # the search runs on the standard library alone and gives the same bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SEARCH], env=env,
+                          capture_output=True, text=True, check=True)
+    seed, x_hex = GOLDEN_SEARCH[16, 0]
+    assert json.loads(proc.stdout) == [seed, x_hex, True]
+
+
+def test_pcg64_draws_equal_default_rng():
+    # seeds of one to seven 32-bit words: SeedSequence mixes any word past
+    # the pool's fourth back in
+    rng = random.Random(20)
+    seeds = [*range(300), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 3, 2**100 + 7,
+             2**128 + 5, 2**200 + 11, *(rng.getrandbits(70) for _ in range(50))]
+    bounds = [(0.05, 1.0), (0.5, 5.0), (-3.0, 7.5), (2e-4, 4e-3), (0.0, 1.0), (1.0, 4.0)] * 2
+    for seed in seeds:
+        ours, ref = _PCG64(seed), np.random.default_rng(seed)
+        assert [ours.uniform(a, b).hex() for a, b in bounds] == \
+            [float(ref.uniform(a, b)).hex() for a, b in bounds], seed
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1e6, math.nan]),
+                          st.floats(-1.0, 1.0, allow_nan=False)), max_size=12))
+def test_order_is_a_stable_argsort(fsim):
+    sim = [[float(i)] for i in range(len(fsim))]
+    got, fgot, distinct = _order(sim, fsim)
+    ind = np.argsort(np.array(fsim, dtype=float), kind="stable").tolist()
+    assert [int(v[0]) for v in got] == ind
+    assert [f.hex() for f in fgot] == [fsim[i].hex() for i in ind]
+    assert distinct == all(fsim[a] < fsim[b] for a, b in zip(ind, ind[1:]))
 
 
 def test_search_solves_the_riemann_problem_once(monkeypatch):
@@ -290,7 +347,7 @@ def _feasible_start(name, seed):
     """A start after a full feasibility phase, where the barrier and
     retreat phases do their real work."""
     ctx, sigma, ref_coeff = _problem(name)
-    y = _sample_start(np.random.default_rng(seed), ctx, sigma, _FLOOR)
+    y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
     return tuple(minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v),
                           y, 4000).x)
 
@@ -325,10 +382,13 @@ def _nan_bowl(v):
 
 
 def _assert_same_as_scipy(fun, x0, maxiter):
+    # scipy orders its simplex with numpy's argsort; a stable one breaks
+    # ties as minimize does, on any CPU
     ours = minimize(fun, x0, maxiter)
-    ref = scipy.optimize.minimize(
-        fun, np.array(x0, dtype=float), method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-15, "adaptive": True})
+    with mock.patch.object(np, "argsort", partial(np.argsort, kind="stable")):
+        ref = scipy.optimize.minimize(
+            fun, np.array(x0, dtype=float), method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-15, "adaptive": True})
     assert [float(v).hex() for v in ours.x] == [float(v).hex() for v in ref.x]
     assert float(ours.fun).hex() == float(ref.fun).hex()
     assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
@@ -344,7 +404,7 @@ def test_minimize_matches_scipy_on_the_phase_objectives(name, phase, seed, warm,
     if warm:
         start = list(_feasible_start(name, seed))
     else:
-        start = list(_sample_start(np.random.default_rng(seed), ctx, sigma, _FLOOR))
+        start = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
     _assert_same_as_scipy(_phase_objective(name, phase, start), start, maxiter)
 
 
