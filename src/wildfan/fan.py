@@ -389,22 +389,25 @@ def paper_chain(report: VerificationReport, planes) -> VerificationReport:
     return VerificationReport(tuple(conds))
 
 
-def compare_selfsimilar(fan: FanSubsolution, sol: SelfSimilarSolution | None = None
+def compare_selfsimilar(fan: FanSubsolution,
+                        solved: tuple[SelfSimilarSolution, DissipationProfile] | None = None
                         ) -> tuple[VerificationReport, list]:
     """Dissipation comparison against the self-similar solution of the same
-    Riemann data: solve (unless the caller passes its solution ``sol`` of
-    fan's law and boundary states), profile both, compare plane by plane.
-    Returns the report and the merged planes (speed, candidate coefficient,
-    reference coefficient; None off support), empty if the comparison did
-    not finish."""
+    Riemann data: solve and profile it (unless the caller passes ``solved``,
+    its solution of fan's law and boundary states with that solution's
+    profile), profile the fan, compare plane by plane.  Returns the report
+    and the merged planes (speed, candidate coefficient, reference
+    coefficient; None off support), empty if the comparison did not
+    finish."""
     conds: list[ConditionResult] = []
-    if sol is None:
+    if solved is None:
         sol = solve_riemann(fan.law, fan.left, fan.right)
+        solved = sol, selfsim_dissipation(fan.law, sol)
+    sol, reference = solved
     # a float-bisected reference is no ground for a certified verdict
     conds.append(ConditionResult(
         "selfsimilar_solved", Status.PASS if sol.exact else Status.INCONCLUSIVE,
         f"waves={len(sol.waves)}, exact={sol.exact}"))
-    reference = selfsim_dissipation(fan.law, sol)
     candidate = fan_dissipation_profile(fan)
 
     try:

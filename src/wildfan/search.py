@@ -40,7 +40,8 @@ from typing import NamedTuple
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
 from .model import EulerState, PHPoint, PressureLaw, Record, lift_state
-from .riemann import SelfSimilarSolution, Shock, plane_bracket, selfsim_dissipation, solve_riemann
+from .riemann import (DissipationProfile, SelfSimilarSolution, Shock, plane_bracket,
+                      selfsim_dissipation, solve_riemann)
 
 __all__ = [
     "SearchConfig",
@@ -235,7 +236,7 @@ def _close_floats(ctx: _Context, sigma: float, v):
 
 
 # ---------------------------------------------------------------------------
-# the float kernel and the three phase objectives
+# the float kernel and the two phase objectives
 # ---------------------------------------------------------------------------
 
 # The optimizer works in "bracket coordinates": the three energy-flux
@@ -302,16 +303,6 @@ def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
             return 1e7
         barrier -= math.log(min(m / floor, 1e6))
     return -surplus + tau * barrier
-
-
-def _retreat_score(ctx, sigma, ref_coeff, floor, target, y) -> float:
-    point = _kernel(ctx, sigma, ref_coeff, y)
-    if point is None:
-        return 1e9
-    surplus, margins = point[:2]
-    if surplus < target:
-        return 1e6 * (1.0 + (target - surplus))
-    return -min(min(margins), 100.0 * floor)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +437,15 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
                cfg: SearchConfig) -> Candidate | None:
     """Multi-restart derivative-free search over the free variables.
 
-    Each restart runs three Nelder-Mead phases: drive all strict margins
-    above a floor, push the dominance surplus up behind a logarithmic
-    barrier, then retreat to the most interior point that keeps half of
-    the achieved surplus.  Deterministic in cfg.rng_seed: restart k draws
-    from seed rng_seed + k.  Returns the first candidate that certifies
-    exactly (its ``fan`` and ``comparison`` are set), else the best
-    float-feasible candidate with positive surplus, else None.
+    Each restart runs two Nelder-Mead phases: drive all strict margins
+    above a floor, then push the dominance surplus up behind a
+    logarithmic barrier (at two weights).  The barrier point, if it closes
+    and has positive float surplus, goes to exact certification, which
+    alone decides the strict inequalities.  Deterministic in
+    cfg.rng_seed: restart k draws from seed rng_seed + k.  Returns the
+    first candidate that certifies exactly (its ``fan`` and ``comparison``
+    are set), else the best float-feasible candidate with positive
+    surplus, else None.
     """
     sol = solve_riemann(law, left, right)
     ref = selfsim_dissipation(law, sol)
@@ -477,26 +470,22 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         for tau in (1e-2, 1e-3):
             y = minimize(lambda v: _barrier_score(ctx, sigma, ref_coeff, floor, tau, v),
                          y, _MAX_ITERS).x
-        point = _kernel(ctx, sigma, ref_coeff, y)
-        if point is None or point[0] <= 0.0:
-            continue
-        target = 0.5 * point[0]
-        y = minimize(lambda v: _retreat_score(ctx, sigma, ref_coeff, floor, target, v),
-                     y, _MAX_ITERS).x
-
+        # the barrier phase starts feasible and scores a point with any
+        # nonpositive margin 1e7, so every margin is positive here; the
+        # float tests only screen what the exact certifier decides
         point = _kernel(ctx, sigma, ref_coeff, y)
         if point is None:
             continue
         surplus, margins, fluxes, residual = point
-        if not (residual < 1e-7 and surplus > floor and min(margins) >= 0.5 * floor):
+        if not (residual < 1e-7 and surplus > 0.0):
             continue
         fields = (law, left, right, sigma, (*y[:7], *fluxes),
                   tuple(zip(_MARGINS, margins)), True, cfg.rng_seed + restart)
         cand = Candidate(*fields)
-        if surplus > best_surplus:  # surplus > floor > 0: the first one wins
+        if surplus > best_surplus:  # surplus > 0.0: the first one wins
             best, best_surplus = cand, surplus
         if sigma_exact is not None:
-            certified = _certify(cand, sol, sigma_exact, ctx)
+            certified = _certify(cand, (sol, ref), sigma_exact, ctx)
             if certified is not None:
                 return Candidate(*fields, *certified)
     return best
@@ -591,15 +580,17 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     sigma = _exact_sigma(sol)
     if sigma is None:
         return None
-    certified = _certify(cand, sol, sigma, _Context(cand.law, cand.left, cand.right))
+    certified = _certify(cand, (sol, selfsim_dissipation(cand.law, sol)), sigma,
+                         _Context(cand.law, cand.left, cand.right))
     return None if certified is None else certified[0]
 
 
-def _certify(cand: Candidate, sol: SelfSimilarSolution, sigma: XReal, ctx: _Context
-             ) -> tuple[FanSubsolution, VerificationReport] | None:
-    """``certify`` against the reference solution, its exact shock speed
-    and the exact boundary values the caller already has (``search_fan``
-    computes them once); the fan with its comparison report."""
+def _certify(cand: Candidate, solved: tuple[SelfSimilarSolution, DissipationProfile],
+             sigma: XReal, ctx: _Context) -> tuple[FanSubsolution, VerificationReport] | None:
+    """``certify`` against the reference solution with its dissipation
+    profile, its exact shock speed and the exact boundary values the caller
+    already has (``search_fan`` computes them once); the fan with its
+    comparison report."""
     law, left, right = cand.law, cand.left, cand.right
 
     def rnd(v) -> XReal:
@@ -625,7 +616,7 @@ def _certify(cand: Candidate, sol: SelfSimilarSolution, sigma: XReal, ctx: _Cont
         fan = FanSubsolution(law, mu, left, right, regions)
         if not verify_fan(fan).passed:
             return None
-        comparison = compare_selfsimilar(fan, sol)[0]
+        comparison = compare_selfsimilar(fan, solved)[0]
         if not comparison.passed:
             return None
         return fan, comparison

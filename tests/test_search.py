@@ -40,7 +40,6 @@ from wildfan.search import (
     _kernel,
     _order,
     _PCG64,
-    _retreat_score,
     _sample_start,
     certify,
     chain_close,
@@ -226,20 +225,20 @@ def test_search_deterministic():
 
 
 # Restart seed and free variables (float.hex) of the paper-boundary search,
-# recorded when the simplex order became a stable sort (ties by index, NaN
-# last): the same seeds must keep producing the same Nelder-Mead
-# trajectories bit for bit, on any CPU and without numpy.
+# recorded when the barrier point went straight to exact certification:
+# the same seeds must keep producing the same Nelder-Mead trajectories bit
+# for bit, on any CPU and without numpy.
 GOLDEN_SEARCH = {
     (4, 3): (3, [
-        "-0x1.573bd2c2290eep+0", "-0x1.b79e0d8646e80p-1", "0x1.d4747b6d74fdep+1",
-        "0x1.fe67108e63880p+0", "0x1.202f7bd1bf1b4p+3", "0x1.8bce74f75aa5fp+3",
-        "0x1.011500858da7bp+4", "0x1.661d1bdab4a36p+4", "0x1.b66c6867f4ac4p+1",
-        "0x1.fce57ae24992fp-3"]),
+        "-0x1.51838107ded38p+0", "-0x1.c5b77fe583cb0p-1", "0x1.6fd95ce2ee5cbp+1",
+        "0x1.0311b3e3acb43p+1", "0x1.222e920435e37p+3", "0x1.8660afb62dcedp+3",
+        "0x1.00c6480b5cbd6p+4", "0x1.65a57bcb0f3d1p+4", "0x1.c6a9fe33046c1p+1",
+        "0x1.1ef5e3f5c0799p-3"]),
     (16, 0): (2, [
-        "-0x1.575945b281217p+0", "-0x1.b70741dedf9a2p-1", "0x1.d3c52bb8fb8c0p+1",
-        "0x1.ff6c551626086p+0", "0x1.2092ec6d65df8p+3", "0x1.8ba38740d54d9p+3",
-        "0x1.0116f23605243p+4", "0x1.65d62020657bap+4", "0x1.b6b0ed1f010e3p+1",
-        "0x1.ffd50962b4f20p-3"]),
+        "-0x1.518380bee6adcp+0", "-0x1.c5b780e068f5ep-1", "0x1.6fd95d62acf0fp+1",
+        "0x1.0311b3f9f4828p+1", "0x1.222e92023e1c7p+3", "0x1.8660af5e3f606p+3",
+        "0x1.00c64808b5cbfp+4", "0x1.65a57bd7a921fp+4", "0x1.c6aa0015422d1p+1",
+        "0x1.1ef5e0b69d03cp-3"]),
 }
 
 
@@ -303,22 +302,39 @@ def test_order_is_a_stable_argsort(fsim):
 
 
 def test_search_solves_the_riemann_problem_once(monkeypatch):
-    # certify's exact shock speed, boundary values and reference solution
-    # come from search_fan; the comparison does not solve again
+    # certify's exact shock speed, boundary values, reference solution and
+    # its profile come from search_fan; the comparison does not solve or
+    # profile again
     import wildfan.fan as fan_module
     import wildfan.search as search_module
 
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve_riemann(*args)
-    for module in (search_module, fan_module):
-        monkeypatch.setattr(module, "solve_riemann", counted, raising=True)
+    calls = {}
+    for fn in (solve_riemann, selfsim_dissipation):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+        calls[fn.__name__] = 0
+        for module in (search_module, fan_module):
+            monkeypatch.setattr(module, fn.__name__, counted, raising=True)
     left, right = paper_boundary()
     cand = search_fan(LAW2, left, right, SearchConfig(restarts=4, rng_seed=3))
     assert cand is not None and cand.fan is not None
-    assert len(calls) == 1
+    assert calls == {"solve_riemann": 1, "selfsim_dissipation": 1}
+
+
+def test_search_certifies_the_rho_2_shock():
+    # rho 1 -> 2, v_r = 0, a shock weaker than the paper's: the barrier
+    # point of restart seed 2 certifies exactly, its matched plane
+    # dissipating strictly more than the reference shock
+    left = EulerState(1, (Rational(0), adjoin_sqrt(Rational(3, 2))))
+    right = EulerState(2, (Rational(0), Rational(0)))
+    cand = search_fan(LAW2, left, right, SearchConfig(restarts=3, rng_seed=0))
+    assert cand is not None and cand.seed == 2 and cand.fan is not None
+    assert cand.comparison.passed
+    (ref_speed, ref_coeff), = selfsim_dissipation(LAW2, solve_riemann(LAW2, left, right)).entries
+    speed, coeff = fan_dissipation_profile(cand.fan).entries[1]
+    assert sign(speed - ref_speed) == 0
+    assert sign(coeff - ref_coeff) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +360,19 @@ def _problem(name):
 
 @lru_cache(maxsize=None)
 def _feasible_start(name, seed):
-    """A start after a full feasibility phase, where the barrier and
-    retreat phases do their real work."""
+    """A start after a full feasibility phase, where the barrier phase
+    does its real work."""
     ctx, sigma, ref_coeff = _problem(name)
     y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
     return tuple(minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v),
                           y, 4000).x)
 
 
-def _phase_objective(name, phase, start):
+def _phase_objective(name, phase):
     ctx, sigma, ref_coeff = _problem(name)
     if phase == "feasibility":
         return lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v)
-    if phase == "barrier":
-        return lambda v: _barrier_score(ctx, sigma, ref_coeff, _FLOOR, 1e-2, v)
-    point = _kernel(ctx, sigma, ref_coeff, start)
-    target = 0.5 * point[0] if point is not None and point[0] > 0.0 else 0.0
-    return lambda v: _retreat_score(ctx, sigma, ref_coeff, _FLOOR, target, v)
+    return lambda v: _barrier_score(ctx, sigma, ref_coeff, _FLOOR, 1e-2, v)
 
 
 def _plateau(v):
@@ -397,7 +409,7 @@ def _assert_same_as_scipy(fun, x0, maxiter):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(["paper", "weak"]),
-       phase=st.sampled_from(["feasibility", "barrier", "retreat"]),
+       phase=st.sampled_from(["feasibility", "barrier"]),
        seed=st.integers(0, 3), warm=st.booleans(), maxiter=st.integers(1, 600))
 def test_minimize_matches_scipy_on_the_phase_objectives(name, phase, seed, warm, maxiter):
     ctx, sigma, _ = _problem(name)
@@ -405,7 +417,7 @@ def test_minimize_matches_scipy_on_the_phase_objectives(name, phase, seed, warm,
         start = list(_feasible_start(name, seed))
     else:
         start = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
-    _assert_same_as_scipy(_phase_objective(name, phase, start), start, maxiter)
+    _assert_same_as_scipy(_phase_objective(name, phase), start, maxiter)
 
 
 @settings(max_examples=40, deadline=None)
