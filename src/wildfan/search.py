@@ -13,7 +13,8 @@ region, the energy-flux inequality per interface, and the dominance target
 on the reference shock plane.  Each float evaluation closes its point once,
 in one kernel that returns the dominance surplus, the margins, the fluxes
 and the closure residual.  That kernel scores every optimizer step and also
-closes each restart's final point.
+closes each restart's final point.  A restart's feasibility phase ends as
+soon as its outcome is known.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
@@ -287,9 +288,32 @@ def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
         return 1e6
     total = 0.0
     for m in point[1]:
-        if m < floor:
+        if not m >= floor:  # NaN falls short too: only a feasible point scores 0.0
             total += (floor - m) ** 2
     return total
+
+
+def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
+    """``_infeasibility`` as the phase-1 objective over n variables.  It raises
+    ``_Stop`` at the first 0.0, where a full run ends too (ties keep index
+    order); else, with the best point so far, once the n + 1 start vertices
+    all score the 1e6 sentinel or 300 evaluations cut the best by < 10 %."""
+    bests, best, best_x, closed = [], math.inf, None, False  # bests[k]: best of k + 1 scores
+
+    def score(y):
+        nonlocal best, best_x, closed
+        f = _infeasibility(ctx, sigma, ref_coeff, floor, y)
+        if f == 0.0:
+            raise _Stop(y, f, len(bests) + 1)
+        if f < best:
+            best, best_x = f, y
+        bests.append(best)
+        closed = closed or f != 1e6
+        k = len(bests)
+        if (k == n + 1 and not closed) or (k > 300 and not best < 0.9 * bests[-301]):
+            raise _Stop(best_x, best, k)
+        return f
+    return score
 
 
 def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
@@ -316,6 +340,10 @@ class _Result(NamedTuple):
     fun: float
     nfev: int
     nit: int
+
+
+class _Stop(Exception):
+    """(x, f, nfev): ends ``minimize`` at x, scored f by evaluation nfev."""
 
 
 def _order(sim: list, fsim: list):
@@ -351,64 +379,67 @@ def minimize(fun, x0, maxiter: int) -> _Result:
         y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
-    fsim = [fun(x) for x in sim]
-    nfev = n + 1
-    sim, fsim, _ = _order(sim, fsim)
-    sim, fsim, distinct = _order(sim, fsim)  # scipy sorts twice here
-    zero = [0.0] * n
     nit = 1
-    while nit < maxiter:
-        best, fbest = sim[0], fsim[0]
-        # fsim is sorted with any NaN last, so its largest |fsim[0] - f|
-        # is the last one's
-        if (abs(fbest - fsim[-1]) <= _FATOL
-                and all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best))):
-            break
-        # column sums of all but the worst vertex, row by row from 0.0
-        sums = zero
-        for x in sim[:-1]:
-            sums = map(add, sums, x)
-        sums = list(sums)
-        worst = sim[-1]
-        xr = [2 * (s / n) - w for s, w in zip(sums, worst)]
-        fxr = fun(xr)
-        nfev += 1
-        shrunk = False
-        if fxr < fbest:
-            xbar = [s / n for s in sums]
-            xe = [(1 + chi) * b - chi * w for b, w in zip(xbar, worst)]
-            fxe = fun(xe)
+    try:
+        fsim = [fun(x) for x in sim]
+        nfev = n + 1
+        sim, fsim, _ = _order(sim, fsim)
+        sim, fsim, distinct = _order(sim, fsim)  # scipy sorts twice here
+        zero = [0.0] * n
+        while nit < maxiter:
+            best, fbest = sim[0], fsim[0]
+            # fsim is sorted with any NaN last, so its largest |fsim[0] - f|
+            # is the last one's
+            if (abs(fbest - fsim[-1]) <= _FATOL
+                    and all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best))):
+                break
+            # column sums of all but the worst vertex, row by row from 0.0
+            sums = zero
+            for x in sim[:-1]:
+                sums = map(add, sums, x)
+            sums = list(sums)
+            worst = sim[-1]
+            xr = [2 * (s / n) - w for s, w in zip(sums, worst)]
+            fxr = fun(xr)
             nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            xbar = [s / n for s in sums]
-            if fxr < fsim[-1]:  # outside contraction
-                xc = [(1 + psi) * b - psi * w for b, w in zip(xbar, worst)]
-                fxc = fun(xc)
-                shrunk = not fxc <= fxr
-            else:  # inside contraction
-                xc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-                fxc = fun(xc)
-                shrunk = not fxc < fsim[-1]
-            nfev += 1
-            if not shrunk:
-                sim[-1], fsim[-1] = xc, fxc
+            shrunk = False
+            if fxr < fbest:
+                xbar = [s / n for s in sums]
+                xe = [(1 + chi) * b - chi * w for b, w in zip(xbar, worst)]
+                fxe = fun(xe)
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
             else:
-                for j in range(1, n + 1):
-                    sim[j] = [b + shrink * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = fun(sim[j])
-                nfev += n
-        nit += 1
-        # only the last vertex is new unless the simplex shrank: insert it
-        f = fsim[-1]
-        i = bisect_left(fsim, f, 0, n)
-        if distinct and not shrunk and f == f and (i == n or fsim[i] != f):
-            sim.insert(i, sim.pop())
-            fsim.insert(i, fsim.pop())
-        else:
-            sim, fsim, distinct = _order(sim, fsim)
+                xbar = [s / n for s in sums]
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [(1 + psi) * b - psi * w for b, w in zip(xbar, worst)]
+                    fxc = fun(xc)
+                    shrunk = not fxc <= fxr
+                else:  # inside contraction
+                    xc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+                    fxc = fun(xc)
+                    shrunk = not fxc < fsim[-1]
+                nfev += 1
+                if not shrunk:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + shrink * (v - b) for b, v in zip(best, sim[j])]
+                        fsim[j] = fun(sim[j])
+                    nfev += n
+            nit += 1
+            # only the last vertex is new unless the simplex shrank: insert it
+            f = fsim[-1]
+            i = bisect_left(fsim, f, 0, n)
+            if distinct and not shrunk and f == f and (i == n or fsim[i] != f):
+                sim.insert(i, sim.pop())
+                fsim.insert(i, fsim.pop())
+            else:
+                sim, fsim, distinct = _order(sim, fsim)
+    except _Stop as stop:
+        return _Result(*stop.args, nit)
     # scipy's min of fsim: NaN when any value is NaN
     fmin = fsim[0] if all(f == f for f in fsim) else math.nan
     return _Result(sim[0], fmin, nfev, nit)
@@ -439,13 +470,13 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
 
     Each restart runs two Nelder-Mead phases: drive all strict margins
     above a floor, then push the dominance surplus up behind a
-    logarithmic barrier (at two weights).  The barrier point, if it closes
-    and has positive float surplus, goes to exact certification, which
-    alone decides the strict inequalities.  Deterministic in
-    cfg.rng_seed: restart k draws from seed rng_seed + k.  Returns the
-    first candidate that certifies exactly (its ``fan`` and ``comparison``
-    are set), else the best float-feasible candidate with positive
-    surplus, else None.
+    logarithmic barrier (at two weights); the first phase ends once
+    decided (``_feasibility``).  The barrier point, if it closes and has
+    positive float surplus, goes to exact certification, which alone
+    decides the strict inequalities.  Deterministic in cfg.rng_seed:
+    restart k draws from seed rng_seed + k.  Returns the first candidate
+    that certifies exactly (its ``fan`` and ``comparison`` are set), else
+    the best float-feasible candidate with positive surplus, else None.
     """
     sol = solve_riemann(law, left, right)
     ref = selfsim_dissipation(law, sol)
@@ -462,8 +493,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     for restart in range(cfg.restarts):
         y = _sample_start(_PCG64(cfg.rng_seed + restart), ctx, sigma, floor)
 
-        feas = minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, floor, v),
-                        y, _MAX_ITERS)
+        feas = minimize(_feasibility(ctx, sigma, ref_coeff, floor, len(y)), y, _MAX_ITERS)
         if feas.fun > 0.0:
             continue
         y = feas.x

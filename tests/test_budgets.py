@@ -79,7 +79,7 @@ def test_search_weak_miss_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=2, rng_seed=0))
     assert cand is None
-    _within(counts, {"_kernel": 10562})
+    _within(counts, {"_kernel": 1714})
 
 
 def test_search_paper_shock_budget(monkeypatch):
@@ -87,4 +87,4 @@ def test_search_paper_shock_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.seed == 2
-    _within(counts, {"_kernel": 34149})
+    _within(counts, {"_kernel": 19839})

@@ -31,16 +31,20 @@ from wildfan.model import EulerState, PressureLaw, lift_state
 from wildfan.riemann import selfsim_dissipation, solve_riemann
 from wildfan.search import (
     _FLOOR,
+    _MARGINS,
+    _MAX_ITERS,
     Candidate,
     DegenerateClosure,
     SearchConfig,
     _barrier_score,
     _Context,
+    _feasibility,
     _infeasibility,
     _kernel,
     _order,
     _PCG64,
     _sample_start,
+    _Stop,
     certify,
     chain_close,
     minimize,
@@ -337,15 +341,33 @@ def test_search_certifies_the_rho_2_shock():
     assert sign(coeff - ref_coeff) == 1
 
 
+def _shock(rho_l, ratio):
+    """Exact single-shock data, gamma = 2: rho_r = ratio * rho_l, v_r = 0 and
+    (v_r - v_l)^2 = (p_r - p_l)(rho_r - rho_l)/(rho_l rho_r)."""
+    v_l = adjoin_sqrt(Rational(rho_l * (ratio ** 2 - 1) * (ratio - 1) / ratio))
+    return (EulerState(Rational(rho_l), (Rational(0), Rational(rho_l) * v_l)),
+            EulerState(Rational(rho_l * ratio), (Rational(0), Rational(0))))
+
+
+# rho_l -> 4 rho_l, one rng seed each at which 8 restarts certify
+_STRONG_SEEDS = {Fraction(1): 13, Fraction(5, 4): 7, Fraction(4, 3): 13, Fraction(3, 2): 15,
+                 Fraction(5, 3): 13, Fraction(7, 4): 13, Fraction(2): 4}
+
+
+@pytest.mark.parametrize("rho_l", sorted(_STRONG_SEEDS), ids=str)
+def test_search_certifies_strong_shocks(rho_l):
+    # the early ends of the feasibility phase drop no restart that certifies
+    cand = search_fan(LAW2, *_shock(rho_l, Fraction(4)),
+                      SearchConfig(restarts=8, rng_seed=_STRONG_SEEDS[rho_l]))
+    assert cand is not None and cand.fan is not None and cand.comparison.passed
+
+
 # ---------------------------------------------------------------------------
 # minimize against scipy's adaptive Nelder-Mead
 # ---------------------------------------------------------------------------
 
 def _weak_boundary():
-    # exact single shock rho 1 -> 5/4, v_r = 0: m_l^2 = (rho_r^2 - 1)(rho_r - 1)/rho_r
-    left = EulerState(1, (Rational(0), adjoin_sqrt(Rational(9, 80))))
-    right = EulerState(Rational(5, 4), (Rational(0), Rational(0)))
-    return left, right
+    return _shock(Fraction(1), Fraction(5, 4))
 
 
 @lru_cache(maxsize=None)
@@ -427,3 +449,68 @@ def test_minimize_matches_scipy_on_the_phase_objectives(name, phase, seed, warm,
 @example(fun=_nan_bowl, x0=[0.99, 0.0], maxiter=1)  # NaN left in the simplex
 def test_minimize_matches_scipy_on_ties_and_nan(fun, x0, maxiter):
     _assert_same_as_scipy(fun, x0, maxiter)
+
+
+# ---------------------------------------------------------------------------
+# the early ends of the feasibility phase
+# ---------------------------------------------------------------------------
+
+def _ends_at_first_zero(fun):
+    """fun, ending ``minimize`` at the first point that scores 0.0."""
+    calls = 0
+
+    def score(v):
+        nonlocal calls
+        calls += 1
+        f = fun(v)
+        if f == 0.0:
+            raise _Stop(v, f, calls)
+        return f
+    return score
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["paper", "weak"]), seed=st.integers(0, 63))
+@example(name="paper", seed=2)  # feasible after 98 evaluations
+def test_feasibility_phase_ends_at_the_full_runs_point(name, seed):
+    ctx, sigma, ref_coeff = _problem(name)
+    y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
+    plain = minimize(_phase_objective(name, "feasibility"), y, _MAX_ITERS)
+    early = minimize(_ends_at_first_zero(_phase_objective(name, "feasibility")), y, _MAX_ITERS)
+    if plain.fun == 0.0:
+        # a full run ends at the first point that scores 0.0, bit for bit
+        assert [v.hex() for v in early.x] == [v.hex() for v in plain.x]
+        assert early.fun == 0.0 and early.nfev <= plain.nfev
+    else:
+        assert early == plain
+    # the search's objective ends there too, or drops the restart
+    ours = minimize(_feasibility(ctx, sigma, ref_coeff, _FLOOR, len(y)), y, _MAX_ITERS)
+    if ours.fun == 0.0:
+        assert [v.hex() for v in ours.x] == [v.hex() for v in plain.x]
+        assert ours.nfev == early.nfev
+    else:
+        assert ours.fun > 0.0 and ours.nfev <= plain.nfev
+
+
+def test_no_closure_starts_never_become_feasible():
+    # the paper-shock starts among seeds 0-31 whose initial simplex closes
+    # nowhere: the search drops each after that simplex, and a full run
+    # from each ends on the 1e6 sentinel
+    ctx, sigma, ref_coeff = _problem("paper")
+    dropped = []
+    for seed in range(32):
+        y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
+        ours = minimize(_feasibility(ctx, sigma, ref_coeff, _FLOOR, len(y)), y, _MAX_ITERS)
+        if ours.nfev == len(y) + 1 and ours.fun == 1e6:
+            dropped.append(seed)
+            assert minimize(_phase_objective("paper", "feasibility"), y, _MAX_ITERS).fun >= 1e6
+    assert dropped == [9, 14, 17, 22, 25, 26, 31]
+
+
+def test_nan_margin_is_not_feasible(monkeypatch):
+    import wildfan.search as search_module
+
+    margins = (1.0,) * (len(_MARGINS) - 1) + (math.nan,)
+    monkeypatch.setattr(search_module, "_kernel",
+                        lambda *args: (1.0, margins, (0.0, 0.0, 0.0), 0.0), raising=True)
+    assert math.isnan(_infeasibility(None, 0.0, 0.0, _FLOOR, [0.0] * 10))
