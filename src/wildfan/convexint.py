@@ -13,9 +13,7 @@ algebraic in the mixed partials, so any residual is pure rounding noise.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -25,21 +23,21 @@ if TYPE_CHECKING:
     from .wavecone import WaveDirection
 
 
-def _lazy_import(name: str):
-    """Module `name`, executed on first attribute access unless it is
-    already imported (the `importlib.util.LazyLoader` recipe)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+class _NumpyOnUse:
+    """Stands in for numpy until a kernel first uses it: the first attribute
+    access imports numpy and rebinds this module's `np` to it, through
+    `globals()` because CI rejects `global` statements."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        globals()["np"] = numpy
+        return getattr(numpy, name)
 
 
-# numpy loads when a kernel first runs, not when the CLI imports this module
-np = _lazy_import("numpy")
+# numpy loads when a kernel first runs, not when the CLI imports this module,
+# so the exact commands start where numpy is not installed
+np = _NumpyOnUse()
 
 __all__ = [
     "NotAWaveDirection",
@@ -48,7 +46,6 @@ __all__ = [
     "OperatorCase",
     "OperatorCoeffs",
     "SmoothField",
-    "PolynomialField",
     "PlaneProfileField",
     "ProductField",
     "BumpField",
@@ -58,10 +55,8 @@ __all__ = [
     "operator_coeffs",
     "apply_operator",
     "verify_pde_identity",
-    "plane_wave_check",
     "build_staircase",
     "build_oscillation",
-    "nested_oscillation_demo",
     "diagnostics_csv",
 ]
 
@@ -190,27 +185,6 @@ class SmoothField:
 
     def values(self, pts, cache=None) -> np.ndarray:
         return self.deriv((0, 0, 0), pts, cache)
-
-
-class PolynomialField(SmoothField):
-    """sum coeff * t^i x^j y^k from a {(i, j, k): coeff} table."""
-
-    def __init__(self, coeffs: dict[tuple[int, int, int], float]):
-        self.coeffs = dict(coeffs)
-
-    def _deriv_values(self, mi, pts, cache):
-        t, x, y = pts
-        out = np.zeros(np.broadcast(t, x, y).shape)
-        kt, kx, ky = mi
-        for (i, j, k), c in self.coeffs.items():
-            if i < kt or j < kx or k < ky:
-                continue
-            fac = c
-            for (n, d) in ((i, kt), (j, kx), (k, ky)):
-                for step in range(d):
-                    fac *= (n - step)
-            out = out + fac * t ** (i - kt) * x ** (j - kx) * y ** (k - ky)
-        return out
 
 
 class PlaneProfileField(SmoothField):
@@ -513,33 +487,6 @@ def verify_pde_identity(co: OperatorCoeffs, g: SmoothField, pts,
     return PDEResidual(max_residual=max(by_row.values()), scale=scale, by_row=by_row)
 
 
-def plane_wave_check(co: OperatorCoeffs, z: PHPoint, eta: WaveDirection,
-                     h3, samples) -> float:
-    """Max deviation of L[h((t,x,y).eta)] from z * h''' over sample points.
-
-    Only the third derivative of the profile enters: every term of the
-    operator is a third derivative, so the plane-wave substitution reduces
-    each to a monomial in eta times h'''.
-    """
-    t, x, y = samples
-    a = float(eta.eta_t)
-    b, c = float(eta.eta_x[0]), float(eta.eta_x[1])
-    arg = a * t + b * x + c * y
-    h3v = h3(arg)
-    zv = _phpoint_floats(z)
-    worst = 0.0
-    for comp, target in zip(_COMPONENTS, zv):
-        acc = np.zeros_like(h3v)
-        for name, mult, mi in _L_TERMS[comp]:
-            cval = getattr(co, name)
-            if cval == 0.0:
-                continue
-            kt, kx, ky = mi
-            acc = acc + (mult * cval) * a ** kt * b ** kx * c ** ky * h3v
-        worst = max(worst, float(np.max(np.abs(acc - target * h3v))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # the localized oscillation and its diagnostics
 # ---------------------------------------------------------------------------
@@ -629,21 +576,6 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
         commutator_sup=commutator, avg_norm=avg,
         pde_residual=pde.max_residual, pde_scale=pde.scale)
     return ztilde, diag
-
-
-def nested_oscillation_demo(z_star: PHPoint, z1: PHPoint, z2: PHPoint,
-                            tau1: float, box, k: int = 8, delta: float = 0.02,
-                            grid_n: int = 16) -> list[OscillationDiagnostics]:
-    """Two-level composition: oscillate around z_star, then re-oscillate on
-    a sub-box around one of the achieved plateau values.  This realizes one
-    induction step of the laminate refinement; deeper recursion repeats the
-    same two formulas."""
-    _, first = build_oscillation(z_star, z1, z2, tau1, box, k, delta, grid_n=grid_n)
-    sub_box = tuple((lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)) for lo, hi in box)
-    mid = 0.5 * (z1 + z2)
-    center = tau1 * z1 + (1.0 - tau1) * mid
-    _, second = build_oscillation(center, z1, mid, tau1, sub_box, k, delta, grid_n=grid_n)
-    return [first, second]
 
 
 def diagnostics_csv(diags: list[OscillationDiagnostics]) -> str:

@@ -383,8 +383,7 @@ def minimize(fun, x0, maxiter: int) -> _Result:
     try:
         fsim = [fun(x) for x in sim]
         nfev = n + 1
-        sim, fsim, _ = _order(sim, fsim)
-        sim, fsim, distinct = _order(sim, fsim)  # scipy sorts twice here
+        sim, fsim, distinct = _order(sim, fsim)
         zero = [0.0] * n
         while nit < maxiter:
             best, fbest = sim[0], fsim[0]

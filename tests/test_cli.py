@@ -269,12 +269,11 @@ def _probe(script: str, *args: str) -> dict:
 _IMPORT_PROBE = """
 import json, sys
 import wildfan, wildfan.cli
-loaded = {"scipy": "scipy" in sys.modules,
-          "numpy executed": "numpy._core" in sys.modules or "numpy.core" in sys.modules}
+loaded = {"scipy": "scipy" in sys.modules, "numpy": "numpy" in sys.modules}
 from wildfan import Candidate, SearchConfig, certify, chain_close, search_fan
 import wildfan.search as search
 loaded["scipy after search"] = "scipy" in sys.modules
-loaded["numpy executed after search"] = "numpy._core" in sys.modules or "numpy.core" in sys.modules
+loaded["numpy after search"] = "numpy" in sys.modules
 same = all(obj is getattr(search, obj.__name__)
            for obj in (Candidate, SearchConfig, certify, chain_close, search_fan))
 try:
@@ -291,8 +290,8 @@ def test_cli_import_loads_no_float_library():
     # still resolve, on first use, to the objects of wildfan.search, which
     # loads neither scipy nor numpy.
     assert _probe(_IMPORT_PROBE) == {
-        "loaded": {"scipy": False, "numpy executed": False, "scipy after search": False,
-                   "numpy executed after search": False},
+        "loaded": {"scipy": False, "numpy": False, "scipy after search": False,
+                   "numpy after search": False},
         "same": True,
         "missing": "AttributeError",
     }
@@ -305,17 +304,21 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(run(argv))
-print(json.dumps({"codes": codes, "loaded": sorted(
-    m for m in ("wildfan.search", "wildfan.wavecone", "numpy._core", "numpy.core", "scipy",
-                "dataclasses", "inspect")
-    if m in sys.modules)}))
+loaded = sorted(m for m in ("wildfan.search", "wildfan.wavecone", "numpy", "scipy",
+                            "dataclasses", "inspect")
+                if m in sys.modules)
+# oscillate's first kernel binds convexint's `np` to numpy itself
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(run(["oscillate", sys.argv[2]]))
+import numpy, wildfan.convexint
+print(json.dumps({"codes": codes, "loaded": loaded, "np is numpy": wildfan.convexint.np is numpy}))
 """
 
 
 def test_exact_commands_load_no_float_module(tmp_path):
     # the exact commands run no float code: the CLI imports `search` in its
     # handler, and convexint, which it imports for the benchmark's tracer,
-    # defers numpy to oscillate's first kernel and wavecone to
+    # imports numpy at oscillate's first kernel and wavecone in
     # build_oscillation.  The records are plain classes, so neither
     # `dataclasses` nor the `inspect` it pulls in is loaded
     _write_inputs(tmp_path)
@@ -323,8 +326,8 @@ def test_exact_commands_load_no_float_module(tmp_path):
              ["verify-fan", str(tmp_path / "fan.json")],
              ["riemann", str(tmp_path / "paper_shock.json"), "--format", "json"],
              ["riemann", str(tmp_path / "two_rarefaction.json")]]
-    assert _probe(_EXACT_COMMANDS_PROBE, json.dumps(argvs)) == \
-        {"codes": [0, 0, 0, 0], "loaded": []}
+    assert _probe(_EXACT_COMMANDS_PROBE, json.dumps(argvs), str(tmp_path / "osc_small.json")) \
+        == {"codes": [0, 0, 0, 0, 0], "loaded": [], "np is numpy": True}
 
 
 _NAMESPACE_PROBE = """
@@ -442,6 +445,27 @@ def test_cli_output_bytes_pinned(tmp_path, capsys):
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         got_code, out = invoke(capsys, *argv)
         assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+
+def test_exact_cli_starts_without_numpy(tmp_path):
+    # `python -S` leaves site-packages, and so numpy, off the path; with
+    # only the checkout's src on PYTHONPATH the exact commands must still
+    # start and print their pinned bytes
+    _write_inputs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(wildfan.__file__).resolve().parents[1]))
+
+    def child(*args):
+        return subprocess.run([sys.executable, "-S", *args], env=env, cwd=tmp_path,
+                              capture_output=True)
+
+    numpy_spec = child("-c", "import importlib.util; print(importlib.util.find_spec('numpy'))")
+    assert numpy_spec.stdout == b"None\n", "the child must not see numpy"
+    pinned = {argv: (code, digest) for argv, code, digest in _GOLDEN}
+    for argv in (("verify-example", "--format", "json"),
+                 ("verify-fan", "fan.json", "--format", "json")):
+        proc = child("-m", "wildfan.cli", *argv)
+        got = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
+        assert got == pinned[argv], proc.stderr.decode()
 
 
 def test_verify_example_solves_and_profiles_once(monkeypatch, capsys):

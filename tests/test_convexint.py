@@ -11,15 +11,12 @@ from wildfan.convexint import (
     NotAWaveDirection,
     OperatorCase,
     PlaneProfileField,
-    PolynomialField,
     ProductField,
     apply_operator,
     build_oscillation,
     build_staircase,
     diagnostics_csv,
-    nested_oscillation_demo,
     operator_coeffs,
-    plane_wave_check,
     verify_pde_identity,
 )
 from wildfan.exactnum import Rational
@@ -82,6 +79,17 @@ def cubic_profile():
     return Cubic()
 
 
+def sine_profile():
+    # h = -sin, so h''' = cos
+    class Sine:
+        def deriv1d(self, order):
+            return (lambda s: -np.sin(s), lambda s: -np.cos(s), np.sin, np.cos)[order % 4]
+    return Sine()
+
+
+_COMPONENTS = ("m1", "m2", "u11", "u12", "q", "F1", "F2")
+
+
 def sample_points(n=5, span=1.0):
     rng = np.random.default_rng(0)
     return tuple(rng.uniform(-span, span, size=n ** 3) for _ in range(3))
@@ -95,11 +103,11 @@ def test_plane_wave_reproduces_z_for_cubic():
     g = PlaneProfileField(cubic_profile(), co.eta)
     vals = apply_operator(co, g, pts)
     zv = [float(c) for c in z.components()]
-    for comp, target in zip(("m1", "m2", "u11", "u12", "q", "F1", "F2"), zv):
+    for comp, target in zip(_COMPONENTS, zv):
         assert np.max(np.abs(vals[comp] - target)) < 1e-10 * max(1.0, abs(target))
 
 
-def test_plane_wave_check_c_nonzero_from_cone_split():
+def test_plane_wave_reproduces_z_c_nonzero_from_cone_split():
     # a genuine cone element with c != 0: difference of split endpoints
     from wildfan.model import PressureLaw
     law = PressureLaw(gamma=2)
@@ -114,33 +122,43 @@ def test_plane_wave_check_c_nonzero_from_cone_split():
     co = operator_coeffs(dz, eta)
     assert co.case_flag is OperatorCase.C_NONZERO
     pts = sample_points()
-    dev = plane_wave_check(co, dz, eta, cubic_profile().deriv1d(3), pts)
-    assert dev < 1e-10 * max(abs(float(c)) for c in dz.components())
-    # sin profile: deviation bounded by rounding relative to |h'''| = 1
-    dev_sin = plane_wave_check(co, dz, eta, np.cos, pts)
-    assert dev_sin < 1e-9 * max(abs(float(c)) for c in dz.components())
+    zv = [float(c) for c in dz.components()]
+    scale = max(abs(c) for c in zv)
+    # L[h((t,x,y).eta)] = dz * h''' componentwise: dz itself when h''' = 1
+    vals = apply_operator(co, PlaneProfileField(cubic_profile(), co.eta), pts)
+    for comp, target in zip(_COMPONENTS, zv):
+        assert np.max(np.abs(vals[comp] - target)) < 1e-10 * scale
+    # sin profile: deviation bounded by rounding relative to |h'''| <= 1
+    vals = apply_operator(co, PlaneProfileField(sine_profile(), co.eta), pts)
+    a, b, c = co.eta
+    h3 = np.cos(a * pts[0] + b * pts[1] + c * pts[2])
+    for comp, target in zip(_COMPONENTS, zv):
+        assert np.max(np.abs(vals[comp] - target * h3)) < 1e-9 * scale
 
 
-def test_pde_identity_polynomial_field():
+def plane_times_bump(eta, amp=1.0, inner=0.7):
+    """The field build_oscillation runs, a plane wave times the cutoff, with
+    a sine profile so that every derivative order is nonzero."""
+    return ProductField(PlaneProfileField(sine_profile(), eta, freq=3.0, amp=amp),
+                        BumpField(((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)), inner=inner))
+
+
+def test_pde_identity_plane_profile_times_bump():
     z, eta = c_zero_point()
     co = operator_coeffs(z, eta)
-    rng = np.random.default_rng(1)
-    coeffs = {}
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
-                if i + j + k <= 4:
-                    coeffs[(i, j, k)] = float(rng.normal())
-    g = PolynomialField(coeffs)
+    # eta is oblique to the operator's direction, so every mixed partial of
+    # the plane wave enters, and the samples reach the cutoff's transition
+    g = plane_times_bump((0.5, -1.0, 2.0))
     pts = sample_points(n=6, span=2.0)
     res = verify_pde_identity(co, g, pts)
+    assert res.scale > 1.0
     assert res.max_residual < 1e-9 * res.scale
 
 
 def test_pde_identity_zero_field():
     z, eta = c_zero_point()
     co = operator_coeffs(z, eta)
-    g = PolynomialField({(0, 0, 0): 0.0})
+    g = plane_times_bump(co.eta, amp=0.0)
     res = verify_pde_identity(co, g, sample_points())
     assert res.max_residual == 0.0
 
@@ -255,21 +273,11 @@ def test_pde_identity_warm_cache_matches_cold():
     assert warm == verify_pde_identity(co, field, pts)
 
 
-def test_nested_demo_runs():
-    tau1, z1, z2, z_star = laminate_inputs()
-    box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    diags = nested_oscillation_demo(z_star, z1, z2, tau1, box, k=8, grid_n=12)
-    assert len(diags) == 2
-    for d in diags:
-        assert d.pde_residual < 1e-7 * d.pde_scale
-
-
 def test_product_field_leibniz_against_finite_differences():
     rng = np.random.default_rng(7)
-    g1 = PolynomialField({(1, 1, 0): 0.5, (0, 2, 1): -0.25, (0, 0, 0): 1.0})
-    bump = BumpField(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), inner=0.5)
-    prod = ProductField(g1, bump)
-    pts = tuple(rng.uniform(0.3, 0.7, size=40) for _ in range(3))
+    prod = plane_times_bump((0.5, -1.0, 2.0), inner=0.5)
+    # samples reach into the cutoff's transition, where both factors vary
+    pts = tuple(rng.uniform(-1.8, 1.8, size=40) for _ in range(3))
     h = 1e-6
     for axis in range(3):
         shift = [np.zeros(40)] * 3
