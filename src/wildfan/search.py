@@ -321,11 +321,12 @@ def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
     if point is None:
         return 1e9
     surplus, margins = point[:2]
-    barrier = 0.0
+    barrier, log = 0.0, math.log
     for m in margins:
         if m <= 0.0:
             return 1e7
-        barrier -= math.log(min(m / floor, 1e6))
+        r = m / floor
+        barrier -= log(1e6 if 1e6 < r else r)  # min(r, 1e6), NaN included
     return -surplus + tau * barrier
 
 
