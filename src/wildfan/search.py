@@ -13,8 +13,10 @@ region, the energy-flux inequality per interface, and the dominance target
 on the reference shock plane.  Each float evaluation closes its point once,
 in one kernel that returns the dominance surplus, the margins, the fluxes
 and the closure residual.  That kernel scores every optimizer step and also
-closes each restart's final point.  A restart's feasibility phase ends as
-soon as its outcome is known.
+closes each restart's final point.  Every phase of a restart ends as soon
+as it is decided: the feasibility phase at its first feasible point, on a
+start that closes nowhere or on a stall, and each barrier run once it
+stalls at a point of positive surplus.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
@@ -293,41 +296,97 @@ def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
     return total
 
 
+class _Best:
+    """The best score and point among a stopping objective's evaluations so
+    far (the first of tied scores), and the best as it stood after each of
+    the last 301, so that a stall test can compare the best now with the
+    best 300 evaluations ago."""
+
+    def __init__(self) -> None:
+        self.f, self.x, self.k = math.inf, None, 0
+        self._trail = deque(maxlen=301)
+
+    def add(self, y, f: float) -> bool:
+        """Count the evaluation of y, scored f; True when f is the new best."""
+        self.k += 1
+        new = f < self.f
+        if new:
+            self.f, self.x = f, y
+        self._trail.append(self.f)
+        return new
+
+    def stalled(self, cut) -> bool:
+        """Past evaluation 300, whether ``cut(then, now)`` says the best
+        ``then``, 300 evaluations ago, fell too little to the best ``now``."""
+        return self.k > 300 and cut(self._trail[0], self.f)
+
+    def stop(self) -> _Stop:
+        """``_Stop`` at the best point so far."""
+        return _Stop(self.x, self.f, self.k)
+
+
+def _fell_by_under_10_percent(then: float, now: float) -> bool:
+    return not now < 0.9 * then
+
+
+def _fell_by_under_1e_4(then: float, now: float) -> bool:
+    return then - now < 1e-4
+
+
 def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
     """``_infeasibility`` as the phase-1 objective over n variables.  It raises
     ``_Stop`` at the first 0.0, where a full run ends too (ties keep index
     order); else, with the best point so far, once the n + 1 start vertices
     all score the 1e6 sentinel or 300 evaluations cut the best by < 10 %."""
-    bests, best, best_x, closed = [], math.inf, None, False  # bests[k]: best of k + 1 scores
+    best, closed = _Best(), False
 
     def score(y):
-        nonlocal best, best_x, closed
+        nonlocal closed
         f = _infeasibility(ctx, sigma, ref_coeff, floor, y)
-        if f == 0.0:
-            raise _Stop(y, f, len(bests) + 1)
-        if f < best:
-            best, best_x = f, y
-        bests.append(best)
+        best.add(y, f)
         closed = closed or f != 1e6
-        k = len(bests)
-        if (k == n + 1 and not closed) or (k > 300 and not best < 0.9 * bests[-301]):
-            raise _Stop(best_x, best, k)
+        if (f == 0.0 or (best.k == n + 1 and not closed)
+                or best.stalled(_fell_by_under_10_percent)):
+            raise best.stop()
         return f
     return score
 
 
-def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
+def _barrier_point(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
+    """(score, surplus): the point's barrier score, and its float surplus,
+    -inf where the point does not close."""
     point = _kernel(ctx, sigma, ref_coeff, y)
     if point is None:
-        return 1e9
+        return 1e9, -math.inf
     surplus, margins = point[:2]
     barrier, log = 0.0, math.log
     for m in margins:
         if m <= 0.0:
-            return 1e7
+            return 1e7, surplus
         r = m / floor
         barrier -= log(1e6 if 1e6 < r else r)  # min(r, 1e6), NaN included
-    return -surplus + tau * barrier
+    return -surplus + tau * barrier, surplus
+
+
+def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
+    return _barrier_point(ctx, sigma, ref_coeff, floor, tau, y)[0]
+
+
+def _barrier(ctx, sigma, ref_coeff, floor, tau: float):
+    """``_barrier_score`` at weight tau as a barrier-phase objective.  It
+    raises ``_Stop`` with the best point so far once that point has positive
+    float surplus and 300 evaluations lowered the best score by < 1e-4."""
+    best, best_surplus = _Best(), -math.inf
+
+    def score(y):
+        nonlocal best_surplus
+        f, surplus = _barrier_point(ctx, sigma, ref_coeff, floor, tau, y)
+        if best.add(y, f):
+            best_surplus = surplus
+        if best_surplus > 0.0 and best.stalled(_fell_by_under_1e_4):
+            raise best.stop()
+        return f
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +529,8 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
 
     Each restart runs two Nelder-Mead phases: drive all strict margins
     above a floor, then push the dominance surplus up behind a
-    logarithmic barrier (at two weights); the first phase ends once
-    decided (``_feasibility``).  The barrier point, if it closes and has
+    logarithmic barrier (at two weights); each phase ends once decided
+    (``_feasibility``, ``_barrier``).  The barrier point, if it closes and has
     positive float surplus, goes to exact certification, which alone
     decides the strict inequalities.  Deterministic in cfg.rng_seed:
     restart k draws from seed rng_seed + k.  Returns the first candidate
@@ -498,8 +557,7 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
             continue
         y = feas.x
         for tau in (1e-2, 1e-3):
-            y = minimize(lambda v: _barrier_score(ctx, sigma, ref_coeff, floor, tau, v),
-                         y, _MAX_ITERS).x
+            y = minimize(_barrier(ctx, sigma, ref_coeff, floor, tau), y, _MAX_ITERS).x
         # the barrier phase starts feasible and scores a point with any
         # nonpositive margin 1e7, so every margin is positive here; the
         # float tests only screen what the exact certifier decides

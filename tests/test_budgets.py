@@ -87,4 +87,4 @@ def test_search_paper_shock_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.seed == 2
-    _within(counts, {"_kernel": 19839})
+    _within(counts, {"_kernel": 6396})

@@ -43,6 +43,7 @@ from wildfan.search import (
     _kernel,
     _order,
     _PCG64,
+    _barrier,
     _sample_start,
     _Stop,
     certify,
@@ -229,20 +230,20 @@ def test_search_deterministic():
 
 
 # Restart seed and free variables (float.hex) of the paper-boundary search,
-# recorded when the barrier point went straight to exact certification:
-# the same seeds must keep producing the same Nelder-Mead trajectories bit
-# for bit, on any CPU and without numpy.
+# recorded when each barrier run began to end on a stall with a positive
+# surplus: the same seeds must keep producing the same Nelder-Mead
+# trajectories bit for bit, on any CPU and without numpy.
 GOLDEN_SEARCH = {
     (4, 3): (3, [
-        "-0x1.51838107ded38p+0", "-0x1.c5b77fe583cb0p-1", "0x1.6fd95ce2ee5cbp+1",
-        "0x1.0311b3e3acb43p+1", "0x1.222e920435e37p+3", "0x1.8660afb62dcedp+3",
-        "0x1.00c6480b5cbd6p+4", "0x1.65a57bcb0f3d1p+4", "0x1.c6a9fe33046c1p+1",
-        "0x1.1ef5e3f5c0799p-3"]),
+        "-0x1.4fa658387d8cfp+0", "-0x1.c5967d5922144p-1", "0x1.6fcd4a8f4bd59p+1",
+        "0x1.0a414b4cc3e70p+1", "0x1.271b143f8e8e6p+3", "0x1.84e98ae884b0cp+3",
+        "0x1.00c6517f3c0d6p+4", "0x1.62b40b8cf6ce4p+4", "0x1.cbbcc7d6e0650p+1",
+        "0x1.1f10bdaf5ce63p-3"]),
     (16, 0): (2, [
-        "-0x1.518380bee6adcp+0", "-0x1.c5b780e068f5ep-1", "0x1.6fd95d62acf0fp+1",
-        "0x1.0311b3f9f4828p+1", "0x1.222e92023e1c7p+3", "0x1.8660af5e3f606p+3",
-        "0x1.00c64808b5cbfp+4", "0x1.65a57bd7a921fp+4", "0x1.c6aa0015422d1p+1",
-        "0x1.1ef5e0b69d03cp-3"]),
+        "-0x1.559afc9a0f22fp+0", "-0x1.c5d3ff0a9a280p-1", "0x1.6f987d2e66cc1p+1",
+        "0x1.f2271a365f074p+0", "0x1.1baf818545f66p+3", "0x1.862e9b6477a08p+3",
+        "0x1.00cd0025176b7p+4", "0x1.695e14d26d622p+4", "0x1.c83c11fd65feep+1",
+        "0x1.286752bcc1dc8p-3"]),
 }
 
 
@@ -360,6 +361,16 @@ def test_search_certifies_strong_shocks(rho_l):
     cand = search_fan(LAW2, *_shock(rho_l, Fraction(4)),
                       SearchConfig(restarts=8, rng_seed=_STRONG_SEEDS[rho_l]))
     assert cand is not None and cand.fan is not None and cand.comparison.passed
+
+
+def test_barrier_stall_waits_for_a_positive_surplus():
+    # rho 1 -> 10/3: without the surplus gate the tau = 1e-3 run of restart
+    # seed 682557 stalls at a point whose float surplus is not positive,
+    # and the search certifies nothing
+    cand = search_fan(LAW2, *_shock(Fraction(1), Fraction(10, 3)),
+                      SearchConfig(restarts=8, rng_seed=682554))
+    assert cand is not None and cand.seed == 682557
+    assert cand.fan is not None and cand.comparison.passed
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +525,90 @@ def test_nan_margin_is_not_feasible(monkeypatch):
     monkeypatch.setattr(search_module, "_kernel",
                         lambda *args: (1.0, margins, (0.0, 0.0, 0.0), 0.0), raising=True)
     assert math.isnan(_infeasibility(None, 0.0, 0.0, _FLOOR, [0.0] * 10))
+
+
+# ---------------------------------------------------------------------------
+# the barrier phase's stall exit
+# ---------------------------------------------------------------------------
+
+def _recorded(fun, points):
+    """fun, appending each point it is asked to score to ``points``."""
+    def score(v):
+        points.append([x.hex() for x in v])
+        return fun(v)
+    return score
+
+
+def _first_stall(scores, surpluses):
+    """(nfev, index of the best point) at the first evaluation of a run
+    with these scores where the best point so far, the first of tied
+    scores, has positive surplus and the last 300 evaluations lowered the
+    best score by less than 1e-4; None when there is none."""
+    best, at, trail = math.inf, None, []
+    for k, f in enumerate(scores, 1):
+        if f < best:
+            best, at = f, k - 1
+        trail.append(best)
+        if k > 300 and surpluses[at] > 0.0 and trail[-301] - best < 1e-4:
+            return k, at
+    return None
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 63))
+@example(seed=2)  # the restart that certifies the pinned paper search
+def test_barrier_phase_stops_on_a_prefix_of_the_full_run(seed):
+    ctx, sigma, ref_coeff = _problem("paper")
+    y = list(_feasible_start("paper", seed))
+    assume(_infeasibility(ctx, sigma, ref_coeff, _FLOOR, y) == 0.0)
+    for tau in (1e-2, 1e-3):
+        full_points, scores, surpluses, points = [], [], [], []
+
+        def full_score(v):
+            point = _kernel(ctx, sigma, ref_coeff, v)
+            surpluses.append(-math.inf if point is None else point[0])
+            scores.append(_barrier_score(ctx, sigma, ref_coeff, _FLOOR, tau, v))
+            return scores[-1]
+        full = minimize(_recorded(full_score, full_points), y, _MAX_ITERS)
+        ours = minimize(_recorded(_barrier(ctx, sigma, ref_coeff, _FLOOR, tau), points),
+                        y, _MAX_ITERS)
+        # the stopping objective scores as the full run does, so it walks the
+        # same points, and nfev counts each of them, the last one included
+        assert points == full_points[:len(points)] and ours.nfev == len(points)
+        stall = _first_stall(scores, surpluses)
+        if stall is None:
+            assert ours == full
+        else:
+            nfev, at = stall
+            assert ours.nfev == nfev and ours.nfev < full.nfev
+            assert [v.hex() for v in ours.x] == full_points[at]
+            assert ours.fun == scores[at] == min(scores[:nfev])
+            assert _kernel(ctx, sigma, ref_coeff, ours.x)[0] > 0.0
+        y = ours.x
+
+
+def test_barrier_stall_reads_the_best_points_surplus(monkeypatch):
+    # y = [surplus, every margin]: points B score worse than A despite a
+    # positive surplus (their margins sit near the floor), so while A with
+    # its negative surplus is the best point the run never stalls; once C
+    # is, it stalls 300 evaluations after C scored
+    import wildfan.search as search_module
+
+    monkeypatch.setattr(search_module, "_kernel",
+                        lambda ctx, sigma, ref_coeff, y: (y[0], (y[1],) * len(_MARGINS),
+                                                          (0.0, 0.0, 0.0), 0.0),
+                        raising=True)
+    a, b, c = [-1e-3, 1.0], [0.5, 1e-3], [2e-3, 1.0]
+    f_a, f_b, f_c = (_barrier_score(None, 0.0, 0.0, _FLOOR, 1e-2, y) for y in (a, b, c))
+    assert f_b > f_a > f_c + 1e-4
+    score = _barrier(None, 0.0, 0.0, _FLOOR, 1e-2)
+    score(a)
+    for _ in range(400):
+        score(b)  # evaluations 2-401, none a stall while A is the best
+    score(c)
+    for _ in range(299):
+        score(b)
+    with pytest.raises(_Stop) as stop:
+        score(b)
+    assert stop.value.args == (c, f_c, 702)
