@@ -352,9 +352,9 @@ def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
     return score
 
 
-def _barrier_point(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
-    """(score, surplus): the point's barrier score, and its float surplus,
-    -inf where the point does not close."""
+def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
+    """(score, surplus): the point's barrier score at weight tau, and its
+    float surplus, -inf where the point does not close."""
     point = _kernel(ctx, sigma, ref_coeff, y)
     if point is None:
         return 1e9, -math.inf
@@ -368,19 +368,16 @@ def _barrier_point(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
     return -surplus + tau * barrier, surplus
 
 
-def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> float:
-    return _barrier_point(ctx, sigma, ref_coeff, floor, tau, y)[0]
-
-
 def _barrier(ctx, sigma, ref_coeff, floor, tau: float):
-    """``_barrier_score`` at weight tau as a barrier-phase objective.  It
-    raises ``_Stop`` with the best point so far once that point has positive
-    float surplus and 300 evaluations lowered the best score by < 1e-4."""
+    """The score of ``_barrier_score`` at weight tau as a barrier-phase
+    objective.  It raises ``_Stop`` with the best point so far once that
+    point has positive float surplus and 300 evaluations lowered the best
+    score by < 1e-4."""
     best, best_surplus = _Best(), -math.inf
 
     def score(y):
         nonlocal best_surplus
-        f, surplus = _barrier_point(ctx, sigma, ref_coeff, floor, tau, y)
+        f, surplus = _barrier_score(ctx, sigma, ref_coeff, floor, tau, y)
         if best.add(y, f):
             best_surplus = surplus
         if best_surplus > 0.0 and best.stalled(_fell_by_under_1e_4):

@@ -405,7 +405,7 @@ def _phase_objective(name, phase):
     ctx, sigma, ref_coeff = _problem(name)
     if phase == "feasibility":
         return lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v)
-    return lambda v: _barrier_score(ctx, sigma, ref_coeff, _FLOOR, 1e-2, v)
+    return lambda v: _barrier_score(ctx, sigma, ref_coeff, _FLOOR, 1e-2, v)[0]
 
 
 def _plateau(v):
@@ -566,10 +566,10 @@ def test_barrier_phase_stops_on_a_prefix_of_the_full_run(seed):
         full_points, scores, surpluses, points = [], [], [], []
 
         def full_score(v):
-            point = _kernel(ctx, sigma, ref_coeff, v)
-            surpluses.append(-math.inf if point is None else point[0])
-            scores.append(_barrier_score(ctx, sigma, ref_coeff, _FLOOR, tau, v))
-            return scores[-1]
+            f, surplus = _barrier_score(ctx, sigma, ref_coeff, _FLOOR, tau, v)
+            scores.append(f)
+            surpluses.append(surplus)
+            return f
         full = minimize(_recorded(full_score, full_points), y, _MAX_ITERS)
         ours = minimize(_recorded(_barrier(ctx, sigma, ref_coeff, _FLOOR, tau), points),
                         y, _MAX_ITERS)
@@ -600,7 +600,7 @@ def test_barrier_stall_reads_the_best_points_surplus(monkeypatch):
                                                           (0.0, 0.0, 0.0), 0.0),
                         raising=True)
     a, b, c = [-1e-3, 1.0], [0.5, 1e-3], [2e-3, 1.0]
-    f_a, f_b, f_c = (_barrier_score(None, 0.0, 0.0, _FLOOR, 1e-2, y) for y in (a, b, c))
+    f_a, f_b, f_c = (_barrier_score(None, 0.0, 0.0, _FLOOR, 1e-2, y)[0] for y in (a, b, c))
     assert f_b > f_a > f_c + 1e-4
     score = _barrier(None, 0.0, 0.0, _FLOOR, 1e-2)
     score(a)
