@@ -364,9 +364,9 @@ def test_search_certifies_strong_shocks(rho_l):
 
 
 def test_barrier_stall_waits_for_a_positive_surplus():
-    # rho 1 -> 10/3: without the surplus gate the tau = 1e-3 run of restart
-    # seed 682557 stalls at a point whose float surplus is not positive,
-    # and the search certifies nothing
+    # rho 1 -> 10/3: without the surplus gate both barrier runs of restart
+    # seed 682557 stall after about 300 evaluations at a float surplus near
+    # -7, and the search certifies nothing
     cand = search_fan(LAW2, *_shock(Fraction(1), Fraction(10, 3)),
                       SearchConfig(restarts=8, rng_seed=682554))
     assert cand is not None and cand.seed == 682557
