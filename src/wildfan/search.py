@@ -15,8 +15,8 @@ in one kernel that returns the dominance surplus, the margins, the fluxes
 and the closure residual.  That kernel scores every optimizer step and also
 closes each restart's final point.  Every phase of a restart ends as soon
 as it is decided: the feasibility phase at its first feasible point, on a
-start that closes nowhere or on a stall, and each barrier run once it
-stalls at a point of positive surplus.
+start that closes nowhere or on a stall, and each barrier run at its
+first point with positive surplus and every margin positive.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
@@ -297,40 +297,30 @@ def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
 
 
 class _Best:
-    """The best score and point among a stopping objective's evaluations so
-    far (the first of tied scores), and the best as it stood after each of
-    the last 301, so that a stall test can compare the best now with the
-    best 300 evaluations ago."""
+    """The best score and point among the phase-1 objective's evaluations
+    so far (the first of tied scores), and the best as it stood after each
+    of the last 301, so that a stall test can compare the best now with
+    the best 300 evaluations ago."""
 
     def __init__(self) -> None:
         self.f, self.x, self.k = math.inf, None, 0
         self._trail = deque(maxlen=301)
 
-    def add(self, y, f: float) -> bool:
-        """Count the evaluation of y, scored f; True when f is the new best."""
+    def add(self, y, f: float) -> None:
+        """Count the evaluation of y, scored f."""
         self.k += 1
-        new = f < self.f
-        if new:
+        if f < self.f:
             self.f, self.x = f, y
         self._trail.append(self.f)
-        return new
 
-    def stalled(self, cut) -> bool:
-        """Past evaluation 300, whether ``cut(then, now)`` says the best
-        ``then``, 300 evaluations ago, fell too little to the best ``now``."""
-        return self.k > 300 and cut(self._trail[0], self.f)
+    def stalled(self) -> bool:
+        """Past evaluation 300, whether the best fell by < 10 % from the
+        best 300 evaluations ago."""
+        return self.k > 300 and not self.f < 0.9 * self._trail[0]
 
     def stop(self) -> _Stop:
         """``_Stop`` at the best point so far."""
         return _Stop(self.x, self.f, self.k)
-
-
-def _fell_by_under_10_percent(then: float, now: float) -> bool:
-    return not now < 0.9 * then
-
-
-def _fell_by_under_1e_4(then: float, now: float) -> bool:
-    return then - now < 1e-4
 
 
 def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
@@ -346,7 +336,7 @@ def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
         best.add(y, f)
         closed = closed or f != 1e6
         if (f == 0.0 or (best.k == n + 1 and not closed)
-                or best.stalled(_fell_by_under_10_percent)):
+                or best.stalled()):
             raise best.stop()
         return f
     return score
@@ -370,18 +360,16 @@ def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
 
 def _barrier(ctx, sigma, ref_coeff, floor, tau: float):
     """The score of ``_barrier_score`` at weight tau as a barrier-phase
-    objective.  It raises ``_Stop`` with the best point so far once that
-    point has positive float surplus and 300 evaluations lowered the best
-    score by < 1e-4."""
-    best, best_surplus = _Best(), -math.inf
+    objective.  It raises ``_Stop`` at its first point with every margin
+    positive (a score below 1e7) and positive float surplus."""
+    k = 0
 
     def score(y):
-        nonlocal best_surplus
+        nonlocal k
+        k += 1
         f, surplus = _barrier_score(ctx, sigma, ref_coeff, floor, tau, y)
-        if best.add(y, f):
-            best_surplus = surplus
-        if best_surplus > 0.0 and best.stalled(_fell_by_under_1e_4):
-            raise best.stop()
+        if f < 1e7 and surplus > 0.0:
+            raise _Stop(y, f, k)
         return f
     return score
 
@@ -527,9 +515,11 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     Each restart runs two Nelder-Mead phases: drive all strict margins
     above a floor, then push the dominance surplus up behind a
     logarithmic barrier (at two weights); each phase ends once decided
-    (``_feasibility``, ``_barrier``).  The barrier point, if it closes and has
-    positive float surplus, goes to exact certification, which alone
-    decides the strict inequalities.  Deterministic in cfg.rng_seed:
+    (``_feasibility``, ``_barrier``): a barrier run ends at its first point
+    with positive float surplus and every margin positive.  The barrier
+    point, if it closes and has positive float surplus, goes to exact
+    certification, which alone decides the strict inequalities.
+    Deterministic in cfg.rng_seed:
     restart k draws from seed rng_seed + k.  Returns the first candidate
     that certifies exactly (its ``fan`` and ``comparison`` are set), else
     the best float-feasible candidate with positive surplus, else None.

@@ -75,6 +75,13 @@ def _weak_shock():
             EulerState(Rational(5, 4), (Rational(0), Rational(0))))
 
 
+def _warmup_shock():
+    # rho 1 -> 4 with v_r = 0, built as the search benchmark's warm-up builds
+    # it: v_l = sqrt(45/4) adjoined, not the paper's 3/2 sqrt(5)
+    return (EulerState(Rational(1), (Rational(0), Rational(1) * adjoin_sqrt(Rational(45, 4)))),
+            EulerState(Rational(4), (Rational(0), Rational(0))))
+
+
 def test_search_weak_miss_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=2, rng_seed=0))
@@ -87,4 +94,12 @@ def test_search_paper_shock_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.seed == 2
-    _within(counts, {"_kernel": 6396})
+    _within(counts, {"_kernel": 2676})
+
+
+def test_search_warmup_budget(monkeypatch):
+    # each barrier run ends at its first positive point: restart 21 certifies
+    counts = _counted(monkeypatch, [(search, "_kernel")])
+    cand = search.search_fan(LAW2, *_warmup_shock(), search.SearchConfig(restarts=8, rng_seed=21))
+    assert cand is not None and cand.fan is not None and cand.seed == 21
+    _within(counts, {"_kernel": 622})

@@ -389,9 +389,9 @@ _INPUTS = {
 
 # (argv, exit code, sha256 of stdout), recorded before the dissipation
 # comparison was folded into one plane walk; the search bytes were
-# re-recorded when each barrier run began to end on a stall with a
-# positive surplus, and like test_search_golden_bits they depend neither on
-# the CPU nor on numpy.
+# re-recorded when each barrier run began to end at its first point with
+# positive surplus and every margin positive, and like
+# test_search_golden_bits they depend neither on the CPU nor on numpy.
 _GOLDEN = (
     (("verify-example", "--format", "json"), 0,
      "f0af6cae74a49d85cc2fee2552a00ec7eea6bd74fed184dd949c1337061ebdfd"),
@@ -414,7 +414,7 @@ _GOLDEN = (
     (("riemann", "slip.json", "--format", "json"), 0,
      "677bbd590ba3adc12a5c9dcd7743480cf2c7a98affb3ad6980b50c72c3850a71"),
     (("search", "search8.json", "--format", "json"), 0,
-     "9c1c285891ae24b196916f689058a2f34be3d06db1aeca5bd698a5aa1c1d7c0f"),
+     "20445583406ad2be2f956c4828ea3f009ae8f0049af4da0bd1203bd97c33065c"),
     # the benchmark's oscillate config and a small one, recorded on the
     # dense grid before the sparse grid and the per-order caches; the JSON
     # carries every float's repr, so it pins the diagnostics bit for bit

@@ -230,20 +230,21 @@ def test_search_deterministic():
 
 
 # Restart seed and free variables (float.hex) of the paper-boundary search,
-# recorded when each barrier run began to end on a stall with a positive
-# surplus: the same seeds must keep producing the same Nelder-Mead
-# trajectories bit for bit, on any CPU and without numpy.
+# recorded when each barrier run began to end at its first point with
+# positive surplus and every margin positive: the same seeds must keep
+# producing the same Nelder-Mead trajectories bit for bit, on any CPU and
+# without numpy.
 GOLDEN_SEARCH = {
     (4, 3): (3, [
-        "-0x1.4fa658387d8cfp+0", "-0x1.c5967d5922144p-1", "0x1.6fcd4a8f4bd59p+1",
-        "0x1.0a414b4cc3e70p+1", "0x1.271b143f8e8e6p+3", "0x1.84e98ae884b0cp+3",
-        "0x1.00c6517f3c0d6p+4", "0x1.62b40b8cf6ce4p+4", "0x1.cbbcc7d6e0650p+1",
-        "0x1.1f10bdaf5ce63p-3"]),
+        "-0x1.4383b485a8c42p+0", "-0x1.c05fd62845354p-1", "0x1.ea9b9dcfcc85ep+1",
+        "0x1.12667c0a7a1bcp+1", "0x1.4385e5e027bfap+3", "0x1.a7243734f1c8ep+3",
+        "0x1.008a7108882e1p+4", "0x1.52b886d6cdad6p+4", "0x1.4c15a8ca755abp+1",
+        "0x1.0a9c810ebf345p-3"]),
     (16, 0): (2, [
-        "-0x1.559afc9a0f22fp+0", "-0x1.c5d3ff0a9a280p-1", "0x1.6f987d2e66cc1p+1",
-        "0x1.f2271a365f074p+0", "0x1.1baf818545f66p+3", "0x1.862e9b6477a08p+3",
-        "0x1.00cd0025176b7p+4", "0x1.695e14d26d622p+4", "0x1.c83c11fd65feep+1",
-        "0x1.286752bcc1dc8p-3"]),
+        "-0x1.25926819fdf3dp+0", "-0x1.6f16054c254e5p-1", "0x1.06626c27c91d1p+2",
+        "0x1.04273e2896bbbp+1", "0x1.2662293a7da61p+3", "0x1.f60d4da330354p+3",
+        "0x1.00275ab4aee1dp+4", "0x1.69f65797510bdp+4", "0x1.176c16f5c0ddep-2",
+        "0x1.58190ab160442p-5"]),
 }
 
 
@@ -350,23 +351,27 @@ def _shock(rho_l, ratio):
             EulerState(Rational(rho_l * ratio), (Rational(0), Rational(0))))
 
 
-# rho_l -> 4 rho_l, one rng seed each at which 8 restarts certify
+# rho_l -> 4 rho_l, one rng seed each at which 8 restarts certify, the
+# first restart (seed rng_seed) already
 _STRONG_SEEDS = {Fraction(1): 13, Fraction(5, 4): 7, Fraction(4, 3): 13, Fraction(3, 2): 15,
                  Fraction(5, 3): 13, Fraction(7, 4): 13, Fraction(2): 4}
 
 
 @pytest.mark.parametrize("rho_l", sorted(_STRONG_SEEDS), ids=str)
 def test_search_certifies_strong_shocks(rho_l):
-    # the early ends of the feasibility phase drop no restart that certifies
+    # the early ends of the feasibility and barrier phases lose no restart
+    # that certifies, the first one included
+    seed = _STRONG_SEEDS[rho_l]
     cand = search_fan(LAW2, *_shock(rho_l, Fraction(4)),
-                      SearchConfig(restarts=8, rng_seed=_STRONG_SEEDS[rho_l]))
+                      SearchConfig(restarts=8, rng_seed=seed))
     assert cand is not None and cand.fan is not None and cand.comparison.passed
+    assert cand.seed == seed
 
 
 def test_barrier_stall_waits_for_a_positive_surplus():
-    # rho 1 -> 10/3: without the surplus gate both barrier runs of restart
-    # seed 682557 stall after about 300 evaluations at a float surplus near
-    # -7, and the search certifies nothing
+    # rho 1 -> 10/3: the first barrier run of restart seed 682557 starts at
+    # a float surplus near -7 and must go on until the surplus turns
+    # positive; a run that ended earlier, say on a stall, certifies nothing
     cand = search_fan(LAW2, *_shock(Fraction(1), Fraction(10, 3)),
                       SearchConfig(restarts=8, rng_seed=682554))
     assert cand is not None and cand.seed == 682557
@@ -528,7 +533,7 @@ def test_nan_margin_is_not_feasible(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the barrier phase's stall exit
+# the barrier phase's first positive point
 # ---------------------------------------------------------------------------
 
 def _recorded(fun, points):
@@ -539,18 +544,13 @@ def _recorded(fun, points):
     return score
 
 
-def _first_stall(scores, surpluses):
-    """(nfev, index of the best point) at the first evaluation of a run
-    with these scores where the best point so far, the first of tied
-    scores, has positive surplus and the last 300 evaluations lowered the
-    best score by less than 1e-4; None when there is none."""
-    best, at, trail = math.inf, None, []
-    for k, f in enumerate(scores, 1):
-        if f < best:
-            best, at = f, k - 1
-        trail.append(best)
-        if k > 300 and surpluses[at] > 0.0 and trail[-301] - best < 1e-4:
-            return k, at
+def _first_positive(kernels):
+    """The 1-based index of the first of these ``_kernel`` results that
+    closes with positive surplus and every margin positive; None when
+    there is none."""
+    for k, point in enumerate(kernels, 1):
+        if point is not None and point[0] > 0.0 and all(m > 0.0 for m in point[1]):
+            return k
     return None
 
 
@@ -558,57 +558,58 @@ def _first_stall(scores, surpluses):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(seed=st.integers(0, 63))
 @example(seed=2)  # the restart that certifies the pinned paper search
-def test_barrier_phase_stops_on_a_prefix_of_the_full_run(seed):
+def test_barrier_phase_stops_at_the_full_runs_first_positive_point(seed):
     ctx, sigma, ref_coeff = _problem("paper")
     y = list(_feasible_start("paper", seed))
     assume(_infeasibility(ctx, sigma, ref_coeff, _FLOOR, y) == 0.0)
     for tau in (1e-2, 1e-3):
-        full_points, scores, surpluses, points = [], [], [], []
+        full_points, scores, kernels, points = [], [], [], []
 
         def full_score(v):
-            f, surplus = _barrier_score(ctx, sigma, ref_coeff, _FLOOR, tau, v)
-            scores.append(f)
-            surpluses.append(surplus)
-            return f
+            kernels.append(_kernel(ctx, sigma, ref_coeff, v))
+            scores.append(_barrier_score(ctx, sigma, ref_coeff, _FLOOR, tau, v)[0])
+            return scores[-1]
         full = minimize(_recorded(full_score, full_points), y, _MAX_ITERS)
         ours = minimize(_recorded(_barrier(ctx, sigma, ref_coeff, _FLOOR, tau), points),
                         y, _MAX_ITERS)
         # the stopping objective scores as the full run does, so it walks the
         # same points, and nfev counts each of them, the last one included
         assert points == full_points[:len(points)] and ours.nfev == len(points)
-        stall = _first_stall(scores, surpluses)
-        if stall is None:
+        first = _first_positive(kernels)
+        if first is None:
             assert ours == full
         else:
-            nfev, at = stall
-            assert ours.nfev == nfev and ours.nfev < full.nfev
-            assert [v.hex() for v in ours.x] == full_points[at]
-            assert ours.fun == scores[at] == min(scores[:nfev])
-            assert _kernel(ctx, sigma, ref_coeff, ours.x)[0] > 0.0
+            # the first positive point itself, not the best point so far
+            assert ours.nfev == first
+            assert [v.hex() for v in ours.x] == full_points[first - 1]
+            assert ours.fun == scores[first - 1]
         y = ours.x
 
 
-def test_barrier_stall_reads_the_best_points_surplus(monkeypatch):
-    # y = [surplus, every margin]: points B score worse than A despite a
-    # positive surplus (their margins sit near the floor), so while A with
-    # its negative surplus is the best point the run never stalls; once C
-    # is, it stalls 300 evaluations after C scored
+def test_barrier_stops_at_its_first_positive_point(monkeypatch):
+    # y = [surplus, first margin, every other margin]
     import wildfan.search as search_module
 
     monkeypatch.setattr(search_module, "_kernel",
-                        lambda ctx, sigma, ref_coeff, y: (y[0], (y[1],) * len(_MARGINS),
-                                                          (0.0, 0.0, 0.0), 0.0),
+                        lambda ctx, sigma, ref_coeff, y: (
+                            y[0], (y[1],) + (y[2],) * (len(_MARGINS) - 1),
+                            (0.0, 0.0, 0.0), 0.0),
                         raising=True)
-    a, b, c = [-1e-3, 1.0], [0.5, 1e-3], [2e-3, 1.0]
-    f_a, f_b, f_c = (_barrier_score(None, 0.0, 0.0, _FLOOR, 1e-2, y)[0] for y in (a, b, c))
-    assert f_b > f_a > f_c + 1e-4
+    runs_on = (
+        [-1e-3, 1.0, 1.0],  # the best score of the run, its surplus negative
+        [0.5, 0.0, 1.0],  # positive surplus, a zero margin
+        [0.5, -1e-3, 1.0],  # positive surplus, a negative margin
+        [math.nan, 1.0, 1.0],
+        [0.5, math.nan, 1.0],
+        [0.0, 1.0, 1.0],
+    )
+    first = [2e-3, 1e-3, 1e-3]
+    f_best, f_first = (_barrier_score(None, 0.0, 0.0, _FLOOR, 1e-2, y)[0]
+                       for y in (runs_on[0], first))
+    assert f_first > f_best
     score = _barrier(None, 0.0, 0.0, _FLOOR, 1e-2)
-    score(a)
-    for _ in range(400):
-        score(b)  # evaluations 2-401, none a stall while A is the best
-    score(c)
-    for _ in range(299):
-        score(b)
+    for y in runs_on:
+        score(y)
     with pytest.raises(_Stop) as stop:
-        score(b)
-    assert stop.value.args == (c, f_c, 702)
+        score(first)
+    assert stop.value.args == (first, f_first, len(runs_on) + 1)
