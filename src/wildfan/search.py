@@ -15,8 +15,9 @@ in one kernel that returns the dominance surplus, the margins, the fluxes
 and the closure residual.  That kernel scores every optimizer step and also
 closes each restart's final point.  Every phase of a restart ends as soon
 as it is decided: the feasibility phase at its first feasible point, on a
-start that closes nowhere or on a stall, and each barrier run at its
-first point with positive surplus and every margin positive.
+start that closes nowhere or once 100 evaluations cut its best by < 10 %,
+and each barrier run at its first point with positive surplus and every
+margin positive.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
@@ -299,12 +300,12 @@ def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
 class _Best:
     """The best score and point among the phase-1 objective's evaluations
     so far (the first of tied scores), and the best as it stood after each
-    of the last 301, so that a stall test can compare the best now with
-    the best 300 evaluations ago."""
+    of the last _STALL_WINDOW + 1, so that a stall test can compare the
+    best now with the best _STALL_WINDOW evaluations ago."""
 
     def __init__(self) -> None:
         self.f, self.x, self.k = math.inf, None, 0
-        self._trail = deque(maxlen=301)
+        self._trail = deque(maxlen=_STALL_WINDOW + 1)
 
     def add(self, y, f: float) -> None:
         """Count the evaluation of y, scored f."""
@@ -314,9 +315,9 @@ class _Best:
         self._trail.append(self.f)
 
     def stalled(self) -> bool:
-        """Past evaluation 300, whether the best fell by < 10 % from the
-        best 300 evaluations ago."""
-        return self.k > 300 and not self.f < 0.9 * self._trail[0]
+        """Past evaluation _STALL_WINDOW, whether the best fell by < 10 %
+        from the best _STALL_WINDOW evaluations ago."""
+        return self.k > _STALL_WINDOW and not self.f < 0.9 * self._trail[0]
 
     def stop(self) -> _Stop:
         """``_Stop`` at the best point so far."""
@@ -327,7 +328,7 @@ def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
     """``_infeasibility`` as the phase-1 objective over n variables.  It raises
     ``_Stop`` at the first 0.0, where a full run ends too (ties keep index
     order); else, with the best point so far, once the n + 1 start vertices
-    all score the 1e6 sentinel or 300 evaluations cut the best by < 10 %."""
+    all score the 1e6 sentinel or _STALL_WINDOW evaluations cut the best by < 10 %."""
     best, closed = _Best(), False
 
     def score(y):
@@ -495,6 +496,7 @@ def minimize(fun, x0, maxiter: int) -> _Result:
 
 _FLOOR = 2e-4
 _MAX_ITERS = 4000
+_STALL_WINDOW = 100  # phase 1 stalls once this many evaluations cut its best by < 10 %
 # largest denominator certification rounds a float variable to
 _DENOMINATOR_CAP = 10 ** 12
 

@@ -86,7 +86,16 @@ def test_search_weak_miss_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=2, rng_seed=0))
     assert cand is None
-    _within(counts, {"_kernel": 1714})
+    _within(counts, {"_kernel": 1314})
+
+
+def test_search_weak_op_budget(monkeypatch):
+    # the weak miss as a search benchmark op runs it: 8 restarts, each
+    # ending its phase 1 on a stall
+    counts = _counted(monkeypatch, [(search, "_kernel")])
+    cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=8, rng_seed=0))
+    assert cand is None
+    _within(counts, {"_kernel": 5101})
 
 
 def test_search_paper_shock_budget(monkeypatch):
@@ -94,7 +103,7 @@ def test_search_paper_shock_budget(monkeypatch):
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.seed == 2
-    _within(counts, {"_kernel": 2676})
+    _within(counts, {"_kernel": 1729})
 
 
 def test_search_warmup_budget(monkeypatch):

@@ -532,9 +532,61 @@ def test_nan_margin_is_not_feasible(monkeypatch):
     assert math.isnan(_infeasibility(None, 0.0, 0.0, _FLOOR, [0.0] * 10))
 
 
-# ---------------------------------------------------------------------------
-# the barrier phase's first positive point
-# ---------------------------------------------------------------------------
+def _stub_margin_kernel(monkeypatch):
+    """Stub ``_kernel``: the point [m] does not close when m is None, and
+    else has the first margin m and every other margin at the floor, so it
+    scores (floor - m)**2 below the floor and 0.0 from the floor up."""
+    import wildfan.search as search_module
+
+    monkeypatch.setattr(search_module, "_kernel",
+                        lambda ctx, sigma, ref_coeff, y: None if y[0] is None else (
+                            0.0, (y[0],) + (_FLOOR,) * (len(_MARGINS) - 1),
+                            (0.0, 0.0, 0.0), 0.0),
+                        raising=True)
+
+
+def _falling(per_window, count):
+    """Points whose scores fall by the factor per_window over every 100
+    evaluations, from 1.0."""
+    return [[_FLOOR - per_window ** (k / 200)] for k in range(count)]
+
+
+def test_feasibility_stalls_over_100_evaluations(monkeypatch):
+    _stub_margin_kernel(monkeypatch)
+
+    def run(points, n=10):
+        score = _feasibility(None, 0.0, 0.0, _FLOOR, n)
+        for k, y in enumerate(points, 1):
+            try:
+                score(y)
+            except _Stop as stop:
+                return k, stop.args
+        return None
+
+    # a best that falls by 10.5 % over every 100 evaluations runs on
+    assert run(_falling(0.895, 1000)) is None
+    # one that falls by 9.5 % stops at evaluation 101, at its best point
+    points = _falling(0.905, 1000)
+    k, (x, f, nfev) = run(points)
+    assert (k, nfev) == (101, 101) and x is points[100]
+    assert f == _infeasibility(None, 0.0, 0.0, _FLOOR, points[100])
+    # a best that never falls stops at evaluation 101, at the first point
+    # that reached it, though later points tie with it
+    points = [[-1.0], [-2.0]] + [[-1.0], [-1.5]] * 200
+    k, (x, f, nfev) = run(points)
+    assert (k, nfev) == (101, 101) and x is points[0]
+    assert f == (_FLOOR + 1.0) ** 2
+    # the first 0.0 ends the run at once, however late
+    points = _falling(0.895, 700) + [[_FLOOR]]
+    k, (x, f, nfev) = run(points)
+    assert (k, nfev, f) == (701, 701, 0.0) and x is points[-1]
+    # an initial simplex that closes nowhere ends the run after it ...
+    points = [[None] for _ in range(20)]
+    k, (x, f, nfev) = run(points, n=3)
+    assert (k, nfev, f) == (4, 4, 1e6) and x is points[0]
+    # ... and one closed vertex among the start vertices keeps it going
+    assert run([[None]] * 3 + [[-1.0 / k] for k in range(1, 200)], n=3) is None
+
 
 def _recorded(fun, points):
     """fun, appending each point it is asked to score to ``points``."""
@@ -543,6 +595,54 @@ def _recorded(fun, points):
         return fun(v)
     return score
 
+
+def _phase_one_stop(scores, n):
+    """The 1-based index of the first of these phase-1 scores at which the
+    phase is decided: a 0.0, n + 1 start vertices that all score 1e6, or a
+    best that is not 10 % below the best 100 evaluations before; None when
+    there is none.  The best ignores NaN."""
+    def best(k):
+        return min((f for f in scores[:k] if f == f), default=math.inf)
+    for k in range(1, len(scores) + 1):
+        if (scores[k - 1] == 0.0 or (k == n + 1 and all(f == 1e6 for f in scores[:k]))
+                or (k > 100 and not best(k) < 0.9 * best(k - 100))):
+            return k
+    return None
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["paper", "weak"]), seed=st.integers(0, 63))
+@example(name="weak", seed=0)  # the first restart of the pinned weak miss
+@example(name="paper", seed=2)  # feasible after 98 evaluations
+@example(name="paper", seed=9)  # no start vertex closes
+def test_feasibility_phase_stops_on_a_prefix_of_the_full_run(name, seed):
+    ctx, sigma, ref_coeff = _problem(name)
+    y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
+    full_points, scores, points = [], [], []
+
+    def full_score(v):
+        scores.append(_infeasibility(ctx, sigma, ref_coeff, _FLOOR, v))
+        return scores[-1]
+    full = minimize(_recorded(full_score, full_points), y, _MAX_ITERS)
+    ours = minimize(_recorded(_feasibility(ctx, sigma, ref_coeff, _FLOOR, len(y)), points),
+                    y, _MAX_ITERS)
+    # the stopping objective scores as the full run does, so it walks the
+    # same points, and nfev counts each of them, the last one included
+    assert points == full_points[:len(points)] and ours.nfev == len(points)
+    stop = _phase_one_stop(scores, len(y))
+    if stop is None:
+        assert ours == full
+    else:
+        # the first point that reached the best score so far
+        assert ours.nfev == stop
+        best = min(f for f in scores[:stop] if f == f)
+        assert ours.fun == best
+        assert [v.hex() for v in ours.x] == full_points[scores.index(best)]
+
+
+# ---------------------------------------------------------------------------
+# the barrier phase's first positive point
+# ---------------------------------------------------------------------------
 
 def _first_positive(kernels):
     """The 1-based index of the first of these ``_kernel`` results that
