@@ -90,7 +90,7 @@ def test_search_weak_miss_budget(monkeypatch):
 
 
 def test_search_weak_op_budget(monkeypatch):
-    # the weak miss as a search benchmark op runs it: 8 restarts, each
+    # the weak miss with the 8 restarts of a search benchmark op, each
     # ending its phase 1 on a stall
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=8, rng_seed=0))

@@ -532,19 +532,6 @@ def test_nan_margin_is_not_feasible(monkeypatch):
     assert math.isnan(_infeasibility(None, 0.0, 0.0, _FLOOR, [0.0] * 10))
 
 
-def _stub_margin_kernel(monkeypatch):
-    """Stub ``_kernel``: the point [m] does not close when m is None, and
-    else has the first margin m and every other margin at the floor, so it
-    scores (floor - m)**2 below the floor and 0.0 from the floor up."""
-    import wildfan.search as search_module
-
-    monkeypatch.setattr(search_module, "_kernel",
-                        lambda ctx, sigma, ref_coeff, y: None if y[0] is None else (
-                            0.0, (y[0],) + (_FLOOR,) * (len(_MARGINS) - 1),
-                            (0.0, 0.0, 0.0), 0.0),
-                        raising=True)
-
-
 def _falling(per_window, count):
     """Points whose scores fall by the factor per_window over every 100
     evaluations, from 1.0."""
@@ -552,7 +539,16 @@ def _falling(per_window, count):
 
 
 def test_feasibility_stalls_over_100_evaluations(monkeypatch):
-    _stub_margin_kernel(monkeypatch)
+    # the point [m] does not close when m is None, and else has the first
+    # margin m and every other margin at the floor, so it scores
+    # (floor - m)**2 below the floor and 0.0 from the floor up
+    import wildfan.search as search_module
+
+    monkeypatch.setattr(search_module, "_kernel",
+                        lambda ctx, sigma, ref_coeff, y: None if y[0] is None else (
+                            0.0, (y[0],) + (_FLOOR,) * (len(_MARGINS) - 1),
+                            (0.0, 0.0, 0.0), 0.0),
+                        raising=True)
 
     def run(points, n=10):
         score = _feasibility(None, 0.0, 0.0, _FLOOR, n)
@@ -601,11 +597,12 @@ def _phase_one_stop(scores, n):
     phase is decided: a 0.0, n + 1 start vertices that all score 1e6, or a
     best that is not 10 % below the best 100 evaluations before; None when
     there is none.  The best ignores NaN."""
-    def best(k):
-        return min((f for f in scores[:k] if f == f), default=math.inf)
+    best = [math.inf]  # best[k]: the best of the first k scores
+    for f in scores:
+        best.append(f if f < best[-1] else best[-1])
     for k in range(1, len(scores) + 1):
         if (scores[k - 1] == 0.0 or (k == n + 1 and all(f == 1e6 for f in scores[:k]))
-                or (k > 100 and not best(k) < 0.9 * best(k - 100))):
+                or (k > 100 and not best[k] < 0.9 * best[k - 100])):
             return k
     return None
 
