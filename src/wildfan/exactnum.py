@@ -537,7 +537,7 @@ class Rational(QuadExt):
         return f"Rational({self.value})"
 
     def __str__(self) -> str:
-        return f"{self.nums[0]}/{self.den}"
+        return f"{_int_str(self.nums[0])}/{_int_str(self.den)}"
 
 
 # Tower elements with integer coefficients c on the basis of radical products
@@ -965,7 +965,7 @@ def xreal_to_json(x: XReal, enclosure_digits: int = 24):
     if isinstance(x, QuadExt):
         return {
             "d": list(x.radicands),
-            "c": [f"{c.numerator}/{c.denominator}" for c in x.coeffs],
+            "c": [f"{_int_str(c.numerator)}/{_int_str(c.denominator)}" for c in x.coeffs],
         }
     iv = x.enclosure(4 * enclosure_digits)
     scale = 10 ** enclosure_digits
@@ -974,10 +974,24 @@ def xreal_to_json(x: XReal, enclosure_digits: int = 24):
     return f"[{_fmt_scaled(lo, enclosure_digits)},{_fmt_scaled(hi, enclosure_digits)}]"
 
 
+def _int_str(n: int) -> str:
+    """str(n), also past Python's int-to-str digit limit: then in blocks of
+    4000 digits, leaving the process-wide sys.set_int_max_str_digits alone."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    head, blocks, base = abs(n), [], 10 ** 4000
+    while head >= base:
+        head, low = divmod(head, base)
+        blocks.append(str(low).zfill(4000))
+    return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
+
+
 def _fmt_scaled(n: int, digits: int) -> str:
     neg = n < 0
     n = abs(n)
-    s = str(n).rjust(digits + 1, "0")
+    s = _int_str(n).rjust(digits + 1, "0")
     out = f"{s[:-digits]}.{s[-digits:]}"
     return "-" + out if neg else out
 

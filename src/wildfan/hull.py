@@ -19,8 +19,10 @@ In f^j only r^j depends on the cap Q, through the gap Q - q; M, det M and
 A^j do not.  WGeometry(law, rho, z) computes the cap-independent part once
 (M and its class, the two distinct A values, the flux deviation) and
 answers r^j, the vertex scales, f^j and W-membership for any cap from it.
-find_Q builds one per region and probes its whole doubling schedule
-through it; the module-level functions each build a single geometry.
+Per cap, one helper forms the gap and the two vertex radicands and one the
+four roots, from one square root per vertex pair; every per-cap answer,
+split_flux_direction's included, reads these two.  find_Q builds one
+geometry per region and probes its whole doubling schedule through it.
 
 On tower data (as at gamma = 2) W-membership is decided with no rounding,
 by the tower sign rule two levels up (see WGeometry.in_W); the witness
@@ -131,18 +133,10 @@ def flux_deviation(law: PressureLaw, rho: XReal, z: PHPoint) -> tuple[XReal, XRe
 def in_K(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint) -> bool:
     """Membership in the constitutive set: exact nonlinearity plus q <= Q."""
     rho, Q = as_xreal(rho), as_xreal(Q)
-    p = pressure(law, rho)
-    # momentum-flux identity, componentwise
-    if sign(z.u11 + z.q - (z.m[0] * z.m[0] / rho + p)) != 0:
-        return False
-    if sign(z.u12 - z.m[0] * z.m[1] / rho) != 0:
-        return False
-    if sign(-z.u11 + z.q - (z.m[1] * z.m[1] / rho + p)) != 0:
-        return False
-    dev = flux_deviation(law, rho, z)
-    if sign(dev[0]) != 0 or sign(dev[1]) != 0:
-        return False
-    return sign(z.q - Q) <= 0
+    M = matrix_M(law, rho, z)
+    # the momentum-flux identity M = 0 and the rigid flux, componentwise
+    identities = (M.m11, M.m12, M.m22, *flux_deviation(law, rho, z))
+    return all(sign(v) == 0 for v in identities) and sign(z.q - Q) <= 0
 
 
 def in_V(law: PressureLaw, rho: XReal, Q: XReal,
@@ -168,7 +162,7 @@ class WGeometry:
     M, its class, det M, the two distinct A values (A^1 = A^2, A^3 = A^4),
     the flux deviation with its diagonal coordinates and the m.sigma^j do
     not depend on the cap Q; they are computed once here.  Only the vertex
-    roots r^j depend on Q, through the gap Q - q, and are built per call.
+    roots r^j depend on Q, through the gap Q - q (``_radicands``, ``_roots``).
     Their radicands m.sigma^j^2 + 4 rho (A^j + gap) agree in the same pairs
     (m.sigma^2 = -m.sigma^1, m.sigma^4 = -m.sigma^3), so one square root
     serves each pair.  Raises NotInV unless M(z) is negative definite.
@@ -214,27 +208,25 @@ class WGeometry:
             raise NotInV("q >= Q")
         return gap
 
-    def _sqrt(self, gap: XReal, j: int) -> XReal:
-        """Square root of the vertex radicand of r^j, shared within its pair."""
-        return adjoin_sqrt(self._rad_head[(j - 1) // 2] + self._four_rho * gap)
+    def _radicands(self, Q: XReal) -> tuple[XReal, tuple[XReal, XReal]]:
+        """(gap, (R12, R34)) at cap Q: the gap and the vertex radicands
+        msig^2 + 4 rho (A + gap) that r^1, r^2 and r^3, r^4 share."""
+        gap = self.gap(Q)
+        return gap, tuple(head + self._four_rho * gap for head in self._rad_head)
 
-    def _r(self, gap: XReal, j: int, root: XReal) -> XReal:
-        return (-self.msig[j - 1] + root) / (2 * gap)
+    def _roots(self, gap: XReal, rads: tuple[XReal, XReal]) -> tuple[XReal, ...]:
+        """The roots r^1..r^4 at this gap, from one square root per pair."""
+        root12, root34 = map(adjoin_sqrt, rads)
+        return tuple((-m + root) / (2 * gap)
+                     for m, root in zip(self.msig, (root12, root12, root34, root34)))
 
     def r(self, Q: XReal, j: int) -> XReal:
         """Positive root r^j of the flux-vertex quadratic at cap Q."""
-        gap = self.gap(Q)
-        return self._r(gap, j, self._sqrt(gap, j))
+        return self._roots(*self._radicands(Q))[j - 1]
 
     def scales(self, Q: XReal) -> tuple[XReal, XReal, XReal, XReal]:
         """The vertex scales c_j = A^j / r^j at cap Q, from two square roots."""
-        return self._scales(self.gap(Q))
-
-    def _scales(self, gap: XReal) -> tuple[XReal, XReal, XReal, XReal]:
-        root12, root34 = self._sqrt(gap, 1), self._sqrt(gap, 3)
-        return tuple(A / self._r(gap, j, root)
-                     for j, A, root in zip((1, 2, 3, 4), self.A,
-                                           (root12, root12, root34, root34)))
+        return tuple(A / r for A, r in zip(self.A, self._roots(*self._radicands(Q))))
 
     def f(self, Q: XReal, j: int) -> tuple[XReal, XReal]:
         """Flux vertex f^j = c_j sigma^j at cap Q."""
@@ -242,14 +234,13 @@ class WGeometry:
         s1, s2 = SIGMA[j - 1]
         return (c * s1, c * s2)
 
-    def _slack_sign(self, gap: XReal) -> int | None:
-        """Exact sign of the polytope slack 1 - lo - hi of in_W at this gap;
-        None unless the geometry and the gap are tower elements."""
+    def _slack_sign(self, gap: XReal, rads: tuple[XReal, XReal]) -> int | None:
+        """Exact sign of in_W's polytope slack 1 - lo - hi at this gap and its
+        radicands; None unless the geometry and the gap are tower elements."""
         if self._slack_terms is None or not isinstance(gap, QuadExt):
             return None
         two_aa, x_tail, y, z = self._slack_terms
-        rad12, rad34 = (head + self._four_rho * gap for head in self._rad_head)
-        return _tower_sign([gap * two_aa + x_tail, y, z, 0], (rad12, rad34))
+        return _tower_sign([gap * two_aa + x_tail, y, z, 0], rads)
 
     def in_W(self, Q: XReal) -> tuple[bool, WDecomposition | None]:
         """W-membership at cap Q with a constructive witness.
@@ -276,13 +267,13 @@ class WGeometry:
         gamma = 1) are decided by refining sign(1 - lo - hi).
         """
         try:
-            gap = self.gap(Q)
+            gap, rads = self._radicands(Q)
         except NotInV:
             return False, None
-        slack = self._slack_sign(gap)
+        slack = self._slack_sign(gap, rads)
         if slack is not None and slack <= 0:
             return False, None
-        c1, c2, c3, c4 = cs = self._scales(gap)
+        c1, c2, c3, c4 = cs = tuple(A / r for A, r in zip(self.A, self._roots(gap, rads)))
         a, b = self.a, self.b
         lo = xmax(a / c1, self._neg_a / c2, 0)
         hi = xmax(b / c3, self._neg_b / c4, 0)
@@ -342,7 +333,7 @@ def split_flux_direction(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint,
         gap = geom.gap(Q)
     except NotInV as exc:
         raise HypothesesViolated(str(exc)) from None
-    r = geom._r(gap, j, geom._sqrt(gap, j))
+    r = geom.r(Q, j)
     s1, s2 = SIGMA[j - 1]
     c = geom.A[j - 1] / r
     dev = geom.dev

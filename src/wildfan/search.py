@@ -26,11 +26,14 @@ imports no numpy: ``_PCG64`` draws the restart starts exactly as numpy's
 ``default_rng`` does, and ``_order`` breaks ties in the simplex order by
 index, so the search bits depend neither on the CPU nor on numpy.
 
-Certification rounds the free variables to rationals of denominator at
-most 10**12, pins the matched plane speed to the exact reference shock
-speed, re-runs the same closure in the quadratic tower, and runs the full
-exact verification on the fan it gives.  That verification decides each
-Rankine-Hugoniot equality once, the two the closure solves included.
+Each Riemann problem is set up once (``_Problem``): the reference solution
+and its profile, whose first entry, the most negative shock plane, is the
+matched plane, and the lifted boundary values.  Certification rounds the
+free variables to rationals of denominator at most 10**12, pins the
+matched plane to its exact speed, re-runs the same closure in the
+quadratic tower, and runs the full exact verification on the fan it
+gives.  That verification decides each Rankine-Hugoniot equality once,
+the two the closure solves included.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from typing import NamedTuple
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
 from .model import EulerState, PHPoint, PressureLaw, Record, lift_state
-from .riemann import (DissipationProfile, SelfSimilarSolution, Shock, plane_bracket,
-                      selfsim_dissipation, solve_riemann)
+from .riemann import plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
     "SearchConfig",
@@ -187,13 +189,21 @@ def chain_close(minus, plus, mu, rho1, q123):
 # the float closure
 # ---------------------------------------------------------------------------
 
-class _Context:
-    """Boundary data of one Riemann problem, computed once: the exact
-    lifted values (rho, m2, u11, q) for certification, and their floats
-    with the boundary F2 and energies and the float pressure callables
-    for the search."""
+class _Problem:
+    """One Riemann problem of the search, set up once: the reference
+    solution ``sol``, its profile ``ref`` and the matched plane
+    ``ref.entries[0]`` as its exact ``speed`` (None unless ``sol`` is
+    exact) and floats ``sigma``, ``ref_coeff`` (None without a shock);
+    the lifted boundary values, exact and as the floats the search reads."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
+        self.sol = solve_riemann(law, left, right)
+        self.ref = selfsim_dissipation(law, self.sol)
+        self.speed = self.sigma = self.ref_coeff = None
+        if self.ref.entries:
+            speed, coeff = self.ref.entries[0]
+            self.speed = speed if self.sol.exact else None
+            self.sigma, self.ref_coeff = float(speed), float(coeff)
         self.p, self.P = _float_law(law)
         (z_m, e_m), (z_p, e_p) = lift_state(law, left), lift_state(law, right)
         self.exact_minus = (left.rho, z_m.m[1], z_m.u11, z_m.q)
@@ -208,7 +218,7 @@ _MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
             "trace2", "det2", "trace3", "det3", "rh4_0", "rh4_1", "rh4_2", "rh4_3")
 
 
-def _close_floats(ctx: _Context, sigma: float, v):
+def _close_floats(prob: _Problem, v):
     """Close the float point whose first seven coordinates are (mu0, mu2,
     mu3, rho1, q1, q2, q3).
 
@@ -219,15 +229,16 @@ def _close_floats(ctx: _Context, sigma: float, v):
     not positive.
     """
     mu0, mu2, mu3, rho1, q1, q2, q3 = v[:7]
+    sigma = prob.sigma
     try:
         rhos, m2s, u11s, mu3_chain, residual = chain_close(
-            ctx.minus, ctx.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
+            prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
     except DegenerateClosure:
         return None
     if min(rhos) <= 0.0:
         return None
 
-    p, P = ctx.p, ctx.P
+    p, P = prob.p, prob.P
     r1, r2, r3 = rhos
     (a1, a2, a3), (u1, u2, u3) = m2s, u11s
     p1, p2, p3 = p(r1), p(r2), p(r3)
@@ -236,7 +247,7 @@ def _close_floats(ctx: _Context, sigma: float, v):
                -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
                -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
                -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3)]
-    e = (ctx.e_m, q1 + P(r1) - p1, q2 + P(r2) - p2, q3 + P(r3) - p3, ctx.e_p)
+    e = (prob.e_m, q1 + P(r1) - p1, q2 + P(r2) - p2, q3 + P(r3) - p3, prob.e_p)
     return (mu0, sigma, mu2, mu3_chain), e, margins, abs(residual)
 
 
@@ -254,46 +265,46 @@ def _close_floats(ctx: _Context, sigma: float, v):
 # Float sums run left to right from 0.0, as the builtin sum() adds on
 # Python 3.11; from 3.12 sum() compensates, which would move the bits.
 
-def _fluxes(ctx: _Context, sigma: float, y, e):
+def _fluxes(prob: _Problem, y, e):
     """(F12, F22, F32) putting the outer-plane brackets of the closed point
     y at its bracket coordinates (b0, b2, b3)."""
-    mu0, mu2, mu3, b0, b2, b3 = y[0], y[1], y[2], y[7], y[8], y[9]
-    budget = ctx.f_m - ctx.f_p - (0.0 + mu0 * (e[0] - e[1]) + sigma * (e[1] - e[2])
-                                  + mu2 * (e[2] - e[3]) + mu3 * (e[3] - e[4]))
+    sigma, mu0, mu2, mu3, b0, b2, b3 = prob.sigma, y[0], y[1], y[2], y[7], y[8], y[9]
+    budget = prob.f_m - prob.f_p - (0.0 + mu0 * (e[0] - e[1]) + sigma * (e[1] - e[2])
+                                    + mu2 * (e[2] - e[3]) + mu3 * (e[3] - e[4]))
     b1 = budget - b0 - b2 - b3
-    f3 = b3 + mu3 * (e[3] - e[4]) + ctx.f_p
+    f3 = b3 + mu3 * (e[3] - e[4]) + prob.f_p
     f2 = b2 + mu2 * (e[2] - e[3]) + f3
     f1 = b1 + sigma * (e[1] - e[2]) + f2
     return f1, f2, f3
 
 
-def _kernel(ctx: _Context, sigma: float, ref_coeff: float, y):
+def _kernel(prob: _Problem, y):
     """(surplus, margins, fluxes, residual) at the bracket-coordinate point
     y (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3): the dominance surplus, the
     margins as a tuple in ``_MARGINS`` order (the energy-flux brackets
     -mu[E] + [F2] per plane last), the fluxes (F12, F22, F32) and the
     absolute closure residual; None when the point does not close with
     positive densities."""
-    closed = _close_floats(ctx, sigma, y)
+    closed = _close_floats(prob, y)
     if closed is None:
         return None
     mu, e, margins, residual = closed
-    f1, f2, f3 = fluxes = _fluxes(ctx, sigma, y, e)
-    brackets = (plane_bracket(mu[0], e[0], e[1], ctx.f_m, f1),
+    f1, f2, f3 = fluxes = _fluxes(prob, y, e)
+    brackets = (plane_bracket(mu[0], e[0], e[1], prob.f_m, f1),
                 plane_bracket(mu[1], e[1], e[2], f1, f2),
                 plane_bracket(mu[2], e[2], e[3], f2, f3),
-                plane_bracket(mu[3], e[3], e[4], f3, ctx.f_p))
-    return brackets[1] - ref_coeff, (*margins, *brackets), fluxes, residual
+                plane_bracket(mu[3], e[3], e[4], f3, prob.f_p))
+    return brackets[1] - prob.ref_coeff, (*margins, *brackets), fluxes, residual
 
 
-def _infeasibility(ctx, sigma, ref_coeff, floor, y) -> float:
-    point = _kernel(ctx, sigma, ref_coeff, y)
+def _infeasibility(prob, y) -> float:
+    point = _kernel(prob, y)
     if point is None:
         return 1e6
     total = 0.0
     for m in point[1]:
-        if not m >= floor:  # NaN falls short too: only a feasible point scores 0.0
-            total += (floor - m) ** 2
+        if not m >= _FLOOR:  # NaN falls short too: only a feasible point scores 0.0
+            total += (_FLOOR - m) ** 2
     return total
 
 
@@ -324,7 +335,7 @@ class _Best:
         return _Stop(self.x, self.f, self.k)
 
 
-def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
+def _feasibility(prob, n: int):
     """``_infeasibility`` as the phase-1 objective over n variables.  It raises
     ``_Stop`` at the first 0.0, where a full run ends too (ties keep index
     order); else, with the best point so far, once the n + 1 start vertices
@@ -333,7 +344,7 @@ def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
 
     def score(y):
         nonlocal closed
-        f = _infeasibility(ctx, sigma, ref_coeff, floor, y)
+        f = _infeasibility(prob, y)
         best.add(y, f)
         closed = closed or f != 1e6
         if (f == 0.0 or (best.k == n + 1 and not closed)
@@ -343,10 +354,10 @@ def _feasibility(ctx, sigma, ref_coeff, floor, n: int):
     return score
 
 
-def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
+def _barrier_score(prob, tau, y) -> tuple[float, float]:
     """(score, surplus): the point's barrier score at weight tau, and its
     float surplus, -inf where the point does not close."""
-    point = _kernel(ctx, sigma, ref_coeff, y)
+    point = _kernel(prob, y)
     if point is None:
         return 1e9, -math.inf
     surplus, margins = point[:2]
@@ -354,12 +365,12 @@ def _barrier_score(ctx, sigma, ref_coeff, floor, tau, y) -> tuple[float, float]:
     for m in margins:
         if m <= 0.0:
             return 1e7, surplus
-        r = m / floor
+        r = m / _FLOOR
         barrier -= log(1e6 if 1e6 < r else r)  # min(r, 1e6), NaN included
     return -surplus + tau * barrier, surplus
 
 
-def _barrier(ctx, sigma, ref_coeff, floor, tau: float):
+def _barrier(prob, tau: float):
     """The score of ``_barrier_score`` at weight tau as a barrier-phase
     objective.  It raises ``_Stop`` at its first point with every margin
     positive (a score below 1e7) and positive float surplus."""
@@ -368,7 +379,7 @@ def _barrier(ctx, sigma, ref_coeff, floor, tau: float):
     def score(y):
         nonlocal k
         k += 1
-        f, surplus = _barrier_score(ctx, sigma, ref_coeff, floor, tau, y)
+        f, surplus = _barrier_score(prob, tau, y)
         if f < 1e7 and surplus > 0.0:
             raise _Stop(y, f, k)
         return f
@@ -501,15 +512,6 @@ _STALL_WINDOW = 100  # phase 1 stalls once this many evaluations cut its best by
 _DENOMINATOR_CAP = 10 ** 12
 
 
-def _exact_sigma(sol) -> XReal | None:
-    """Exact speed of the most negative reference shock; None when the
-    solution is not exact or has no shock."""
-    shock_speeds = [w.speed for w in sol.waves if isinstance(w, Shock)]
-    if not sol.exact or not shock_speeds:
-        return None
-    return min(shock_speeds, key=float)
-
-
 def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
                cfg: SearchConfig) -> Candidate | None:
     """Multi-restart derivative-free search over the free variables.
@@ -521,50 +523,43 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     with positive float surplus and every margin positive.  The barrier
     point, if it closes and has positive float surplus, goes to exact
     certification, which alone decides the strict inequalities.
-    Deterministic in cfg.rng_seed:
-    restart k draws from seed rng_seed + k.  Returns the first candidate
-    that certifies exactly (its ``fan`` and ``comparison`` are set), else
-    the best float-feasible candidate with positive surplus, else None.
+    Deterministic in cfg.rng_seed: restart k draws from seed rng_seed + k.
+    Returns the first candidate that certifies exactly (its ``fan`` and
+    ``comparison`` are set), else the best float-feasible candidate with
+    positive surplus, else None (at once when the reference has no shock).
     """
-    sol = solve_riemann(law, left, right)
-    ref = selfsim_dissipation(law, sol)
-    shocks = [(float(s), float(c)) for s, c in ref.entries]
-    if not shocks:
+    prob = _Problem(law, left, right)
+    if prob.sigma is None:
         return None
-    sigma, ref_coeff = min(shocks)  # most negative plane carries the target
-    sigma_exact = _exact_sigma(sol)
-    ctx = _Context(law, left, right)
-    floor = _FLOOR
 
     best: Candidate | None = None
     best_surplus = 0.0
     for restart in range(cfg.restarts):
-        y = _sample_start(_PCG64(cfg.rng_seed + restart), ctx, sigma, floor)
+        y = _sample_start(_PCG64(cfg.rng_seed + restart), prob)
 
-        feas = minimize(_feasibility(ctx, sigma, ref_coeff, floor, len(y)), y, _MAX_ITERS)
+        feas = minimize(_feasibility(prob, len(y)), y, _MAX_ITERS)
         if feas.fun > 0.0:
             continue
         y = feas.x
         for tau in (1e-2, 1e-3):
-            y = minimize(_barrier(ctx, sigma, ref_coeff, floor, tau), y, _MAX_ITERS).x
+            y = minimize(_barrier(prob, tau), y, _MAX_ITERS).x
         # the barrier phase starts feasible and scores a point with any
         # nonpositive margin 1e7, so every margin is positive here; the
         # float tests only screen what the exact certifier decides
-        point = _kernel(ctx, sigma, ref_coeff, y)
+        point = _kernel(prob, y)
         if point is None:
             continue
         surplus, margins, fluxes, residual = point
         if not (residual < 1e-7 and surplus > 0.0):
             continue
-        fields = (law, left, right, sigma, (*y[:7], *fluxes),
+        fields = (law, left, right, prob.sigma, (*y[:7], *fluxes),
                   tuple(zip(_MARGINS, margins)), True, cfg.rng_seed + restart)
         cand = Candidate(*fields)
         if surplus > best_surplus:  # surplus > 0.0: the first one wins
             best, best_surplus = cand, surplus
-        if sigma_exact is not None:
-            certified = _certify(cand, (sol, ref), sigma_exact, ctx)
-            if certified is not None:
-                return Candidate(*fields, *certified)
+        certified = _certify(cand, prob)
+        if certified is not None:
+            return Candidate(*fields, *certified)
     return best
 
 
@@ -624,20 +619,20 @@ class _PCG64:
         return a + (b - a) * ((word >> 11) * 2.0 ** -53)
 
 
-def _sample_start(rng: _PCG64, ctx: _Context, sigma: float, floor: float) -> list:
-    rho_m, _, _, q_m = ctx.minus
-    rho_p, _, _, q_p = ctx.plus
+def _sample_start(rng: _PCG64, prob: _Problem) -> list:
+    rho_m, _, _, q_m = prob.minus
+    rho_p, _, _, q_p = prob.plus
     lo_q, hi_q = sorted((q_m, q_p))
     span_q = max(hi_q - lo_q, 1.0)
     lo_r, hi_r = sorted((rho_m, rho_p))
-    span_mu = max(abs(sigma), 1.0)
+    span_mu = max(abs(prob.sigma), 1.0)
 
-    mu0 = sigma - span_mu * rng.uniform(0.05, 1.0)
-    mu2 = sigma + span_mu * rng.uniform(0.05, 1.0)
+    mu0 = prob.sigma - span_mu * rng.uniform(0.05, 1.0)
+    mu2 = prob.sigma + span_mu * rng.uniform(0.05, 1.0)
     mu3 = mu2 + span_mu * rng.uniform(0.5, 5.0)
     rho1 = rng.uniform(lo_r, hi_r)
     q1, q2, q3 = (lo_q + span_q * rng.uniform(0.2, 1.3) for _ in range(3))
-    b0, b2, b3 = (rng.uniform(floor, 20 * floor) for _ in range(3))
+    b0, b2, b3 = (rng.uniform(_FLOOR, 20 * _FLOOR) for _ in range(3))
     return [mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3]
 
 
@@ -653,22 +648,16 @@ def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     inequality is lost in rounding; otherwise the fan.  ``cand`` is left
     as it is.  Nothing in ``cfg`` changes the result: its fields steer the
     restarts of ``search_fan`` only."""
-    sol = solve_riemann(cand.law, cand.left, cand.right)
-    sigma = _exact_sigma(sol)
-    if sigma is None:
-        return None
-    certified = _certify(cand, (sol, selfsim_dissipation(cand.law, sol)), sigma,
-                         _Context(cand.law, cand.left, cand.right))
+    certified = _certify(cand, _Problem(cand.law, cand.left, cand.right))
     return None if certified is None else certified[0]
 
 
-def _certify(cand: Candidate, solved: tuple[SelfSimilarSolution, DissipationProfile],
-             sigma: XReal, ctx: _Context) -> tuple[FanSubsolution, VerificationReport] | None:
-    """``certify`` against the reference solution with its dissipation
-    profile, its exact shock speed and the exact boundary values the caller
-    already has (``search_fan`` computes them once); the fan with its
-    comparison report."""
-    law, left, right = cand.law, cand.left, cand.right
+def _certify(cand: Candidate, prob: _Problem) -> tuple[FanSubsolution, VerificationReport] | None:
+    """``certify`` on the problem ``prob`` of cand's law and boundary
+    states, which ``search_fan`` sets up once: the fan with its comparison
+    report; None as well when the reference is not exact or has no shock."""
+    if prob.speed is None:
+        return None
 
     def rnd(v) -> XReal:
         return as_xreal(Fraction(float(v)).limit_denominator(_DENOMINATOR_CAP))
@@ -677,23 +666,23 @@ def _certify(cand: Candidate, solved: tuple[SelfSimilarSolution, DissipationProf
     rho1 = rnd(cand.x[3])
     q123 = (rnd(cand.x[4]), rnd(cand.x[5]), rnd(cand.x[6]))
     f123 = (rnd(cand.x[7]), rnd(cand.x[8]), rnd(cand.x[9]))
-    mu = (mu0, sigma, mu2x, mu3x)
+    mu = (mu0, prob.speed, mu2x, mu3x)
 
     try:
         # the chained mu3 and the residual are not read: over exact numbers
         # the 2x2 solve makes them mu3x and 0, and verify_fan decides the
         # two equalities behind them as rh_mass[3] and rh_normal[3]
-        rhos, m2s, u11s, _, _ = chain_close(ctx.exact_minus, ctx.exact_plus, mu, rho1, q123)
+        rhos, m2s, u11s, _, _ = chain_close(prob.exact_minus, prob.exact_plus, mu, rho1, q123)
         if any(sign(rho) <= 0 for rho in rhos):
             return None
         zero = as_xreal(0)
         regions = tuple(
             (rho, PHPoint((zero, m2s[i]), u11s[i], zero, q123[i], (zero, f123[i])))
             for i, rho in enumerate(rhos))
-        fan = FanSubsolution(law, mu, left, right, regions)
+        fan = FanSubsolution(cand.law, mu, cand.left, cand.right, regions)
         if not verify_fan(fan).passed:
             return None
-        comparison = compare_selfsimilar(fan, solved)[0]
+        comparison = compare_selfsimilar(fan, (prob.sol, prob.ref))[0]
         if not comparison.passed:
             return None
         return fan, comparison

@@ -321,6 +321,23 @@ def test_serialization():
     assert lo <= 2 ** 0.5 + 1 <= hi
 
 
+@pytest.mark.parametrize("n", [10 ** 4000, -(10 ** 4000) + 1, 7 ** 20000, -(3 ** 30000) * 10 ** 5000],
+                         ids=["10^4000", "1-10^4000", "7^20000", "-3^30000*10^5000"])
+def test_long_integers_print_past_the_digit_limit(n):
+    # str() refuses ints of more than 4300 digits by default; the printers
+    # convert such ints in blocks instead
+    def read(digits):  # back in blocks of 4000 digits, which int() accepts
+        value = 0
+        for k in range(0, len(digits), 4000):
+            value = value * 10 ** len(digits[k:k + 4000]) + int(digits[k:k + 4000])
+        return value
+    num, den = xreal_to_json(Rational(n, 13)).split("/")
+    digits = num.lstrip("-")
+    assert (num[0] == "-", digits[0] != "0", read(digits), den) == (n < 0, True, abs(n), "13")
+    enc = xreal_to_json(QuadExt((5,), (Fraction(n, 13), Fraction(1))))
+    assert enc["c"] == [f"{num}/13", "1/1"]
+
+
 def test_comparison_operators():
     assert Rational(1, 3) < Rational(1, 2)
     s2 = adjoin_sqrt(2)

@@ -1,0 +1,146 @@
+"""An independent oracle for ``verify_fan``: every condition recomputed in
+sympy from the fan's JSON alone.
+
+The oracle transcribes the conditions from their definitions and shares no
+code with ``wildfan``: it reads a fan as ``fan_to_json`` writes it, lifts
+the boundary states, and decides each condition with sympy.  The tests
+then ask ``verify_fan`` for its verdicts on the same JSON and require the
+same status for every condition name.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+import sympy as sp
+
+from wildfan.exactnum import QuadExt, Rational
+from wildfan.fan import fan_from_json, fan_to_json, paper_example, verify_fan
+from wildfan.model import EulerState, PressureLaw
+from wildfan.search import SearchConfig, search_fan
+
+
+def _number(v):
+    """A number as the fan JSON writes it: "p/q", or {"d": radicands,
+    "c": coefficients} on the square roots of the radicands' products,
+    taken in the order 1, d1, d2, d1 d2, d3, ..."""
+    if isinstance(v, str):
+        return sp.Rational(v)
+    roots = [sp.Integer(1)]
+    for d in v["d"]:
+        roots += [r * sp.sqrt(d) for r in roots]
+    return sp.Add(*(sp.Rational(c) * r for c, r in zip(v["c"], roots, strict=True)))
+
+
+def _sign(x) -> int:
+    """The sign of a number built from rationals and square roots of
+    rationals by ring operations.  Expanded, sympy writes it over square
+    roots of distinct squarefree integers, which are linearly independent
+    over Q: it is 0 exactly when it expands to 0, and 60 digits decide the
+    sign of any other value."""
+    x = sp.expand(x)
+    if x == 0:
+        return 0
+    value = x.evalf(60)
+    assert abs(value) > sp.Float("1e-30"), f"a nonzero value this small is suspect: {x}"
+    return 1 if value > 0 else -1
+
+
+def _oracle(data: dict) -> dict[str, str]:
+    """{condition name: "Pass" or "Fail"} of the fan ``data``.
+
+    With p = rho^gamma, P = rho^gamma / (gamma - 1), E = q + P - p, jumps
+    [X] = X_left - X_right across the plane y = mu t and
+    M = m (x) m / rho - U + (p - q) I with U = ((u11, u12), (u12, -u11)):
+    the speeds increase; each plane carries [rho] mu = [m2],
+    [m1] mu = [u12], [m2] mu = [-u11 + q] and -mu [E] + [F2] >= 0; and M is
+    negative definite in each region, trace M < 0 and det M > 0.  A
+    boundary state (rho, m) lifts to q = |m|^2/(2 rho) + p,
+    U = m (x) m / rho - |m|^2/(2 rho) I and F = (q + P) m / rho.
+    """
+    gamma = sp.Rational(data["gamma"])
+    assert gamma > 1
+
+    def region(rho, m, u11, u12, q, F):
+        # rho^gamma takes sqrt(rho) unless gamma is an integer: keep rho
+        # rational then, so that every value stays in the fields _sign reads
+        assert _sign(rho) == 1 and (gamma.q == 1 or rho.is_Rational)
+        p = rho ** gamma
+        return {"rho": rho, "m1": m[0], "m2": m[1], "u11": u11, "u12": u12, "q": q,
+                "F2": F[1], "p": p, "E": q + p / (gamma - 1) - p}
+
+    def boundary(state):
+        rho, (m1, m2) = _number(state["rho"]), map(_number, state["m"])
+        assert rho.is_Rational  # _sign reads no quotient by an irrational
+        half = (m1 * m1 + m2 * m2) / (2 * rho)
+        q = half + rho ** gamma
+        scale = (q + rho ** gamma / (gamma - 1)) / rho
+        return region(rho, (m1, m2), m1 * m1 / rho - half, m1 * m2 / rho, q,
+                      (scale * m1, scale * m2))
+
+    records = [boundary(data["left"])]
+    for r in data["regions"]:
+        records.append(region(_number(r["rho"]), [_number(v) for v in r["m"]],
+                              _number(r["u11"]), _number(r["u12"]), _number(r["q"]),
+                              [_number(v) for v in r["F"]]))
+    records.append(boundary(data["right"]))
+    mu = [_number(v) for v in data["mu"]]
+
+    verdicts = {}
+
+    def check(name, value, signs):
+        verdicts[name] = "Pass" if _sign(value) in signs else "Fail"
+
+    for i in range(3):
+        check(f"ordering[mu{i}<mu{i + 1}]", mu[i + 1] - mu[i], {1})
+    for i in range(4):
+        a, b = records[i], records[i + 1]
+
+        def jump(key):
+            return a[key] - b[key]
+        check(f"rh_mass[{i}]", mu[i] * jump("rho") - jump("m2"), {0})
+        check(f"rh_tangential[{i}]", mu[i] * jump("m1") - jump("u12"), {0})
+        check(f"rh_normal[{i}]", mu[i] * jump("m2") - (jump("q") - jump("u11")), {0})
+        check(f"rh_energy[{i}]", -mu[i] * jump("E") + jump("F2"), {0, 1})
+    for i, r in enumerate(records[1:4], start=1):
+        # rho M, whose trace and det have the signs of M's as rho > 0
+        shift = r["rho"] * (r["p"] - r["q"])
+        n11 = r["m1"] * r["m1"] - r["rho"] * r["u11"] + shift
+        n12 = r["m1"] * r["m2"] - r["rho"] * r["u12"]
+        n22 = r["m2"] * r["m2"] + r["rho"] * r["u11"] + shift
+        check(f"subsolution_trace[{i}]", n11 + n22, {-1})
+        check(f"subsolution_det[{i}]", n11 * n22 - n12 * n12, {1})
+    return verdicts
+
+
+@lru_cache(maxsize=None)
+def _searched_fan():
+    """The fan search_fan certifies on the paper shock."""
+    s5 = QuadExt.sqrt_of(5)
+    left = EulerState(1, (Rational(0), Rational(3, 2) * s5))
+    right = EulerState(4, (Rational(0), Rational(0)))
+    cand = search_fan(PressureLaw(gamma=2), left, right, SearchConfig(restarts=16, rng_seed=0))
+    assert cand is not None and cand.fan is not None
+    return cand.fan
+
+
+def _fan_json(case: str) -> dict:
+    if case == "searched":
+        return fan_to_json(_searched_fan())
+    data = fan_to_json(paper_example())
+    return {**data, "gamma": "3/2"} if case == "gamma 3/2" else data
+
+
+@pytest.mark.parametrize("case, fails", [
+    ("paper", []),
+    ("gamma 3/2", ["rh_energy[2]", "rh_normal[3]", "rh_energy[3]"]),
+    ("searched", []),
+])
+def test_oracle_agrees_with_verify_fan(case, fails):
+    data = _fan_json(case)
+    oracle = _oracle(data)
+    assert [name for name, status in oracle.items() if status == "Fail"] == fails
+    report = verify_fan(fan_from_json(data)).to_dict()
+    assert {c["name"]: c["status"] for c in report["conditions"]} == oracle
+    assert [c["name"] for c in report["conditions"]] == list(oracle)

@@ -37,12 +37,12 @@ from wildfan.search import (
     DegenerateClosure,
     SearchConfig,
     _barrier_score,
-    _Context,
     _feasibility,
     _infeasibility,
     _kernel,
     _order,
     _PCG64,
+    _Problem,
     _barrier,
     _sample_start,
     _Stop,
@@ -157,9 +157,8 @@ def test_kernel_paper_variables_feasible():
     # bracket coordinates: the paper's outer-plane coefficients b0, b2, b3
     coeffs = [float(c) for _, c in fan_dissipation_profile(paper_example()).entries]
     y = [*x[:7], coeffs[0], coeffs[2], coeffs[3]]
-    ref = 27 / 4 * 5 ** 0.5
-    surplus, margins, fluxes, residual = _kernel(
-        _Context(LAW2, left, right), SIGMA_F, ref, y)
+    prob = _Problem(LAW2, left, right)
+    surplus, margins, fluxes, residual = _kernel(prob, y)
     assert min(margins) > 0
     assert residual < 1e-10
     assert surplus > 0.03
@@ -218,6 +217,36 @@ def test_search_two_shock_reference_returns_without_crash():
     cand = search_fan(LAW2, left, right, SearchConfig(restarts=2, rng_seed=0))
     if cand is not None:
         assert certify(cand, SearchConfig(restarts=2)) is None
+
+
+def test_problem_matches_the_most_negative_shock_plane(monkeypatch):
+    import wildfan.search as search_module
+
+    def unit(v):
+        """The state of unit density and normal velocity v."""
+        return EulerState(1, (Rational(0), Rational(v)))
+
+    # the paper shock: one plane, at the exact speed -sqrt(5)/2
+    prob = _Problem(LAW2, *paper_boundary())
+    assert sign(prob.speed + Rational(1, 2) * S5) == 0
+    assert (prob.sigma, prob.ref_coeff) == tuple(map(float, prob.ref.entries[0]))
+    # two shocks, as the CLI's search test builds them: a float-bisected
+    # reference with no exact speed to pin, so its candidate stays uncertified
+    left, right = unit(1), unit(-1)
+    prob = _Problem(LAW2, left, right)
+    assert prob.speed is None and len(prob.ref.entries) == 2
+    assert prob.sigma == min(float(s) for s, _ in prob.ref.entries) < 0.0
+    cand = search_fan(LAW2, left, right, SearchConfig(restarts=1, rng_seed=3))
+    assert cand is not None and cand.fan is None
+    assert certify(cand, SearchConfig(restarts=1)) is None
+    # two rarefactions: no plane to beat, and no float evaluation
+    left, right = unit(Fraction(-1, 2)), unit(Fraction(1, 2))
+    prob = _Problem(LAW2, left, right)
+    assert prob.ref.entries == () and (prob.speed, prob.sigma, prob.ref_coeff) == (None,) * 3
+    calls = []
+    monkeypatch.setattr(search_module, "_kernel", lambda *args: calls.append(args), raising=True)
+    assert search_fan(LAW2, left, right, SearchConfig(restarts=4)) is None
+    assert calls == []
 
 
 def test_search_deterministic():
@@ -388,29 +417,25 @@ def _weak_boundary():
 
 @lru_cache(maxsize=None)
 def _problem(name):
-    left, right = paper_boundary() if name == "paper" else _weak_boundary()
-    sol = solve_riemann(LAW2, left, right)
-    assert sol.exact
-    sigma, ref_coeff = min((float(s), float(c))
-                           for s, c in selfsim_dissipation(LAW2, sol).entries)
-    return _Context(LAW2, left, right), sigma, ref_coeff
+    prob = _Problem(LAW2, *(paper_boundary() if name == "paper" else _weak_boundary()))
+    assert prob.speed is not None
+    return prob
 
 
 @lru_cache(maxsize=None)
 def _feasible_start(name, seed):
     """A start after a full feasibility phase, where the barrier phase
     does its real work."""
-    ctx, sigma, ref_coeff = _problem(name)
-    y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
-    return tuple(minimize(lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v),
-                          y, 4000).x)
+    prob = _problem(name)
+    y = _sample_start(_PCG64(seed), prob)
+    return tuple(minimize(lambda v: _infeasibility(prob, v), y, 4000).x)
 
 
 def _phase_objective(name, phase):
-    ctx, sigma, ref_coeff = _problem(name)
+    prob = _problem(name)
     if phase == "feasibility":
-        return lambda v: _infeasibility(ctx, sigma, ref_coeff, _FLOOR, v)
-    return lambda v: _barrier_score(ctx, sigma, ref_coeff, _FLOOR, 1e-2, v)[0]
+        return lambda v: _infeasibility(prob, v)
+    return lambda v: _barrier_score(prob, 1e-2, v)[0]
 
 
 def _plateau(v):
@@ -450,11 +475,10 @@ def _assert_same_as_scipy(fun, x0, maxiter):
        phase=st.sampled_from(["feasibility", "barrier"]),
        seed=st.integers(0, 3), warm=st.booleans(), maxiter=st.integers(1, 600))
 def test_minimize_matches_scipy_on_the_phase_objectives(name, phase, seed, warm, maxiter):
-    ctx, sigma, _ = _problem(name)
     if warm:
         start = list(_feasible_start(name, seed))
     else:
-        start = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
+        start = _sample_start(_PCG64(seed), _problem(name))
     _assert_same_as_scipy(_phase_objective(name, phase), start, maxiter)
 
 
@@ -489,8 +513,8 @@ def _ends_at_first_zero(fun):
 @given(name=st.sampled_from(["paper", "weak"]), seed=st.integers(0, 63))
 @example(name="paper", seed=2)  # feasible after 98 evaluations
 def test_feasibility_phase_ends_at_the_full_runs_point(name, seed):
-    ctx, sigma, ref_coeff = _problem(name)
-    y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
+    prob = _problem(name)
+    y = _sample_start(_PCG64(seed), prob)
     plain = minimize(_phase_objective(name, "feasibility"), y, _MAX_ITERS)
     early = minimize(_ends_at_first_zero(_phase_objective(name, "feasibility")), y, _MAX_ITERS)
     if plain.fun == 0.0:
@@ -500,7 +524,7 @@ def test_feasibility_phase_ends_at_the_full_runs_point(name, seed):
     else:
         assert early == plain
     # the search's objective ends there too, or drops the restart
-    ours = minimize(_feasibility(ctx, sigma, ref_coeff, _FLOOR, len(y)), y, _MAX_ITERS)
+    ours = minimize(_feasibility(prob, len(y)), y, _MAX_ITERS)
     if ours.fun == 0.0:
         assert [v.hex() for v in ours.x] == [v.hex() for v in plain.x]
         assert ours.nfev == early.nfev
@@ -512,11 +536,11 @@ def test_no_closure_starts_never_become_feasible():
     # the paper-shock starts among seeds 0-31 whose initial simplex closes
     # nowhere: the search drops each after that simplex, and a full run
     # from each ends on the 1e6 sentinel
-    ctx, sigma, ref_coeff = _problem("paper")
+    prob = _problem("paper")
     dropped = []
     for seed in range(32):
-        y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
-        ours = minimize(_feasibility(ctx, sigma, ref_coeff, _FLOOR, len(y)), y, _MAX_ITERS)
+        y = _sample_start(_PCG64(seed), prob)
+        ours = minimize(_feasibility(prob, len(y)), y, _MAX_ITERS)
         if ours.nfev == len(y) + 1 and ours.fun == 1e6:
             dropped.append(seed)
             assert minimize(_phase_objective("paper", "feasibility"), y, _MAX_ITERS).fun >= 1e6
@@ -529,7 +553,7 @@ def test_nan_margin_is_not_feasible(monkeypatch):
     margins = (1.0,) * (len(_MARGINS) - 1) + (math.nan,)
     monkeypatch.setattr(search_module, "_kernel",
                         lambda *args: (1.0, margins, (0.0, 0.0, 0.0), 0.0), raising=True)
-    assert math.isnan(_infeasibility(None, 0.0, 0.0, _FLOOR, [0.0] * 10))
+    assert math.isnan(_infeasibility(None, [0.0] * 10))
 
 
 def _falling(per_window, count):
@@ -545,13 +569,13 @@ def test_feasibility_stalls_over_100_evaluations(monkeypatch):
     import wildfan.search as search_module
 
     monkeypatch.setattr(search_module, "_kernel",
-                        lambda ctx, sigma, ref_coeff, y: None if y[0] is None else (
+                        lambda prob, y: None if y[0] is None else (
                             0.0, (y[0],) + (_FLOOR,) * (len(_MARGINS) - 1),
                             (0.0, 0.0, 0.0), 0.0),
                         raising=True)
 
     def run(points, n=10):
-        score = _feasibility(None, 0.0, 0.0, _FLOOR, n)
+        score = _feasibility(None, n)
         for k, y in enumerate(points, 1):
             try:
                 score(y)
@@ -565,7 +589,7 @@ def test_feasibility_stalls_over_100_evaluations(monkeypatch):
     points = _falling(0.905, 1000)
     k, (x, f, nfev) = run(points)
     assert (k, nfev) == (101, 101) and x is points[100]
-    assert f == _infeasibility(None, 0.0, 0.0, _FLOOR, points[100])
+    assert f == _infeasibility(None, points[100])
     # a best that never falls stops at evaluation 101, at the first point
     # that reached it, though later points tie with it
     points = [[-1.0], [-2.0]] + [[-1.0], [-1.5]] * 200
@@ -613,16 +637,15 @@ def _phase_one_stop(scores, n):
 @example(name="paper", seed=2)  # feasible after 98 evaluations
 @example(name="paper", seed=9)  # no start vertex closes
 def test_feasibility_phase_stops_on_a_prefix_of_the_full_run(name, seed):
-    ctx, sigma, ref_coeff = _problem(name)
-    y = _sample_start(_PCG64(seed), ctx, sigma, _FLOOR)
+    prob = _problem(name)
+    y = _sample_start(_PCG64(seed), prob)
     full_points, scores, points = [], [], []
 
     def full_score(v):
-        scores.append(_infeasibility(ctx, sigma, ref_coeff, _FLOOR, v))
+        scores.append(_infeasibility(prob, v))
         return scores[-1]
     full = minimize(_recorded(full_score, full_points), y, _MAX_ITERS)
-    ours = minimize(_recorded(_feasibility(ctx, sigma, ref_coeff, _FLOOR, len(y)), points),
-                    y, _MAX_ITERS)
+    ours = minimize(_recorded(_feasibility(prob, len(y)), points), y, _MAX_ITERS)
     # the stopping objective scores as the full run does, so it walks the
     # same points, and nfev counts each of them, the last one included
     assert points == full_points[:len(points)] and ours.nfev == len(points)
@@ -656,19 +679,18 @@ def _first_positive(kernels):
 @given(seed=st.integers(0, 63))
 @example(seed=2)  # the restart that certifies the pinned paper search
 def test_barrier_phase_stops_at_the_full_runs_first_positive_point(seed):
-    ctx, sigma, ref_coeff = _problem("paper")
+    prob = _problem("paper")
     y = list(_feasible_start("paper", seed))
-    assume(_infeasibility(ctx, sigma, ref_coeff, _FLOOR, y) == 0.0)
+    assume(_infeasibility(prob, y) == 0.0)
     for tau in (1e-2, 1e-3):
         full_points, scores, kernels, points = [], [], [], []
 
         def full_score(v):
-            kernels.append(_kernel(ctx, sigma, ref_coeff, v))
-            scores.append(_barrier_score(ctx, sigma, ref_coeff, _FLOOR, tau, v)[0])
+            kernels.append(_kernel(prob, v))
+            scores.append(_barrier_score(prob, tau, v)[0])
             return scores[-1]
         full = minimize(_recorded(full_score, full_points), y, _MAX_ITERS)
-        ours = minimize(_recorded(_barrier(ctx, sigma, ref_coeff, _FLOOR, tau), points),
-                        y, _MAX_ITERS)
+        ours = minimize(_recorded(_barrier(prob, tau), points), y, _MAX_ITERS)
         # the stopping objective scores as the full run does, so it walks the
         # same points, and nfev counts each of them, the last one included
         assert points == full_points[:len(points)] and ours.nfev == len(points)
@@ -688,7 +710,7 @@ def test_barrier_stops_at_its_first_positive_point(monkeypatch):
     import wildfan.search as search_module
 
     monkeypatch.setattr(search_module, "_kernel",
-                        lambda ctx, sigma, ref_coeff, y: (
+                        lambda prob, y: (
                             y[0], (y[1],) + (y[2],) * (len(_MARGINS) - 1),
                             (0.0, 0.0, 0.0), 0.0),
                         raising=True)
@@ -701,10 +723,10 @@ def test_barrier_stops_at_its_first_positive_point(monkeypatch):
         [0.0, 1.0, 1.0],
     )
     first = [2e-3, 1e-3, 1e-3]
-    f_best, f_first = (_barrier_score(None, 0.0, 0.0, _FLOOR, 1e-2, y)[0]
+    f_best, f_first = (_barrier_score(None, 1e-2, y)[0]
                        for y in (runs_on[0], first))
     assert f_first > f_best
-    score = _barrier(None, 0.0, 0.0, _FLOOR, 1e-2)
+    score = _barrier(None, 1e-2)
     for y in runs_on:
         score(y)
     with pytest.raises(_Stop) as stop:
