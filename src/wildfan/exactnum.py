@@ -974,17 +974,17 @@ def xreal_to_json(x: XReal, enclosure_digits: int = 24):
     return f"[{_fmt_scaled(lo, enclosure_digits)},{_fmt_scaled(hi, enclosure_digits)}]"
 
 
+_BLOCK_DIGITS = 600  # under every int-to-str digit limit Python allows (>= 640)
+_BLOCK = 10 ** _BLOCK_DIGITS
+
+
 def _int_str(n: int) -> str:
-    """str(n), also past Python's int-to-str digit limit: then in blocks of
-    4000 digits, leaving the process-wide sys.set_int_max_str_digits alone."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    head, blocks, base = abs(n), [], 10 ** 4000
-    while head >= base:
-        head, low = divmod(head, base)
-        blocks.append(str(low).zfill(4000))
+    """str(n) in blocks of _BLOCK_DIGITS digits, which no setting of Python's
+    digit limit refuses; the process-wide sys.set_int_max_str_digits is untouched."""
+    head, blocks = abs(n), []
+    while head >= _BLOCK:
+        head, low = divmod(head, _BLOCK)
+        blocks.append(str(low).zfill(_BLOCK_DIGITS))
     return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
 
 

@@ -201,17 +201,13 @@ class WGeometry:
                                  self.a * a34 * self.msig[0] + self.b * a12 * self.msig[2],
                                  (-1) * abs_a * a34, (-1) * abs_b * a12)
 
-    def gap(self, Q: XReal) -> XReal:
-        """Q - q; raises NotInV unless it is positive."""
+    def _radicands(self, Q: XReal) -> tuple[XReal, tuple[XReal, XReal]]:
+        """(gap, (R12, R34)) at cap Q: the gap Q - q and the vertex radicands
+        msig^2 + 4 rho (A + gap) that r^1, r^2 and r^3, r^4 share.  Raises
+        NotInV unless the gap is positive."""
         gap = as_xreal(Q) - self.z.q
         if sign(gap) <= 0:
             raise NotInV("q >= Q")
-        return gap
-
-    def _radicands(self, Q: XReal) -> tuple[XReal, tuple[XReal, XReal]]:
-        """(gap, (R12, R34)) at cap Q: the gap and the vertex radicands
-        msig^2 + 4 rho (A + gap) that r^1, r^2 and r^3, r^4 share."""
-        gap = self.gap(Q)
         return gap, tuple(head + self._four_rho * gap for head in self._rad_head)
 
     def _roots(self, gap: XReal, rads: tuple[XReal, XReal]) -> tuple[XReal, ...]:
@@ -224,9 +220,13 @@ class WGeometry:
         """Positive root r^j of the flux-vertex quadratic at cap Q."""
         return self._roots(*self._radicands(Q))[j - 1]
 
+    def _scales_at(self, gap: XReal, rads: tuple[XReal, XReal]) -> tuple[XReal, ...]:
+        """The vertex scales c_j = A^j / r^j at this gap, from two square roots."""
+        return tuple(A / r for A, r in zip(self.A, self._roots(gap, rads)))
+
     def scales(self, Q: XReal) -> tuple[XReal, XReal, XReal, XReal]:
-        """The vertex scales c_j = A^j / r^j at cap Q, from two square roots."""
-        return tuple(A / r for A, r in zip(self.A, self._roots(*self._radicands(Q))))
+        """The vertex scales c_j = A^j / r^j at cap Q."""
+        return self._scales_at(*self._radicands(Q))
 
     def f(self, Q: XReal, j: int) -> tuple[XReal, XReal]:
         """Flux vertex f^j = c_j sigma^j at cap Q."""
@@ -273,7 +273,7 @@ class WGeometry:
         slack = self._slack_sign(gap, rads)
         if slack is not None and slack <= 0:
             return False, None
-        c1, c2, c3, c4 = cs = tuple(A / r for A, r in zip(self.A, self._roots(gap, rads)))
+        c1, c2, c3, c4 = cs = self._scales_at(gap, rads)
         a, b = self.a, self.b
         lo = xmax(a / c1, self._neg_a / c2, 0)
         hi = xmax(b / c3, self._neg_b / c4, 0)
@@ -294,7 +294,7 @@ def A_j(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint, j: int) -> XReal:
     Positive on V; equal in pairs A^1 = A^2 and A^3 = A^4.
     """
     geom = WGeometry(law, rho, z)
-    geom.gap(Q)  # A^j does not depend on Q, but it is defined on V only
+    geom._radicands(Q)  # A^j does not depend on Q, but it is defined on V only
     return geom.A[j - 1]
 
 
@@ -330,10 +330,10 @@ def split_flux_direction(law: PressureLaw, rho: XReal, Q: XReal, z: PHPoint,
     rho = as_xreal(rho)
     try:
         geom = WGeometry(law, rho, z)
-        gap = geom.gap(Q)
+        gap, rads = geom._radicands(Q)
     except NotInV as exc:
         raise HypothesesViolated(str(exc)) from None
-    r = geom.r(Q, j)
+    r = geom._roots(gap, rads)[j - 1]
     s1, s2 = SIGMA[j - 1]
     c = geom.A[j - 1] / r
     dev = geom.dev

@@ -98,16 +98,22 @@ def test_gamma_three_halves_fan_is_a_certified_fail(tmp_path, capsys):
         "rh_energy[2]", "rh_normal[3]", "rh_energy[3]"]
 
 
-def test_gamma_1000_fan_prints_witnesses_past_the_digit_limit(tmp_path, capsys):
-    # rho**1000 makes witnesses of more digits than str() converts by
-    # default (4300); formatting them once raised ValueError, which the
-    # CLI reported as a parse error (exit 2)
+@pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+def test_gamma_1000_fan_prints_witnesses_past_the_digit_limit(tmp_path, capsys, limit):
+    # rho**1000 makes witnesses of more digits than str() converts (4300 by
+    # default, 640 at the least); formatting them once raised ValueError,
+    # which the CLI reported as a parse error (exit 2)
     def gamma_1000(data):
         data["gamma"] = "1000"
-    code, out = invoke(capsys, "--format", "json", "verify-fan",
-                       _fan_file(tmp_path, gamma_1000))
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out = invoke(capsys, "--format", "json", "verify-fan",
+                           _fan_file(tmp_path, gamma_1000))
+    finally:
+        sys.set_int_max_str_digits(old_limit)
     assert code == 1
-    assert max(map(len, re.findall(r"\d+", out))) > sys.get_int_max_str_digits()
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
     conditions = json.loads(out)["verification"]["conditions"]
     assert [c["name"] for c in conditions if c["status"] == "Fail"] == [
         "rh_normal[3]", "subsolution_trace[1]", "subsolution_trace[2]", "subsolution_trace[3]"]

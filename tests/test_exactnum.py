@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -321,20 +322,28 @@ def test_serialization():
     assert lo <= 2 ** 0.5 + 1 <= hi
 
 
-@pytest.mark.parametrize("n", [10 ** 4000, -(10 ** 4000) + 1, 7 ** 20000, -(3 ** 30000) * 10 ** 5000],
-                         ids=["10^4000", "1-10^4000", "7^20000", "-3^30000*10^5000"])
-def test_long_integers_print_past_the_digit_limit(n):
-    # str() refuses ints of more than 4300 digits by default; the printers
-    # convert such ints in blocks instead
-    def read(digits):  # back in blocks of 4000 digits, which int() accepts
+@pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+@pytest.mark.parametrize("n", [10 ** 4000, -(10 ** 4000) + 1, 7 ** 20000, -(3 ** 30000) * 10 ** 5000,
+                               10 ** 600 - 2, 10 ** 600, -(10 ** 1200)],
+                         ids=["10^4000", "1-10^4000", "7^20000", "-3^30000*10^5000",
+                              "10^600-2", "10^600", "-10^1200"])
+def test_long_integers_print_past_the_digit_limit(n, limit):
+    # str() refuses ints of more digits than sys.get_int_max_str_digits()
+    # (4300 by default, 640 at the least); the printers convert in blocks
+    def read(digits):  # back in blocks of 600 digits, which int() accepts
         value = 0
-        for k in range(0, len(digits), 4000):
-            value = value * 10 ** len(digits[k:k + 4000]) + int(digits[k:k + 4000])
+        for k in range(0, len(digits), 600):
+            value = value * 10 ** len(digits[k:k + 600]) + int(digits[k:k + 600])
         return value
-    num, den = xreal_to_json(Rational(n, 13)).split("/")
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        num, den = xreal_to_json(Rational(n, 13)).split("/")
+        enc = xreal_to_json(QuadExt((5,), (Fraction(n, 13), Fraction(1))))
+    finally:
+        sys.set_int_max_str_digits(old_limit)
     digits = num.lstrip("-")
     assert (num[0] == "-", digits[0] != "0", read(digits), den) == (n < 0, True, abs(n), "13")
-    enc = xreal_to_json(QuadExt((5,), (Fraction(n, 13), Fraction(1))))
     assert enc["c"] == [f"{num}/13", "1/1"]
 
 
