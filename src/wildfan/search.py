@@ -112,21 +112,6 @@ class Candidate(Record):
         }
 
 
-def _float_law(law: PressureLaw):
-    """Float p and P of the law, as ``model.pressure_potential`` defines P."""
-    gamma = float(law.gamma)
-
-    def p(rho: float) -> float:
-        return rho ** gamma
-
-    def P(rho: float) -> float:
-        if gamma == 1.0:
-            return rho * math.log(rho)
-        return rho ** gamma / (gamma - 1.0)
-
-    return p, P
-
-
 # ---------------------------------------------------------------------------
 # the closure (generic over floats and exact numbers)
 # ---------------------------------------------------------------------------
@@ -186,7 +171,7 @@ def chain_close(minus, plus, mu, rho1, q123):
 
 
 # ---------------------------------------------------------------------------
-# the float closure
+# the float kernel and the two phase objectives
 # ---------------------------------------------------------------------------
 
 class _Problem:
@@ -194,7 +179,8 @@ class _Problem:
     solution ``sol``, its profile ``ref`` and the matched plane
     ``ref.entries[0]`` as its exact ``speed`` (None unless ``sol`` is
     exact) and floats ``sigma``, ``ref_coeff`` (None without a shock);
-    the lifted boundary values, exact and as the floats the search reads."""
+    the float ``gamma`` of the law; the lifted boundary values, exact and
+    as the floats the search reads."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
         self.sol = solve_riemann(law, left, right)
@@ -204,7 +190,7 @@ class _Problem:
             speed, coeff = self.ref.entries[0]
             self.speed = speed if self.sol.exact else None
             self.sigma, self.ref_coeff = float(speed), float(coeff)
-        self.p, self.P = _float_law(law)
+        self.gamma = float(law.gamma)
         (z_m, e_m), (z_p, e_p) = lift_state(law, left), lift_state(law, right)
         self.exact_minus = (left.rho, z_m.m[1], z_m.u11, z_m.q)
         self.exact_plus = (right.rho, z_p.m[1], z_p.u11, z_p.q)
@@ -217,44 +203,6 @@ class _Problem:
 _MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
             "trace2", "det2", "trace3", "det3", "rh4_0", "rh4_1", "rh4_2", "rh4_3")
 
-
-def _close_floats(prob: _Problem, v):
-    """Close the float point whose first seven coordinates are (mu0, mu2,
-    mu3, rho1, q1, q2, q3).
-
-    Returns (mu, e, margins, residual): the speeds with the chained mu3,
-    the region energies between the boundary ones, the ordering, density,
-    trace and determinant margins in ``_MARGINS`` order, and the absolute
-    closure residual.  None when the closure degenerates or a density is
-    not positive.
-    """
-    mu0, mu2, mu3, rho1, q1, q2, q3 = v[:7]
-    sigma = prob.sigma
-    try:
-        rhos, m2s, u11s, mu3_chain, residual = chain_close(
-            prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
-    except DegenerateClosure:
-        return None
-    if min(rhos) <= 0.0:
-        return None
-
-    p, P = prob.p, prob.P
-    r1, r2, r3 = rhos
-    (a1, a2, a3), (u1, u2, u3) = m2s, u11s
-    p1, p2, p3 = p(r1), p(r2), p(r3)
-    k1, k2, k3 = a1 ** 2 / r1, a2 ** 2 / r2, a3 ** 2 / r3
-    margins = [sigma - mu0, mu2 - sigma, mu3 - mu2, r1, r2, r3,
-               -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
-               -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
-               -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3)]
-    e = (prob.e_m, q1 + P(r1) - p1, q2 + P(r2) - p2, q3 + P(r3) - p3, prob.e_p)
-    return (mu0, sigma, mu2, mu3_chain), e, margins, abs(residual)
-
-
-# ---------------------------------------------------------------------------
-# the float kernel and the two phase objectives
-# ---------------------------------------------------------------------------
-
 # The optimizer works in "bracket coordinates": the three energy-flux
 # fluxes are replaced by the bracket values on the outer planes, which
 # makes the dominance target a directly controlled quantity.  The total
@@ -265,36 +213,54 @@ def _close_floats(prob: _Problem, v):
 # Float sums run left to right from 0.0, as the builtin sum() adds on
 # Python 3.11; from 3.12 sum() compensates, which would move the bits.
 
-def _fluxes(prob: _Problem, y, e):
-    """(F12, F22, F32) putting the outer-plane brackets of the closed point
-    y at its bracket coordinates (b0, b2, b3)."""
-    sigma, mu0, mu2, mu3, b0, b2, b3 = prob.sigma, y[0], y[1], y[2], y[7], y[8], y[9]
-    budget = prob.f_m - prob.f_p - (0.0 + mu0 * (e[0] - e[1]) + sigma * (e[1] - e[2])
-                                    + mu2 * (e[2] - e[3]) + mu3 * (e[3] - e[4]))
-    b1 = budget - b0 - b2 - b3
-    f3 = b3 + mu3 * (e[3] - e[4]) + prob.f_p
-    f2 = b2 + mu2 * (e[2] - e[3]) + f3
-    f1 = b1 + sigma * (e[1] - e[2]) + f2
-    return f1, f2, f3
-
-
 def _kernel(prob: _Problem, y):
     """(surplus, margins, fluxes, residual) at the bracket-coordinate point
-    y (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3): the dominance surplus, the
-    margins as a tuple in ``_MARGINS`` order (the energy-flux brackets
-    -mu[E] + [F2] per plane last), the fluxes (F12, F22, F32) and the
-    absolute closure residual; None when the point does not close with
-    positive densities."""
-    closed = _close_floats(prob, y)
-    if closed is None:
+    y (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3), closed by ``chain_close``
+    with the matched plane at sigma: the dominance surplus, the margins as
+    a tuple in ``_MARGINS`` order (speed ordering, densities, then trace
+    and determinant per region, as -tr M and det M of the region's M, and
+    the energy-flux brackets -mu[E] + [F2] per plane last), the fluxes
+    (F12, F22, F32) that put the outer-plane brackets at (b0, b2, b3), and
+    the absolute closure residual; None when the closure degenerates or a
+    density is not positive.  The last plane moves at the chained mu3.  The
+    region energies are e = q + P - p, with P as ``model.pressure_potential``
+    defines it, from one power rho ** gamma per region."""
+    mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3 = y
+    sigma = prob.sigma
+    try:
+        rhos, (a1, a2, a3), (u1, u2, u3), mu3_chain, residual = chain_close(
+            prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
+    except DegenerateClosure:
         return None
-    mu, e, margins, residual = closed
-    f1, f2, f3 = fluxes = _fluxes(prob, y, e)
-    brackets = (plane_bracket(mu[0], e[0], e[1], prob.f_m, f1),
-                plane_bracket(mu[1], e[1], e[2], f1, f2),
-                plane_bracket(mu[2], e[2], e[3], f2, f3),
-                plane_bracket(mu[3], e[3], e[4], f3, prob.f_p))
-    return brackets[1] - prob.ref_coeff, (*margins, *brackets), fluxes, residual
+    if min(rhos) <= 0.0:
+        return None
+
+    gamma = prob.gamma
+    r1, r2, r3 = rhos
+    p1, p2, p3 = r1 ** gamma, r2 ** gamma, r3 ** gamma
+    k1, k2, k3 = a1 ** 2 / r1, a2 ** 2 / r2, a3 ** 2 / r3
+    margins = (sigma - mu0, mu2 - sigma, mu3 - mu2, r1, r2, r3,
+               -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
+               -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
+               -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3))
+    if gamma == 1.0:
+        P1, P2, P3 = r1 * math.log(r1), r2 * math.log(r2), r3 * math.log(r3)
+    else:
+        P1, P2, P3 = p1 / (gamma - 1.0), p2 / (gamma - 1.0), p3 / (gamma - 1.0)
+    e0, e1, e2, e3, e4 = prob.e_m, q1 + P1 - p1, q2 + P2 - p2, q3 + P3 - p3, prob.e_p
+
+    f_m, f_p = prob.f_m, prob.f_p
+    budget = f_m - f_p - (0.0 + mu0 * (e0 - e1) + sigma * (e1 - e2)
+                          + mu2 * (e2 - e3) + mu3 * (e3 - e4))
+    b1 = budget - b0 - b2 - b3
+    f3 = b3 + mu3 * (e3 - e4) + f_p
+    f2 = b2 + mu2 * (e2 - e3) + f3
+    f1 = b1 + sigma * (e1 - e2) + f2
+    matched = plane_bracket(sigma, e1, e2, f1, f2)
+    return (matched - prob.ref_coeff,
+            (*margins, plane_bracket(mu0, e0, e1, f_m, f1), matched,
+             plane_bracket(mu2, e2, e3, f2, f3), plane_bracket(mu3_chain, e3, e4, f3, f_p)),
+            (f1, f2, f3), abs(residual))
 
 
 def _infeasibility(prob, y) -> float:
@@ -308,48 +274,27 @@ def _infeasibility(prob, y) -> float:
     return total
 
 
-class _Best:
-    """The best score and point among the phase-1 objective's evaluations
-    so far (the first of tied scores), and the best as it stood after each
-    of the last _STALL_WINDOW + 1, so that a stall test can compare the
-    best now with the best _STALL_WINDOW evaluations ago."""
-
-    def __init__(self) -> None:
-        self.f, self.x, self.k = math.inf, None, 0
-        self._trail = deque(maxlen=_STALL_WINDOW + 1)
-
-    def add(self, y, f: float) -> None:
-        """Count the evaluation of y, scored f."""
-        self.k += 1
-        if f < self.f:
-            self.f, self.x = f, y
-        self._trail.append(self.f)
-
-    def stalled(self) -> bool:
-        """Past evaluation _STALL_WINDOW, whether the best fell by < 10 %
-        from the best _STALL_WINDOW evaluations ago."""
-        return self.k > _STALL_WINDOW and not self.f < 0.9 * self._trail[0]
-
-    def stop(self) -> _Stop:
-        """``_Stop`` at the best point so far."""
-        return _Stop(self.x, self.f, self.k)
-
-
 def _feasibility(prob, n: int):
     """``_infeasibility`` as the phase-1 objective over n variables.  It raises
     ``_Stop`` at the first 0.0, where a full run ends too (ties keep index
-    order); else, with the best point so far, once the n + 1 start vertices
-    all score the 1e6 sentinel or _STALL_WINDOW evaluations cut the best by < 10 %."""
-    best, closed = _Best(), False
+    order); else, with the best point so far (the first of tied scores),
+    once the n + 1 start vertices all score the 1e6 sentinel or
+    _STALL_WINDOW evaluations cut the best by < 10 %: ``trail`` holds the
+    best as it stood after each of the last _STALL_WINDOW + 1 evaluations."""
+    best_f, best_y, k, closed = math.inf, None, 0, False
+    trail = deque(maxlen=_STALL_WINDOW + 1)
 
     def score(y):
-        nonlocal closed
+        nonlocal best_f, best_y, k, closed
         f = _infeasibility(prob, y)
-        best.add(y, f)
+        k += 1
+        if f < best_f:
+            best_f, best_y = f, y
+        trail.append(best_f)
         closed = closed or f != 1e6
-        if (f == 0.0 or (best.k == n + 1 and not closed)
-                or best.stalled()):
-            raise best.stop()
+        if (f == 0.0 or (k == n + 1 and not closed)
+                or (k > _STALL_WINDOW and not best_f < 0.9 * trail[0])):
+            raise _Stop(best_y, best_f, k)
         return f
     return score
 
