@@ -14,6 +14,7 @@ import pytest
 
 import wildfan
 from wildfan.cli import run
+from wildfan.exactnum import Rational, xreal_from_json, xreal_to_json
 from wildfan.fan import fan_to_json, paper_example
 
 
@@ -117,6 +118,38 @@ def test_gamma_1000_fan_prints_witnesses_past_the_digit_limit(tmp_path, capsys, 
     conditions = json.loads(out)["verification"]["conditions"]
     assert [c["name"] for c in conditions if c["status"] == "Fail"] == [
         "rh_normal[3]", "subsolution_trace[1]", "subsolution_trace[2]", "subsolution_trace[3]"]
+
+
+@pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+def test_verify_fan_reads_long_integers_past_the_digit_limit(tmp_path, capsys, limit):
+    # the paper fan rescaled by k = (10**1000 + 1)/3 (rho by k^2, m by k^3,
+    # mu by k, u and q by k^4, F by k^5) is a fan subsolution whose file
+    # holds integers of more digits than Fraction() reads (4300 by
+    # default, 640 at the least); reading it once raised ValueError, which
+    # the CLI reported as a parse error (exit 2)
+    k = Rational(10 ** 1000 + 1, 3)
+
+    def scaled(enc, power):
+        return xreal_to_json(xreal_from_json(enc) * k ** power)
+
+    def rescale(data):
+        data["mu"] = [scaled(v, 1) for v in data["mu"]]
+        for state in (data["left"], data["right"], *data["regions"]):
+            state["rho"], state["m"] = scaled(state["rho"], 2), [scaled(v, 3) for v in state["m"]]
+        for region in data["regions"]:
+            for key in ("u11", "u12", "q"):
+                region[key] = scaled(region[key], 4)
+            region["F"] = [scaled(v, 5) for v in region["F"]]
+    path = _fan_file(tmp_path, rescale)
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out = invoke(capsys, "--format", "json", "verify-fan", path)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert max(map(len, re.findall(r"\d+", Path(path).read_text()))) > 5000
+    assert code == 0
+    assert json.loads(out)["verification"]["overall"] == "Pass"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

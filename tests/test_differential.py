@@ -17,6 +17,8 @@ from wildfan.exactnum import (IntervalExpr, QuadExt, Rational, _tower_sign, as_x
 from wildfan.fan import FanSubsolution, Status, fan_from_json, fan_to_json, paper_example, verify_fan
 from wildfan.model import PHPoint
 
+from test_oracle import _oracle
+
 
 def random_quadext(rng: random.Random, *radicands: int, size: int = 15) -> QuadExt:
     return QuadExt(radicands, tuple(
@@ -214,4 +216,9 @@ def _mutants():
 
 @pytest.mark.parametrize("label,mutant", _mutants(), ids=lambda v: v if isinstance(v, str) else "")
 def test_checker_rejects_all_single_coordinate_mutants(label, mutant):
-    assert not verify_fan(mutant).passed, f"mutant {label} slipped through"
+    report = verify_fan(mutant)
+    assert not report.passed, f"mutant {label} slipped through"
+    # the sympy oracle, sharing no code with wildfan, fails the same conditions
+    fails = {c["name"] for c in report.to_dict()["conditions"] if c["status"] == "Fail"}
+    oracle = _oracle(fan_to_json(mutant))
+    assert fails == {name for name, status in oracle.items() if status == "Fail"}

@@ -25,6 +25,7 @@ from wildfan.exactnum import (
     xreal_from_json,
     xreal_to_json,
 )
+from wildfan.model import EulerState, NonPositiveDensity
 
 
 def test_rational_basic():
@@ -345,6 +346,50 @@ def test_long_integers_print_past_the_digit_limit(n, limit):
     digits = num.lstrip("-")
     assert (num[0] == "-", digits[0] != "0", read(digits), den) == (n < 0, True, abs(n), "13")
     assert enc["c"] == [f"{num}/13", "1/1"]
+
+
+@pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+def test_long_integers_read_back_past_the_digit_limit(limit):
+    # Fraction() refuses "p/q" strings of more digits than the limit; the
+    # reader converts such integers in blocks, so what the writer wrote
+    # reads back, and a zero denominator stays a parse error
+    values = (Rational(10 ** 5000 + 1, 3), -Rational(10 ** 5000 + 1, 3),
+              QuadExt((5,), (Fraction(-(7 ** 6000), 10 ** 5000 + 1), Fraction(1, 2))))
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        back = [xreal_from_json(xreal_to_json(x)) for x in values]
+        for bad in ("1" * 5000 + "/0", "--" + "1" * 5000 + "/3", "1" * 5000 + "/x"):
+            with pytest.raises(ValueError):
+                xreal_from_json(bad)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert back == list(values)
+    assert [type(x) for x in back] == [Rational, Rational, QuadExt]
+
+
+@pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+def test_long_integers_in_str_repr_and_messages(limit):
+    # str, repr and the error messages that format values write long ints
+    # in blocks: under the digit limit they read as they do without one
+    big = Fraction(10 ** 5000 + 1, 3)
+    tower = QuadExt((5,), (big, Fraction(-(7 ** 6000))))  # < 0: 7**6000 > 10**5000
+
+    def texts():
+        with pytest.raises(NonPositiveDensity) as err:
+            EulerState(tower, (0, 0))
+        return [str(tower), repr(tower), repr(Rational(big)), repr(Rational(-big.numerator)),
+                str(err.value)]
+    old_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # no limit: Python's own str()
+        want = texts()
+        sys.set_int_max_str_digits(limit)
+        got = texts()
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert got == want
+    assert [len(t) > 5000 for t in want] == [True] * 5
 
 
 def test_comparison_operators():

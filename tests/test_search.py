@@ -27,8 +27,10 @@ from wildfan.fan import (
     paper_example,
     verify_fan,
 )
-from wildfan.model import EulerState, PressureLaw, lift_state
-from wildfan.riemann import selfsim_dissipation, solve_riemann
+from wildfan.hull import matrix_M
+from wildfan.model import (EulerState, PHPoint, PressureLaw, lift_state, pressure,
+                             pressure_potential)
+from wildfan.riemann import plane_bracket, selfsim_dissipation, solve_riemann
 from wildfan.search import (
     _FLOOR,
     _MARGINS,
@@ -166,6 +168,57 @@ def test_kernel_paper_variables_feasible():
     rhos = chain_close(MINUS_F, PLUS_F, (y[0], SIGMA_F, y[1], y[2]), y[3], y[4:7])[0]
     assert abs(rhos[1] - 3.19) < 1e-9
     assert abs(rhos[2] - 4.005) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["paper", "weak"]), seed=st.integers(0, 2 ** 64 - 1))
+@example(name="paper", seed=8977866439302381487)
+def test_kernel_matches_the_exact_formulas(name, seed):
+    # every quantity of the float kernel, recomputed exactly from its float
+    # inputs read as rationals: the closure over Rational, -tr M and det M
+    # of hull.matrix_M, e = q + P - p, and the fluxes that put the outer
+    # plane_brackets at the bracket coordinates
+    prob = _problem(name)
+    y = _sample_start(_PCG64(seed), prob)
+    point = _kernel(prob, y)
+    assume(point is not None)
+    surplus, margins, fluxes, residual = point
+
+    def exact(v):
+        return Rational(Fraction(v))
+    mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3 = map(exact, y)
+    sigma, e_m, e_p, f_m, f_p = map(exact, (prob.sigma, prob.e_m, prob.e_p, prob.f_m, prob.f_p))
+    rhos, m2s, u11s, mu3_chain, exact_residual = chain_close(
+        tuple(map(exact, prob.minus)), tuple(map(exact, prob.plus)), (mu0, sigma, mu2, mu3),
+        rho1, (q1, q2, q3))
+    assert (sign(mu3_chain - mu3), sign(exact_residual)) == (0, 0)
+    zero = Rational(0)
+    want, e = [sigma - mu0, mu2 - sigma, mu3 - mu2, *rhos], [e_m]
+    for rho, m2, u11, q in zip(rhos, m2s, u11s, (q1, q2, q3)):
+        M = matrix_M(LAW2, rho, PHPoint((zero, m2), u11, zero, q, (zero, zero)))
+        want += [-M.trace(), M.det()]
+        e.append(q + pressure_potential(LAW2, rho) - pressure(LAW2, rho))
+    e.append(e_p)
+    f3 = b3 + mu3 * (e[3] - e[4]) + f_p
+    f2 = b2 + mu2 * (e[2] - e[3]) + f3
+    f1 = f_m - b0 - mu0 * (e[0] - e[1])
+    brackets = [plane_bracket(mu0, e[0], e[1], f_m, f1), plane_bracket(sigma, e[1], e[2], f1, f2),
+                plane_bracket(mu2, e[2], e[3], f2, f3), plane_bracket(mu3, e[3], e[4], f3, f_p)]
+    assert [brackets[i] for i in (0, 2, 3)] == [b0, b2, b3]
+    # the last plane moves at the chained mu3, which the kernel takes in
+    # floats: near rho3 = rho_p its rounding grows as 1/(rho3 - rho_p)^2
+    # (on the paper shock at seed 8977866439302381487, rho3 - rho_p is
+    # 1.7e-6 and it moves rh4_3 by 4e-9), so its bracket is taken exactly
+    # at that float speed
+    mu3_float = chain_close(prob.minus, prob.plus, (y[0], prob.sigma, y[1], y[2]), y[3],
+                            tuple(y[4:7]))[3]
+    brackets[3] = plane_bracket(exact(mu3_float), e[3], e[4], f3, f_p)
+    want += brackets
+    got = (*margins, *fluxes, surplus, residual)
+    want += [f1, f2, f3, brackets[1] - exact(prob.ref_coeff), zero]
+    assert len(got) == len(want) == len(_MARGINS) + 5
+    for name_, g, w in zip((*_MARGINS, "F12", "F22", "F32", "surplus", "residual"), got, want):
+        assert abs(g - float(w)) <= 1e-9 * (1 + abs(float(w))), (name_, g, float(w))
 
 
 def test_certify_paper_variables():
