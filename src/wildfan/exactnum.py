@@ -485,10 +485,10 @@ class QuadExt(XReal):
         return _tower_sign(self.nums, self.radicands)
 
     def __repr__(self) -> str:
-        return f"QuadExt(d={self.radicands}, c={[str(c) for c in self.coeffs]})"
+        return f"QuadExt(d={self.radicands}, c={[_frac_str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        parts = [f"{c}*sqrt({d})" if d > 1 else f"{c}"
+        parts = [_frac_str(c) + f"*sqrt({d})" * (d > 1)
                  for d, c in zip(_basis_radicands(self.radicands), self.coeffs) if c != 0]
         return " + ".join(parts) if parts else "0"
 
@@ -534,7 +534,7 @@ class Rational(QuadExt):
         return self.den
 
     def __repr__(self) -> str:
-        return f"Rational({self.value})"
+        return f"Rational({_frac_str(self.value)})"
 
     def __str__(self) -> str:
         return f"{_int_str(self.nums[0])}/{_int_str(self.den)}"
@@ -988,12 +988,22 @@ def _int_str(n: int) -> str:
     return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
 
 
+def _str_int(s: str) -> int:
+    """int(s) in blocks of _BLOCK_DIGITS digits: the inverse of _int_str."""
+    n, digits = 0, s.removeprefix("-")
+    for i in range(0, len(digits), _BLOCK_DIGITS):
+        n = n * 10 ** min(_BLOCK_DIGITS, len(digits) - i) + int(digits[i:i + _BLOCK_DIGITS])
+    return -n if s.startswith("-") else n
+
+
+def _frac_str(c: Fraction) -> str:
+    """str(c), its integers written by _int_str."""
+    return _int_str(c.numerator) + (f"/{_int_str(c.denominator)}" if c.denominator != 1 else "")
+
+
 def _fmt_scaled(n: int, digits: int) -> str:
-    neg = n < 0
-    n = abs(n)
-    s = _int_str(n).rjust(digits + 1, "0")
-    out = f"{s[:-digits]}.{s[-digits:]}"
-    return "-" + out if neg else out
+    s = _int_str(abs(n)).rjust(digits + 1, "0")
+    return "-" * (n < 0) + f"{s[:-digits]}.{s[-digits:]}"
 
 
 def xreal_from_json(obj) -> XReal:
@@ -1028,3 +1038,8 @@ def _fraction(obj) -> Fraction:
         return Fraction(obj)
     except ZeroDivisionError:  # "1/0" is malformed input like any other
         raise ValueError(f"zero denominator in {obj!r}") from None
+    except ValueError:  # "p/q" past Python's int-to-str digit limit: read it in blocks
+        num, _, den = obj.partition("/")
+        if not (num.removeprefix("-").isdigit() and den.lstrip("0").isdigit()):  # q > 0
+            raise
+        return Fraction(_str_int(num), _str_int(den))

@@ -10,10 +10,12 @@ the closure solves them, then chains the normal momenta and trace-free
 entries forward from the left boundary.  The search therefore only fights
 strict inequalities: speed ordering, positivity, negative definiteness per
 region, the energy-flux inequality per interface, and the dominance target
-on the reference shock plane.  Each float evaluation closes its point once,
-in one kernel that returns the dominance surplus, the margins, the fluxes
-and the closure residual.  That kernel scores every optimizer step and also
-closes each restart's final point.  Every phase of a restart ends as soon
+on the reference shock plane.  Each float evaluation is one pass of one
+kernel (``_kernel``): it closes the point, takes each region's pressure
+power once for its margins and energy, sets the fluxes from the bracket
+coordinates and brackets the four planes, and returns the dominance
+surplus, the margins, the fluxes and the closure residual.  That kernel
+scores every optimizer step and also closes each restart's final point.  Every phase of a restart ends as soon
 as it is decided: the feasibility phase at its first feasible point, on a
 start that closes nowhere or once 100 evaluations cut its best by < 10 %,
 and each barrier run at its first point with positive surplus and every
