@@ -15,11 +15,11 @@ kernel (``_kernel``): it closes the point, takes each region's pressure
 power once for its margins and energy, sets the fluxes from the bracket
 coordinates and brackets the four planes, and returns the dominance
 surplus, the margins, the fluxes and the closure residual.  That kernel
-scores every optimizer step and also closes each restart's final point.  Every phase of a restart ends as soon
-as it is decided: the feasibility phase at its first feasible point, on a
-start that closes nowhere or once 100 evaluations cut its best by < 10 %,
-and each barrier run at its first point with positive surplus and every
-margin positive.
+scores every optimizer step and also closes each restart's final point.
+Every phase of a restart ends as soon as it is decided: the feasibility
+phase at its first feasible point, on a start that closes nowhere or once
+100 evaluations cut its best by < 10 %, and each barrier run at its first
+point with positive surplus and every margin positive.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without

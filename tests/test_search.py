@@ -217,8 +217,8 @@ def test_kernel_matches_the_exact_formulas(name, seed):
     got = (*margins, *fluxes, surplus, residual)
     want += [f1, f2, f3, brackets[1] - exact(prob.ref_coeff), zero]
     assert len(got) == len(want) == len(_MARGINS) + 5
-    for name_, g, w in zip((*_MARGINS, "F12", "F22", "F32", "surplus", "residual"), got, want):
-        assert abs(g - float(w)) <= 1e-9 * (1 + abs(float(w))), (name_, g, float(w))
+    for label, g, w in zip((*_MARGINS, "F12", "F22", "F32", "surplus", "residual"), got, want):
+        assert abs(g - float(w)) <= 1e-9 * (1 + abs(float(w))), (label, g, float(w))
 
 
 def test_certify_paper_variables():
