@@ -1,10 +1,9 @@
 """Command-line front end: verifications, Riemann solves, search, reports.
 
-Exit codes: 0 when the requested verification fully passes, 1 on a
-verification failure, 2 on parse/usage errors, 3 when a certification is
-inconclusive: at the precision cap, or because well-formed input leaves the
-supported arithmetic (more than four independent square roots, or the
-square root of a negative number).
+Exit codes: 2 on parse/usage errors; otherwise 1 on any verification
+failure, else 3 when a certification is inconclusive: at the precision cap,
+or because well-formed input leaves the supported arithmetic (more than four
+independent square roots, or the square root of a negative number), else 0.
 """
 
 from __future__ import annotations
@@ -26,11 +25,13 @@ from .exactnum import (
     Rational,
     _basis_radicands,
     _is_int,
+    _str_int,
     xreal_from_json,
     xreal_to_json,
 )
 from .fan import (
     Status,
+    VerificationReport,
     compare_selfsimilar,
     fan_dissipation_profile,
     fan_from_json,
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
+_EXIT = {Status.PASS: EXIT_OK, Status.FAIL: EXIT_FAIL, Status.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -88,8 +90,9 @@ def _print_table(payload: dict, indent: str = "") -> None:
 
 
 def _load_json(path: str) -> dict:
+    # _str_int reads JSON integers longer than the int-to-str digit limit
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_str_int)
 
 
 def _riemann_inputs(data: dict):
@@ -125,12 +128,7 @@ def _cmd_verify_example(args) -> int:
         "verdict": verdict,
     }
     _emit(payload, args.format)
-    statuses = [c.status for c in report.conditions + comparison.conditions]
-    if any(s is Status.INCONCLUSIVE for s in statuses):
-        return EXIT_INCONCLUSIVE
-    if report.passed and comparison.passed and verdict == "StrictlyDominates":
-        return EXIT_OK
-    return EXIT_FAIL
+    return _EXIT[VerificationReport(report.conditions + comparison.conditions).overall]
 
 
 def _cmd_riemann(args) -> int:
@@ -166,9 +164,7 @@ def _cmd_verify_fan(args) -> int:
         "dissipation": _profile_json(fan_dissipation_profile(fan)),
     }
     _emit(payload, args.format)
-    if report.overall is Status.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return _EXIT[report.overall]
 
 
 def _cmd_search(args) -> int:
@@ -189,16 +185,15 @@ def _cmd_search(args) -> int:
         _emit({"command": "search", "result": "candidate failed certification",
                "candidate": cand.to_dict()}, args.format)
         return EXIT_FAIL
-    comparison = cand.comparison
     payload = {
         "command": "search",
         "result": "certified",
         "candidate": cand.to_dict(),
         "fan": fan_to_json(fan),
-        "comparison": comparison.to_dict(),
+        "comparison": cand.comparison.to_dict(),
     }
     _emit(payload, args.format)
-    return EXIT_OK if comparison.passed else EXIT_FAIL
+    return EXIT_OK
 
 
 def _oscillate_config(data) -> tuple[float, float, list, int]:

@@ -31,7 +31,8 @@ from .exactnum import (
 )
 from .hull import NotInV, WDecomposition, WGeometry, matrix_M
 from .model import (
-    EulerState, PHPoint, PressureLaw, Record, lift_state, pressure, pressure_potential,
+    EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, lift_state, pressure,
+    pressure_potential,
 )
 from .riemann import (
     DissipationProfile, SelfSimilarSolution, plane_bracket, selfsim_dissipation, solve_riemann,
@@ -80,7 +81,7 @@ class FanSubsolution(Record):
         regions = tuple((as_xreal(r), z) for r, z in regions)
         for rho, _ in regions:
             if sign(rho) <= 0:
-                raise ValueError("interior densities must be positive")
+                raise NonPositiveDensity("interior densities must be positive")
         object.__setattr__(self, "law", law)
         object.__setattr__(self, "mu", tuple(as_xreal(m) for m in mu))
         object.__setattr__(self, "left", left)

@@ -196,12 +196,12 @@ def pressure_potential(law: PressureLaw, rho: XReal) -> XReal:
     term c*rho, which adds c*(-mu[rho] + [m2]) = 0 to every bracket
     -mu[E] + [F2] by the mass condition, so no verdict depends on it."""
     rho = as_xreal(rho)
+    num, den = _gamma_parts(law)
+    if num != den:  # pressure signs rho
+        return pressure(law, rho) / (law.gamma - 1)
     if sign(rho) <= 0:
         raise NonPositiveDensity(f"rho = {rho}")
-    num, den = _gamma_parts(law)
-    if num == den:  # gamma = 1
-        return rho * IntervalExpr.log(rho)
-    return pressure(law, rho) / (law.gamma - 1)
+    return rho * IntervalExpr.log(rho)
 
 
 def lift_state(law: PressureLaw, state: EulerState) -> tuple[PHPoint, XReal]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .exactnum import Inconclusive, XReal, as_xreal, sign
 from .model import EulerState, PressureLaw, Record, lift_state, pressure
@@ -78,7 +79,9 @@ class SelfSimilarSolution(Record):
 
 
 class DissipationProfile(Record):
-    """Plane-supported dissipation: sorted (speed, bracket coefficient).
+    """Plane-supported dissipation: (speed, bracket coefficient) by strictly
+    increasing speed.  Entries of one speed add up to one plane, the measure
+    on it; only verify_fan judges whether a fan's speeds are ordered.
 
     Coefficients are the raw bracket values -mu [E] + [F2]; the positive
     surface-measure prefactor 1/sqrt(mu^2+1) is plane-local and therefore
@@ -88,28 +91,20 @@ class DissipationProfile(Record):
     entries: tuple[tuple[XReal, XReal], ...]
 
     def __init__(self, entries):
-        items = [(as_xreal(s), as_xreal(c)) for s, c in entries]
-        items.sort(key=_SpeedKey)
-        for (s1, _), (s2, _) in zip(items, items[1:]):
-            if sign(s2 - s1) <= 0:
-                raise ValueError("plane speeds must be strictly increasing")
-        object.__setattr__(self, "entries", tuple(items))
+        planes = []
+        for s, c in sorted(((as_xreal(s), as_xreal(c)) for s, c in entries),
+                           key=cmp_to_key(lambda a, b: sign(a[0] - b[0]))):
+            if planes and sign(s - planes[-1][0]) == 0:
+                planes[-1] = (planes[-1][0], planes[-1][1] + c)
+            else:
+                planes.append((s, c))
+        object.__setattr__(self, "entries", tuple(planes))
 
 
 def plane_bracket(mu, e_a, e_b, f_a, f_b):
     """Dissipation bracket -mu [E] + [F2] on the plane y = mu t between the
     states a and b (energies e, fluxes f), over floats or exact numbers."""
     return (-1) * mu * (e_a - e_b) + (f_a - f_b)
-
-
-class _SpeedKey:
-    """Exact comparison adapter for sorting XReal speeds."""
-
-    def __init__(self, entry):
-        self.value = entry[0]
-
-    def __lt__(self, other: "_SpeedKey") -> bool:
-        return sign(self.value - other.value) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +173,6 @@ def solve_riemann(law: PressureLaw, left: EulerState, right: EulerState) -> Self
     Tries the exact single-shock certification first; otherwise resolves
     the middle state by 200-step bisection on a monotone velocity match.
     """
-    if sign(left.rho) <= 0 or sign(right.rho) <= 0:
-        raise ValueError("densities must be positive")
-
     # constant data: no waves
     if (sign(left.rho - right.rho) == 0
             and sign(left.m[0] - right.m[0]) == 0

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
-from .model import EulerState, PHPoint, PressureLaw, Record, lift_state
+from .model import EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, lift_state
 from .riemann import plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
@@ -620,8 +620,6 @@ def _certify(cand: Candidate, prob: _Problem) -> tuple[FanSubsolution, Verificat
         # the 2x2 solve makes them mu3x and 0, and verify_fan decides the
         # two equalities behind them as rh_mass[3] and rh_normal[3]
         rhos, m2s, u11s, _, _ = chain_close(prob.exact_minus, prob.exact_plus, mu, rho1, q123)
-        if any(sign(rho) <= 0 for rho in rhos):
-            return None
         zero = as_xreal(0)
         regions = tuple(
             (rho, PHPoint((zero, m2s[i]), u11s[i], zero, q123[i], (zero, f123[i])))
@@ -633,5 +631,5 @@ def _certify(cand: Candidate, prob: _Problem) -> tuple[FanSubsolution, Verificat
         if not comparison.passed:
             return None
         return fan, comparison
-    except (DegenerateClosure, Inconclusive, ZeroDivisionError):
+    except (DegenerateClosure, Inconclusive, NonPositiveDensity, ZeroDivisionError):
         return None

@@ -49,11 +49,11 @@ def _within(counts: dict[str, int], budget: dict[str, int]) -> None:
 
 
 @pytest.mark.parametrize("operation, budget", [
-    (verify_fan, {"_tower_sign": 243, "_tower_mul": 163, "_refine_until": 0,
+    (verify_fan, {"_tower_sign": 233, "_tower_mul": 163, "_refine_until": 0,
                   "enclosure": 0, "in_W": 0, "root": 0}),
-    (beats_selfsimilar, {"_tower_sign": 214, "_tower_mul": 161, "_refine_until": 0,
+    (beats_selfsimilar, {"_tower_sign": 200, "_tower_mul": 161, "_refine_until": 0,
                          "enclosure": 2, "in_W": 0, "root": 2}),
-    (find_Q, {"_tower_sign": 3297, "_tower_mul": 2130, "_refine_until": 0,
+    (find_Q, {"_tower_sign": 3294, "_tower_mul": 2130, "_refine_until": 0,
               "enclosure": 0, "in_W": 25, "root": 0}),
 ], ids=["verify_fan", "beats_selfsimilar", "find_Q"])
 def test_exact_operation_budget(monkeypatch, operation, budget):

@@ -247,6 +247,64 @@ def test_search_without_certificate_exit_codes(tmp_path, capsys):
     assert payload["candidate"]["seed"] == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_fan_coincident_speeds_is_a_certified_fail(tmp_path, capsys, fmt):
+    # two equal speeds once made the profile raise (exit 2) before the
+    # report's ordering Fail could set the exit code
+    def coincident(data):
+        data["mu"][1] = data["mu"][0]
+    code, out = invoke(capsys, "--format", fmt, "verify-fan", _fan_file(tmp_path, coincident))
+    assert code == 1
+    if fmt == "json":
+        conditions = json.loads(out)["verification"]["conditions"]
+        assert {"name": "ordering[mu0<mu1]", "status": "Fail"}.items() <= conditions[0].items()
+    else:
+        assert re.search(r"name=ordering\[mu0<mu1\]\s+status=Fail", out)
+
+
+@pytest.mark.parametrize("statuses, expected", [
+    (("Fail", "Inconclusive"), 1), (("Inconclusive",), 3)], ids=["fail", "inconclusive"])
+def test_one_exit_rule_for_every_report(tmp_path, monkeypatch, capsys, statuses, expected):
+    # any Fail gives 1, else any Inconclusive 3, whichever command reports
+    import wildfan.cli as cli_module
+    from wildfan.fan import ConditionResult, Status, VerificationReport
+
+    report = VerificationReport(tuple(
+        ConditionResult(f"stub[{i}]", Status(value), "") for i, value in enumerate(statuses)))
+    monkeypatch.setattr(cli_module, "verify_fan", lambda fan: report)
+    assert invoke(capsys, "verify-example")[0] == expected
+    assert invoke(capsys, "verify-fan", _fan_file(tmp_path, lambda data: None))[0] == expected
+
+
+def test_nonpositive_region_density_exit_code(tmp_path, capsys):
+    def negative_rho(data):
+        data["regions"][1]["rho"] = "-1/1"
+    code = run(["verify-fan", _fan_file(tmp_path, negative_rho)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "interior densities must be positive" in captured.err
+
+
+@pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+def test_riemann_reads_json_integers_past_the_digit_limit(tmp_path, capsys, limit):
+    # a JSON integer of 5001 digits once raised ValueError in json.load,
+    # which the CLI reported as a parse error (exit 2); the "p/q" string
+    # of the same value always parsed
+    outs = []
+    for rho in ("1" + "0" * 5000, '"1' + "0" * 5000 + '/1"'):
+        path = tmp_path / "constant.json"
+        state = f'{{"rho": {rho}, "m": ["0/1", "1/1"]}}'
+        path.write_text(f'{{"gamma": "2/1", "left": {state}, "right": {state}}}')
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            outs.append(invoke(capsys, "--format", "json", "riemann", str(path)))
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and "no waves" in outs[0][1]
+
+
 def test_non_rational_gamma_exit_code(tmp_path, capsys):
     path = tmp_path / "data.json"
     path.write_text(json.dumps({"gamma": {"d": [2], "c": ["0/1", "1/1"]},

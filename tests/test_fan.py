@@ -11,6 +11,8 @@ from wildfan.fan import (
     FanSubsolution,
     ProfileOrder,
     Status,
+    VerificationReport,
+    _bracket,
     beats_selfsimilar,
     compare_profiles,
     compare_selfsimilar,
@@ -44,6 +46,25 @@ def test_paper_example_swapped_speeds_fails_ordering():
     assert not report.passed
     failing = {c.name for c in report.conditions if c.status is Status.FAIL}
     assert any(name.startswith("ordering") for name in failing)
+
+
+def test_coincident_speeds_fail_ordering_and_share_a_plane():
+    # verify_fan alone judges speed order; the profile and the comparison
+    # take the fan as it is, one plane for the two equal speeds
+    paper = paper_example()
+    mu = (paper.mu[0], paper.mu[0], paper.mu[2], paper.mu[3])
+    fan = FanSubsolution(paper.law, mu, paper.left, paper.right, paper.regions)
+    report = verify_fan(fan)
+    assert [(c.name, c.status) for c in report.conditions if c.name.startswith("ordering")] == [
+        ("ordering[mu0<mu1]", Status.FAIL), ("ordering[mu1<mu2]", Status.PASS),
+        ("ordering[mu2<mu3]", Status.PASS)]
+    recs = fan.records()
+    entries = fan_dissipation_profile(fan).entries
+    assert len(entries) == 3
+    shared = _bracket(fan.law, fan.mu[0], recs[0], recs[1]) + _bracket(
+        fan.law, fan.mu[1], recs[1], recs[2])
+    assert sign(entries[0][0] - fan.mu[0]) == 0 and sign(entries[0][1] - shared) == 0
+    assert isinstance(beats_selfsimilar(fan), VerificationReport)
 
 
 def test_paper_example_degenerate_q_fails_subsolution():

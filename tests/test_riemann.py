@@ -207,9 +207,9 @@ def test_exact_shock_satisfies_rankine_hugoniot_and_dissipates(gamma, rho, ratio
     assert speed == s and sign(coeff) >= 0
 
 
-def test_profile_requires_increasing_speeds():
-    with pytest.raises(ValueError):
-        DissipationProfile([(1, 1), (1, 2)])
+def test_profile_adds_coincident_planes():
+    # entries of one speed are one plane carrying the sum: the measure on it
+    assert DissipationProfile([(1, 1), (1, 2)]) == DissipationProfile([(1, 3)])
     p = DissipationProfile([(2, 5), (0, 1)])
     assert float(p.entries[0][0]) == 0.0
 

@@ -46,6 +46,7 @@ from wildfan.search import (
     _PCG64,
     _Problem,
     _barrier,
+    _certify,
     _sample_start,
     _Stop,
     certify,
@@ -238,6 +239,15 @@ def test_certify_rejects_zero_margin_candidate():
     x[4] -= 2.5  # wreck q1: subsolution trace goes nonnegative
     cand = Candidate(LAW2, left, right, SIGMA_F, x)
     assert certify(cand, SearchConfig(restarts=1)) is None
+
+
+def test_certify_rejects_a_closure_with_nonpositive_density():
+    # the fan's own density check decides: FanSubsolution refuses rho1 = -1
+    left, right = paper_boundary()
+    x = paper_x()
+    x[3] = -1.0
+    cand = Candidate(LAW2, left, right, SIGMA_F, x)
+    assert _certify(cand, _Problem(LAW2, left, right)) is None
 
 
 def test_search_zero_restarts():
