@@ -227,11 +227,9 @@ def _cmd_oscillate(args) -> int:
     _, z1, _, z2, _ = split_flux_direction(law, rho, Q, vert, 1)
     box = ((0.0, 1.0),) * 3
     z_star = tau1 * z1 + (1.0 - tau1) * z2
-    diags = []
-    for k in ks:
-        _, diag = build_oscillation(z_star, z1, z2, tau1, box, k, delta,
-                                    grid_n=grid_n)
-        diags.append(diag)
+    # only the diagnostics are printed: each k's grid^3 components go at once
+    diags = [build_oscillation(z_star, z1, z2, tau1, box, k, delta, grid_n=grid_n)[1]
+             for k in ks]
     if args.format == "csv":
         print(diagnostics_csv(diags))
     else:

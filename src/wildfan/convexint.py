@@ -9,6 +9,8 @@ fractions, cutoff commutator decay, weak-star averaging).
 All fields carry analytic derivatives up to total order four so that the
 operator identities can be residual-checked on grids: the identities are
 algebraic in the mixed partials, so any residual is pure rounding noise.
+The oscillation evaluates its grid by slabs of whole t-planes, so memory
+grows with slab * grid^2 plus the grid^3 outputs.
 """
 
 from __future__ import annotations
@@ -197,6 +199,16 @@ class PlaneProfileField(SmoothField):
         self.freq = freq
         self.amp = amp
 
+    def argument(self, pts, cache):
+        """freq * (t,x,y).eta, cached; located once if the profile is piecewise
+        (its derivatives share its breaks)."""
+        key = (id(self), "arg")
+        if key not in cache:
+            (a, b, c), (t, x, y) = self.eta, pts
+            s = self.freq * (a * t + b * x + c * y)
+            cache[key] = self.profile.locate(s) if isinstance(self.profile, PiecewisePoly) else s
+        return cache[key]
+
     def deriv(self, mi, pts, cache=None) -> np.ndarray:
         # every partial of order n is h^(n)(arg) times a monomial in eta, so
         # the cache holds h^(n)(arg) once per order, not each partial
@@ -208,9 +220,8 @@ class PlaneProfileField(SmoothField):
         key = (id(self), "h", n)
         h_n = cache.get(key)
         if h_n is None:
-            t, x, y = pts
-            arg = self.freq * (a * t + b * x + c * y)
-            h_n = cache[key] = self.profile.deriv1d(n)(arg)
+            d, s = self.profile.deriv1d(n), self.argument(pts, cache)
+            h_n = cache[key] = d.at(s) if isinstance(d, PiecewisePoly) else d(s)
         return (self.amp * self.freq ** n * a ** kt * b ** kx * c ** ky) * h_n
 
 
@@ -254,19 +265,31 @@ class PiecewisePoly:
     def period(self) -> float:
         return float(self.breaks[-1] - self.breaks[0])
 
-    def __call__(self, x):
+    def locate(self, x) -> tuple:
+        """Wrap x periodically and find each point's piece and local coordinate:
+        (shape of x, [(piece index, mask, local coordinates)] per nonempty piece)."""
         x = np.asarray(x, dtype=float)
         if self.periodic:
             x = self.breaks[0] + np.mod(x - self.breaks[0], self.period)
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
                       0, len(self.coeffs) - 1)
-        out = np.zeros_like(x, dtype=float)
-        for i, c in enumerate(self.coeffs):
+        pieces = []
+        for i in range(len(self.coeffs)):
             mask = idx == i
             if np.any(mask):
-                local = x[mask] - self.breaks[i]
-                out[mask] = np.polynomial.polynomial.polyval(local, c)
+                pieces.append((i, mask, x[mask] - self.breaks[i]))
+        return x.shape, pieces
+
+    def at(self, located: tuple) -> np.ndarray:
+        """Values at points located on the same breaks."""
+        shape, pieces = located
+        out = np.zeros(shape)
+        for i, mask, local in pieces:
+            out[mask] = np.polynomial.polynomial.polyval(local, self.coeffs[i])
         return out
+
+    def __call__(self, x) -> np.ndarray:
+        return self.at(self.locate(x))
 
     def derivative(self) -> "PiecewisePoly":
         new = []
@@ -307,12 +330,9 @@ class PiecewisePoly:
     def deriv1d(self, order: int):
         if order == 0:
             return self
-        d = self._derivs.get(order)
-        if d is None:
-            d = self.deriv1d(order - 1)
-            d = d.derivative() if isinstance(d, PiecewisePoly) else d
-            self._derivs[order] = d
-        return d
+        if order not in self._derivs:
+            self._derivs[order] = self.deriv1d(order - 1).derivative()
+        return self._derivs[order]
 
 
 # quintic smoothstep: C^2 transitions with vanishing first two derivatives
@@ -501,6 +521,10 @@ class OscillationDiagnostics(Record):
     pde_scale: float
 
 
+# points per slab of whole t-planes (at least one plane) in build_oscillation
+_SLAB_POINTS = 2 ** 13
+
+
 def _grid(box, n: int):
     """Sparse tensor grid: axis arrays of shapes (n,1,1), (1,n,1), (1,1,n)
     that broadcast to the n^3 points."""
@@ -519,6 +543,11 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
     z1 - z_star and z2 - z_star on complementary plateau slabs.  The
     components come back as flat arrays over the grid_n^3 points of the box
     (t slowest, y fastest).
+
+    The grid is evaluated in slabs of whole t-planes, each with its own
+    derivative cache, so memory grows with slab * grid^2 plus the grid^3
+    outputs.  Slabs combine by placement, maxima and integer counts, so the
+    slab size moves no output bit.
     """
     from .wavecone import in_Lambda  # exact commands never compile wavecone
 
@@ -528,53 +557,61 @@ def build_oscillation(z_star: PHPoint, z1: PHPoint, z2: PHPoint, tau1: float,
     co = operator_coeffs(z2 - z1, direction)
 
     profile = build_staircase(tau1, delta)
-    eta_f = co.eta
-    g_k = PlaneProfileField(profile.h, eta_f, freq=float(k), amp=float(k) ** -3)
+    g_k = PlaneProfileField(profile.h, co.eta, freq=float(k), amp=float(k) ** -3)
     bump = BumpField(box)
     field = ProductField(g_k, bump)
 
-    pts = _grid(box, grid_n)
-    cache: dict = {}
-    terms = apply_operator(co, field, pts, cache)
-    pde = verify_pde_identity(co, field, pts, cache)
-
-    # exact plane-wave values of L[g_k]; the cutoff commutator is the gap
-    a, b, c = eta_f
-    arg = float(k) * (a * pts[0] + b * pts[1] + c * pts[2])
-    fvals = profile.f(arg)
-    phi = bump.values(pts, cache)
-    dz = _phpoint_floats(z2) - _phpoint_floats(z1)
-    commutator = 0.0
-    for comp, dzc in zip(_COMPONENTS, dz):
-        gap = terms[comp] - dzc * fvals * phi
-        commutator = max(commutator, float(np.max(np.abs(gap))))
-
-    # plateau fractions strictly inside the flat-top region (points exactly
-    # on the cutoff seam see the transition piece's one-sided derivatives)
-    mask = True
-    for coord, (lo, hi) in zip(pts, bump.inner_box()):
-        margin = 1e-9 * (hi - lo)
-        mask = mask & (coord > lo + margin) & (coord < hi - margin)
     zs = _phpoint_floats(z_star)
     z1v, z2v = _phpoint_floats(z1), _phpoint_floats(z2)
-    scale = max(float(np.max(np.abs(dz))), 1e-300)
-    tol = 1e-9 * scale
-    at1 = at2 = mask
-    for comp, zsc, z1c, z2c in zip(_COMPONENTS, zs, z1v, z2v):
-        total = zsc + terms[comp]
-        at1 = at1 & (np.abs(total - z1c) <= tol)
-        at2 = at2 & (np.abs(total - z2c) <= tol)
-    n_inner = int(np.count_nonzero(mask))
-    fraction1 = float(np.count_nonzero(at1)) / max(n_inner, 1)
-    fraction2 = float(np.count_nonzero(at2)) / max(n_inner, 1)
+    dz = z2v - z1v
+    tol = 1e-9 * max(float(np.max(np.abs(dz))), 1e-300)
 
-    ztilde = {comp: vals.ravel() for comp, vals in terms.items()}
+    t_axis, *plane = _grid(box, grid_n)
+    planes = max(1, _SLAB_POINTS // grid_n ** 2)
+    ztilde = {comp: np.empty(grid_n ** 3) for comp in _COMPONENTS}
+    commutator, pde_residual, pde_scale = 0.0, 0.0, 1e-300
+    n_inner = n_at1 = n_at2 = 0
+    for lo_t in range(0, grid_n, planes):
+        pts = (t_axis[lo_t:lo_t + planes], *plane)
+        cache: dict = {}
+        terms = apply_operator(co, field, pts, cache)
+        pde = verify_pde_identity(co, field, pts, cache)
+        pde_residual, pde_scale = max(pde_residual, pde.max_residual), max(pde_scale, pde.scale)
+
+        # exact plane-wave values of L[g_k]: f reads the argument located for
+        # h, f's third antiderivative on the same breaks; the cutoff
+        # commutator is the gap
+        fvals = profile.f.at(g_k.argument(pts, cache))
+        phi = bump.values(pts, cache)
+        for comp, dzc in zip(_COMPONENTS, dz):
+            gap = terms[comp] - dzc * fvals * phi
+            commutator = max(commutator, float(np.max(np.abs(gap))))
+
+        # plateau fractions strictly inside the flat-top region (points on the
+        # cutoff seam see the transition piece's one-sided derivatives)
+        mask = True
+        for coord, (lo, hi) in zip(pts, bump.inner_box()):
+            margin = 1e-9 * (hi - lo)
+            mask = mask & (coord > lo + margin) & (coord < hi - margin)
+        at1 = at2 = mask
+        for comp, zsc, z1c, z2c in zip(_COMPONENTS, zs, z1v, z2v):
+            total = zsc + terms[comp]
+            at1 = at1 & (np.abs(total - z1c) <= tol)
+            at2 = at2 & (np.abs(total - z2c) <= tol)
+        n_inner += int(np.count_nonzero(mask))
+        n_at1 += int(np.count_nonzero(at1))
+        n_at2 += int(np.count_nonzero(at2))
+
+        span = slice(lo_t * grid_n ** 2, (lo_t + len(pts[0])) * grid_n ** 2)
+        for comp, vals in terms.items():
+            ztilde[comp][span] = vals.ravel()
+
     avg = max(abs(float(np.mean(ztilde[comp]))) for comp in _COMPONENTS)
-
     diag = OscillationDiagnostics(
-        k=k, fraction1=fraction1, fraction2=fraction2,
+        k=k, fraction1=float(n_at1) / max(n_inner, 1),
+        fraction2=float(n_at2) / max(n_inner, 1),
         commutator_sup=commutator, avg_norm=avg,
-        pde_residual=pde.max_residual, pde_scale=pde.scale)
+        pde_residual=pde_residual, pde_scale=pde_scale)
     return ztilde, diag
 
 

@@ -1,5 +1,5 @@
 """Operation budgets: call counts of whole operations, which host noise
-cannot blur.
+cannot blur, and the traced memory peak of one oscillation.
 
 Each bound is the count of the change that last lowered it.  Budgets only
 go down: a change that beats one lowers it to the new count.  The counters
@@ -9,12 +9,16 @@ instead of silently counting nothing.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from wildfan import exactnum, hull, search
+from wildfan.convexint import build_oscillation
 from wildfan.exactnum import IntervalExpr, QuadExt, Rational, adjoin_sqrt
 from wildfan.fan import beats_selfsimilar, find_Q, paper_example, verify_fan
-from wildfan.model import EulerState, PressureLaw
+from wildfan.hull import split_flux_direction, w_flux_vertices
+from wildfan.model import EulerState, PHPoint, PressureLaw
 
 LAW2 = PressureLaw(gamma=2)
 
@@ -112,3 +116,27 @@ def test_search_warmup_budget(monkeypatch):
     cand = search.search_fan(LAW2, *_warmup_shock(), search.SearchConfig(restarts=8, rng_seed=21))
     assert cand is not None and cand.fan is not None and cand.seed == 21
     _within(counts, {"_kernel": 622})
+
+
+def test_oscillation_memory_budget():
+    # the laminate of `wildfan oscillate` at tau1 0.4, delta 0.02, k 8 on a
+    # 32^3 grid: the derivative caches live one slab of t-planes at a time,
+    # and the seven grid^3 outputs (1.8 MB) remain.  The bound is the
+    # 5,998,016 B traced on 3.11 plus 10 % for Python's object sizes on
+    # other versions; one cache over the whole grid peaked at 15,082,600 B.
+    vert = w_flux_vertices(LAW2, Rational(1), Rational(4), PHPoint((0, 0), 0, 0, 3, (0, 0)))[0]
+    _, z1, _, z2, _ = split_flux_direction(LAW2, Rational(1), Rational(4), vert, 1)
+    args = (0.4 * z1 + 0.6 * z2, z1, z2, 0.4, ((0.0, 1.0),) * 3, 8, 0.02)
+    build_oscillation(*args, grid_n=32)  # imports and profile caches are not counted
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build_oscillation(*args, grid_n=32)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 6_597_000, f"traced peak {peak:,} B"

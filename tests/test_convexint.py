@@ -289,3 +289,29 @@ def test_product_field_leibniz_against_finite_differences():
         mi[axis] = 1
         analytic = prod.deriv(tuple(mi), pts)
         assert np.max(np.abs(fd - analytic)) < 1e-6 * max(1.0, np.max(np.abs(analytic)))
+
+
+@pytest.mark.parametrize("grid_n", [7, 17])
+@pytest.mark.parametrize("planes", [1, 3])
+def test_build_oscillation_slab_invariance(monkeypatch, grid_n, planes):
+    # slabs of 1 or 3 t-planes (3 divides neither 7 nor 17, so the last slab
+    # is short) against one slab of the whole grid: the same arrays and the
+    # same diagnostic bits
+    import wildfan.convexint as convexint
+
+    tau1, z1, z2, z_star = laminate_inputs()
+    box = ((0.0, 1.0), (-0.5, 1.0), (0.0, 2.0))
+
+    def run(slab_points):
+        monkeypatch.setattr(convexint, "_SLAB_POINTS", slab_points, raising=True)
+        return build_oscillation(z_star, z1, z2, tau1, box, 3, 0.02, grid_n=grid_n)
+
+    whole, whole_diag = run(grid_n ** 3)
+    slabbed, diag = run(planes * grid_n ** 2)
+    assert diag.k == whole_diag.k == 3
+    assert [getattr(diag, name).hex() for name in diag._fields[1:]] \
+        == [getattr(whole_diag, name).hex() for name in whole_diag._fields[1:]]
+    assert slabbed.keys() == whole.keys()
+    for comp in whole:
+        assert slabbed[comp].shape == (grid_n ** 3,)
+        assert np.array_equal(slabbed[comp], whole[comp]), comp

@@ -10,10 +10,12 @@ same status for every condition name.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 import sympy as sp
+from test_search import _STRONG_SEEDS, _shock
 
 from wildfan.exactnum import QuadExt, Rational
 from wildfan.fan import fan_from_json, fan_to_json, paper_example, verify_fan
@@ -144,3 +146,17 @@ def test_oracle_agrees_with_verify_fan(case, fails):
     report = verify_fan(fan_from_json(data)).to_dict()
     assert {c["name"]: c["status"] for c in report["conditions"]} == oracle
     assert [c["name"] for c in report["conditions"]] == list(oracle)
+
+
+@pytest.mark.parametrize("rho_l", sorted(_STRONG_SEEDS), ids=str)
+def test_oracle_agrees_on_searched_strong_shocks(rho_l):
+    # the fans test_search_certifies_strong_shocks certifies on rho_l -> 4 rho_l;
+    # their least float margins (det3 or rh4_0) run from 5.4e-6 to 9.0e-5
+    cand = search_fan(PressureLaw(gamma=2), *_shock(rho_l, Fraction(4)),
+                      SearchConfig(restarts=8, rng_seed=_STRONG_SEEDS[rho_l]))
+    assert cand is not None and cand.fan is not None
+    data = fan_to_json(cand.fan)
+    oracle = _oracle(data)
+    assert "Fail" not in oracle.values()
+    report = verify_fan(fan_from_json(data)).to_dict()
+    assert {c["name"]: c["status"] for c in report["conditions"]} == oracle
