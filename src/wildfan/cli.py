@@ -3,7 +3,8 @@
 Exit codes: 2 on parse/usage errors; otherwise 1 on any verification
 failure, else 3 when a certification is inconclusive: at the precision cap,
 or because well-formed input leaves the supported arithmetic (more than four
-independent square roots, or the square root of a negative number), else 0.
+independent square roots, the square root of a negative number, or float
+wave curves that overflow), else 0.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import argparse
 import json
 import sys
 
-# convexint defers numpy to its first use and wavecone to build_oscillation,
-# so this import costs the exact commands neither.  It stays at module level
-# because the benchmark's tracer (perfbench/layertrace.py) finds
-# wildfan.convexint in sys.modules after importing this module; `search`
-# imports its module in its handler.
+# Each handler imports the modules it runs when it runs, so `riemann` loads
+# no `fan` or `hull` and `oscillate` no `fan` or `riemann`.  convexint
+# defers numpy to its first use and wavecone to build_oscillation, so this
+# import costs the exact commands neither; it stays at module level because
+# the benchmark's tracer (perfbench/layertrace.py) finds wildfan.convexint
+# in sys.modules after importing this module.
 from .convexint import build_oscillation, diagnostics_csv
 from .exactnum import (
     Inconclusive,
@@ -29,22 +31,7 @@ from .exactnum import (
     xreal_from_json,
     xreal_to_json,
 )
-from .fan import (
-    Status,
-    VerificationReport,
-    compare_selfsimilar,
-    fan_dissipation_profile,
-    fan_from_json,
-    fan_to_json,
-    paper_chain,
-    paper_example,
-    state_from_json,
-    state_to_json,
-    verify_fan,
-)
-from .hull import split_flux_direction, w_flux_vertices
-from .model import PHPoint, PressureLaw
-from .riemann import VacuumFormation, selfsim_dissipation, solve_riemann
+from .model import PHPoint, PressureLaw, state_from_json, state_to_json
 
 __all__ = ["main", "run"]
 
@@ -52,7 +39,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
-_EXIT = {Status.PASS: EXIT_OK, Status.FAIL: EXIT_FAIL, Status.INCONCLUSIVE: EXIT_INCONCLUSIVE}
+# by the value of a report's overall status, so no fan.Status is needed here
+_EXIT = {"Pass": EXIT_OK, "Fail": EXIT_FAIL, "Inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -110,6 +98,8 @@ def _profile_json(profile) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_example(args) -> int:
+    from .fan import VerificationReport, compare_selfsimilar, paper_chain, paper_example, verify_fan
+
     fan = paper_example()
     report = verify_fan(fan)
     comparison, merged = compare_selfsimilar(fan)
@@ -128,10 +118,12 @@ def _cmd_verify_example(args) -> int:
         "verdict": verdict,
     }
     _emit(payload, args.format)
-    return _EXIT[VerificationReport(report.conditions + comparison.conditions).overall]
+    return _EXIT[VerificationReport(report.conditions + comparison.conditions).overall.value]
 
 
 def _cmd_riemann(args) -> int:
+    from .riemann import VacuumFormation, selfsim_dissipation, solve_riemann
+
     data = _load_json(args.file)
     law, left, right = _riemann_inputs(data)
     try:
@@ -155,6 +147,8 @@ def _cmd_riemann(args) -> int:
 
 
 def _cmd_verify_fan(args) -> int:
+    from .fan import fan_dissipation_profile, fan_from_json, verify_fan
+
     data = _load_json(args.file)
     fan = fan_from_json(data)
     report = verify_fan(fan)
@@ -164,11 +158,12 @@ def _cmd_verify_fan(args) -> int:
         "dissipation": _profile_json(fan_dissipation_profile(fan)),
     }
     _emit(payload, args.format)
-    return _EXIT[report.overall]
+    return _EXIT[report.overall.value]
 
 
 def _cmd_search(args) -> int:
-    from .search import SearchConfig, search_fan  # the float search, so only here
+    from .fan import fan_to_json
+    from .search import SearchConfig, search_fan
 
     data = _load_json(args.file)
     law, left, right = _riemann_inputs(data)
@@ -196,10 +191,17 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+# bounds checked before anything is allocated: a grid of 128 keeps one k's
+# grid^3 outputs near 117 MB, and a delta of 1e-12 keeps the smoothstep's
+# (2 delta)^-5 coefficients and their derivatives far inside the float range
+_GRID_MAX = 128
+_DELTA_MIN = 1e-12
+
+
 def _oscillate_config(data) -> tuple[float, float, list, int]:
     """(tau1, delta, ks, grid) of an oscillate file; anything but JSON
-    numbers, a non-empty list of positive integer ks and an integer grid of
-    at least 2 is a parse error."""
+    numbers, a delta of at least _DELTA_MIN, a non-empty list of positive
+    integer ks and an integer grid from 2 to _GRID_MAX is a parse error."""
     if not isinstance(data, dict):
         raise ValueError("oscillate input must be a JSON object")
     unknown = sorted(set(data) - {"tau1", "delta", "ks", "grid"})
@@ -213,12 +215,17 @@ def _oscillate_config(data) -> tuple[float, float, list, int]:
     if not (isinstance(ks, list) and ks and all(_is_int(k) and k > 0 for k in ks)):
         raise ValueError(f"oscillate ks must be a non-empty list of positive integers, "
                          f"got {ks!r}")
-    if not (_is_int(grid_n) and grid_n >= 2):
-        raise ValueError(f"oscillate grid must be an integer >= 2, got {grid_n!r}")
+    if not delta >= _DELTA_MIN:
+        raise ValueError(f"oscillate delta must be at least {_DELTA_MIN}, got {delta!r}")
+    if not (_is_int(grid_n) and 2 <= grid_n <= _GRID_MAX):
+        raise ValueError(f"oscillate grid must be an integer from 2 to {_GRID_MAX}, "
+                         f"got {grid_n!r}")
     return float(tau1), float(delta), ks, grid_n
 
 
 def _cmd_oscillate(args) -> int:
+    from .hull import split_flux_direction, w_flux_vertices
+
     tau1, delta, ks, grid_n = _oscillate_config(_load_json(args.file))
     # canonical laminate: the two ends of the isotropic vertex-flux point's split
     law = PressureLaw(gamma=2)

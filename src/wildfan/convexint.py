@@ -239,8 +239,10 @@ class ProductField(SmoothField):
             for ix in range(kx + 1):
                 for iy in range(ky + 1):
                     w = (math.comb(kt, it) * math.comb(kx, ix) * math.comb(ky, iy))
-                    term = w * self.f.deriv((it, ix, iy), pts, cache) \
-                        * self.g.deriv((kt - it, kx - ix, ky - iy), pts, cache)
+                    term = self.f.deriv((it, ix, iy), pts, cache)
+                    if w != 1:  # 1 * f is f, so a weight of 1 is no multiplication
+                        term = w * term
+                    term = term * self.g.deriv((kt - it, kx - ix, ky - iy), pts, cache)
                     out = term if out is None else out + term
         return out
 
@@ -248,6 +250,16 @@ class ProductField(SmoothField):
 # ---------------------------------------------------------------------------
 # piecewise polynomials (staircase profile, bump)
 # ---------------------------------------------------------------------------
+
+def _polyval(x, c):
+    """numpy.polynomial.polynomial.polyval(x, c) for one row c of float
+    coefficients, lowest degree first, in the same steps and so bit for bit,
+    without importing numpy.polynomial."""
+    acc = c[-1] + x * 0
+    for coeff in c[-2::-1]:
+        acc = coeff + acc * x
+    return acc
+
 
 class PiecewisePoly:
     """Piecewise polynomial on breakpoints, local coordinates per piece;
@@ -285,7 +297,7 @@ class PiecewisePoly:
         shape, pieces = located
         out = np.zeros(shape)
         for i, mask, local in pieces:
-            out[mask] = np.polynomial.polynomial.polyval(local, self.coeffs[i])
+            out[mask] = _polyval(local, self.coeffs[i])
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -308,7 +320,7 @@ class PiecewisePoly:
             ac = np.concatenate(([running], c / np.arange(1, len(c) + 1)))
             new.append(ac)
             width = self.breaks[i + 1] - self.breaks[i]
-            running = float(np.polynomial.polynomial.polyval(width, ac))
+            running = float(_polyval(width, ac))
         return PiecewisePoly(self.breaks, new, periodic=self.periodic)
 
     def mean(self) -> float:
@@ -316,7 +328,7 @@ class PiecewisePoly:
         for i, c in enumerate(self.coeffs):
             ac = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
             width = self.breaks[i + 1] - self.breaks[i]
-            total += float(np.polynomial.polynomial.polyval(width, ac))
+            total += float(_polyval(width, ac))
         return total / self.period
 
     def shifted(self, const: float) -> "PiecewisePoly":

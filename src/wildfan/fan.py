@@ -31,8 +31,8 @@ from .exactnum import (
 )
 from .hull import NotInV, WDecomposition, WGeometry, matrix_M
 from .model import (
-    EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, lift_state, pressure,
-    pressure_potential,
+    EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, _pair, lift_state, pressure,
+    pressure_potential, state_from_json, state_to_json,
 )
 from .riemann import (
     DissipationProfile, SelfSimilarSolution, plane_bracket, selfsim_dissipation, solve_riemann,
@@ -55,8 +55,6 @@ __all__ = [
     "compare_selfsimilar",
     "fan_to_json",
     "fan_from_json",
-    "state_to_json",
-    "state_from_json",
 ]
 
 
@@ -447,20 +445,6 @@ def beats_selfsimilar(fan: FanSubsolution) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # JSON fan files
 # ---------------------------------------------------------------------------
-
-def state_to_json(state: EulerState) -> dict:
-    return {"rho": xreal_to_json(state.rho), "m": [xreal_to_json(c) for c in state.m]}
-
-
-def _pair(data, name: str) -> tuple[XReal, XReal]:
-    if not isinstance(data, list) or len(data) != 2:
-        raise ValueError(f"{name} must be a list of two numbers, got {data!r}")
-    return xreal_from_json(data[0]), xreal_from_json(data[1])
-
-
-def state_from_json(data: dict) -> EulerState:
-    return EulerState(xreal_from_json(data["rho"]), _pair(data["m"], "m"))
-
 
 def fan_to_json(fan: FanSubsolution) -> dict:
     return {

@@ -18,6 +18,8 @@ from .exactnum import (
     adjoin_sqrt,
     as_xreal,
     sign,
+    xreal_from_json,
+    xreal_to_json,
 )
 
 __all__ = [
@@ -28,6 +30,8 @@ __all__ = [
     "pressure",
     "pressure_potential",
     "lift_state",
+    "state_to_json",
+    "state_from_json",
 ]
 
 
@@ -121,6 +125,20 @@ class EulerState(Record):
             raise NonPositiveDensity(f"rho = {r}")
         object.__setattr__(self, "rho", r)
         object.__setattr__(self, "m", _two_components("m", m))
+
+
+def state_to_json(state: EulerState) -> dict:
+    return {"rho": xreal_to_json(state.rho), "m": [xreal_to_json(c) for c in state.m]}
+
+
+def _pair(data, name: str) -> tuple[XReal, XReal]:
+    if not isinstance(data, list) or len(data) != 2:
+        raise ValueError(f"{name} must be a list of two numbers, got {data!r}")
+    return xreal_from_json(data[0]), xreal_from_json(data[1])
+
+
+def state_from_json(data: dict) -> EulerState:
+    return EulerState(xreal_from_json(data["rho"]), _pair(data["m"], "m"))
 
 
 class PHPoint(Record):

@@ -171,7 +171,8 @@ def solve_riemann(law: PressureLaw, left: EulerState, right: EulerState) -> Self
     """Self-similar solution: up to one wave per acoustic family plus a slip.
 
     Tries the exact single-shock certification first; otherwise resolves
-    the middle state by 200-step bisection on a monotone velocity match.
+    the middle state by 200-step bisection on a monotone velocity match,
+    and raises Inconclusive where the float wave curves overflow.
     """
     # constant data: no waves
     if (sign(left.rho - right.rho) == 0
@@ -185,7 +186,18 @@ def solve_riemann(law: PressureLaw, left: EulerState, right: EulerState) -> Self
         shock = _exact_single_shock(law, left, right)
         if shock is not None:
             return SelfSimilarSolution(law, left, right, (shock,), exact=True)
+    try:
+        return _bisected(law, left, right)
+    except OverflowError:
+        # e.g. rho**gamma at the bracket's top density, 1e6 * max(rho): on
+        # unit densities from gamma = 52 on
+        raise Inconclusive(53, f"the float wave curves leave the float range "
+                               f"(gamma = {law.gamma})") from None
 
+
+def _bisected(law: PressureLaw, left: EulerState, right: EulerState) -> SelfSimilarSolution:
+    """The float solution: the middle state by bisection on the velocity
+    match, then one wave per family that moves the density and a slip."""
     gamma = float(law.gamma)
     rho_l, rho_r = float(left.rho), float(right.rho)
     u_l, u_r = float(left.m[0]) / rho_l, float(right.m[0]) / rho_r

@@ -12,8 +12,9 @@ bits, on the weak shock rho 1 -> 5/4 (phase 1 ends once 100 evaluations cut
 its best infeasibility by < 10 %) no candidate, each with its pinned count
 of _kernel calls, and on rho 1 -> 10/3 a certified fan at the restart whose
 first barrier run starts at a float surplus near -7 and must go on until
-the surplus turns positive; and that ``verify-example`` and ``verify-fan``
-print the bytes tests/test_cli.py pins.  Any mismatch raises.  pytest does
+the surplus turns positive; that ``verify-example`` and ``verify-fan``
+print the bytes tests/test_cli.py pins; and that ``riemann`` loads neither
+``fan`` nor ``hull``.  Any mismatch raises.  pytest does
 not collect this file: the tier-1 suite needs numpy.
 """
 
@@ -87,6 +88,19 @@ def main() -> None:
             out = subprocess.run([sys.executable, *flags, "-m", "wildfan.cli", command, *args,
                                   "--format", "json"], env=env, capture_output=True, check=True).stdout
             check((command, hashlib.sha256(out).hexdigest()), (command, CLI_SHA256[command]))
+        # two rarefactions: the float solver, which needs no fan or hull either
+        riemann_file = Path(tmp) / "two_rarefaction.json"
+        riemann_file.write_text(json.dumps({"gamma": "2/1",
+                                            "left": {"rho": "1/1", "m": ["0/1", "-1/2"]},
+                                            "right": {"rho": "1/1", "m": ["0/1", "1/2"]}}))
+        probe = ("import contextlib, io, sys\n"
+                 "from wildfan.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = run(sys.argv[1:])\n"
+                 "print(code, [m for m in ('wildfan.fan', 'wildfan.hull') if m in sys.modules])")
+        out = subprocess.run([sys.executable, *flags, "-c", probe, "riemann", str(riemann_file)],
+                             env=env, capture_output=True, check=True, text=True).stdout.strip()
+        check(("riemann", out), ("riemann", "0 []"))
 
 
 if __name__ == "__main__":

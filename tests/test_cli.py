@@ -191,15 +191,30 @@ def test_oscillate_rejects_unknown_keys(tmp_path, capsys):
     {"ks": [0]}, {"ks": [-8]}, {"ks": [8.5]}, {"ks": [8.0]}, {"ks": [True]},
     {"ks": ["8"]}, {"ks": []}, {"ks": 8}, {"grid": 8.9}, {"grid": 1},
     {"grid": True}, {"grid": "32"}, {"tau1": "0.4"}, {"delta": None},
+    {"grid": 100000}, {"grid": 129}, {"delta": 1e-300}, {"delta": 9e-13},
 ], ids=lambda edit: ",".join(f"{k}={json.dumps(v)}" for k, v in edit.items()))
-def test_oscillate_rejects_malformed_values(tmp_path, capsys, edit):
+def test_oscillate_rejects_malformed_values(tmp_path, monkeypatch, capsys, edit):
     # ks [0] used to die in a ZeroDivisionError traceback (exit 1), grid 1
-    # printed all-zero diagnostics, and the others were coerced silently
+    # printed all-zero diagnostics, and the others were coerced silently;
+    # grid 100000 died allocating grid^3 floats and delta 1e-300 overflowed
+    # (2 delta)^-5.  Each is rejected before the oscillation is built
+    import wildfan.cli as cli_module
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_oscillation ran on a rejected config")
+    monkeypatch.setattr(cli_module, "build_oscillation", no_build, raising=True)
     cfgf = tmp_path / "osc.json"
     cfgf.write_text(json.dumps({"tau1": 0.4, "delta": 0.02, "ks": [8], "grid": 12, **edit}))
     assert run(["oscillate", str(cfgf)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and next(iter(edit)) in err
+
+
+def test_oscillate_accepts_its_bounds():
+    import wildfan.cli as cli_module
+
+    assert cli_module._oscillate_config({"delta": 1e-12, "grid": 128}) \
+        == (0.4, 1e-12, [8, 16, 32], 128)
 
 
 def test_search_command(tmp_path, capsys):
@@ -266,12 +281,13 @@ def test_verify_fan_coincident_speeds_is_a_certified_fail(tmp_path, capsys, fmt)
     (("Fail", "Inconclusive"), 1), (("Inconclusive",), 3)], ids=["fail", "inconclusive"])
 def test_one_exit_rule_for_every_report(tmp_path, monkeypatch, capsys, statuses, expected):
     # any Fail gives 1, else any Inconclusive 3, whichever command reports
-    import wildfan.cli as cli_module
+    # the handlers import verify_fan from wildfan.fan when they run
+    import wildfan.fan as fan_module
     from wildfan.fan import ConditionResult, Status, VerificationReport
 
     report = VerificationReport(tuple(
         ConditionResult(f"stub[{i}]", Status(value), "") for i, value in enumerate(statuses)))
-    monkeypatch.setattr(cli_module, "verify_fan", lambda fan: report)
+    monkeypatch.setattr(fan_module, "verify_fan", lambda fan: report, raising=True)
     assert invoke(capsys, "verify-example")[0] == expected
     assert invoke(capsys, "verify-fan", _fan_file(tmp_path, lambda data: None))[0] == expected
 
@@ -303,6 +319,22 @@ def test_riemann_reads_json_integers_past_the_digit_limit(tmp_path, capsys, limi
             sys.set_int_max_str_digits(old_limit)
     assert outs[0] == outs[1]
     assert outs[0][0] == 0 and "no waves" in outs[0][1]
+
+
+def test_riemann_float_overflow_is_inconclusive(tmp_path, capsys):
+    # rho**gamma at the bisection bracket's top density overflows a float
+    # from gamma = 52 on; gamma 1001 used to die in an OverflowError
+    # traceback with exit 1, which means a failed verification or vacuum
+    for gamma in ("60/1", "1001/1"):
+        path = tmp_path / "two_shocks.json"
+        path.write_text(json.dumps({"gamma": gamma,
+                                    "left": {"rho": "1/1", "m": ["0/1", "1/1"]},
+                                    "right": {"rho": "1/1", "m": ["0/1", "-1/1"]}}))
+        code = run(["riemann", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"inconclusive: the float wave curves leave the float range " \
+                               f"(gamma = {gamma})\n"
 
 
 def test_non_rational_gamma_exit_code(tmp_path, capsys):
@@ -441,6 +473,41 @@ def test_exact_commands_load_no_float_module(tmp_path):
              ["riemann", str(tmp_path / "two_rarefaction.json")]]
     assert _probe(_EXACT_COMMANDS_PROBE, json.dumps(argvs), str(tmp_path / "osc_small.json")) \
         == {"codes": [0, 0, 0, 0, 0], "loaded": [], "np is numpy": True}
+
+
+_COMMAND_MODULES_PROBE = """
+import contextlib, io, json, sys
+from wildfan.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in sys.modules
+    if m.startswith("wildfan.") or m in ("numpy", "numpy.polynomial", "scipy"))}))
+"""
+
+# every command loads these: convexint too, since the benchmark's tracer
+# looks it up in sys.modules after importing the CLI
+_CLI_MODULES = ["wildfan.cli", "wildfan.convexint", "wildfan.exactnum", "wildfan.model"]
+_EXACT_MODULES = ["wildfan.fan", "wildfan.hull", "wildfan.riemann"]
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (["verify-example"], 0, _EXACT_MODULES),
+    (["verify-fan", "fan.json"], 0, _EXACT_MODULES),
+    (["riemann", "paper_shock.json"], 0, ["wildfan.riemann"]),
+    (["riemann", "two_rarefaction.json"], 0, ["wildfan.riemann"]),
+    (["search", "search8.json"], 0, [*_EXACT_MODULES, "wildfan.search"]),
+    (["oscillate", "osc_small.json"], 0, ["numpy", "wildfan.hull", "wildfan.wavecone"]),
+], ids=["verify-example", "verify-fan", "riemann-shock", "riemann-two-rarefaction", "search",
+        "oscillate"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, modules):
+    # each handler imports what it runs: riemann no fan or hull, oscillate no
+    # fan or riemann (nor numpy.polynomial), the exact commands no search,
+    # wavecone or numpy, and no command scipy
+    _write_inputs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert _probe(_COMMAND_MODULES_PROBE, json.dumps(argv)) \
+        == {"code": code, "loaded": sorted(_CLI_MODULES + modules)}
 
 
 _NAMESPACE_PROBE = """

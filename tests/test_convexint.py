@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildfan.convexint import (
     BadParameters,
@@ -12,6 +14,7 @@ from wildfan.convexint import (
     OperatorCase,
     PlaneProfileField,
     ProductField,
+    _polyval,
     apply_operator,
     build_oscillation,
     build_staircase,
@@ -315,3 +318,26 @@ def test_build_oscillation_slab_invariance(monkeypatch, grid_n, planes):
     for comp in whole:
         assert slabbed[comp].shape == (grid_n ** 3,)
         assert np.array_equal(slabbed[comp], whole[comp]), comp
+
+
+# ±0.0, the extremes of the float range and subnormals, and anything finite
+_COEFFICIENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1.7e308, 1e-300, -1e-300,
+                     5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_COEFFICIENT, min_size=1, max_size=9),
+       x=st.one_of(_COEFFICIENT, st.lists(_COEFFICIENT, max_size=6)))
+def test_polyval_matches_numpy_bit_for_bit(coeffs, x):
+    # the in-house Horner steps equal numpy's polyval, also where they
+    # overflow to inf or meet inf * 0 and give nan
+    c = np.asarray(coeffs, dtype=float)
+    points = np.asarray(x, dtype=float) if isinstance(x, list) else x
+    with np.errstate(all="ignore"):
+        got = _polyval(points, c)
+        want = np.polynomial.polynomial.polyval(points, c)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
