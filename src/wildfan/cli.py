@@ -3,8 +3,8 @@
 Exit codes: 2 on parse/usage errors; otherwise 1 on any verification
 failure, else 3 when a certification is inconclusive: at the precision cap,
 or because well-formed input leaves the supported arithmetic (more than four
-independent square roots, the square root of a negative number, or float
-wave curves that overflow), else 0.
+independent square roots, the square root of a negative number, float wave
+curves that overflow, or a gamma past model._GAMMA_TERM_MAX), else 0.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .exactnum import (
     xreal_from_json,
     xreal_to_json,
 )
-from .model import PHPoint, PressureLaw, state_from_json, state_to_json
+from .model import GammaOutOfRange, PHPoint, PressureLaw, state_from_json, state_to_json
 
 __all__ = ["main", "run"]
 
@@ -192,16 +192,20 @@ def _cmd_search(args) -> int:
 
 
 # bounds checked before anything is allocated: a grid of 128 keeps one k's
-# grid^3 outputs near 117 MB, and a delta of 1e-12 keeps the smoothstep's
-# (2 delta)^-5 coefficients and their derivatives far inside the float range
+# grid^3 outputs near 117 MB, a delta of 1e-12 keeps the smoothstep's
+# (2 delta)^-5 coefficients and their derivatives far inside the float range,
+# and every k up to 2^53 is a float exactly (float(k) ** 4, the field's
+# fourth derivative, overflows from about 1.2e77)
 _GRID_MAX = 128
 _DELTA_MIN = 1e-12
+_K_MAX = 2 ** 53
 
 
 def _oscillate_config(data) -> tuple[float, float, list, int]:
     """(tau1, delta, ks, grid) of an oscillate file; anything but JSON
-    numbers, a delta of at least _DELTA_MIN, a non-empty list of positive
-    integer ks and an integer grid from 2 to _GRID_MAX is a parse error."""
+    numbers, a delta of at least _DELTA_MIN, a non-empty list of integer
+    ks from 1 to _K_MAX and an integer grid from 2 to _GRID_MAX is a parse
+    error."""
     if not isinstance(data, dict):
         raise ValueError("oscillate input must be a JSON object")
     unknown = sorted(set(data) - {"tau1", "delta", "ks", "grid"})
@@ -212,9 +216,9 @@ def _oscillate_config(data) -> tuple[float, float, list, int]:
     for key, value in (("tau1", tau1), ("delta", delta)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"oscillate {key} must be a number, got {value!r}")
-    if not (isinstance(ks, list) and ks and all(_is_int(k) and k > 0 for k in ks)):
-        raise ValueError(f"oscillate ks must be a non-empty list of positive integers, "
-                         f"got {ks!r}")
+    if not (isinstance(ks, list) and ks and all(_is_int(k) and 0 < k <= _K_MAX for k in ks)):
+        raise ValueError(f"oscillate ks must be a non-empty list of integers from 1 to "
+                         f"{_K_MAX}, got {ks!r}")
     if not delta >= _DELTA_MIN:
         raise ValueError(f"oscillate delta must be at least {_DELTA_MIN}, got {delta!r}")
     if not (_is_int(grid_n) and 2 <= grid_n <= _GRID_MAX):
@@ -306,7 +310,7 @@ def run(argv=None) -> int:
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (RadicandMismatch, NegativeRadicand) as exc:
+    except (RadicandMismatch, NegativeRadicand, GammaOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:

@@ -27,6 +27,7 @@ __all__ = [
     "EulerState",
     "PHPoint",
     "NonPositiveDensity",
+    "GammaOutOfRange",
     "pressure",
     "pressure_potential",
     "lift_state",
@@ -98,9 +99,22 @@ def _two_components(name: str, v) -> tuple[XReal, XReal]:
     return as_xreal(v[0]), as_xreal(v[1])
 
 
+class GammaOutOfRange(ValueError):
+    """A rational gamma >= 1 whose numerator or denominator exceeds
+    _GAMMA_TERM_MAX: well-formed, but past the exact work a law may ask for."""
+
+
+# rho ** gamma is exact (tower powers, or interval powers and roots for a
+# denominator above 2), and its integers grow with gamma's terms: on a shared
+# 2-core host, verifying the paper fan takes about 3 s at gamma = 10**4 and
+# over 20 s at 3 * 10**4
+_GAMMA_TERM_MAX = 10 ** 4
+
+
 class PressureLaw(Record):
-    """p(rho) = rho**gamma for a rational gamma >= 1; any other gamma is
-    rejected here, so every later use of the law has a rational exponent."""
+    """p(rho) = rho**gamma for a rational gamma >= 1 whose numerator and
+    denominator are at most _GAMMA_TERM_MAX; any other gamma is rejected
+    here, so every later use of the law has a bounded rational exponent."""
 
     gamma: XReal
 
@@ -110,6 +124,10 @@ class PressureLaw(Record):
             raise ValueError(f"gamma must be rational, got {g}")
         if sign(g - 1) < 0:
             raise ValueError("gamma must be >= 1")
+        v = g.rational_value()
+        if max(v.numerator, v.denominator) > _GAMMA_TERM_MAX:
+            raise GammaOutOfRange(f"gamma = {g}: its numerator and denominator must be at "
+                                  f"most {_GAMMA_TERM_MAX}")
         object.__setattr__(self, "gamma", g)
 
 

@@ -44,7 +44,6 @@ import math
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
@@ -212,8 +211,11 @@ _MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
 # (the flux chain telescopes), so maximizing the matched-plane bracket
 # means maximizing the budget while the outer brackets sit at the floor.
 #
-# Float sums run left to right from 0.0, as the builtin sum() adds on
-# Python 3.11; from 3.12 sum() compensates, which would move the bits.
+# Float sums fold left to right from 0.0 (the kernel's budget, each column
+# of ``minimize``'s centroid), as scipy's add.reduce(sim[:-1], 0) does: it
+# starts each column at add's identity 0.0 (a column of -0.0 sums to +0.0)
+# and adds the rows in order.  The builtin sum() adds so on 3.11 only; from
+# 3.12 it compensates.
 
 def _kernel(prob: _Problem, y):
     """(surplus, margins, fluxes, residual) at the bracket-coordinate point
@@ -241,10 +243,6 @@ def _kernel(prob: _Problem, y):
     r1, r2, r3 = rhos
     p1, p2, p3 = r1 ** gamma, r2 ** gamma, r3 ** gamma
     k1, k2, k3 = a1 ** 2 / r1, a2 ** 2 / r2, a3 ** 2 / r3
-    margins = (sigma - mu0, mu2 - sigma, mu3 - mu2, r1, r2, r3,
-               -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
-               -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
-               -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3))
     if gamma == 1.0:
         P1, P2, P3 = r1 * math.log(r1), r2 * math.log(r2), r3 * math.log(r3)
     else:
@@ -260,7 +258,11 @@ def _kernel(prob: _Problem, y):
     f1 = b1 + sigma * (e1 - e2) + f2
     matched = plane_bracket(sigma, e1, e2, f1, f2)
     return (matched - prob.ref_coeff,
-            (*margins, plane_bracket(mu0, e0, e1, f_m, f1), matched,
+            (sigma - mu0, mu2 - sigma, mu3 - mu2, r1, r2, r3,
+             -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
+             -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
+             -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3),
+             plane_bracket(mu0, e0, e1, f_m, f1), matched,
              plane_bracket(mu2, e2, e3, f2, f3), plane_bracket(mu3_chain, e3, e4, f3, f_p)),
             (f1, f2, f3), abs(residual))
 
@@ -269,10 +271,10 @@ def _infeasibility(prob, y) -> float:
     point = _kernel(prob, y)
     if point is None:
         return 1e6
-    total = 0.0
+    floor, total = _FLOOR, 0.0
     for m in point[1]:
-        if not m >= _FLOOR:  # NaN falls short too: only a feasible point scores 0.0
-            total += (_FLOOR - m) ** 2
+        if not m >= floor:  # NaN falls short too: only a feasible point scores 0.0
+            total += (floor - m) ** 2
     return total
 
 
@@ -371,8 +373,10 @@ def minimize(fun, x0, maxiter: int) -> _Result:
     Runs scipy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
     options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-15,
     "adaptive": True})`` in the same operation order (initial simplex,
-    centroid as a column sum from 0.0 row by row, comparisons, simplex
-    order), so x, fun, nfev and nit come out bit for bit the same.
+    centroid with each column folded from 0.0 top row first, as numpy's
+    add.reduce adds, comparisons, simplex order), so x, fun, nfev and nit
+    come out bit for bit the same.  Each step folds the centroid and forms
+    the reflected point in one pass, and reuses that centroid.
     """
     n = len(x0)
     dim = float(n)
@@ -388,7 +392,6 @@ def minimize(fun, x0, maxiter: int) -> _Result:
         fsim = [fun(x) for x in sim]
         nfev = n + 1
         sim, fsim, distinct = _order(sim, fsim)
-        zero = [0.0] * n
         while nit < maxiter:
             best, fbest = sim[0], fsim[0]
             # fsim is sorted with any NaN last, so its largest |fsim[0] - f|
@@ -396,18 +399,20 @@ def minimize(fun, x0, maxiter: int) -> _Result:
             if (abs(fbest - fsim[-1]) <= _FATOL
                     and all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best))):
                 break
-            # column sums of all but the worst vertex, row by row from 0.0
-            sums = zero
-            for x in sim[:-1]:
-                sums = map(add, sums, x)
-            sums = list(sums)
-            worst = sim[-1]
-            xr = [2 * (s / n) - w for s, w in zip(sums, worst)]
+            # centroid of all but the worst vertex, and the reflection
+            rows, worst = sim[:-1], sim[-1]
+            xbar, xr = [], []
+            for j, w in enumerate(worst):
+                s = 0.0
+                for x in rows:
+                    s += x[j]
+                b = s / n
+                xbar.append(b)
+                xr.append(2 * b - w)
             fxr = fun(xr)
             nfev += 1
             shrunk = False
             if fxr < fbest:
-                xbar = [s / n for s in sums]
                 xe = [(1 + chi) * b - chi * w for b, w in zip(xbar, worst)]
                 fxe = fun(xe)
                 nfev += 1
@@ -415,7 +420,6 @@ def minimize(fun, x0, maxiter: int) -> _Result:
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                xbar = [s / n for s in sums]
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [(1 + psi) * b - psi * w for b, w in zip(xbar, worst)]
                     fxc = fun(xc)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,12 +193,14 @@ def test_oscillate_rejects_unknown_keys(tmp_path, capsys):
     {"ks": ["8"]}, {"ks": []}, {"ks": 8}, {"grid": 8.9}, {"grid": 1},
     {"grid": True}, {"grid": "32"}, {"tau1": "0.4"}, {"delta": None},
     {"grid": 100000}, {"grid": 129}, {"delta": 1e-300}, {"delta": 9e-13},
+    {"ks": [10 ** 79]}, {"ks": [8, 2 ** 53 + 1]},
 ], ids=lambda edit: ",".join(f"{k}={json.dumps(v)}" for k, v in edit.items()))
 def test_oscillate_rejects_malformed_values(tmp_path, monkeypatch, capsys, edit):
     # ks [0] used to die in a ZeroDivisionError traceback (exit 1), grid 1
     # printed all-zero diagnostics, and the others were coerced silently;
-    # grid 100000 died allocating grid^3 floats and delta 1e-300 overflowed
-    # (2 delta)^-5.  Each is rejected before the oscillation is built
+    # grid 100000 died allocating grid^3 floats, delta 1e-300 overflowed
+    # (2 delta)^-5 and k 10^79 overflowed k^4.  Each is rejected before the
+    # oscillation is built
     import wildfan.cli as cli_module
 
     def no_build(*args, **kwargs):
@@ -215,6 +218,7 @@ def test_oscillate_accepts_its_bounds():
 
     assert cli_module._oscillate_config({"delta": 1e-12, "grid": 128}) \
         == (0.4, 1e-12, [8, 16, 32], 128)
+    assert cli_module._oscillate_config({"ks": [2 ** 53]})[2] == [2 ** 53]
 
 
 def test_search_command(tmp_path, capsys):
@@ -335,6 +339,25 @@ def test_riemann_float_overflow_is_inconclusive(tmp_path, capsys):
         assert (code, captured.out) == (3, "")
         assert captured.err == f"inconclusive: the float wave curves leave the float range " \
                                f"(gamma = {gamma})\n"
+
+
+def test_gamma_past_its_bound_is_inconclusive_at_once(tmp_path, capsys):
+    # the paper fan at gamma = 1000001 ran past 20 s without a bound; a law
+    # takes numerator and denominator up to 10^4, so 1000 stays a certified
+    # Fail and 1001 reaches the float overflow above
+    data = fan_to_json(paper_example())
+    for gamma, shown in (("1000001", "1000001/1"), ("10001/10000", "10001/10000"),
+                         ("20001/2", "20001/2")):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({**data, "gamma": gamma}))
+        start = time.perf_counter()
+        code = run(["verify-fan", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: gamma = {shown}: its numerator and denominator " \
+                               f"must be at most 10000\n"
+        assert elapsed < 1.0
 
 
 def test_non_rational_gamma_exit_code(tmp_path, capsys):

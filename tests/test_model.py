@@ -13,6 +13,7 @@ from wildfan.exactnum import IntervalExpr, QuadExt, Rational, sign
 from wildfan.fan import ConditionResult, Status
 from wildfan.model import (
     EulerState,
+    GammaOutOfRange,
     NonPositiveDensity,
     PHPoint,
     PressureLaw,
@@ -60,6 +61,18 @@ def test_pressure_law_rejects_non_rational_gamma():
             PressureLaw(gamma)
     with pytest.raises(ValueError, match="gamma must be >= 1"):
         PressureLaw(Rational(1, 2))
+
+
+def test_pressure_law_bounds_gamma_terms():
+    # numerator and denominator at most 10^4, in lowest terms
+    for gamma in (Rational(10 ** 4), Rational(10 ** 4, 9999), Rational(2 * 10 ** 4, 2 * 9999)):
+        assert PressureLaw(gamma).gamma == gamma
+    for gamma in (Rational(10 ** 4 + 1), Rational(10 ** 4 + 1, 10 ** 4), Rational(10 ** 40)):
+        with pytest.raises(GammaOutOfRange, match="at most 10000"):
+            PressureLaw(gamma)
+    # a gamma below 1 is malformed however large its terms
+    with pytest.raises(ValueError, match="gamma must be >= 1"):
+        PressureLaw(Rational(1, 10 ** 40))
 
 
 def test_pressure_rejects_vacuum():

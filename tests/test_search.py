@@ -554,6 +554,51 @@ def test_minimize_matches_scipy_on_ties_and_nan(fun, x0, maxiter):
     _assert_same_as_scipy(fun, x0, maxiter)
 
 
+def _signed_bowl(v):
+    """A bowl that reads the sign of a zero.  It squares by a product: a
+    Python float power overflows with an exception, numpy's to inf."""
+    total = 0.0
+    for i, c in enumerate(v):
+        d = c - 0.25
+        total += (i + 1) * d * d + math.copysign(1e-3, c)
+    return total
+
+
+def _signed_zero_pit(v):
+    """0.0 where every coordinate is -0.0, and rising toward any other
+    zero.  In one variable the contractions toward -0.0 fail, and the
+    shrink (by 1 - 1/n = 0) puts the other vertex at -0.0 + 0.0 = +0.0, so
+    the next reflection reads the sign of a centroid of -0.0 alone."""
+    total = 0.0
+    for c in v:
+        if not (c == 0.0 and math.copysign(1.0, c) < 0):
+            total += 1.0 / (abs(c) + 1e-300)
+    return total
+
+
+_EDGES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+          1e308, -1e308, 1.7976931348623157e308)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fun=st.sampled_from([_signed_bowl, _signed_zero_pit]),
+       x0=st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(-2.0, 2.0)),
+                   min_size=1, max_size=10),
+       maxiter=st.integers(1, 400))
+@example(fun=_signed_zero_pit, x0=[-0.0], maxiter=3)  # a centroid of -0.0 is +0.0
+@example(fun=_signed_bowl, x0=[-0.0, 0.0, -0.0], maxiter=400)
+@example(fun=_signed_bowl, x0=[5e-324, -5e-324, 1e-310], maxiter=400)  # subnormals
+@example(fun=_signed_bowl, x0=[1e308, 1e308, -1e308], maxiter=50)  # column sums overflow
+@example(fun=_signed_bowl, x0=[-1.5, 1.7976931348623157e308, 1e308], maxiter=50)
+@example(fun=_signed_bowl, x0=[math.inf, -math.inf, 0.5], maxiter=20)  # inf - inf is NaN
+@example(fun=_signed_zero_pit, x0=[0.5, -math.inf], maxiter=20)
+def test_minimize_matches_scipy_at_the_float_edges(fun, x0, maxiter):
+    # the centroid folds each column from 0.0, as numpy's add.reduce does:
+    # a column of -0.0 sums to +0.0, and overflow, inf and NaN propagate
+    # through the same additions in the same order
+    _assert_same_as_scipy(fun, x0, maxiter)
+
+
 # ---------------------------------------------------------------------------
 # the early ends of the feasibility phase
 # ---------------------------------------------------------------------------
