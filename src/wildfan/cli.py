@@ -201,6 +201,19 @@ _DELTA_MIN = 1e-12
 _K_MAX = 2 ** 53
 
 
+def _shown(value):
+    """A JSON value as a parse error shows it: each integer past _K_MAX, in
+    lists and objects too, as its bit length, since Python writes no int of
+    more than 4,300 digits as a string."""
+    if isinstance(value, list):
+        return [_shown(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _shown(v) for k, v in value.items()}
+    if _is_int(value) and abs(value) > _K_MAX:
+        return f"<{value.bit_length()}-bit integer>"
+    return value
+
+
 def _oscillate_config(data) -> tuple[float, float, list, int]:
     """(tau1, delta, ks, grid) of an oscillate file; anything but JSON
     numbers, a delta of at least _DELTA_MIN, a non-empty list of integer
@@ -214,16 +227,18 @@ def _oscillate_config(data) -> tuple[float, float, list, int]:
     tau1, delta = data.get("tau1", 0.4), data.get("delta", 0.02)
     ks, grid_n = data.get("ks", [8, 16, 32]), data.get("grid", 48)
     for key, value in (("tau1", tau1), ("delta", delta)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"oscillate {key} must be a number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or _is_int(value) and abs(value) > sys.float_info.max:
+            raise ValueError(f"oscillate {key} must be a number in the float range, "
+                             f"got {_shown(value)!r}")
     if not (isinstance(ks, list) and ks and all(_is_int(k) and 0 < k <= _K_MAX for k in ks)):
         raise ValueError(f"oscillate ks must be a non-empty list of integers from 1 to "
-                         f"{_K_MAX}, got {ks!r}")
+                         f"{_K_MAX}, got {_shown(ks)!r}")
     if not delta >= _DELTA_MIN:
         raise ValueError(f"oscillate delta must be at least {_DELTA_MIN}, got {delta!r}")
     if not (_is_int(grid_n) and 2 <= grid_n <= _GRID_MAX):
         raise ValueError(f"oscillate grid must be an integer from 2 to {_GRID_MAX}, "
-                         f"got {grid_n!r}")
+                         f"got {_shown(grid_n)!r}")
     return float(tau1), float(delta), ks, grid_n
 
 

@@ -7,25 +7,28 @@ numbers.  Given the four speeds, the first density and the trace caps, the
 last mass condition and the telescoped normal-momentum condition are linear
 in the two middle densities, with determinant (mu1-mu2)(mu3-mu2)(mu3-mu1);
 the closure solves them, then chains the normal momenta and trace-free
-entries forward from the left boundary.  The search therefore only fights
-strict inequalities: speed ordering, positivity, negative definiteness per
-region, the energy-flux inequality per interface, and the dominance target
-on the reference shock plane.  Each float evaluation is one pass of one
-kernel (``_kernel``): it closes the point, takes each region's pressure
-power once for its margins and energy, sets the fluxes from the bracket
-coordinates and brackets the four planes, and returns the dominance
-surplus, the margins, the fluxes and the closure residual.  That kernel
-scores every optimizer step and also closes each restart's final point.
-Every phase of a restart ends as soon as it is decided: the feasibility
-phase at its first feasible point, on a start that closes nowhere or once
-100 evaluations cut its best by < 10 %, and each barrier run at its first
-point with positive surplus and every margin positive.
+entries forward from the left boundary.  Each region's density, normal
+momentum and u11 - q do not depend on the trace caps q, so four variables
+decide dominance: the speed gaps d0, d2, d3 around the matched plane and
+the first density.  Given them, each region is negative definite exactly
+when one quantity c_i is positive and its q_i clears a bound, and the
+matched bracket falls in each q_i and in each outer bracket, so the other
+six variables take their best values in closed form (``_fill``).
+
+A restart is one Nelder-Mead phase over z = (ln d0, ln d2, ln d3, ln rho1),
+from a start drawn by ``random.Random(rng_seed + restart)`` near the
+weak-shock optimum.  Each evaluation fills in the ten-variable point and
+runs one pass of one kernel (``_kernel``): it closes the point, takes each
+region's pressure power once for its margins and energy, sets the fluxes
+from the bracket coordinates and brackets the four planes, and returns the
+dominance surplus, the margins and the fluxes.  The phase ends at its first
+point with positive surplus, every c_i above a gap and every margin
+positive, or after 150 iterations.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
 importing scipy, once scipy's argsort breaks ties stably.  The module
-imports no numpy: ``_PCG64`` draws the restart starts exactly as numpy's
-``default_rng`` does, and ``_order`` breaks ties in the simplex order by
+imports no numpy, and ``_order`` breaks ties in the simplex order by
 index, so the search bits depend neither on the CPU nor on numpy.
 
 Each Riemann problem is set up once (``_Problem``): the reference solution
@@ -41,15 +44,15 @@ the two the closure solves included.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
 from .model import EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, lift_state
-from .riemann import plane_bracket, selfsim_dissipation, solve_riemann
+from .riemann import Shock, _sound_speed, plane_bracket, selfsim_dissipation, solve_riemann
 
 __all__ = [
     "SearchConfig",
@@ -179,9 +182,11 @@ class _Problem:
     """One Riemann problem of the search, set up once: the reference
     solution ``sol``, its profile ``ref`` and the matched plane
     ``ref.entries[0]`` as its exact ``speed`` (None unless ``sol`` is
-    exact) and floats ``sigma``, ``ref_coeff`` (None without a shock);
-    the float ``gamma`` of the law; the lifted boundary values, exact and
-    as the floats the search reads."""
+    exact) and floats ``sigma``, ``ref_coeff`` (None without a shock); the
+    search's ``pad`` and ``gap``, 1e-5 and 1e-4 of ``ref_coeff``, and the
+    float densities ``shock_rhos`` on either side of the matched shock; the
+    float ``gamma`` of the law; the lifted boundary values, exact and as
+    the floats the search reads."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
         self.sol = solve_riemann(law, left, right)
@@ -191,6 +196,9 @@ class _Problem:
             speed, coeff = self.ref.entries[0]
             self.speed = speed if self.sol.exact else None
             self.sigma, self.ref_coeff = float(speed), float(coeff)
+            self.pad, self.gap = 1e-5 * self.ref_coeff, 1e-4 * self.ref_coeff
+            shock = next(w for w in self.sol.waves if isinstance(w, Shock))
+            self.shock_rhos = float(shock.left.rho), float(shock.right.rho)
         self.gamma = float(law.gamma)
         (z_m, e_m), (z_p, e_p) = lift_state(law, left), lift_state(law, right)
         self.exact_minus = (left.rho, z_m.m[1], z_m.u11, z_m.q)
@@ -209,7 +217,7 @@ _MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
 # makes the dominance target a directly controlled quantity.  The total
 # plane-dissipation budget is fixed by the speeds and trace caps alone
 # (the flux chain telescopes), so maximizing the matched-plane bracket
-# means maximizing the budget while the outer brackets sit at the floor.
+# means maximizing the budget while the outer brackets sit at the pad.
 #
 # Float sums fold left to right from 0.0 (the kernel's budget, each column
 # of ``minimize``'s centroid), as scipy's add.reduce(sim[:-1], 0) does: it
@@ -218,21 +226,21 @@ _MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
 # 3.12 it compensates.
 
 def _kernel(prob: _Problem, y):
-    """(surplus, margins, fluxes, residual) at the bracket-coordinate point
+    """(surplus, margins, fluxes) at the bracket-coordinate point
     y (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3), closed by ``chain_close``
     with the matched plane at sigma: the dominance surplus, the margins as
     a tuple in ``_MARGINS`` order (speed ordering, densities, then trace
     and determinant per region, as -tr M and det M of the region's M, and
-    the energy-flux brackets -mu[E] + [F2] per plane last), the fluxes
-    (F12, F22, F32) that put the outer-plane brackets at (b0, b2, b3), and
-    the absolute closure residual; None when the closure degenerates or a
-    density is not positive.  The last plane moves at the chained mu3.  The
-    region energies are e = q + P - p, with P as ``model.pressure_potential``
-    defines it, from one power rho ** gamma per region."""
+    the energy-flux brackets -mu[E] + [F2] per plane last), and the fluxes
+    (F12, F22, F32) that put the outer-plane brackets at (b0, b2, b3); None
+    when the closure degenerates or a density is not positive.  The last
+    plane moves at the chained mu3.  The region energies are e = q + P - p,
+    with P as ``model.pressure_potential`` defines it, from one power
+    rho ** gamma per region."""
     mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3 = y
     sigma = prob.sigma
     try:
-        rhos, (a1, a2, a3), (u1, u2, u3), mu3_chain, residual = chain_close(
+        rhos, (a1, a2, a3), (u1, u2, u3), mu3_chain, _ = chain_close(
             prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
     except DegenerateClosure:
         return None
@@ -264,73 +272,68 @@ def _kernel(prob: _Problem, y):
              -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3),
              plane_bracket(mu0, e0, e1, f_m, f1), matched,
              plane_bracket(mu2, e2, e3, f2, f3), plane_bracket(mu3_chain, e3, e4, f3, f_p)),
-            (f1, f2, f3), abs(residual))
+            (f1, f2, f3))
 
 
-def _infeasibility(prob, y) -> float:
-    point = _kernel(prob, y)
+def _fill(prob: _Problem, z):
+    """(y, c): the ten-variable point y of the search variables
+    z = (ln d0, ln d2, ln d3, ln rho1), and its least c_i; None when the
+    closure degenerates or a density is not positive.
+
+    The speeds are mu0 = sigma - d0, mu2 = sigma + d2 and mu3 = mu2 + d3.
+    The closure at q = 0 gives each region's rho_i, m_i and v_i = u_i - q_i,
+    none of which depends on q.  With p_i = rho_i ** gamma and
+    k_i = m_i ** 2 / rho_i, region i has -tr M = 2 q_i - k_i - 2 p_i and
+    det M = (p_i - v_i - 2 q_i)(k_i + v_i + p_i), both positive exactly when
+    c_i = -(k_i + v_i + p_i) > 0 and 2 q_i > max(k_i + 2 p_i, p_i - v_i).
+    The matched bracket falls in each q_i and in each outer bracket b, so y
+    puts each q_i the pad above its bound and each b at the pad."""
+    d0, d2, d3, rho1 = map(math.exp, z)
+    sigma = prob.sigma
+    mu0, mu2 = sigma - d0, sigma + d2
+    mu3 = mu2 + d3
+    try:
+        rhos, ms, vs, _, _ = chain_close(prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1,
+                                         (0.0, 0.0, 0.0))
+    except DegenerateClosure:
+        return None
+    if min(rhos) <= 0.0:
+        return None
+    gamma, pad = prob.gamma, prob.pad
+    qs, c = [], math.inf
+    for r, m, v in zip(rhos, ms, vs):
+        p, k = r ** gamma, m ** 2 / r
+        qs.append(max(p + k / 2.0, (p - v) / 2.0) + pad)
+        c = min(c, -(k + v + p))
+    return [mu0, mu2, mu3, rho1, *qs, pad, pad, pad], c
+
+
+def _score(prob: _Problem, z):
+    """(score, y, point): -min(surplus, c - gap) / ref_coeff at z, with the
+    ten-variable point y and its ``_kernel`` result; (1e6, None, None)
+    where z does not close.  The score is negative exactly when the
+    surplus is positive and every c_i exceeds the gap."""
+    filled = _fill(prob, z)
+    point = None if filled is None else _kernel(prob, filled[0])
     if point is None:
-        return 1e6
-    floor, total = _FLOOR, 0.0
-    for m in point[1]:
-        if not m >= floor:  # NaN falls short too: only a feasible point scores 0.0
-            total += (floor - m) ** 2
-    return total
+        return 1e6, None, None
+    y, c = filled
+    return -min(point[0], c - prob.gap) / prob.ref_coeff, y, point
 
 
-def _feasibility(prob, n: int):
-    """``_infeasibility`` as the phase-1 objective over n variables.  It raises
-    ``_Stop`` at the first 0.0, where a full run ends too (ties keep index
-    order); else, with the best point so far (the first of tied scores),
-    once the n + 1 start vertices all score the 1e6 sentinel or
-    _STALL_WINDOW evaluations cut the best by < 10 %: ``trail`` holds the
-    best as it stood after each of the last _STALL_WINDOW + 1 evaluations."""
-    best_f, best_y, k, closed = math.inf, None, 0, False
-    trail = deque(maxlen=_STALL_WINDOW + 1)
-
-    def score(y):
-        nonlocal best_f, best_y, k, closed
-        f = _infeasibility(prob, y)
-        k += 1
-        if f < best_f:
-            best_f, best_y = f, y
-        trail.append(best_f)
-        closed = closed or f != 1e6
-        if (f == 0.0 or (k == n + 1 and not closed)
-                or (k > _STALL_WINDOW and not best_f < 0.9 * trail[0])):
-            raise _Stop(best_y, best_f, k)
-        return f
-    return score
-
-
-def _barrier_score(prob, tau, y) -> tuple[float, float]:
-    """(score, surplus): the point's barrier score at weight tau, and its
-    float surplus, -inf where the point does not close."""
-    point = _kernel(prob, y)
-    if point is None:
-        return 1e9, -math.inf
-    surplus, margins = point[:2]
-    barrier, log = 0.0, math.log
-    for m in margins:
-        if m <= 0.0:
-            return 1e7, surplus
-        r = m / _FLOOR
-        barrier -= log(1e6 if 1e6 < r else r)  # min(r, 1e6), NaN included
-    return -surplus + tau * barrier, surplus
-
-
-def _barrier(prob, tau: float):
-    """The score of ``_barrier_score`` at weight tau as a barrier-phase
-    objective.  It raises ``_Stop`` at its first point with every margin
-    positive (a score below 1e7) and positive float surplus."""
+def _objective(prob: _Problem, found: list):
+    """``_score`` as the search's objective.  It raises ``_Stop`` at its
+    first point with a negative score and every margin positive, once it
+    has put (y, point) of that point in ``found``."""
     k = 0
 
-    def score(y):
+    def score(z):
         nonlocal k
         k += 1
-        f, surplus = _barrier_score(prob, tau, y)
-        if f < 1e7 and surplus > 0.0:
-            raise _Stop(y, f, k)
+        f, y, point = _score(prob, z)
+        if f < 0.0 and all(m > 0.0 for m in point[1]):
+            found.append((y, point))
+            raise _Stop(z, f, k)
         return f
     return score
 
@@ -356,8 +359,8 @@ def _order(sim: list, fsim: list):
     """(sim, fsim, distinct): the simplex sorted by value, tied values in
     index order and NaN last: numpy's argsort order with kind="stable",
     which does not depend on the CPU.  scipy's default argsort picks its
-    tie order by CPU feature, and the phase-1 plateaus (0.0 and 1e6) do
-    tie, so scipy matches ``minimize`` only with a stable argsort."""
+    tie order by CPU feature, and the search's 1e6 for a point that does
+    not close does tie, so scipy matches ``minimize`` only with a stable argsort."""
     ind = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
     f = [fsim[i] for i in ind]
     return [sim[i] for i in ind], f, all(a < b for a, b in zip(f, f[1:]))
@@ -456,28 +459,25 @@ def minimize(fun, x0, maxiter: int) -> _Result:
 # search driver
 # ---------------------------------------------------------------------------
 
-_FLOOR = 2e-4
-_MAX_ITERS = 4000
-_STALL_WINDOW = 100  # phase 1 stalls once this many evaluations cut its best by < 10 %
+_MAX_ITERS = 150
 # largest denominator certification rounds a float variable to
 _DENOMINATOR_CAP = 10 ** 12
 
 
 def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
                cfg: SearchConfig) -> Candidate | None:
-    """Multi-restart derivative-free search over the free variables.
+    """Multi-restart derivative-free search over the four variables that
+    decide dominance.
 
-    Each restart runs two Nelder-Mead phases: drive all strict margins
-    above a floor, then push the dominance surplus up behind a
-    logarithmic barrier (at two weights); each phase ends once decided
-    (``_feasibility``, ``_barrier``): a barrier run ends at its first point
-    with positive float surplus and every margin positive.  The barrier
-    point, if it closes and has positive float surplus, goes to exact
-    certification, which alone decides the strict inequalities.
-    Deterministic in cfg.rng_seed: restart k draws from seed rng_seed + k.
-    Returns the first candidate that certifies exactly (its ``fan`` and
-    ``comparison`` are set), else the best float-feasible candidate with
-    positive surplus, else None (at once when the reference has no shock).
+    Each restart draws a start with ``random.Random(cfg.rng_seed +
+    restart)`` (``_sample_start``) and runs one Nelder-Mead phase over
+    z = (ln d0, ln d2, ln d3, ln rho1), scored by ``_score``, for at most
+    _MAX_ITERS iterations.  It ends at its first point with positive float
+    surplus, every c_i above the gap and every margin positive, and that
+    point goes to exact certification, which alone decides the strict
+    inequalities.  Returns the first candidate that certifies exactly (its
+    ``fan`` and ``comparison`` are set), else the float candidate with the
+    largest surplus, else None (at once when the reference has no shock).
     """
     prob = _Problem(law, left, right)
     if prob.sigma is None:
@@ -485,26 +485,14 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
 
     best: Candidate | None = None
     best_surplus = 0.0
-    for restart in range(cfg.restarts):
-        y = _sample_start(_PCG64(cfg.rng_seed + restart), prob)
-
-        feas = minimize(_feasibility(prob, len(y)), y, _MAX_ITERS)
-        if feas.fun > 0.0:
+    for seed in range(cfg.rng_seed, cfg.rng_seed + cfg.restarts):
+        found = []
+        minimize(_objective(prob, found), _sample_start(random.Random(seed), prob), _MAX_ITERS)
+        if not found:
             continue
-        y = feas.x
-        for tau in (1e-2, 1e-3):
-            y = minimize(_barrier(prob, tau), y, _MAX_ITERS).x
-        # the barrier phase starts feasible and scores a point with any
-        # nonpositive margin 1e7, so every margin is positive here; the
-        # float tests only screen what the exact certifier decides
-        point = _kernel(prob, y)
-        if point is None:
-            continue
-        surplus, margins, fluxes, residual = point
-        if not (residual < 1e-7 and surplus > 0.0):
-            continue
+        (y, (surplus, margins, fluxes)), = found
         fields = (law, left, right, prob.sigma, (*y[:7], *fluxes),
-                  tuple(zip(_MARGINS, margins)), True, cfg.rng_seed + restart)
+                  tuple(zip(_MARGINS, margins)), True, seed)
         cand = Candidate(*fields)
         if surplus > best_surplus:  # surplus > 0.0: the first one wins
             best, best_surplus = cand, surplus
@@ -514,77 +502,18 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
     return best
 
 
-class _PCG64:
-    """numpy's ``default_rng(seed).uniform(a, b)``, bit for bit, in pure
-    Python: SeedSequence's hash mixing of the seed's 32-bit words into a
-    4-word pool, expanded to four 64-bit words that seed PCG64, a 128-bit
-    LCG with XSL-RR output (O'Neill, HMC-CS-2014-0905); each draw scales
-    the top 53 bits of one output to [0, 1)."""
-
-    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-    _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-    def __init__(self, seed: int) -> None:
-        m32 = self._M32
-        words = [seed & m32]  # the seed's 32-bit words, lowest first
-        while seed >> 32:
-            seed >>= 32
-            words.append(seed & m32)
-        const = 0x43B0D7E5
-
-        def hashmix(value: int) -> int:
-            nonlocal const
-            value ^= const
-            const = const * 0x931E8875 & m32
-            value = value * const & m32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
-            return r ^ r >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        # generate_state: eight 32-bit words, paired into 64-bit ones
-        const, out = 0x8B51F9DD, []
-        for i in range(8):
-            value = pool[i % 4] ^ const
-            const = const * 0x58F38DED & m32
-            value = value * const & m32
-            out.append(value ^ value >> 16)
-        s0, s1, s2, s3 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
-        self._inc = ((s2 << 64 | s3) << 1 | 1) & self._M128
-        self._state = ((self._inc + (s0 << 64 | s1)) * self._MULT + self._inc) & self._M128
-
-    def uniform(self, a: float, b: float) -> float:
-        state = self._state = (self._state * self._MULT + self._inc) & self._M128
-        word = ((state >> 64) ^ state) & self._M64
-        rot = state >> 122
-        word = (word >> rot | word << (64 - rot)) & self._M64
-        return a + (b - a) * ((word >> 11) * 2.0 ** -53)
-
-
-def _sample_start(rng: _PCG64, prob: _Problem) -> list:
-    rho_m, _, _, q_m = prob.minus
-    rho_p, _, _, q_p = prob.plus
-    lo_q, hi_q = sorted((q_m, q_p))
-    span_q = max(hi_q - lo_q, 1.0)
-    lo_r, hi_r = sorted((rho_m, rho_p))
-    span_mu = max(abs(prob.sigma), 1.0)
-
-    mu0 = prob.sigma - span_mu * rng.uniform(0.05, 1.0)
-    mu2 = prob.sigma + span_mu * rng.uniform(0.05, 1.0)
-    mu3 = mu2 + span_mu * rng.uniform(0.5, 5.0)
-    rho1 = rng.uniform(lo_r, hi_r)
-    q1, q2, q3 = (lo_q + span_q * rng.uniform(0.2, 1.3) for _ in range(3))
-    b0, b2, b3 = (rng.uniform(_FLOOR, 20 * _FLOOR) for _ in range(3))
-    return [mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3]
+def _sample_start(rng: random.Random, prob: _Problem) -> list:
+    """A restart's z, drawn near the weak-shock optimum.  With rho_l and
+    rho_r on either side of the matched shock, eps = |rho_r / rho_l - 1| and
+    c_l the sound speed at rho_l: d0 and d2 from 0.11 eps U(0.5, 2), d3 from
+    (3 / sqrt 2) c_l U(0.7, 1.4) and rho1 from rho_l (1 + eps U(0.1, 0.6))."""
+    rho_l, rho_r = prob.shock_rhos
+    eps = abs(rho_r / rho_l - 1.0)
+    d0 = 0.11 * eps * rng.uniform(0.5, 2.0)
+    d2 = 0.11 * eps * rng.uniform(0.5, 2.0)
+    d3 = 3.0 / math.sqrt(2.0) * _sound_speed(prob.gamma, rho_l) * rng.uniform(0.7, 1.4)
+    rho1 = rho_l * (1.0 + eps * rng.uniform(0.1, 0.6))
+    return [math.log(d0), math.log(d2), math.log(d3), math.log(rho1)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ instead of silently counting nothing.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from wildfan import exactnum, hull, search
 from wildfan.convexint import build_oscillation
 from wildfan.exactnum import IntervalExpr, QuadExt, Rational, adjoin_sqrt
-from wildfan.fan import beats_selfsimilar, find_Q, paper_example, verify_fan
+from wildfan.fan import beats_selfsimilar, fan_to_json, find_Q, paper_example, verify_fan
 from wildfan.hull import split_flux_direction, w_flux_vertices
 from wildfan.model import EulerState, PHPoint, PressureLaw
 
@@ -74,7 +76,7 @@ def _paper_shock():
 
 
 def _weak_shock():
-    # rho 1 -> 5/4 with v_r = 0: a shock too weak for any restart to certify
+    # rho 1 -> 5/4 with v_r = 0: the weakest ratio of the search benchmark
     return (EulerState(1, (Rational(0), adjoin_sqrt(Rational(9, 80)))),
             EulerState(Rational(5, 4), (Rational(0), Rational(0))))
 
@@ -86,36 +88,40 @@ def _warmup_shock():
             EulerState(Rational(4), (Rational(0), Rational(0))))
 
 
-def test_search_weak_miss_budget(monkeypatch):
-    counts = _counted(monkeypatch, [(search, "_kernel")])
-    cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=2, rng_seed=0))
-    assert cand is None
-    _within(counts, {"_kernel": 1314})
+def _fan_digest(fan) -> str:
+    """sha256 of the fan's JSON with sorted keys."""
+    return hashlib.sha256(json.dumps(fan_to_json(fan), sort_keys=True).encode()).hexdigest()
 
 
 def test_search_weak_op_budget(monkeypatch):
-    # the weak miss with the 8 restarts of a search benchmark op, each
-    # ending its phase 1 on a stall
+    # the weak shock with the 8 restarts of a search benchmark op: the
+    # drawn start of restart 0 already dominates, and certifies
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=8, rng_seed=0))
-    assert cand is None
-    _within(counts, {"_kernel": 5101})
+    assert cand is not None and cand.fan is not None and cand.seed == 0
+    assert _fan_digest(cand.fan) == \
+        "1c616e82c3afa47a76016239651f05c0f7845e1e1600d3afe81eec08b49b55f5"
+    _within(counts, {"_kernel": 1})
 
 
 def test_search_paper_shock_budget(monkeypatch):
     # restarts past the certified one do not run
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
-    assert cand is not None and cand.fan is not None and cand.seed == 2
-    _within(counts, {"_kernel": 1729})
+    assert cand is not None and cand.fan is not None and cand.seed == 0
+    assert _fan_digest(cand.fan) == \
+        "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+    _within(counts, {"_kernel": 21})
 
 
 def test_search_warmup_budget(monkeypatch):
-    # each barrier run ends at its first positive point: restart 21 certifies
+    # the restart ends at its first dominating point: restart 21 certifies
     counts = _counted(monkeypatch, [(search, "_kernel")])
     cand = search.search_fan(LAW2, *_warmup_shock(), search.SearchConfig(restarts=8, rng_seed=21))
     assert cand is not None and cand.fan is not None and cand.seed == 21
-    _within(counts, {"_kernel": 622})
+    assert _fan_digest(cand.fan) == \
+        "e00086f9371acc2c8ec3df6b1a03629c3fe81bb59ee91fdc7ea6e70d36fced83"
+    _within(counts, {"_kernel": 4})
 
 
 def test_oscillation_memory_budget():

@@ -188,6 +188,9 @@ def test_oscillate_rejects_unknown_keys(tmp_path, capsys):
         assert out == "" and key in err
 
 
+_LONG = "<10**5000>"
+
+
 @pytest.mark.parametrize("edit", [
     {"ks": [0]}, {"ks": [-8]}, {"ks": [8.5]}, {"ks": [8.0]}, {"ks": [True]},
     {"ks": ["8"]}, {"ks": []}, {"ks": 8}, {"grid": 8.9}, {"grid": 1},
@@ -211,6 +214,22 @@ def test_oscillate_rejects_malformed_values(tmp_path, monkeypatch, capsys, edit)
     assert run(["oscillate", str(cfgf)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and next(iter(edit)) in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ks", [_LONG]), ("ks", {"k": _LONG}), ("grid", _LONG), ("tau1", _LONG), ("delta", _LONG),
+    ("tau1", [_LONG])], ids=["ks", "ks-object", "grid", "tau1", "delta", "tau1-list"])
+def test_oscillate_rejects_integers_past_the_digit_limit(tmp_path, capsys, key, value):
+    # _LONG stands for 10**5000, past Python's 4,300-digit int-to-str limit:
+    # the message names the key and the integer's bit length, where
+    # formatting the value once raised a second ValueError, and tau1 or
+    # delta that large died converting to float (exit 1)
+    text = json.dumps({"tau1": 0.4, "delta": 0.02, "ks": [8], "grid": 2, key: value})
+    cfgf = tmp_path / "osc.json"
+    cfgf.write_text(text.replace(json.dumps(_LONG), "1" + "0" * 5000))
+    assert run(["oscillate", str(cfgf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and key in err and "16610-bit integer" in err
 
 
 def test_oscillate_accepts_its_bounds():
@@ -592,8 +611,8 @@ _INPUTS = {
 
 # (argv, exit code, sha256 of stdout), recorded before the dissipation
 # comparison was folded into one plane walk; the search bytes were
-# re-recorded when each barrier run began to end at its first point with
-# positive surplus and every margin positive, and like
+# re-recorded when the search went over to the four variables that decide
+# dominance, and like
 # test_search_golden_bits they depend neither on the CPU nor on numpy.
 _GOLDEN = (
     (("verify-example", "--format", "json"), 0,
@@ -617,7 +636,7 @@ _GOLDEN = (
     (("riemann", "slip.json", "--format", "json"), 0,
      "677bbd590ba3adc12a5c9dcd7743480cf2c7a98affb3ad6980b50c72c3850a71"),
     (("search", "search8.json", "--format", "json"), 0,
-     "20445583406ad2be2f956c4828ea3f009ae8f0049af4da0bd1203bd97c33065c"),
+     "d89db5f17670e18ff101df9d52837ae4043ce8055e7b5807ce574be12e290bc3"),
     # the benchmark's oscillate config and a small one, recorded on the
     # dense grid before the sparse grid and the per-order caches; the JSON
     # carries every float's repr, so it pins the diagnostics bit for bit
