@@ -13,11 +13,18 @@ Dissipation is concentrated on the interface planes with bracket
 coefficients -mu_i [E] + [F2]; profiles of two solutions are compared
 plane by plane (a plane missing from one side counts as coefficient zero),
 which is the measure order restricted to plane-supported dissipation.
+
+A fan computes its records once: one lift per boundary state, which also
+gives its energy, one energy per region, and from them the four plane
+brackets.  ``verify_fan``'s ``rh_energy`` conditions read those brackets,
+and the fan's dissipation profile, which ``compare_selfsimilar`` reads,
+is built from them once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
 from .exactnum import (
     Inconclusive,
@@ -63,7 +70,10 @@ class NotCertifiableWithinCap(RuntimeError):
 
 
 class FanSubsolution(Record):
-    """Interface speeds, boundary Riemann states, three interior records."""
+    """Interface speeds, boundary Riemann states, three interior records.
+
+    ``_planes`` and ``_profile`` are computed on first use and kept; they
+    are not fields, so equality, hash and repr ignore them."""
 
     law: PressureLaw
     mu: tuple[XReal, XReal, XReal, XReal]
@@ -88,9 +98,25 @@ class FanSubsolution(Record):
 
     def records(self) -> list[tuple[XReal, PHPoint]]:
         """(rho, z) for i = 0..4 with lifted boundary records at the ends."""
-        z_minus, _ = lift_state(self.law, self.left)
-        z_plus, _ = lift_state(self.law, self.right)
-        return [(self.left.rho, z_minus), *self.regions, (self.right.rho, z_plus)]
+        return list(self._planes[0])
+
+    @cached_property
+    def _planes(self) -> tuple[tuple[tuple[XReal, PHPoint], ...], tuple[XReal, ...]]:
+        """(records, brackets): the records of ``records`` and the bracket
+        -mu_i [E] + [F2] on each plane, from one lift per boundary state
+        (which gives its energy) and one energy per region."""
+        law = self.law
+        z_minus, e_minus = lift_state(law, self.left)
+        z_plus, e_plus = lift_state(law, self.right)
+        recs = ((self.left.rho, z_minus), *self.regions, (self.right.rho, z_plus))
+        energies = (e_minus, *(_energy(law, rho, z.q) for rho, z in self.regions), e_plus)
+        brackets = tuple(plane_bracket(self.mu[i], energies[i], energies[i + 1],
+                                       recs[i][1].F[1], recs[i + 1][1].F[1]) for i in range(4))
+        return recs, brackets
+
+    @cached_property
+    def _profile(self) -> DissipationProfile:
+        return DissipationProfile(zip(self.mu, self._planes[1]))
 
 
 class Status(Enum):
@@ -157,8 +183,7 @@ def verify_fan(fan: FanSubsolution) -> VerificationReport:
     """Exact check of the full algebraic system for an admissible fan
     subsolution; failures and inconclusive entries are reported, never
     raised."""
-    law = fan.law
-    recs = fan.records()
+    recs, brackets = fan._planes
     conds: list[ConditionResult] = []
 
     for i in range(3):
@@ -176,29 +201,20 @@ def verify_fan(fan: FanSubsolution) -> VerificationReport:
         conds.append(_check(
             f"rh_normal[{i}]",
             mu * (za.m[1] - zb.m[1]) - ((-1) * za.u11 + za.q + zb.u11 - zb.q), "zero"))
-        conds.append(_check(f"rh_energy[{i}]", _bracket(law, mu, recs[i], recs[i + 1]),
-                            "nonneg"))
+        conds.append(_check(f"rh_energy[{i}]", brackets[i], "nonneg"))
 
     for i, (rho, z) in enumerate(fan.regions, start=1):
-        M = matrix_M(law, rho, z)
+        M = matrix_M(fan.law, rho, z)
         conds.append(_check(f"subsolution_trace[{i}]", (-1) * M.trace(), "pos"))
         conds.append(_check(f"subsolution_det[{i}]", M.det(), "pos"))
 
     return VerificationReport(tuple(conds))
 
 
-def _bracket(law: PressureLaw, mu: XReal, rec_a, rec_b) -> XReal:
-    """plane_bracket between the records (rho, z) on either side of mu."""
-    (rho_a, za), (rho_b, zb) = rec_a, rec_b
-    return plane_bracket(mu, _energy(law, rho_a, za.q), _energy(law, rho_b, zb.q),
-                         za.F[1], zb.F[1])
-
-
 def fan_dissipation_profile(fan: FanSubsolution) -> DissipationProfile:
-    """Bracket coefficient -mu_i [E] + [F2] on each interface plane."""
-    recs = fan.records()
-    return DissipationProfile([(fan.mu[i], _bracket(fan.law, fan.mu[i], recs[i], recs[i + 1]))
-                               for i in range(4)])
+    """Bracket coefficient -mu_i [E] + [F2] on each interface plane: the
+    brackets verify_fan reads, profiled once per fan."""
+    return fan._profile
 
 
 class ProfileOrder(Enum):

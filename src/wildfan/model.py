@@ -101,20 +101,26 @@ def _two_components(name: str, v) -> tuple[XReal, XReal]:
 
 class GammaOutOfRange(ValueError):
     """A rational gamma >= 1 whose numerator or denominator exceeds
-    _GAMMA_TERM_MAX: well-formed, but past the exact work a law may ask for."""
+    _GAMMA_TERM_MAX, or _GAMMA_ROOT_TERM_MAX when the denominator is above 2:
+    well-formed, but past the exact work a law may ask for."""
 
 
 # rho ** gamma is exact (tower powers, or interval powers and roots for a
 # denominator above 2), and its integers grow with gamma's terms: on a shared
-# 2-core host, verifying the paper fan takes about 3 s at gamma = 10**4 and
-# over 20 s at 3 * 10**4
+# 2-core host, verifying the paper fan takes about 2 s at gamma = 10**4 and
+# over 20 s at 3 * 10**4.  An interval power and root costs far more per
+# term: about 1.5 s at 300/299, 3 s at 400/399, 5 s at 512/511 and 24 s at
+# 1001/1000, so a denominator above 2 has the lower bound
 _GAMMA_TERM_MAX = 10 ** 4
+_GAMMA_ROOT_TERM_MAX = 300
 
 
 class PressureLaw(Record):
     """p(rho) = rho**gamma for a rational gamma >= 1 whose numerator and
-    denominator are at most _GAMMA_TERM_MAX; any other gamma is rejected
-    here, so every later use of the law has a bounded rational exponent."""
+    denominator are at most _GAMMA_TERM_MAX, and at most
+    _GAMMA_ROOT_TERM_MAX when the denominator is above 2; any other gamma
+    is rejected here, so every later use of the law has a bounded rational
+    exponent."""
 
     gamma: XReal
 
@@ -128,6 +134,9 @@ class PressureLaw(Record):
         if max(v.numerator, v.denominator) > _GAMMA_TERM_MAX:
             raise GammaOutOfRange(f"gamma = {g}: its numerator and denominator must be at "
                                   f"most {_GAMMA_TERM_MAX}")
+        if v.denominator > 2 and v.numerator > _GAMMA_ROOT_TERM_MAX:
+            raise GammaOutOfRange(f"gamma = {g}: with a denominator above 2, its numerator "
+                                  f"and denominator must be at most {_GAMMA_ROOT_TERM_MAX}")
         object.__setattr__(self, "gamma", g)
 
 

@@ -38,7 +38,9 @@ free variables to rationals of denominator at most 10**12, pins the
 matched plane to its exact speed, re-runs the same closure in the
 quadratic tower, and runs the full exact verification on the fan it
 gives.  That verification decides each Rankine-Hugoniot equality once,
-the two the closure solves included.
+the two the closure solves included, and the comparison reuses the
+problem's reference profile and the plane brackets the verification
+computed on the fan.
 """
 
 from __future__ import annotations

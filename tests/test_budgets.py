@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import pytest
 
-from wildfan import exactnum, hull, search
+from wildfan import exactnum, hull, model, search
 from wildfan.convexint import build_oscillation
 from wildfan.exactnum import IntervalExpr, QuadExt, Rational, adjoin_sqrt
 from wildfan.fan import beats_selfsimilar, fan_to_json, find_Q, paper_example, verify_fan
@@ -55,9 +56,9 @@ def _within(counts: dict[str, int], budget: dict[str, int]) -> None:
 
 
 @pytest.mark.parametrize("operation, budget", [
-    (verify_fan, {"_tower_sign": 233, "_tower_mul": 163, "_refine_until": 0,
+    (verify_fan, {"_tower_sign": 223, "_tower_mul": 133, "_refine_until": 0,
                   "enclosure": 0, "in_W": 0, "root": 0}),
-    (beats_selfsimilar, {"_tower_sign": 200, "_tower_mul": 161, "_refine_until": 0,
+    (beats_selfsimilar, {"_tower_sign": 190, "_tower_mul": 131, "_refine_until": 0,
                          "enclosure": 2, "in_W": 0, "root": 2}),
     (find_Q, {"_tower_sign": 3294, "_tower_mul": 2130, "_refine_until": 0,
               "enclosure": 0, "in_W": 25, "root": 0}),
@@ -91,6 +92,48 @@ def _warmup_shock():
 def _fan_digest(fan) -> str:
     """sha256 of the fan's JSON with sorted keys."""
     return hashlib.sha256(json.dumps(fan_to_json(fan), sort_keys=True).encode()).hexdigest()
+
+
+def _counted_everywhere(monkeypatch, names) -> dict[str, int]:
+    """Count the calls of each named ``model`` function through every
+    wildfan module that binds it, ``model`` included, so that calls made
+    inside ``model`` count too."""
+    targets = []
+    for name in names:
+        fn = getattr(model, name)
+        targets += [(module, name) for module_name, module in sorted(sys.modules.items())
+                    if module_name.startswith("wildfan.") and getattr(module, name, None) is fn]
+    return _counted(monkeypatch, targets)
+
+
+def _verify_and_compare_paper_fan():
+    fan = paper_example()
+    return lambda: (verify_fan(fan), beats_selfsimilar(fan))
+
+
+def _certify_paper_shock():
+    cfg = search.SearchConfig(rng_seed=0)
+    cand = search.search_fan(LAW2, *_paper_shock(), cfg)
+
+    def certify():
+        fan = search.certify(cand, cfg)
+        assert _fan_digest(fan) == \
+            "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+    return certify
+
+
+@pytest.mark.parametrize("setup, budget", [
+    # each boundary state is lifted once by the fan and once by the
+    # self-similar profile, each region's energy is taken once
+    (_verify_and_compare_paper_fan, {"lift_state": 4, "pressure": 19, "pressure_potential": 7}),
+    # certify also sets up the search's problem, which lifts both states
+    (_certify_paper_shock, {"lift_state": 6, "pressure": 23, "pressure_potential": 9}),
+], ids=["verify_fan+beats_selfsimilar", "certify"])
+def test_model_call_budget(monkeypatch, setup, budget):
+    operation = setup()  # fans and candidates are built before counting
+    counts = _counted_everywhere(monkeypatch, budget)
+    operation()
+    _within(counts, budget)
 
 
 def test_search_weak_op_budget(monkeypatch):

@@ -379,6 +379,38 @@ def test_gamma_past_its_bound_is_inconclusive_at_once(tmp_path, capsys):
         assert elapsed < 1.0
 
 
+def test_gamma_root_past_its_bound_is_inconclusive_at_once(tmp_path, capsys):
+    # a denominator above 2 takes rho**gamma as an interval power and root:
+    # the paper fan took about 4.6 s at 1001/3 and ran past 5 minutes at
+    # 9999/100, so such a gamma takes terms up to 300 only
+    data = fan_to_json(paper_example())
+    for gamma in ("1001/3", "1999/9", "1001/1000", "9999/100"):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({**data, "gamma": gamma}))
+        start = time.perf_counter()
+        code = run(["verify-fan", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: gamma = {gamma}: with a denominator above 2, its " \
+                               f"numerator and denominator must be at most 300\n"
+        assert elapsed < 1.0
+
+
+def test_gamma_root_within_its_bound_is_a_certified_fail(tmp_path, capsys):
+    # interval powers decide every condition within the bound; the paper
+    # fan fails at each of these gammas, in a fraction of a second
+    data = fan_to_json(paper_example())
+    for gamma in ("5/3", "7/5", "101/3"):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({**data, "gamma": gamma}))
+        start = time.perf_counter()
+        code = run(["verify-fan", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 1, capsys.readouterr().err
+        assert elapsed < 3.0
+
+
 def test_non_rational_gamma_exit_code(tmp_path, capsys):
     path = tmp_path / "data.json"
     path.write_text(json.dumps({"gamma": {"d": [2], "c": ["0/1", "1/1"]},

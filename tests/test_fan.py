@@ -12,7 +12,6 @@ from wildfan.fan import (
     ProfileOrder,
     Status,
     VerificationReport,
-    _bracket,
     beats_selfsimilar,
     compare_profiles,
     compare_selfsimilar,
@@ -25,8 +24,10 @@ from wildfan.fan import (
     verify_fan,
 )
 from wildfan.hull import in_K, in_W
-from wildfan.model import EulerState, PHPoint, PressureLaw, lift_state, pressure
-from wildfan.riemann import DissipationProfile, Shock, solve_riemann
+from wildfan.model import (
+    EulerState, PHPoint, PressureLaw, lift_state, pressure, pressure_potential,
+)
+from wildfan.riemann import DissipationProfile, Shock, plane_bracket, solve_riemann
 
 S5 = QuadExt.sqrt_of(5)
 S1141 = QuadExt.sqrt_of(1141)
@@ -61,8 +62,9 @@ def test_coincident_speeds_fail_ordering_and_share_a_plane():
     recs = fan.records()
     entries = fan_dissipation_profile(fan).entries
     assert len(entries) == 3
-    shared = _bracket(fan.law, fan.mu[0], recs[0], recs[1]) + _bracket(
-        fan.law, fan.mu[1], recs[1], recs[2])
+    e = [z.q + pressure_potential(fan.law, rho) - pressure(fan.law, rho) for rho, z in recs]
+    shared = sum(plane_bracket(fan.mu[i], e[i], e[i + 1], recs[i][1].F[1], recs[i + 1][1].F[1])
+                 for i in range(2))
     assert sign(entries[0][0] - fan.mu[0]) == 0 and sign(entries[0][1] - shared) == 0
     assert isinstance(beats_selfsimilar(fan), VerificationReport)
 
@@ -350,6 +352,38 @@ def test_fan_json_roundtrip():
     assert fan_to_json(back) == data
     report = verify_fan(back)
     assert report.passed
+
+
+@settings(max_examples=15, deadline=None)
+@given(num=st.integers(1, 9), den=st.integers(1, 9), gamma=st.sampled_from(["2/1", "3/2"]),
+       bent=st.sampled_from([None, "q", "F"]), region=st.integers(0, 2))
+@example(num=1, den=1, gamma="2/1", bent=None, region=0)
+@example(num=1, den=1, gamma="3/2", bent=None, region=0)
+def test_cached_fan_quantities_match_a_rebuilt_fan(num, den, gamma, bent, region):
+    # a fan computes its records, brackets and profile once; a rebuilt fan
+    # that computes them afresh gives the same reports and profile, and the
+    # cache changes neither equality nor hash
+    data = {**fan_to_json(_scaled_fan(paper_example(), Rational(num, den))), "gamma": gamma}
+    if bent == "q":
+        data["regions"][region]["q"] = "1/3"
+    elif bent == "F":
+        data["regions"][region]["F"][1] = "-1/1"
+    fan = fan_from_json(data)
+    reports = verify_fan(fan).to_dict(), beats_selfsimilar(fan).to_dict()
+    profile = fan_dissipation_profile(fan)
+    records = fan.records()
+    rebuilt = fan_from_json(fan_to_json(fan))
+    assert rebuilt == fan and hash(rebuilt) == hash(fan)
+    assert (verify_fan(rebuilt).to_dict(), beats_selfsimilar(rebuilt).to_dict()) == reports
+    assert fan_dissipation_profile(rebuilt) == profile
+    assert rebuilt == fan and hash(rebuilt) == hash(fan)
+    # records() hands out a copy: changing it changes no later verdict
+    mutated = fan.records()
+    mutated.reverse()
+    mutated[0] = (Rational(1), mutated[0][1])
+    assert fan.records() == records
+    assert (verify_fan(fan).to_dict(), beats_selfsimilar(fan).to_dict()) == reports
+    assert fan_dissipation_profile(fan) == profile
 
 
 # find_Q(paper_example()) as recorded before the cap-independent hull geometry

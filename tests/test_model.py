@@ -64,11 +64,16 @@ def test_pressure_law_rejects_non_rational_gamma():
 
 
 def test_pressure_law_bounds_gamma_terms():
-    # numerator and denominator at most 10^4, in lowest terms
-    for gamma in (Rational(10 ** 4), Rational(10 ** 4, 9999), Rational(2 * 10 ** 4, 2 * 9999)):
+    # numerator and denominator at most 10^4 in lowest terms, and at most
+    # 300 when the denominator is above 2
+    for gamma in (Rational(10 ** 4), Rational(9999, 2), Rational(2 * 9999, 2 * 2),
+                  Rational(300, 299), Rational(2 * 300, 2 * 299), Rational(300, 7)):
         assert PressureLaw(gamma).gamma == gamma
     for gamma in (Rational(10 ** 4 + 1), Rational(10 ** 4 + 1, 10 ** 4), Rational(10 ** 40)):
         with pytest.raises(GammaOutOfRange, match="at most 10000"):
+            PressureLaw(gamma)
+    for gamma in (Rational(301, 300), Rational(301, 3), Rational(10 ** 4, 9999)):
+        with pytest.raises(GammaOutOfRange, match="denominator above 2, .* at most 300$"):
             PressureLaw(gamma)
     # a gamma below 1 is malformed however large its terms
     with pytest.raises(ValueError, match="gamma must be >= 1"):

@@ -1,11 +1,13 @@
-"""An independent oracle for ``verify_fan``: every condition recomputed in
-sympy from the fan's JSON alone.
+"""An independent oracle for ``verify_fan`` and for the plane conditions of
+``beats_selfsimilar``: every condition recomputed in sympy from the fan's
+JSON alone.
 
 The oracle transcribes the conditions from their definitions and shares no
 code with ``wildfan``: it reads a fan as ``fan_to_json`` writes it, lifts
-the boundary states, and decides each condition with sympy.  The tests
-then ask ``verify_fan`` for its verdicts on the same JSON and require the
-same status for every condition name.
+the boundary states, and decides each condition with sympy.  The comparison
+oracle reads the reference profile too, as ``selfsim_dissipation`` gives
+it.  The tests then ask ``wildfan`` for its verdicts on the same JSON and
+require the same status for every condition name.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import pytest
 import sympy as sp
 from test_search import _STRONG_SEEDS, _shock
 
-from wildfan.exactnum import QuadExt, Rational
-from wildfan.fan import fan_from_json, fan_to_json, paper_example, verify_fan
+from wildfan.exactnum import QuadExt, Rational, xreal_to_json
+from wildfan.fan import beats_selfsimilar, fan_from_json, fan_to_json, paper_example, verify_fan
 from wildfan.model import EulerState, PressureLaw
+from wildfan.riemann import selfsim_dissipation, solve_riemann
 from wildfan.search import SearchConfig, search_fan
 
 
@@ -49,18 +52,13 @@ def _sign(x) -> int:
     return 1 if value > 0 else -1
 
 
-def _oracle(data: dict) -> dict[str, str]:
-    """{condition name: "Pass" or "Fail"} of the fan ``data``.
-
-    With p = rho^gamma, P = rho^gamma / (gamma - 1), E = q + P - p, jumps
-    [X] = X_left - X_right across the plane y = mu t and
-    M = m (x) m / rho - U + (p - q) I with U = ((u11, u12), (u12, -u11)):
-    the speeds increase; each plane carries [rho] mu = [m2],
-    [m1] mu = [u12], [m2] mu = [-u11 + q] and -mu [E] + [F2] >= 0; and M is
-    negative definite in each region, trace M < 0 and det M > 0.  A
-    boundary state (rho, m) lifts to q = |m|^2/(2 rho) + p,
-    U = m (x) m / rho - |m|^2/(2 rho) I and F = (q + P) m / rho.
-    """
+def _records(data: dict):
+    """(mu, records) of the fan ``data``: its four speeds and the five
+    records from left to right, each a dict of rho, m1, m2, u11, u12, q,
+    F2, p and E, with p = rho^gamma, P = rho^gamma / (gamma - 1) and
+    E = q + P - p.  A boundary state (rho, m) lifts to
+    q = |m|^2/(2 rho) + p, U = m (x) m / rho - |m|^2/(2 rho) I and
+    F = (q + P) m / rho."""
     gamma = sp.Rational(data["gamma"])
     assert gamma > 1
 
@@ -87,8 +85,19 @@ def _oracle(data: dict) -> dict[str, str]:
                               _number(r["u11"]), _number(r["u12"]), _number(r["q"]),
                               [_number(v) for v in r["F"]]))
     records.append(boundary(data["right"]))
-    mu = [_number(v) for v in data["mu"]]
+    return [_number(v) for v in data["mu"]], records
 
+
+def _oracle(data: dict) -> dict[str, str]:
+    """{condition name: "Pass" or "Fail"} of the fan ``data``.
+
+    With jumps [X] = X_left - X_right across the plane y = mu t and
+    M = m (x) m / rho - U + (p - q) I with U = ((u11, u12), (u12, -u11)):
+    the speeds increase; each plane carries [rho] mu = [m2],
+    [m1] mu = [u12], [m2] mu = [-u11 + q] and -mu [E] + [F2] >= 0; and M is
+    negative definite in each region, trace M < 0 and det M > 0.
+    """
+    mu, records = _records(data)
     verdicts = {}
 
     def check(name, value, signs):
@@ -114,6 +123,53 @@ def _oracle(data: dict) -> dict[str, str]:
         check(f"subsolution_trace[{i}]", n11 + n22, {-1})
         check(f"subsolution_det[{i}]", n11 * n22 - n12 * n12, {1})
     return verdicts
+
+
+def _comparison_oracle(data: dict, reference) -> dict[str, str]:
+    """{condition name: "Pass" or "Fail"} of the plane conditions of the
+    fan ``data`` against ``reference``, the (speed, coefficient) pairs of
+    the self-similar profile, written as ``fan_to_json`` writes numbers.
+
+    The fan's coefficient on the plane y = mu t is -mu [E] + [F2] across
+    it, added over planes of one speed.  Each reference plane, by
+    increasing speed, is covered when a fan plane has its speed; where it
+    is, its margin, the fan's coefficient less the reference's, must be
+    positive.  A plane is named by its speed to six significant digits."""
+    mu, records = _records(data)
+    planes = []
+    for i in range(4):
+        a, b = records[i], records[i + 1]
+        coeff = -mu[i] * (a["E"] - b["E"]) + (a["F2"] - b["F2"])
+        same = [plane for plane in planes if _sign(plane[0] - mu[i]) == 0]
+        if same:
+            same[0][1] += coeff
+        else:
+            planes.append([mu[i], coeff])
+    covers, margins = {}, {}
+    for speed, ref_coeff in sorted(((_number(s), _number(c)) for s, c in reference),
+                                   key=lambda plane: plane[0].evalf(30)):
+        tag = f"{float(speed.evalf(30)):.6g}"
+        coeffs = [c for s, c in planes if _sign(s - speed) == 0]
+        covers[f"covers_plane[{tag}]"] = "Pass" if coeffs else "Fail"
+        if coeffs:
+            margins[f"strict_margin[{tag}]"] = "Pass" if _sign(coeffs[0] - ref_coeff) == 1 \
+                else "Fail"
+    return {**covers, **margins}
+
+
+def _assert_comparison_agrees(data: dict) -> dict[str, str]:
+    """The comparison oracle on ``data`` against ``selfsim_dissipation``
+    of its Riemann data, checked name by name against
+    ``beats_selfsimilar``; returns the oracle's verdicts."""
+    fan = fan_from_json(data)
+    reference = selfsim_dissipation(fan.law, solve_riemann(fan.law, fan.left, fan.right))
+    oracle = _comparison_oracle(
+        data, [(xreal_to_json(s), xreal_to_json(c)) for s, c in reference.entries])
+    assert oracle
+    report = beats_selfsimilar(fan).to_dict()
+    assert [(c["name"], c["status"]) for c in report["conditions"]
+            if c["name"].startswith(("covers_plane[", "strict_margin["))] == list(oracle.items())
+    return oracle
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +204,28 @@ def test_oracle_agrees_with_verify_fan(case, fails):
     assert [c["name"] for c in report["conditions"]] == list(oracle)
 
 
+@pytest.mark.parametrize("case, fails", [
+    ("paper", []),
+    # half a unit of flux moved from the shock plane to the first plane:
+    # still admissible, but the shock plane's margin is lost
+    ("paper, flux moved", ["strict_margin[-1.11803]"]),
+    ("searched", []),
+])
+def test_comparison_oracle_agrees_with_beats_selfsimilar(case, fails):
+    if case == "paper, flux moved":
+        data = fan_to_json(paper_example())
+        F = data["regions"][0]["F"]
+        F[1] = str(Fraction(F[1]) - Fraction(1, 2))
+    else:
+        data = _fan_json(case)
+    oracle = _assert_comparison_agrees(data)
+    assert [name for name, status in oracle.items() if status == "Fail"] == fails
+
+
 def _assert_oracle_passes_searched_fan(rho_l, ratio, rng_seed):
     """The fan search_fan certifies on rho_l -> ratio rho_l passes every
-    condition of the oracle, as verify_fan says."""
+    condition of the oracle and of the comparison oracle, as verify_fan
+    and beats_selfsimilar say."""
     cand = search_fan(PressureLaw(gamma=2), *_shock(rho_l, ratio),
                       SearchConfig(restarts=8, rng_seed=rng_seed))
     assert cand is not None and cand.fan is not None
@@ -159,6 +234,7 @@ def _assert_oracle_passes_searched_fan(rho_l, ratio, rng_seed):
     assert "Fail" not in oracle.values()
     report = verify_fan(fan_from_json(data)).to_dict()
     assert {c["name"]: c["status"] for c in report["conditions"]} == oracle
+    assert "Fail" not in _assert_comparison_agrees(data).values()
 
 
 @pytest.mark.parametrize("rho_l", sorted(_STRONG_SEEDS), ids=str)
