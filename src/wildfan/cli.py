@@ -77,10 +77,28 @@ def _print_table(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {_pretty(value)}")
 
 
-def _load_json(path: str) -> dict:
+# JSON's names for the values that are not objects
+_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _load_json(path: str, command: str, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in ``path``; any other JSON value, or an object
+    without one of ``keys``, is a parse error that names what is wrong."""
     # _str_int reads JSON integers longer than the int-to-str digit limit
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_str_int)
+        data = json.load(fh, parse_int=_str_int)
+    if not isinstance(data, dict):
+        raise ValueError(f"{command} input must be a JSON object, got "
+                         f"{_JSON_TYPES.get(type(data), 'a number')}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{command} input is missing {', '.join(map(repr, missing))}: "
+                         f"it needs the keys {', '.join(keys)}")
+    return data
+
+
+# the top-level keys of a Riemann problem, which riemann and search read
+_RIEMANN_KEYS = ("gamma", "left", "right")
 
 
 def _riemann_inputs(data: dict):
@@ -124,8 +142,7 @@ def _cmd_verify_example(args) -> int:
 def _cmd_riemann(args) -> int:
     from .riemann import VacuumFormation, selfsim_dissipation, solve_riemann
 
-    data = _load_json(args.file)
-    law, left, right = _riemann_inputs(data)
+    law, left, right = _riemann_inputs(_load_json(args.file, "riemann", _RIEMANN_KEYS))
     try:
         sol = solve_riemann(law, left, right)
     except VacuumFormation as exc:
@@ -149,8 +166,8 @@ def _cmd_riemann(args) -> int:
 def _cmd_verify_fan(args) -> int:
     from .fan import fan_dissipation_profile, fan_from_json, verify_fan
 
-    data = _load_json(args.file)
-    fan = fan_from_json(data)
+    fan = fan_from_json(_load_json(args.file, "verify-fan",
+                                   ("gamma", "mu", "left", "right", "regions")))
     report = verify_fan(fan)
     payload = {
         "command": "verify-fan",
@@ -165,7 +182,7 @@ def _cmd_search(args) -> int:
     from .fan import fan_to_json
     from .search import SearchConfig, search_fan
 
-    data = _load_json(args.file)
+    data = _load_json(args.file, "search", _RIEMANN_KEYS)
     law, left, right = _riemann_inputs(data)
     cfg_data = dict(data.get("config", {}))
     if args.seed is not None:
@@ -214,13 +231,11 @@ def _shown(value):
     return value
 
 
-def _oscillate_config(data) -> tuple[float, float, list, int]:
-    """(tau1, delta, ks, grid) of an oscillate file; anything but JSON
+def _oscillate_config(data: dict) -> tuple[float, float, list, int]:
+    """(tau1, delta, ks, grid) of an oscillate object; anything but JSON
     numbers, a delta of at least _DELTA_MIN, a non-empty list of integer
     ks from 1 to _K_MAX and an integer grid from 2 to _GRID_MAX is a parse
     error."""
-    if not isinstance(data, dict):
-        raise ValueError("oscillate input must be a JSON object")
     unknown = sorted(set(data) - {"tau1", "delta", "ks", "grid"})
     if unknown:
         raise ValueError(f"unknown oscillate keys {unknown}; allowed: tau1, delta, ks, grid")
@@ -245,7 +260,7 @@ def _oscillate_config(data) -> tuple[float, float, list, int]:
 def _cmd_oscillate(args) -> int:
     from .hull import split_flux_direction, w_flux_vertices
 
-    tau1, delta, ks, grid_n = _oscillate_config(_load_json(args.file))
+    tau1, delta, ks, grid_n = _oscillate_config(_load_json(args.file, "oscillate"))
     # canonical laminate: the two ends of the isotropic vertex-flux point's split
     law = PressureLaw(gamma=2)
     rho, Q = Rational(1), Rational(4)

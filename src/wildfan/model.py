@@ -141,7 +141,10 @@ class PressureLaw(Record):
 
 
 class EulerState(Record):
-    """Classical state (rho, m); vacuum excluded."""
+    """Classical state (rho, m); vacuum excluded.
+
+    ``lift_state`` keeps the state's lift on it; the lift is not a field,
+    so equality, hash and repr ignore it."""
 
     rho: XReal
     m: tuple[XReal, XReal]
@@ -256,7 +259,20 @@ def lift_state(law: PressureLaw, state: EulerState) -> tuple[PHPoint, XReal]:
     F = (q + P)/rho * m; E = q + P - p.  The lifted point realizes the
     Euler nonlinearity exactly, so it lies in the constitutive set for any
     cap Q >= q.
+
+    A state is lifted once per law: the state keeps its last lift and the
+    law it was taken under, and lifting it again under an equal law
+    returns the same pair.  The lift is not a field, so the state's
+    equality, hash and repr ignore it.
     """
+    memo = state.__dict__.get("_lift")
+    if memo is None or memo[0] != law:
+        memo = state.__dict__["_lift"] = (law, _lift(law, state))
+    return memo[1]
+
+
+def _lift(law: PressureLaw, state: EulerState) -> tuple[PHPoint, XReal]:
+    """``lift_state``, computed."""
     rho, (m1, m2) = state.rho, state.m
     p = pressure(law, rho)
     P = pressure_potential(law, rho)

@@ -167,6 +167,40 @@ def test_missing_field_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "must be a JSON object, got an array"),
+    ('"x"', "must be a JSON object, got a string"),
+    ("3", "must be a JSON object, got a number"),
+    ("null", "must be a JSON object, got null"),
+    ("{}", "is missing 'gamma', "),
+], ids=["array", "string", "number", "null", "empty-object"])
+@pytest.mark.parametrize("command", ["riemann", "verify-fan", "search"])
+def test_top_level_json_must_be_an_object_with_the_keys(tmp_path, capsys, command, text, message):
+    # checked where the file is read: Python's own messages ("list indices
+    # must be integers or slices, not str", "error: 'gamma'") used to be the
+    # report
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {command} input ") and message in err
+    assert "subscriptable" not in err and "indices" not in err
+
+
+def test_missing_keys_are_named(tmp_path, capsys):
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps({"gamma": "2/1", "left": {}}))
+    assert run(["search", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: search input is missing 'right': it needs the keys gamma, left, right\n"
+    fan = fan_to_json(paper_example())
+    del fan["mu"], fan["regions"]
+    path.write_text(json.dumps(fan))
+    assert run(["verify-fan", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: verify-fan input is missing 'mu', 'regions': "
+                                       "it needs the keys gamma, mu, left, right, regions\n")
+
+
 def test_oscillate_csv(tmp_path, capsys):
     cfgf = tmp_path / "osc.json"
     cfgf.write_text(json.dumps({"tau1": 0.4, "delta": 0.02, "ks": [8],

@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wildfan.exactnum import IntervalExpr, QuadExt, Rational, sign
+from wildfan.exactnum import IntervalExpr, QuadExt, Rational, adjoin_sqrt, sign
 from wildfan.fan import ConditionResult, Status
 from wildfan.model import (
     EulerState,
@@ -20,6 +22,8 @@ from wildfan.model import (
     lift_state,
     pressure,
     pressure_potential,
+    state_from_json,
+    state_to_json,
 )
 from wildfan.riemann import Shock, Slip
 from wildfan.search import Candidate, SearchConfig
@@ -238,3 +242,65 @@ def test_candidates_from_equal_arrays_compare_and_hash_equal():
     assert a.x == (0.5, 1.5) and type(a.x[0]) is float
     assert a != cand(np.array([0.5, 2.5]))
     assert a.to_dict()["margins"] == {"mu0": 0.25}
+
+
+# ---------------------------------------------------------------------------
+# each state keeps its lift, per law
+# ---------------------------------------------------------------------------
+
+_FRACTIONS = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16)
+# a momentum component is rational, or a tower number: a rational times the
+# square root of a rational that need not be a square
+_COMPONENTS = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=8).map(Rational),
+    st.tuples(_FRACTIONS, _FRACTIONS).map(lambda c: Rational(c[0]) * adjoin_sqrt(Rational(c[1]))))
+_STATES = st.builds(lambda rho, m1, m2: EulerState(Rational(rho), (m1, m2)),
+                    _FRACTIONS, _COMPONENTS, _COMPONENTS)
+# tower powers (2, 3/2), interval powers and roots (5/3), and rho log rho (1)
+_LAWS = st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(1)]).map(PressureLaw)
+
+
+def _fresh(state):
+    return EulerState(state.rho, state.m)
+
+
+def _values(lifted):
+    """The lift's seven components and energy; an interval value, which
+    compares equal only to itself, as the double nearest it."""
+    z, E = lifted
+    return tuple(v if v.is_exact else float(v) for v in (*z.components(), E))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATES)
+def test_a_state_lifted_under_two_laws_gets_each_laws_lift(state):
+    # gamma = 2 and 5/3 give different q (rho != 1) or E (rho = 1), so a
+    # state that handed one law's lift to the other would fail this
+    law2, law53 = PressureLaw(2), PressureLaw(Fraction(5, 3))
+    assert _values(lift_state(law2, _fresh(state))) != _values(lift_state(law53, _fresh(state)))
+    for law in (law2, law53, law2, law53, PressureLaw(Rational(2))):
+        assert _values(lift_state(law, state)) == _values(lift_state(law, _fresh(state)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATES, _LAWS, _LAWS)
+def test_a_kept_lift_changes_no_equality_hash_or_repr(state, law, other):
+    twin, shown, hashed = _fresh(state), repr(state), hash(state)
+    lift_state(law, state)
+    lift_state(other, twin)
+    assert state == twin and twin == state and len({state, twin}) == 1
+    assert hash(state) == hash(twin) == hashed
+    assert repr(state) == repr(twin) == shown
+    assert state._astuple() == twin._astuple()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATES, _LAWS)
+def test_a_kept_lift_equals_a_fresh_lift(state, law):
+    first = lift_state(law, state)
+    assert lift_state(law, state) is first  # asked again: kept, not computed
+    assert _values(first) == _values(lift_state(law, _fresh(state)))
+    # a state read back from its JSON is equal and lifts to an equal result
+    parsed = state_from_json(state_to_json(state))
+    assert parsed == state
+    assert _values(lift_state(law, parsed)) == _values(first)

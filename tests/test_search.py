@@ -31,7 +31,7 @@ from wildfan.fan import (
 from wildfan.hull import matrix_M
 from wildfan.model import (EulerState, PHPoint, PressureLaw, lift_state, pressure,
                              pressure_potential)
-from wildfan.riemann import plane_bracket, selfsim_dissipation, solve_riemann
+from wildfan.riemann import Shock, plane_bracket, selfsim_dissipation, solve_riemann
 from wildfan.search import (
     _MARGINS,
     _MAX_ITERS,
@@ -576,6 +576,45 @@ def test_a_restart_that_reaches_the_cap_gives_way():
     cand = search_fan(LAW2, *shock, SearchConfig(restarts=8, rng_seed=455500))
     assert cand is not None and cand.seed == 455502
     assert cand.fan is not None and cand.comparison.passed
+
+
+def _gamma_shock(law, rho_r):
+    """Exact single-shock data rho 1 -> rho_r under ``law``, v_r = 0 and
+    v_l^2 = (p_r - 1)(rho_r - 1)/rho_r; rho_r is a square where gamma's
+    denominator is 2, so that p_r is rational."""
+    rho_r = Rational(rho_r)
+    p_r = pressure(law, rho_r)
+    assert p_r.is_rational()
+    left = EulerState(1, (Rational(0), adjoin_sqrt((p_r - 1) * (rho_r - 1) / rho_r)))
+    right = EulerState(rho_r, (Rational(0), Rational(0)))
+    sol = solve_riemann(law, left, right)
+    assert sol.exact and [type(w) for w in sol.waves] == [Shock]
+    return left, right
+
+
+@pytest.mark.parametrize("gamma, rho_r", [
+    (1, Fraction(5, 4)), (1, 4),
+    (Fraction(3, 2), Fraction(9, 4)), (Fraction(3, 2), 4), (Fraction(5, 2), Fraction(9, 4)),
+], ids=lambda v: str(v))
+def test_search_certifies_off_gamma_2(gamma, rho_r):
+    # the ansatz dominates below gamma = 3: a weak and a strong shock at
+    # gamma = 1, where P = rho log rho, and square-density data at 3/2 and
+    # 5/2, where rho^gamma of a tower density is an interval value
+    law = PressureLaw(gamma)
+    cand = search_fan(law, *_gamma_shock(law, rho_r), SearchConfig(restarts=8, rng_seed=0))
+    assert cand is not None and cand.fan is not None and cand.comparison.passed
+
+
+def test_search_misses_at_gamma_3():
+    # at gamma = 3 the float dominance ceiling of the four-variable reduction
+    # is below 1e-13 at every ratio tried: 64 restarts find no candidate
+    law = PressureLaw(3)
+    cand = search_fan(law, *_gamma_shock(law, 2), SearchConfig(restarts=64, rng_seed=0))
+    assert cand is None, (
+        f"finding: a certified fan at gamma = 3 on rho 1 -> 2 (restart {cand.seed}), where "
+        f"the float ceiling is below 1e-13" if cand.fan is not None else
+        f"a float candidate at gamma = 3 on rho 1 -> 2 (restart {cand.seed}) that does not "
+        f"certify")
 
 
 # ---------------------------------------------------------------------------
