@@ -27,11 +27,13 @@ from .exactnum import (
     Rational,
     _basis_radicands,
     _is_int,
+    _shown,
     _str_int,
     xreal_from_json,
     xreal_to_json,
 )
-from .model import GammaOutOfRange, PHPoint, PressureLaw, state_from_json, state_to_json
+from .model import (GammaOutOfRange, PHPoint, PressureLaw, _json_object, state_from_json,
+                    state_to_json)
 
 __all__ = ["main", "run"]
 
@@ -77,24 +79,12 @@ def _print_table(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {_pretty(value)}")
 
 
-# JSON's names for the values that are not objects
-_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
-
-
 def _load_json(path: str, command: str, keys: tuple[str, ...] = ()) -> dict:
     """The JSON object in ``path``; any other JSON value, or an object
     without one of ``keys``, is a parse error that names what is wrong."""
     # _str_int reads JSON integers longer than the int-to-str digit limit
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_int=_str_int)
-    if not isinstance(data, dict):
-        raise ValueError(f"{command} input must be a JSON object, got "
-                         f"{_JSON_TYPES.get(type(data), 'a number')}")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ValueError(f"{command} input is missing {', '.join(map(repr, missing))}: "
-                         f"it needs the keys {', '.join(keys)}")
-    return data
+        return _json_object(json.load(fh, parse_int=_str_int), f"{command} input", keys)
 
 
 # the top-level keys of a Riemann problem, which riemann and search read
@@ -103,7 +93,7 @@ _RIEMANN_KEYS = ("gamma", "left", "right")
 
 def _riemann_inputs(data: dict):
     law = PressureLaw(gamma=xreal_from_json(data["gamma"]))
-    return law, state_from_json(data["left"]), state_from_json(data["right"])
+    return law, state_from_json(data["left"], "left"), state_from_json(data["right"], "right")
 
 
 def _profile_json(profile) -> list:
@@ -184,7 +174,11 @@ def _cmd_search(args) -> int:
 
     data = _load_json(args.file, "search", _RIEMANN_KEYS)
     law, left, right = _riemann_inputs(data)
-    cfg_data = dict(data.get("config", {}))
+    cfg_data = dict(_json_object(data.get("config", {}), "search config"))
+    unknown = sorted(set(cfg_data) - set(SearchConfig._fields))
+    if unknown:
+        raise ValueError(f"unknown search config keys {unknown}; allowed: "
+                         f"{', '.join(SearchConfig._fields)}")
     if args.seed is not None:
         cfg_data["rng_seed"] = args.seed
     cfg = SearchConfig(**cfg_data)
@@ -216,19 +210,6 @@ def _cmd_search(args) -> int:
 _GRID_MAX = 128
 _DELTA_MIN = 1e-12
 _K_MAX = 2 ** 53
-
-
-def _shown(value):
-    """A JSON value as a parse error shows it: each integer past _K_MAX, in
-    lists and objects too, as its bit length, since Python writes no int of
-    more than 4,300 digits as a string."""
-    if isinstance(value, list):
-        return [_shown(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _shown(v) for k, v in value.items()}
-    if _is_int(value) and abs(value) > _K_MAX:
-        return f"<{value.bit_length()}-bit integer>"
-    return value
 
 
 def _oscillate_config(data: dict) -> tuple[float, float, list, int]:

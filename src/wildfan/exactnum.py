@@ -1020,12 +1020,25 @@ def xreal_from_json(obj) -> XReal:
     if isinstance(obj, dict) and set(obj) == {"d", "c"}:
         d, c = obj["d"], obj["c"]
         if not (isinstance(d, list) and all(_is_int(r) for r in d)):
-            raise ValueError(f"tower radicands must be a list of JSON integers, got {d!r}")
+            raise ValueError(f"tower radicands must be a list of JSON integers, got {_shown(d)!r}")
         if not (isinstance(c, list) and all(_is_int(x) or isinstance(x, str) for x in c)):
             raise ValueError(f"tower coefficients must be a list of JSON integers "
-                             f"or \"p/q\" strings, got {c!r}")
+                             f"or \"p/q\" strings, got {_shown(c)!r}")
         return QuadExt(d, [_fraction(x) for x in c])
-    raise ValueError(f"not an XReal encoding: {obj!r}")
+    raise ValueError(f"not an XReal encoding: {_shown(obj)!r}")
+
+
+def _shown(value):
+    """A JSON value as a parse error shows it: each integer past 2**53, in
+    lists and objects too, as its bit length, since Python writes no int of
+    more than 4,300 digits as a string."""
+    if isinstance(value, list):
+        return [_shown(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _shown(v) for k, v in value.items()}
+    if _is_int(value) and abs(value) > 2 ** 53:
+        return f"<{value.bit_length()}-bit integer>"
+    return value
 
 
 def _is_int(obj) -> bool:

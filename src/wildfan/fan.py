@@ -38,8 +38,8 @@ from .exactnum import (
 )
 from .hull import NotInV, WDecomposition, WGeometry, matrix_M
 from .model import (
-    EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, _pair, lift_state, pressure,
-    pressure_potential, state_from_json, state_to_json,
+    EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, _json_array, _json_object,
+    _pair, lift_state, pressure, pressure_potential, state_from_json, state_to_json,
 )
 from .riemann import (
     DissipationProfile, SelfSimilarSolution, plane_bracket, selfsim_dissipation, solve_riemann,
@@ -484,12 +484,14 @@ def fan_to_json(fan: FanSubsolution) -> dict:
 
 def fan_from_json(data: dict) -> FanSubsolution:
     law = PressureLaw(gamma=xreal_from_json(data["gamma"]))
-    left, right = state_from_json(data["left"]), state_from_json(data["right"])
-    mu = tuple(xreal_from_json(m) for m in data["mu"])
+    left, right = state_from_json(data["left"], "left"), state_from_json(data["right"], "right")
+    mu = tuple(xreal_from_json(m) for m in _json_array(data["mu"], "mu", "numbers"))
     regions = []
-    for reg in data["regions"]:
-        z = PHPoint(_pair(reg["m"], "m"),
+    for i, reg in enumerate(_json_array(data["regions"], "regions", "region objects")):
+        name = f"regions[{i}]"
+        reg = _json_object(reg, name, ("rho", "m", "u11", "u12", "q", "F"))
+        z = PHPoint(_pair(reg["m"], f"{name} m"),
                     xreal_from_json(reg["u11"]), xreal_from_json(reg["u12"]),
-                    xreal_from_json(reg["q"]), _pair(reg["F"], "F"))
+                    xreal_from_json(reg["q"]), _pair(reg["F"], f"{name} F"))
         regions.append((xreal_from_json(reg["rho"]), z))
     return FanSubsolution(law, mu, left, right, tuple(regions))

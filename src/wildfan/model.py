@@ -15,6 +15,7 @@ from .exactnum import (
     Rational,
     XReal,
     _iroot_floor,
+    _shown,
     adjoin_sqrt,
     as_xreal,
     sign,
@@ -161,14 +162,44 @@ def state_to_json(state: EulerState) -> dict:
     return {"rho": xreal_to_json(state.rho), "m": [xreal_to_json(c) for c in state.m]}
 
 
+# JSON's names for its kinds of value
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               type(None): "null"}
+
+
+def _json_array(data, name: str, of: str) -> list:
+    """``data`` if it is a JSON array; else a parse error (ValueError) that
+    names ``name`` and says that it needs an array ``of``."""
+    if not isinstance(data, list):
+        raise ValueError(f"{name} must be a JSON array of {of}, got "
+                         f"{_JSON_TYPES.get(type(data), 'a number')}")
+    return data
+
+
+def _json_object(data, name: str, keys: tuple[str, ...] = ()) -> dict:
+    """``data`` if it is a JSON object with each of ``keys``; else a parse
+    error (ValueError) that names ``name`` and says what it needs."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got "
+                         f"{_JSON_TYPES.get(type(data), 'a number')}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{name} is missing {', '.join(map(repr, missing))}: "
+                         f"it needs the keys {', '.join(keys)}")
+    return data
+
+
 def _pair(data, name: str) -> tuple[XReal, XReal]:
     if not isinstance(data, list) or len(data) != 2:
-        raise ValueError(f"{name} must be a list of two numbers, got {data!r}")
+        raise ValueError(f"{name} must be a list of two numbers, got {_shown(data)!r}")
     return xreal_from_json(data[0]), xreal_from_json(data[1])
 
 
-def state_from_json(data: dict) -> EulerState:
-    return EulerState(xreal_from_json(data["rho"]), _pair(data["m"], "m"))
+def state_from_json(data, name: str = "state") -> EulerState:
+    """The state of a JSON object {"rho": ..., "m": [..., ...]}; ``name``
+    names it in a parse error."""
+    data = _json_object(data, name, ("rho", "m"))
+    return EulerState(xreal_from_json(data["rho"]), _pair(data["m"], f"{name} m"))
 
 
 class PHPoint(Record):

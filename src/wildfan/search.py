@@ -13,17 +13,17 @@ decide dominance: the speed gaps d0, d2, d3 around the matched plane and
 the first density.  Given them, each region is negative definite exactly
 when one quantity c_i is positive and its q_i clears a bound, and the
 matched bracket falls in each q_i and in each outer bracket, so the other
-six variables take their best values in closed form (``_fill``).
+six variables take their best values in closed form.
 
 A restart is one Nelder-Mead phase over z = (ln d0, ln d2, ln d3, ln rho1),
 from a start drawn by ``random.Random(rng_seed + restart)`` near the
-weak-shock optimum.  Each evaluation fills in the ten-variable point and
-runs one pass of one kernel (``_kernel``): it closes the point, takes each
-region's pressure power once for its margins and energy, sets the fluxes
-from the bracket coordinates and brackets the four planes, and returns the
-dominance surplus, the margins and the fluxes.  The phase ends at its first
-point with positive surplus, every c_i above a gap and every margin
-positive, or after 150 iterations.
+weak-shock optimum.  Each evaluation runs one pass of one kernel
+(``_kernel``): it closes the point once, at q = 0, fills in the other six
+variables, takes each region's pressure power once, and returns the score,
+the dominance surplus and the ten variables.  The phase ends at its first
+point with a negative score (positive surplus and every c_i above a gap),
+or after 150 iterations.  No float copy of the exact conditions screens
+that point: exact certification alone decides every strict inequality.
 
 The optimizer is this module's adaptive Nelder-Mead (``minimize``) on
 Python float lists: it reproduces scipy 1.17.1's, float for float, without
@@ -87,25 +87,21 @@ _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32"
 
 
 class Candidate(Record):
-    """Float candidate: free variables and their margins, and, on the
-    candidate ``search_fan`` returns once it certified, the exact fan built
-    from it with its comparison against the self-similar solution."""
+    """Float candidate: its free variables and, on the candidate
+    ``search_fan`` returns once it certified, the exact fan built from them
+    with its comparison against the self-similar solution."""
 
     law: PressureLaw
     left: EulerState
     right: EulerState
     sigma: float
     x: tuple[float, ...]
-    margins: tuple[tuple[str, float], ...]
-    feasible: bool
     seed: int | None
     fan: FanSubsolution | None
     comparison: VerificationReport | None
 
-    def __init__(self, law, left, right, sigma, x, margins=(), feasible=False,
-                 seed=None, fan=None, comparison=None):
-        super().__init__(law, left, right, sigma, tuple(map(float, x)), tuple(margins),
-                         feasible, seed, fan, comparison)
+    def __init__(self, law, left, right, sigma, x, seed=None, fan=None, comparison=None):
+        super().__init__(law, left, right, sigma, tuple(map(float, x)), seed, fan, comparison)
 
     def to_dict(self) -> dict:
         """Reproducibility dump: seed, pinned speed, free variables."""
@@ -113,8 +109,6 @@ class Candidate(Record):
             "seed": self.seed,
             "sigma": self.sigma,
             "variables": {name: float(v) for name, v in zip(_VAR_NAMES, self.x)},
-            "margins": {k: float(v) for k, v in self.margins},
-            "feasible": self.feasible,
         }
 
 
@@ -177,7 +171,7 @@ def chain_close(minus, plus, mu, rho1, q123):
 
 
 # ---------------------------------------------------------------------------
-# the float kernel and the two phase objectives
+# the float kernel and the search objective
 # ---------------------------------------------------------------------------
 
 class _Problem:
@@ -210,77 +204,16 @@ class _Problem:
         self.f_m, self.e_m, self.f_p, self.e_p = map(float, (z_m.F[1], e_m, z_p.F[1], e_p))
 
 
-# Margin names, in the order the float kernel returns the margins.
-_MARGINS = ("ord0", "ord1", "ord2", "rho1", "rho2", "rho3", "trace1", "det1",
-            "trace2", "det2", "trace3", "det3", "rh4_0", "rh4_1", "rh4_2", "rh4_3")
-
-# The optimizer works in "bracket coordinates": the three energy-flux
-# fluxes are replaced by the bracket values on the outer planes, which
-# makes the dominance target a directly controlled quantity.  The total
-# plane-dissipation budget is fixed by the speeds and trace caps alone
-# (the flux chain telescopes), so maximizing the matched-plane bracket
-# means maximizing the budget while the outer brackets sit at the pad.
-#
 # Float sums fold left to right from 0.0 (the kernel's budget, each column
 # of ``minimize``'s centroid), as scipy's add.reduce(sim[:-1], 0) does: it
 # starts each column at add's identity 0.0 (a column of -0.0 sums to +0.0)
 # and adds the rows in order.  The builtin sum() adds so on 3.11 only; from
 # 3.12 it compensates.
 
-def _kernel(prob: _Problem, y):
-    """(surplus, margins, fluxes) at the bracket-coordinate point
-    y (mu0, mu2, mu3, rho1, q1..q3, b0, b2, b3), closed by ``chain_close``
-    with the matched plane at sigma: the dominance surplus, the margins as
-    a tuple in ``_MARGINS`` order (speed ordering, densities, then trace
-    and determinant per region, as -tr M and det M of the region's M, and
-    the energy-flux brackets -mu[E] + [F2] per plane last), and the fluxes
-    (F12, F22, F32) that put the outer-plane brackets at (b0, b2, b3); None
-    when the closure degenerates or a density is not positive.  The last
-    plane moves at the chained mu3.  The region energies are e = q + P - p,
-    with P as ``model.pressure_potential`` defines it, from one power
-    rho ** gamma per region."""
-    mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3 = y
-    sigma = prob.sigma
-    try:
-        rhos, (a1, a2, a3), (u1, u2, u3), mu3_chain, _ = chain_close(
-            prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1, (q1, q2, q3))
-    except DegenerateClosure:
-        return None
-    if min(rhos) <= 0.0:
-        return None
-
-    gamma = prob.gamma
-    r1, r2, r3 = rhos
-    p1, p2, p3 = r1 ** gamma, r2 ** gamma, r3 ** gamma
-    k1, k2, k3 = a1 ** 2 / r1, a2 ** 2 / r2, a3 ** 2 / r3
-    if gamma == 1.0:
-        P1, P2, P3 = r1 * math.log(r1), r2 * math.log(r2), r3 * math.log(r3)
-    else:
-        P1, P2, P3 = p1 / (gamma - 1.0), p2 / (gamma - 1.0), p3 / (gamma - 1.0)
-    e0, e1, e2, e3, e4 = prob.e_m, q1 + P1 - p1, q2 + P2 - p2, q3 + P3 - p3, prob.e_p
-
-    f_m, f_p = prob.f_m, prob.f_p
-    budget = f_m - f_p - (0.0 + mu0 * (e0 - e1) + sigma * (e1 - e2)
-                          + mu2 * (e2 - e3) + mu3 * (e3 - e4))
-    b1 = budget - b0 - b2 - b3
-    f3 = b3 + mu3 * (e3 - e4) + f_p
-    f2 = b2 + mu2 * (e2 - e3) + f3
-    f1 = b1 + sigma * (e1 - e2) + f2
-    matched = plane_bracket(sigma, e1, e2, f1, f2)
-    return (matched - prob.ref_coeff,
-            (sigma - mu0, mu2 - sigma, mu3 - mu2, r1, r2, r3,
-             -(k1 + 2.0 * (p1 - q1)), (-u1 + p1 - q1) * (k1 + u1 + p1 - q1),
-             -(k2 + 2.0 * (p2 - q2)), (-u2 + p2 - q2) * (k2 + u2 + p2 - q2),
-             -(k3 + 2.0 * (p3 - q3)), (-u3 + p3 - q3) * (k3 + u3 + p3 - q3),
-             plane_bracket(mu0, e0, e1, f_m, f1), matched,
-             plane_bracket(mu2, e2, e3, f2, f3), plane_bracket(mu3_chain, e3, e4, f3, f_p)),
-            (f1, f2, f3))
-
-
-def _fill(prob: _Problem, z):
-    """(y, c): the ten-variable point y of the search variables
-    z = (ln d0, ln d2, ln d3, ln rho1), and its least c_i; None when the
-    closure degenerates or a density is not positive.
+def _kernel(prob: _Problem, z):
+    """(score, surplus, x) at the search variables z = (ln d0, ln d2,
+    ln d3, ln rho1); None when the closure degenerates or a density is not
+    positive.
 
     The speeds are mu0 = sigma - d0, mu2 = sigma + d2 and mu3 = mu2 + d3.
     The closure at q = 0 gives each region's rho_i, m_i and v_i = u_i - q_i,
@@ -288,8 +221,17 @@ def _fill(prob: _Problem, z):
     k_i = m_i ** 2 / rho_i, region i has -tr M = 2 q_i - k_i - 2 p_i and
     det M = (p_i - v_i - 2 q_i)(k_i + v_i + p_i), both positive exactly when
     c_i = -(k_i + v_i + p_i) > 0 and 2 q_i > max(k_i + 2 p_i, p_i - v_i).
-    The matched bracket falls in each q_i and in each outer bracket b, so y
-    puts each q_i the pad above its bound and each b at the pad."""
+    The matched bracket falls in each q_i and in each outer bracket, so x,
+    the ten variables (mu0, mu2, mu3, rho1, q1..q3, F12, F22, F32), puts
+    each q_i the pad above its bound and the fluxes where the outer brackets
+    are the pad.  The plane-dissipation budget is fixed by the speeds and
+    the q_i alone (the flux chain telescopes), so the matched bracket is
+    the budget less the three pads.  The region energies are e = q + P - p,
+    with P as ``model.pressure_potential`` defines it, from one power
+    rho ** gamma per region.  The surplus is the matched bracket less
+    ref_coeff, and the score -min(surplus, least c_i - gap) / ref_coeff:
+    negative exactly when the surplus is positive and every c_i exceeds the
+    gap."""
     d0, d2, d3, rho1 = map(math.exp, z)
     sigma = prob.sigma
     mu0, mu2 = sigma - d0, sigma + d2
@@ -302,41 +244,42 @@ def _fill(prob: _Problem, z):
     if min(rhos) <= 0.0:
         return None
     gamma, pad = prob.gamma, prob.pad
-    qs, c = [], math.inf
+    qs, e, c = [], [prob.e_m], math.inf
     for r, m, v in zip(rhos, ms, vs):
         p, k = r ** gamma, m ** 2 / r
-        qs.append(max(p + k / 2.0, (p - v) / 2.0) + pad)
+        q = max(p + k / 2.0, (p - v) / 2.0) + pad
+        big_p = r * math.log(r) if gamma == 1.0 else p / (gamma - 1.0)
+        qs.append(q)
+        e.append(q + big_p - p)
         c = min(c, -(k + v + p))
-    return [mu0, mu2, mu3, rho1, *qs, pad, pad, pad], c
-
-
-def _score(prob: _Problem, z):
-    """(score, y, point): -min(surplus, c - gap) / ref_coeff at z, with the
-    ten-variable point y and its ``_kernel`` result; (1e6, None, None)
-    where z does not close.  The score is negative exactly when the
-    surplus is positive and every c_i exceeds the gap."""
-    filled = _fill(prob, z)
-    point = None if filled is None else _kernel(prob, filled[0])
-    if point is None:
-        return 1e6, None, None
-    y, c = filled
-    return -min(point[0], c - prob.gap) / prob.ref_coeff, y, point
+    e0, e1, e2, e3, e4 = *e, prob.e_p
+    f_m, f_p = prob.f_m, prob.f_p
+    budget = f_m - f_p - (0.0 + mu0 * (e0 - e1) + sigma * (e1 - e2)
+                          + mu2 * (e2 - e3) + mu3 * (e3 - e4))
+    f3 = pad + mu3 * (e3 - e4) + f_p
+    f2 = pad + mu2 * (e2 - e3) + f3
+    f1 = budget - pad - pad - pad + sigma * (e1 - e2) + f2
+    surplus = plane_bracket(sigma, e1, e2, f1, f2) - prob.ref_coeff
+    return (-min(surplus, c - prob.gap) / prob.ref_coeff, surplus,
+            (mu0, mu2, mu3, rho1, *qs, f1, f2, f3))
 
 
 def _objective(prob: _Problem, found: list):
-    """``_score`` as the search's objective.  It raises ``_Stop`` at its
-    first point with a negative score and every margin positive, once it
-    has put (y, point) of that point in ``found``."""
+    """The search's objective: ``_kernel``'s score, 1e6 where z does not
+    close.  It raises ``_Stop`` at its first point with a negative score,
+    once it has put that point's ``_kernel`` result in ``found``."""
     k = 0
 
     def score(z):
         nonlocal k
         k += 1
-        f, y, point = _score(prob, z)
-        if f < 0.0 and all(m > 0.0 for m in point[1]):
-            found.append((y, point))
-            raise _Stop(z, f, k)
-        return f
+        point = _kernel(prob, z)
+        if point is None:
+            return 1e6
+        if point[0] < 0.0:
+            found.append(point)
+            raise _Stop(z, point[0], k)
+        return point[0]
     return score
 
 
@@ -473,13 +416,13 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
 
     Each restart draws a start with ``random.Random(cfg.rng_seed +
     restart)`` (``_sample_start``) and runs one Nelder-Mead phase over
-    z = (ln d0, ln d2, ln d3, ln rho1), scored by ``_score``, for at most
-    _MAX_ITERS iterations.  It ends at its first point with positive float
-    surplus, every c_i above the gap and every margin positive, and that
-    point goes to exact certification, which alone decides the strict
-    inequalities.  Returns the first candidate that certifies exactly (its
-    ``fan`` and ``comparison`` are set), else the float candidate with the
-    largest surplus, else None (at once when the reference has no shock).
+    z = (ln d0, ln d2, ln d3, ln rho1), scored by ``_kernel``, for at most
+    _MAX_ITERS iterations.  It ends at its first point with a negative
+    score, and that point goes to exact certification, which alone decides
+    the strict inequalities.  Returns the first candidate that certifies
+    exactly (its ``fan`` and ``comparison`` are set), else the float
+    candidate with the largest surplus, else None (at once when the
+    reference has no shock).
     """
     prob = _Problem(law, left, right)
     if prob.sigma is None:
@@ -492,9 +435,8 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         minimize(_objective(prob, found), _sample_start(random.Random(seed), prob), _MAX_ITERS)
         if not found:
             continue
-        (y, (surplus, margins, fluxes)), = found
-        fields = (law, left, right, prob.sigma, (*y[:7], *fluxes),
-                  tuple(zip(_MARGINS, margins)), True, seed)
+        (_, surplus, x), = found
+        fields = (law, left, right, prob.sigma, x, seed)
         cand = Candidate(*fields)
         if surplus > best_surplus:  # surplus > 0.0: the first one wins
             best, best_surplus = cand, surplus

@@ -201,6 +201,34 @@ def test_missing_keys_are_named(tmp_path, capsys):
                                        "it needs the keys gamma, mu, left, right, regions\n")
 
 
+_RIEMANN = {"gamma": "2/1", "left": {"rho": "1/1", "m": ["0/1", "1/1"]},
+            "right": {"rho": "4/1", "m": ["0/1", "0/1"]}}
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("search", "left", 3, "left must be a JSON object, got a number"),
+    ("search", "left", {}, "left is missing 'rho', 'm': it needs the keys rho, m"),
+    ("riemann", "right", {"rho": "4/1", "m": 3}, "right m must be a list of two numbers, got 3"),
+    ("search", "config", [1, 2], "search config must be a JSON object, got an array"),
+    ("search", "config", {"restart": 2},
+     "unknown search config keys ['restart']; allowed: restarts, rng_seed"),
+    ("verify-fan", "regions", [3, 4, 5], "regions[0] must be a JSON object, got a number"),
+    ("verify-fan", "regions", "abc", "regions must be a JSON array of region objects, got a string"),
+    ("verify-fan", "mu", 3, "mu must be a JSON array of numbers, got a number"),
+    ("verify-fan", "left", None, "left must be a JSON object, got null"),
+], ids=["left-number", "left-empty", "right-m-number", "config-array", "config-unknown-key",
+        "regions-of-numbers", "regions-string", "mu-number", "left-null"])
+def test_nested_json_of_the_wrong_type_is_named(tmp_path, capsys, command, key, value, message):
+    # checked where the input is parsed: Python's own messages ("'int'
+    # object is not subscriptable", "error: 'rho'", "SearchConfig.__init__()
+    # got an unexpected keyword argument") used to be the report
+    data = fan_to_json(paper_example()) if command == "verify-fan" else dict(_RIEMANN)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**data, key: value}))
+    assert run([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_oscillate_csv(tmp_path, capsys):
     cfgf = tmp_path / "osc.json"
     cfgf.write_text(json.dumps({"tau1": 0.4, "delta": 0.02, "ks": [8],
@@ -264,6 +292,24 @@ def test_oscillate_rejects_integers_past_the_digit_limit(tmp_path, capsys, key, 
     assert run(["oscillate", str(cfgf)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and key in err and "16610-bit integer" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("left", {"rho": "1/1", "m": _LONG}, "left m must be a list of two numbers, got "),
+    ("gamma", [_LONG], "not an XReal encoding: ["),
+    ("gamma", {"d": [_LONG, "x"], "c": [1]}, "tower radicands must be a list of JSON integers, got ["),
+], ids=["pair", "xreal", "radicands"])
+def test_a_long_integer_in_a_parse_error_is_shown_by_its_bit_length(tmp_path, capsys, key, value,
+                                                                     message):
+    # _LONG stands for 10**5000: Python writes no int of more than 4,300
+    # digits, so formatting the value once raised a second ValueError, whose
+    # message named neither the key nor the value
+    path = tmp_path / "input.json"
+    text = json.dumps({**_RIEMANN, key: value})
+    path.write_text(text.replace(json.dumps(_LONG), "1" + "0" * 5000))
+    assert run(["riemann", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and "'<16610-bit integer>'" in err
 
 
 def test_oscillate_accepts_its_bounds():
@@ -678,7 +724,8 @@ _INPUTS = {
 # (argv, exit code, sha256 of stdout), recorded before the dissipation
 # comparison was folded into one plane walk; the search bytes were
 # re-recorded when the search went over to the four variables that decide
-# dominance, and like
+# dominance, and again when the candidate dropped its float margins and its
+# feasible flag (the same search, the same certified fan); like
 # test_search_golden_bits they depend neither on the CPU nor on numpy.
 _GOLDEN = (
     (("verify-example", "--format", "json"), 0,
@@ -702,7 +749,7 @@ _GOLDEN = (
     (("riemann", "slip.json", "--format", "json"), 0,
      "677bbd590ba3adc12a5c9dcd7743480cf2c7a98affb3ad6980b50c72c3850a71"),
     (("search", "search8.json", "--format", "json"), 0,
-     "d89db5f17670e18ff101df9d52837ae4043ce8055e7b5807ce574be12e290bc3"),
+     "c0574ed3affce610ec4f2ee1ff7f32713dcf9752afbb20c9e84ccdd4fcc9155f"),
     # the benchmark's oscillate config and a small one, recorded on the
     # dense grid before the sparse grid and the per-order caches; the JSON
     # carries every float's repr, so it pins the diagnostics bit for bit

@@ -11,7 +11,9 @@ w = q - u11; a region is negative definite for some cap q exactly when
 c = w - m^2/rho - p > 0, and the plane-dissipation budget then peaks with each
 q at its bound max(m^2/rho + 2p, p + w)/2 and the outer brackets at 0.
 ``differential_evolution`` estimates the ceiling, the largest
-(budget - ref_coeff) / ref_coeff over a box of z.
+(budget - ref_coeff) / ref_coeff over a box of z.  The pressure is
+p = rho^gamma, with the potential P = p / (gamma - 1), or rho log rho at
+gamma = 1.
 """
 
 from __future__ import annotations
@@ -22,34 +24,39 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.optimize import differential_evolution
-from test_search import _shock
+from test_search import _gamma_shock, _shock
 
 from wildfan.model import PressureLaw
 from wildfan.riemann import selfsim_dissipation, solve_riemann
 from wildfan.search import SearchConfig, search_fan
 
-GAMMA = 2.0
 LAW2 = PressureLaw(gamma=2)
 
 
-def _lifted(state):
+def _potential(rho, gamma):
+    """P = p / (gamma - 1), rho log rho at gamma = 1."""
+    return rho * np.log(rho) if gamma == 1.0 else rho ** gamma / (gamma - 1.0)
+
+
+def _lifted(state, gamma):
     """(rho, m2, w, F2, E) of a boundary state with m1 = 0: q = m2^2/(2 rho)
     + p, u11 = -m2^2/(2 rho), F2 = (q + P) m2 / rho and E = q + P - p."""
     rho, m2 = float(state.rho), float(state.m[1])
-    p = rho ** GAMMA
-    big_p = p / (GAMMA - 1.0)
+    p = rho ** gamma
+    big_p = _potential(rho, gamma)
     q = m2 * m2 / (2.0 * rho) + p
     return rho, m2, q + m2 * m2 / (2.0 * rho), (q + big_p) * m2 / rho, q + big_p - p
 
 
-def _ceiling_objective(left, right):
+def _ceiling_objective(law, left, right):
     """(objective, rho_l, rho_r): the objective is the negated relative
     surplus at z, or 1e6 plus the total shortfall where a density or a c is
     not positive, and 1e6 where the system is singular."""
+    gamma = float(law.gamma)
     (sigma, ref_coeff), = [tuple(map(float, entry)) for entry in
-                           selfsim_dissipation(LAW2, solve_riemann(LAW2, left, right)).entries]
-    rho_l, m_l, w_l, f_l, e_l = _lifted(left)
-    rho_r, m_r, w_r, f_r, e_r = _lifted(right)
+                           selfsim_dissipation(law, solve_riemann(law, left, right)).entries]
+    rho_l, m_l, w_l, f_l, e_l = _lifted(left, gamma)
+    rho_r, m_r, w_r, f_r, e_r = _lifted(right, gamma)
 
     def known(value):
         return np.array([0.0] * 8 + [value])
@@ -82,35 +89,60 @@ def _ceiling_objective(left, right):
         ms, ws = x[2:5], x[5:8]
         if not np.all(rhos > 0.0):
             return 1e6 + float(np.sum(np.maximum(-rhos, 0.0)))
-        p = rhos ** GAMMA
+        p = rhos ** gamma
         k = ms * ms / rhos
         c = ws - k - p
         if not np.all(c > 0.0):
             return 1e6 + float(np.sum(np.maximum(-c, 0.0))) / ref_coeff
         q = np.maximum(k + 2.0 * p, p + ws) / 2.0
-        e = [e_l, *(q + p / (GAMMA - 1.0) - p), e_r]
+        e = [e_l, *(q + _potential(rhos, gamma) - p), e_r]
         budget = f_l - f_r - sum(mu[j] * (e[j] - e[j + 1]) for j in range(4))
         return -(budget - ref_coeff) / ref_coeff
 
     return objective, rho_l, rho_r
 
 
+def _ceiling(law, left, right, popsize=10, maxiter=40):
+    """The estimated ceiling on a box of z: d0 and d2 from 1e-3 eps to
+    2 eps, eps = |rho_r / rho_l - 1|, d3 from 0.1 to 10 times the left sound
+    speed, rho1 between the two densities."""
+    objective, rho_l, rho_r = _ceiling_objective(law, left, right)
+    gamma = float(law.gamma)
+    eps, sound = abs(rho_r / rho_l - 1.0), math.sqrt(gamma * rho_l ** (gamma - 1.0))
+    box = [(math.log(1e-3 * eps), math.log(2.0 * eps))] * 2 + [
+        (math.log(0.1 * sound), math.log(10.0 * sound)), (math.log(rho_l), math.log(rho_r))]
+    return -differential_evolution(objective, box, popsize=popsize, maxiter=maxiter, seed=0,
+                                   tol=0.0, polish=False).fun
+
+
 @pytest.mark.parametrize("rho_l, ratio", [
     (Fraction(1), Fraction(5, 4)), (Fraction(5, 4), Fraction(7, 5)),
     (Fraction(1), Fraction(101, 100)), (Fraction(1), Fraction(4))], ids=str)
 def test_search_certifies_where_the_ceiling_is_positive(rho_l, ratio):
-    # the box: d0 and d2 from 1e-3 eps to 2 eps, eps = |rho_r / rho_l - 1|,
-    # d3 from 0.1 to 10 times the left sound speed, rho1 between the two
-    # densities.  Population 10 and 40 generations put the ceiling within
-    # 1e-5 of what population 15 and 100 generations find (1.4 % to 1.9 %
-    # on these shocks), so its sign is robust
+    # population 10 and 40 generations put the ceiling within 1e-5 of what
+    # population 15 and 100 generations find (1.4 % to 1.9 % on these
+    # shocks), so its sign is robust
     left, right = _shock(rho_l, ratio)
-    objective, rho_l, rho_r = _ceiling_objective(left, right)
-    eps, sound = abs(rho_r / rho_l - 1.0), math.sqrt(GAMMA * rho_l ** (GAMMA - 1.0))
-    box = [(math.log(1e-3 * eps), math.log(2.0 * eps))] * 2 + [
-        (math.log(0.1 * sound), math.log(10.0 * sound)), (math.log(rho_l), math.log(rho_r))]
-    ceiling = -differential_evolution(objective, box, popsize=10, maxiter=40, seed=0,
-                                      tol=0.0, polish=False).fun
-    assert ceiling > 0.0
+    assert _ceiling(LAW2, left, right) > 0.0
     cand = search_fan(LAW2, left, right, SearchConfig(restarts=8, rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.comparison.passed
+
+
+@pytest.mark.parametrize("gamma, rho_r", [
+    (1, Fraction(5, 4)), (1, 4), (2, Fraction(5, 4)), (2, 4),
+    (Fraction(3, 2), Fraction(9, 4)), (Fraction(3, 2), 4), (Fraction(5, 2), Fraction(9, 4)),
+], ids=str)
+def test_ceiling_is_positive_below_gamma_3(gamma, rho_r):
+    # a weak and a strong shock at gamma = 1, where P = rho log rho, and at
+    # gamma = 2, and square-density data at 3/2 and 5/2 (3.5 % at 5/2 on
+    # rho 1 -> 9/4): the search pins of test_search certify on the same data
+    law = PressureLaw(gamma)
+    assert _ceiling(law, *_gamma_shock(law, rho_r)) > 1e-3
+
+
+def test_ceiling_vanishes_at_gamma_3():
+    # on rho 1 -> 2 the ceiling collapses onto the shock: population 15 and
+    # 120 generations find 2.5e-15, where test_search's 64 restarts find no
+    # candidate
+    law = PressureLaw(3)
+    assert _ceiling(law, *_gamma_shock(law, 2), popsize=15, maxiter=120) < 1e-10

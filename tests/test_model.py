@@ -219,7 +219,7 @@ def test_records_are_class_aware_hashable_and_frozen():
     assert SearchConfig() == SearchConfig(64, 0)
     # the search candidate is frozen like every other record
     cand = Candidate(PressureLaw(2), left, right, -1.0, [0.0])
-    assert cand.margins == () and not cand.feasible and cand.fan is None
+    assert (cand.seed, cand.fan, cand.comparison) == (None, None, None)
     for name in Candidate._fields:
         with pytest.raises(AttributeError):
             setattr(cand, name, None)
@@ -229,19 +229,19 @@ def test_records_are_class_aware_hashable_and_frozen():
 
 
 def test_candidates_from_equal_arrays_compare_and_hash_equal():
-    # x is a tuple of floats and margins a tuple of pairs: an array made ==
-    # raise ValueError and a dict made hash raise TypeError
+    # x is a tuple of floats: an array would make == raise ValueError and
+    # hash raise TypeError
     left = EulerState(Rational(1), (Rational(0), Rational(1)))
     right = EulerState(Rational(4), (Rational(0), Rational(0)))
 
     def cand(x):
-        return Candidate(PressureLaw(2), left, right, -1.0, x,
-                         (("mu0", np.float64(0.25)),), True, 3)
+        return Candidate(PressureLaw(2), left, right, -1.0, x, 3)
     a, b = cand(np.array([0.5, 1.5])), cand(np.array([0.5, 1.5]))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a.x == (0.5, 1.5) and type(a.x[0]) is float
     assert a != cand(np.array([0.5, 2.5]))
-    assert a.to_dict()["margins"] == {"mu0": 0.25}
+    assert a.to_dict() == {"seed": 3, "sigma": -1.0, "variables": {"mu0": 0.5, "mu2": 1.5}}
+    assert type(a.to_dict()["variables"]["mu0"]) is float
 
 
 # ---------------------------------------------------------------------------

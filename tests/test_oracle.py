@@ -240,7 +240,7 @@ def _assert_oracle_passes_searched_fan(rho_l, ratio, rng_seed):
 @pytest.mark.parametrize("rho_l", sorted(_STRONG_SEEDS), ids=str)
 def test_oracle_agrees_on_searched_strong_shocks(rho_l):
     # the fans test_search_certifies_strong_shocks certifies on rho_l -> 4 rho_l;
-    # their least float margins (det3) run from 2.0e-6 to 7.2e-5
+    # their least float condition, det M of region 3, runs from 2.0e-6 to 7.2e-5
     _assert_oracle_passes_searched_fan(rho_l, Fraction(4), _STRONG_SEEDS[rho_l])
 
 
@@ -249,6 +249,6 @@ def test_oracle_agrees_on_searched_strong_shocks(rho_l):
     (Fraction(9, 8), Fraction(9, 7)), (Fraction(6, 5), Fraction(4, 3))], ids=str)
 def test_oracle_agrees_on_searched_weak_shocks(rho_l, ratio):
     # shocks of the search benchmark's weak table at rng_seed 0; their least
-    # float margins (det3) run from 2.1e-12 to 2.4e-11, far above the
-    # 1e-30 under which _sign calls a nonzero value suspect
+    # float condition, det M of region 3, runs from 2.1e-12 to 2.4e-11, far
+    # above the 1e-30 under which _sign calls a nonzero value suspect
     _assert_oracle_passes_searched_fan(rho_l, ratio, 0)

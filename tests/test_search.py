@@ -33,19 +33,16 @@ from wildfan.model import (EulerState, PHPoint, PressureLaw, lift_state, pressur
                              pressure_potential)
 from wildfan.riemann import Shock, plane_bracket, selfsim_dissipation, solve_riemann
 from wildfan.search import (
-    _MARGINS,
     _MAX_ITERS,
     Candidate,
     DegenerateClosure,
     SearchConfig,
     _certify,
-    _fill,
     _kernel,
     _objective,
     _order,
     _Problem,
     _sample_start,
-    _score,
     _Stop,
     certify,
     chain_close,
@@ -152,73 +149,100 @@ def test_chain_close_degenerate():
                     fan.regions[0][0], tuple(z.q for _, z in fan.regions))
 
 
+def _score(prob, z):
+    """The search's score at z: ``_kernel``'s, 1e6 where z does not close."""
+    point = _kernel(prob, z)
+    return 1e6 if point is None else point[0]
+
+
 def test_kernel_paper_variables_feasible():
+    # the paper's speeds and rho1 as search variables: the closure gives the
+    # paper's rho2 and rho3, and the filled caps, each the pad above its
+    # bound, sit below the paper's, so the surplus is at least the paper's
     left, right = paper_boundary()
     x = paper_x()
-    # bracket coordinates: the paper's outer-plane coefficients b0, b2, b3
-    coeffs = [float(c) for _, c in fan_dissipation_profile(paper_example()).entries]
-    y = [*x[:7], coeffs[0], coeffs[2], coeffs[3]]
+    z = [math.log(v) for v in (SIGMA_F - x[0], x[1] - SIGMA_F, x[2] - x[1], x[3])]
     prob = _Problem(LAW2, left, right)
-    surplus, margins, fluxes = _kernel(prob, y)
-    assert min(margins) > 0
-    assert surplus > 0.03
-    assert all(abs(f - want) < 1e-9 for f, want in zip(fluxes, x[7:]))
-    rhos = chain_close(MINUS_F, PLUS_F, (y[0], SIGMA_F, y[1], y[2]), y[3], y[4:7])[0]
+    score, surplus, filled = _kernel(prob, z)
+    assert score < 0.0 and surplus > 0.03
+    assert all(abs(f - want) < 1e-12 for f, want in zip(filled[:4], x[:4]))
+    assert all(q < want for q, want in zip(filled[4:7], x[4:7]))
+    rhos = chain_close(MINUS_F, PLUS_F, (filled[0], SIGMA_F, filled[1], filled[2]), filled[3],
+                       filled[4:7])[0]
     assert abs(rhos[1] - 3.19) < 1e-9
     assert abs(rhos[2] - 4.005) < 1e-9
+
+
+def _exact(v):
+    return Rational(Fraction(v))
+
+
+def _exact_problem(prob):
+    """The floats of the problem the kernel reads, as rationals: sigma,
+    the boundary values and the boundary energies and fluxes."""
+    return SimpleNamespace(
+        sigma=_exact(prob.sigma), minus=tuple(map(_exact, prob.minus)),
+        plus=tuple(map(_exact, prob.plus)),
+        e_m=_exact(prob.e_m), e_p=_exact(prob.e_p), f_m=_exact(prob.f_m), f_p=_exact(prob.f_p))
+
+
+def _energies(ex, rhos, qs):
+    """e = q + P - p of the five records, the boundary ones at the ends."""
+    return [ex.e_m, *(q + pressure_potential(LAW2, r) - pressure(LAW2, r)
+                      for r, q in zip(rhos, qs)), ex.e_p]
+
+
+def _brackets(ex, mu, e, fluxes):
+    """The four plane brackets at the speeds mu, of the five records'
+    energies e and of the boundary fluxes and the three interior ones."""
+    f = (ex.f_m, *fluxes, ex.f_p)
+    return [plane_bracket(m, e[i], e[i + 1], f[i], f[i + 1]) for i, m in enumerate(mu)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["paper", "weak"]), seed=st.integers(0, 2 ** 64 - 1))
 def test_kernel_matches_the_exact_formulas(name, seed):
-    # every quantity of the float kernel, recomputed exactly from its float
-    # inputs read as rationals: the closure over Rational, -tr M and det M
-    # of hull.matrix_M, e = q + P - p, and the fluxes that put the outer
-    # plane_brackets at the bracket coordinates; the point is a drawn start
-    # of the search with its caps and outer brackets moved off their best
-    # values
+    # the score, the surplus and every entry of x, recomputed exactly: the
+    # float speeds and rho1 the kernel takes from z read as rationals, the
+    # closure at q = 0 over Rational, each cap the pad above its bound, the
+    # energies e = q + P - p, and the fluxes that put the outer
+    # plane_brackets at the pad; the point is a drawn start of the search,
+    # moved at random
     prob = _problem(name)
     rng = random.Random(seed)
-    filled = _fill(prob, _sample_start(rng, prob))
-    assume(filled is not None)
-    y = filled[0]
-    y[4:] = [v + rng.uniform(-1.0, 1.0) for v in y[4:]]
-    point = _kernel(prob, y)
+    z = [v + rng.uniform(-0.5, 0.5) for v in _sample_start(rng, prob)]
+    point = _kernel(prob, z)
     assume(point is not None)
-    surplus, margins, fluxes = point
+    score, surplus, x = point
+    d0, d2, d3, rho1 = map(math.exp, z)
+    mu0, mu2 = prob.sigma - d0, prob.sigma + d2
+    assert [v.hex() for v in x[:4]] == [v.hex() for v in (mu0, mu2, mu2 + d3, rho1)]
 
-    def exact(v):
-        return Rational(Fraction(v))
-    mu0, mu2, mu3, rho1, q1, q2, q3, b0, b2, b3 = map(exact, y)
-    sigma, e_m, e_p, f_m, f_p = map(exact, (prob.sigma, prob.e_m, prob.e_p, prob.f_m, prob.f_p))
-    rhos, m2s, u11s, mu3_chain, exact_residual = chain_close(
-        tuple(map(exact, prob.minus)), tuple(map(exact, prob.plus)), (mu0, sigma, mu2, mu3),
-        rho1, (q1, q2, q3))
-    assert (sign(mu3_chain - mu3), sign(exact_residual)) == (0, 0)
-    zero = Rational(0)
-    want, e = [sigma - mu0, mu2 - sigma, mu3 - mu2, *rhos], [e_m]
-    for rho, m2, u11, q in zip(rhos, m2s, u11s, (q1, q2, q3)):
-        M = matrix_M(LAW2, rho, PHPoint((zero, m2), u11, zero, q, (zero, zero)))
-        want += [-M.trace(), M.det()]
-        e.append(q + pressure_potential(LAW2, rho) - pressure(LAW2, rho))
-    e.append(e_p)
-    f3 = b3 + mu3 * (e[3] - e[4]) + f_p
-    f2 = b2 + mu2 * (e[2] - e[3]) + f3
-    f1 = f_m - b0 - mu0 * (e[0] - e[1])
-    brackets = [plane_bracket(mu0, e[0], e[1], f_m, f1), plane_bracket(sigma, e[1], e[2], f1, f2),
-                plane_bracket(mu2, e[2], e[3], f2, f3), plane_bracket(mu3, e[3], e[4], f3, f_p)]
-    assert [brackets[i] for i in (0, 2, 3)] == [b0, b2, b3]
-    # the last plane moves at the chained mu3, which the kernel takes in
-    # floats: near rho3 = rho_p its rounding grows as 1/(rho3 - rho_p)^2,
-    # so its bracket is taken exactly at that float speed
-    mu3_float = chain_close(prob.minus, prob.plus, (y[0], prob.sigma, y[1], y[2]), y[3],
-                            tuple(y[4:7]))[3]
-    brackets[3] = plane_bracket(exact(mu3_float), e[3], e[4], f3, f_p)
-    want += brackets
-    got = (*margins, *fluxes, surplus)
-    want += [f1, f2, f3, brackets[1] - exact(prob.ref_coeff)]
-    assert len(got) == len(want) == len(_MARGINS) + 4
-    for label, g, w in zip((*_MARGINS, "F12", "F22", "F32", "surplus"), got, want):
+    ex = _exact_problem(prob)
+    mu0, mu2, mu3, rho1 = map(_exact, x[:4])
+    sigma, pad, zero = ex.sigma, _exact(prob.pad), Rational(0)
+    rhos, m2s, vs, mu3_chain, _ = chain_close(ex.minus, ex.plus, (mu0, sigma, mu2, mu3), rho1,
+                                              (zero, zero, zero))
+    assert sign(mu3_chain - mu3) == 0
+    qs, c = [], None
+    for rho, m2, v in zip(rhos, m2s, vs):
+        p, k = pressure(LAW2, rho), m2 * m2 / rho
+        a, b = p + k / 2, (p - v) / 2
+        qs.append((a if sign(a - b) >= 0 else b) + pad)
+        c_i = -(k + v + p)
+        c = c_i if c is None or sign(c_i - c) < 0 else c
+    e = _energies(ex, rhos, qs)
+    f3 = pad + mu3 * (e[3] - e[4]) + ex.f_p
+    f2 = pad + mu2 * (e[2] - e[3]) + f3
+    f1 = ex.f_m - pad - mu0 * (e[0] - e[1])
+    brackets = _brackets(ex, (mu0, sigma, mu2, mu3), e, (f1, f2, f3))
+    assert [sign(brackets[i] - pad) for i in (0, 2, 3)] == [0, 0, 0]
+    ref, gap = _exact(prob.ref_coeff), _exact(prob.gap)
+    want_surplus = brackets[1] - ref
+    least = want_surplus if sign(want_surplus - (c - gap)) <= 0 else c - gap
+    got = (score, surplus, *x[4:])
+    want = [-least / ref, want_surplus, *qs, f1, f2, f3]
+    for label, g, w in zip(("score", "surplus", "q1", "q2", "q3", "F12", "F22", "F32"), got, want):
         assert abs(g - float(w)) <= 1e-9 * (1 + abs(float(w))), (label, g, float(w))
 
 
@@ -678,7 +702,7 @@ def test_minimize_matches_scipy_on_the_phase_objectives(name, seed, maxiter):
     # the search's score from its own draw, run on past the first
     # dominating point
     prob = _problem(name)
-    _assert_same_as_scipy(lambda z: _score(prob, z)[0],
+    _assert_same_as_scipy(partial(_score, prob),
                           _sample_start(random.Random(seed), prob), maxiter)
 
 
@@ -755,68 +779,107 @@ def _recorded(fun, points):
 def test_objective_stops_at_the_full_runs_first_dominating_point(name, seed):
     prob = _problem(name)
     z = _sample_start(random.Random(seed), prob)
-    full_points, scored, points, found = [], [], [], []
+    full_points, kernels, points, found = [], [], [], []
 
     def full_score(v):
-        scored.append(_score(prob, v))
-        return scored[-1][0]
+        kernels.append(_kernel(prob, v))
+        return _score(prob, v)
     full = minimize(_recorded(full_score, full_points), z, _MAX_ITERS)
     ours = minimize(_recorded(_objective(prob, found), points), z, _MAX_ITERS)
     # the stopping objective scores as the full run does, so it walks the
     # same points, and nfev counts each of them, the last one included
     assert points == full_points[:len(points)] and ours.nfev == len(points)
-    first = next((k for k, (f, _, point) in enumerate(scored, 1)
-                  if f < 0.0 and all(m > 0.0 for m in point[1])), None)
+    first = next((k for k, point in enumerate(kernels, 1)
+                  if point is not None and point[0] < 0.0), None)
     if first is None:
         assert ours == full and found == []
     else:
-        # the first dominating point itself, not the best point so far
-        f, y, point = scored[first - 1]
-        assert ours.nfev == first and ours.fun == f
+        # the first point with a negative score, not the best point so far
+        point = kernels[first - 1]
+        assert ours.nfev == first and ours.fun == point[0]
         assert [v.hex() for v in ours.x] == full_points[first - 1]
-        assert found == [(y, point)]
+        assert found == [point]
 
 
 def _mock_objective(monkeypatch):
-    """The search's objective on z = [surplus, least c, first margin, every
-    other margin], or [None] where the point does not close, with
-    ref_coeff 2 and gap 1e-4, and the list it fills."""
+    """The search's objective on z = [score, surplus], or [None] where the
+    point does not close, and the list it fills."""
     import wildfan.search as search_module
 
-    monkeypatch.setattr(search_module, "_fill",
-                        lambda prob, z: None if z[0] is None else (list(z), z[1]), raising=True)
     monkeypatch.setattr(search_module, "_kernel",
-                        lambda prob, y: (y[0], (y[2],) + (y[3],) * (len(_MARGINS) - 1),
-                                         (0.0, 0.0, 0.0)),
+                        lambda prob, z: None if z[0] is None else (z[0], z[1], (0.5,) * 10),
                         raising=True)
     found = []
-    return _objective(SimpleNamespace(ref_coeff=2.0, gap=1e-4), found), found
+    return _objective(SimpleNamespace(), found), found
 
 
 def test_objective_stops_at_its_first_dominating_point(monkeypatch):
-    # the score is -min(surplus, c - gap) / ref_coeff, and the first point
-    # with a negative score and every margin positive ends the run
+    # the objective returns the kernel's score, 1e6 where the point does
+    # not close, and its first point with a negative score ends the run
     score, found = _mock_objective(monkeypatch)
     runs_on = (
         ([None], 1e6),
-        ([-1e-3, 1.0, 1.0, 1.0], 5e-4),  # a negative surplus
-        ([0.5, 1e-4, 1.0, 1.0], -0.0),  # the least c at the gap, not above it
-        ([0.5, 1.0, 0.0, 1.0], -0.25),  # a zero margin
-        ([0.5, 1.0, -1e-3, 1.0], -0.25),  # a negative margin
+        ([5e-4, -1e-3], 5e-4),  # a negative surplus
+        ([0.0, 0.5], 0.0),  # the least c at the gap, not above it
+        ([-0.0, 0.5], -0.0),
     )
     for z, f in runs_on:
         assert score(z).hex() == f.hex()
-    assert math.isnan(score([math.nan, 1.0, 1.0, 1.0]))
-    first = [2e-3, 2e-4, 1e-3, 1e-3]
+    first = [-5e-5, 1e-4]
     with pytest.raises(_Stop) as stop:
         score(first)
-    assert stop.value.args == (first, -5e-5, len(runs_on) + 2)
-    assert found == [(first, (2e-3, (1e-3,) * len(_MARGINS), (0.0, 0.0, 0.0)))]
+    assert stop.value.args == (first, -5e-5, len(runs_on) + 1)
+    assert found == [(-5e-5, 1e-4, (0.5,) * 10)]
 
 
-def test_nan_margin_is_not_feasible(monkeypatch):
-    # a NaN margin fails the float screen: the run goes on past the point
+def test_nan_score_never_stops_a_run(monkeypatch):
+    # a NaN score is not negative: the run goes on past the point, as it
+    # does at a NaN z, whose closure and score are NaN
+    found = []
+    assert math.isnan(_objective(_problem("paper"), found)([math.nan] * 4)) and found == []
     score, found = _mock_objective(monkeypatch)
-    assert score([0.5, 1.0, 1.0, math.nan]) == -0.25
-    assert score([0.5, 1.0, math.nan, 1.0]) == -0.25
+    assert math.isnan(score([math.nan, 1.0]))
+    assert math.isnan(score([math.nan, math.nan]))
     assert found == []
+
+
+def _visited(name, seed):
+    """The ``_kernel`` results at the points a full restart of seed
+    ``seed`` visits on boundary ``name``, run on past its first negative
+    score."""
+    prob, points = _problem(name), []
+
+    def score(z):
+        points.append(_kernel(prob, z))
+        return 1e6 if points[-1] is None else points[-1][0]
+    minimize(score, _sample_start(random.Random(seed), prob), _MAX_ITERS)
+    return [p for p in points if p is not None]
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_BOUNDARIES)), seed=st.integers(0, 63), skip=st.integers(0, 40))
+@example(name="paper", seed=0, skip=0)
+@example(name="weak", seed=0, skip=0)
+@example(name="wide", seed=455502, skip=0)
+def test_negative_score_points_meet_the_conditions_the_screen_checked(name, seed, skip):
+    # at each point of a seeded restart with a negative score (at most 12,
+    # from the skip-th on), the fan closed exactly at x, its floats read as
+    # rationals, meets the 16 conditions a float screen used to check before
+    # the score alone stopped a restart: speed order, positive densities,
+    # -tr M and det M of each region positive, and the energy inequality at
+    # each plane (>= 0, as verify_fan's rh_energy asks)
+    prob, ex = _problem(name), _exact_problem(_problem(name))
+    negative = [p for p in _visited(name, seed) if p[0] < 0.0][skip:skip + 12]
+    assume(negative)
+    zero = Rational(0)
+    for _, _, x in negative:
+        mu0, mu2, mu3, rho1, q1, q2, q3, f1, f2, f3 = map(_exact, x)
+        sigma, qs = ex.sigma, (q1, q2, q3)
+        rhos, m2s, u11s, _, _ = chain_close(ex.minus, ex.plus, (mu0, sigma, mu2, mu3), rho1, qs)
+        strict = [sigma - mu0, mu2 - sigma, mu3 - mu2, *rhos]
+        for rho, m2, u11, q, f in zip(rhos, m2s, u11s, qs, (f1, f2, f3)):
+            M = matrix_M(LAW2, rho, PHPoint((zero, m2), u11, zero, q, (zero, f)))
+            strict += [-M.trace(), M.det()]
+        brackets = _brackets(ex, (mu0, sigma, mu2, mu3), _energies(ex, rhos, qs), (f1, f2, f3))
+        assert [sign(v) for v in strict] == [1] * 12, x
+        assert all(sign(b) >= 0 for b in brackets), x
