@@ -29,11 +29,10 @@ from .exactnum import (
     _is_int,
     _shown,
     _str_int,
-    xreal_from_json,
     xreal_to_json,
 )
-from .model import (GammaOutOfRange, PHPoint, PressureLaw, _json_object, state_from_json,
-                    state_to_json)
+from .model import (GammaOutOfRange, PHPoint, PressureLaw, _json_object, _number,
+                    state_from_json, state_to_json)
 
 __all__ = ["main", "run"]
 
@@ -92,7 +91,7 @@ _RIEMANN_KEYS = ("gamma", "left", "right")
 
 
 def _riemann_inputs(data: dict):
-    law = PressureLaw(gamma=xreal_from_json(data["gamma"]))
+    law = PressureLaw(gamma=_number(data, "gamma"))
     return law, state_from_json(data["left"], "left"), state_from_json(data["right"], "right")
 
 

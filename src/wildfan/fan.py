@@ -33,13 +33,12 @@ from .exactnum import (
     XReal,
     as_xreal,
     sign,
-    xreal_from_json,
     xreal_to_json,
 )
 from .hull import NotInV, WDecomposition, WGeometry, matrix_M
 from .model import (
     EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, _json_array, _json_object,
-    _pair, lift_state, pressure, pressure_potential, state_from_json, state_to_json,
+    _number, _pair, lift_state, pressure, pressure_potential, state_from_json, state_to_json,
 )
 from .riemann import (
     DissipationProfile, SelfSimilarSolution, plane_bracket, selfsim_dissipation, solve_riemann,
@@ -166,12 +165,12 @@ def _speed_tag(value: XReal) -> str:
 
 
 def _check(name: str, value: XReal, relation: str) -> ConditionResult:
-    """relation: 'zero' (== 0), 'nonneg' (>= 0), 'pos' (> 0), 'neg' (< 0)."""
+    """relation: 'zero' (== 0), 'nonneg' (>= 0), 'pos' (> 0)."""
     try:
         s = sign(value)
     except Inconclusive:
         return ConditionResult(name, Status.INCONCLUSIVE, _witness(value))
-    ok = {"zero": s == 0, "nonneg": s >= 0, "pos": s > 0, "neg": s < 0}[relation]
+    ok = {"zero": s == 0, "nonneg": s >= 0, "pos": s > 0}[relation]
     return ConditionResult(name, Status.PASS if ok else Status.FAIL, _witness(value))
 
 
@@ -483,15 +482,16 @@ def fan_to_json(fan: FanSubsolution) -> dict:
 
 
 def fan_from_json(data: dict) -> FanSubsolution:
-    law = PressureLaw(gamma=xreal_from_json(data["gamma"]))
+    law = PressureLaw(gamma=_number(data, "gamma"))
     left, right = state_from_json(data["left"], "left"), state_from_json(data["right"], "right")
-    mu = tuple(xreal_from_json(m) for m in _json_array(data["mu"], "mu", "numbers"))
+    mu_data = _json_array(data["mu"], "mu", "numbers")
+    mu = tuple(_number(mu_data, i, "mu") for i in range(len(mu_data)))
     regions = []
     for i, reg in enumerate(_json_array(data["regions"], "regions", "region objects")):
         name = f"regions[{i}]"
         reg = _json_object(reg, name, ("rho", "m", "u11", "u12", "q", "F"))
         z = PHPoint(_pair(reg["m"], f"{name} m"),
-                    xreal_from_json(reg["u11"]), xreal_from_json(reg["u12"]),
-                    xreal_from_json(reg["q"]), _pair(reg["F"], f"{name} F"))
-        regions.append((xreal_from_json(reg["rho"]), z))
+                    _number(reg, "u11", name), _number(reg, "u12", name),
+                    _number(reg, "q", name), _pair(reg["F"], f"{name} F"))
+        regions.append((_number(reg, "rho", name), z))
     return FanSubsolution(law, mu, left, right, tuple(regions))

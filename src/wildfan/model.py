@@ -189,17 +189,27 @@ def _json_object(data, name: str, keys: tuple[str, ...] = ()) -> dict:
     return data
 
 
+def _number(data, key, owner: str = "") -> XReal:
+    """The number at ``data[key]``; a malformed one is a parse error that
+    names it: ``owner`` then the key, or ``owner[i]`` for a list index."""
+    try:
+        return xreal_from_json(data[key])
+    except ValueError as exc:
+        name = f"{owner}[{key}]" if isinstance(key, int) else f"{owner} {key}".lstrip()
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def _pair(data, name: str) -> tuple[XReal, XReal]:
     if not isinstance(data, list) or len(data) != 2:
         raise ValueError(f"{name} must be a list of two numbers, got {_shown(data)!r}")
-    return xreal_from_json(data[0]), xreal_from_json(data[1])
+    return _number(data, 0, name), _number(data, 1, name)
 
 
 def state_from_json(data, name: str = "state") -> EulerState:
     """The state of a JSON object {"rho": ..., "m": [..., ...]}; ``name``
     names it in a parse error."""
     data = _json_object(data, name, ("rho", "m"))
-    return EulerState(xreal_from_json(data["rho"]), _pair(data["m"], f"{name} m"))
+    return EulerState(_number(data, "rho", name), _pair(data["m"], f"{name} m"))
 
 
 class PHPoint(Record):

@@ -40,7 +40,9 @@ quadratic tower, and runs the full exact verification on the fan it
 gives.  That verification decides each Rankine-Hugoniot equality once,
 the two the closure solves included, and the comparison reuses the
 problem's reference profile and the plane brackets the verification
-computed on the fan.
+computed on the fan.  ``search_fan`` puts the fan it certified, with its
+comparison, on the candidate it returns; no other code puts a fan on a
+candidate, so ``certify`` returns that fan and certifies nothing twice.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ _VAR_NAMES = ("mu0", "mu2", "mu3", "rho1", "q1", "q2", "q3", "F12", "F22", "F32"
 class Candidate(Record):
     """Float candidate: its free variables and, on the candidate
     ``search_fan`` returns once it certified, the exact fan built from them
-    with its comparison against the self-similar solution."""
+    with its comparison against the self-similar solution.  The constructor
+    takes no fan: only ``search_fan`` puts one on a candidate, so
+    ``certify`` can return it as it is."""
 
     law: PressureLaw
     left: EulerState
@@ -100,8 +104,8 @@ class Candidate(Record):
     fan: FanSubsolution | None
     comparison: VerificationReport | None
 
-    def __init__(self, law, left, right, sigma, x, seed=None, fan=None, comparison=None):
-        super().__init__(law, left, right, sigma, tuple(map(float, x)), seed, fan, comparison)
+    def __init__(self, law, left, right, sigma, x, seed=None):
+        super().__init__(law, left, right, sigma, tuple(map(float, x)), seed, None, None)
 
     def to_dict(self) -> dict:
         """Reproducibility dump: seed, pinned speed, free variables."""
@@ -436,13 +440,14 @@ def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
         if not found:
             continue
         (_, surplus, x), = found
-        fields = (law, left, right, prob.sigma, x, seed)
-        cand = Candidate(*fields)
+        cand = Candidate(law, left, right, prob.sigma, x, seed)
         if surplus > best_surplus:  # surplus > 0.0: the first one wins
             best, best_surplus = cand, surplus
         certified = _certify(cand, prob)
         if certified is not None:
-            return Candidate(*fields, *certified)
+            object.__setattr__(cand, "fan", certified[0])
+            object.__setattr__(cand, "comparison", certified[1])
+            return cand
     return best
 
 
@@ -465,13 +470,17 @@ def _sample_start(rng: random.Random, prob: _Problem) -> list:
 # ---------------------------------------------------------------------------
 
 def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
-    """Round the free variables to rationals of denominator at most
+    """The fan ``search_fan`` certified from ``cand``, returned as it is,
+    with no exact work.  A candidate without one is certified here: round
+    the free variables to rationals of denominator at most
     ``_DENOMINATOR_CAP``, pin the matched plane to the exact reference
     shock speed, re-close exactly in the tower, and run the full exact
     verification plus the dissipation comparison.  None when any strict
     inequality is lost in rounding; otherwise the fan.  ``cand`` is left
     as it is.  Nothing in ``cfg`` changes the result: its fields steer the
     restarts of ``search_fan`` only."""
+    if cand.fan is not None:
+        return cand.fan
     certified = _certify(cand, _Problem(cand.law, cand.left, cand.right))
     return None if certified is None else certified[0]
 

@@ -111,14 +111,30 @@ def _verify_and_compare_paper_fan():
     return lambda: (verify_fan(fan), beats_selfsimilar(fan))
 
 
+_PAPER_SHOCK_FAN = "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+
+
 def _certify_paper_shock():
     cfg = search.SearchConfig(rng_seed=0)
     cand = search.search_fan(LAW2, *_paper_shock(), cfg)
 
     def certify():
         fan = search.certify(cand, cfg)
-        assert _fan_digest(fan) == \
-            "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+        assert fan is cand.fan
+        assert _fan_digest(fan) == _PAPER_SHOCK_FAN
+    return certify
+
+
+def _certify_hand_built_paper_shock():
+    # the searched candidate's fields without its fan: certify runs the
+    # exact certification and gives the same fan
+    cfg = search.SearchConfig(rng_seed=0)
+    found = search.search_fan(LAW2, *_paper_shock(), cfg)
+    cand = search.Candidate(found.law, found.left, found.right, found.sigma, found.x, found.seed)
+
+    def certify():
+        fan = search.certify(cand, cfg)
+        assert cand.fan is None and _fan_digest(fan) == _PAPER_SHOCK_FAN
     return certify
 
 
@@ -129,8 +145,7 @@ def _search_and_certify_paper_shock():
 
     def op():
         fan = search.certify(search.search_fan(LAW2, *shock, cfg), cfg)
-        assert _fan_digest(fan) == \
-            "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+        assert _fan_digest(fan) == _PAPER_SHOCK_FAN
     return op
 
 
@@ -141,20 +156,35 @@ def _search_and_certify_paper_shock():
     # again for the same two states; each region's energy is taken once
     (_verify_and_compare_paper_fan,
      {"lift_state": 4, "_lift": 2, "pressure": 15, "pressure_potential": 5}),
+    # search_fan certified the candidate: certify returns its fan
+    (_certify_paper_shock,
+     {"lift_state": 0, "_lift": 0, "pressure": 0, "pressure_potential": 0}),
     # search_fan has lifted the candidate's states: the problem, the
     # reference profile and the fan ask for them and compute nothing
-    (_certify_paper_shock,
+    (_certify_hand_built_paper_shock,
      {"lift_state": 6, "_lift": 0, "pressure": 11, "pressure_potential": 3}),
-    # the search and its certification, then certify again: one lift per
+    # the search and its certification; certify adds nothing: one lift per
     # state for the whole op
     (_search_and_certify_paper_shock,
-     {"lift_state": 12, "_lift": 2, "pressure": 26, "pressure_potential": 8}),
-], ids=["verify_fan+beats_selfsimilar", "certify", "search_fan+certify"])
+     {"lift_state": 6, "_lift": 2, "pressure": 15, "pressure_potential": 5}),
+], ids=["verify_fan+beats_selfsimilar", "certify", "certify (hand-built)", "search_fan+certify"])
 def test_model_call_budget(monkeypatch, setup, budget):
     operation = setup()  # fans and candidates are built before counting
     counts = _counted_everywhere(monkeypatch, budget)
     operation()
     _within(counts, budget)
+
+
+def test_search_and_certify_certify_once(monkeypatch):
+    # one search benchmark op on the paper shock: one exact certification
+    # and one Riemann solve, all of them inside search_fan
+    import wildfan.fan as fan_module
+
+    op = _search_and_certify_paper_shock()
+    counts = _counted(monkeypatch, [(search, "_certify"), (search, "solve_riemann"),
+                                    (fan_module, "solve_riemann")])
+    op()
+    assert counts == {"_certify": 1, "solve_riemann": 1}
 
 
 def test_search_weak_op_budget(monkeypatch):

@@ -229,6 +229,34 @@ def test_nested_json_of_the_wrong_type_is_named(tmp_path, capsys, command, key, 
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def _set(data: dict, path: tuple, value) -> dict:
+    """A copy of data with the entry at path (keys and indices) set to value."""
+    data = json.loads(json.dumps(data))
+    *inner, last = path
+    target = data
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("riemann", ("gamma",), [1], "gamma: not an XReal encoding: [1]"),
+    ("search", ("left", "rho"), None, "left rho: not an XReal encoding: None"),
+    ("riemann", ("right", "m", 0), True, "right m[0]: boolean is not a number"),
+    ("verify-fan", ("mu", 2), True, "mu[2]: boolean is not a number"),
+    ("verify-fan", ("regions", 1, "q"), {}, "regions[1] q: not an XReal encoding: {}"),
+    ("verify-fan", ("regions", 0, "F", 1), "1/0", "regions[0] F[1]: zero denominator in '1/0'"),
+], ids=["gamma", "left-rho", "right-m0", "mu2", "regions1-q", "regions0-F1"])
+def test_a_malformed_number_names_its_key(tmp_path, capsys, command, path, value, message):
+    # the number parser sees only the value: its message used to name no key
+    data = fan_to_json(paper_example()) if command == "verify-fan" else _RIEMANN
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(_set(data, path, value)))
+    assert run([command, str(file)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_oscillate_csv(tmp_path, capsys):
     cfgf = tmp_path / "osc.json"
     cfgf.write_text(json.dumps({"tau1": 0.4, "delta": 0.02, "ks": [8],
@@ -296,8 +324,9 @@ def test_oscillate_rejects_integers_past_the_digit_limit(tmp_path, capsys, key, 
 
 @pytest.mark.parametrize("key, value, message", [
     ("left", {"rho": "1/1", "m": _LONG}, "left m must be a list of two numbers, got "),
-    ("gamma", [_LONG], "not an XReal encoding: ["),
-    ("gamma", {"d": [_LONG, "x"], "c": [1]}, "tower radicands must be a list of JSON integers, got ["),
+    ("gamma", [_LONG], "gamma: not an XReal encoding: ["),
+    ("gamma", {"d": [_LONG, "x"], "c": [1]},
+     "gamma: tower radicands must be a list of JSON integers, got ["),
 ], ids=["pair", "xreal", "radicands"])
 def test_a_long_integer_in_a_parse_error_is_shown_by_its_bit_length(tmp_path, capsys, key, value,
                                                                      message):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wildfan.exactnum import QuadExt, Rational, sign, xreal_to_json
+from wildfan.exactnum import QuadExt, Rational, sign, xreal_from_json, xreal_to_json
 from wildfan.fan import (
     FanSubsolution,
     ProfileOrder,
@@ -78,6 +80,58 @@ def test_paper_example_degenerate_q_fails_subsolution():
     report = verify_fan(bad)
     failing = {c.name for c in report.conditions if c.status is Status.FAIL}
     assert "subsolution_trace[1]" in failing
+
+
+def _with_region(fan, i, z):
+    """fan with region i's phase point replaced by z."""
+    regions = list(fan.regions)
+    regions[i] = (regions[i][0], z)
+    return FanSubsolution(fan.law, fan.mu, fan.left, fan.right, tuple(regions))
+
+
+def _is_zero_witness(witness: str) -> bool:
+    return sign(xreal_from_json(ast.literal_eval(witness))) == 0
+
+
+@pytest.mark.parametrize("region, zero, failing", [
+    # q = p + k/2: -tr M = 0, and det M = -(k + v + p)^2 < 0
+    (0, "subsolution_trace[1]", {"subsolution_trace[1]", "subsolution_det[1]"}),
+    # q = (p - v)/2: det M = 0, and -tr M = -(k + v + p) > 0 still
+    (2, "subsolution_det[3]", {"subsolution_det[3]"}),
+], ids=["trace", "det"])
+def test_a_cap_on_its_bound_fails_strict_negative_definiteness(region, zero, failing):
+    # exact boundary fans from the paper fan: region i's cap q sits on the
+    # bound of its zero condition, with p = rho^2, k = m2^2 / rho and
+    # v = u11 - q.  u11 moves with q, so v and every Rankine-Hugoniot
+    # equality hold; the zero condition is strict, so it fails
+    fan = paper_example()
+    rho, z = fan.regions[region]
+    p, k, v = pressure(fan.law, rho), z.m[1] * z.m[1] / rho, z.u11 - z.q
+    q = p + k / 2 if zero.startswith("subsolution_trace") else (p - v) / 2
+    report = verify_fan(_with_region(fan, region, PHPoint(z.m, v + q, z.u12, q, z.F)))
+    conds = {c.name: c for c in report.conditions}
+    assert {name for name, c in conds.items() if c.status is not Status.PASS} == failing
+    assert all(conds[name].status is Status.FAIL for name in failing)
+    assert _is_zero_witness(conds[zero].witness)
+
+
+def test_an_outer_plane_bracket_of_exactly_zero_passes():
+    # region 3's flux F2 lowered by the bracket on plane 3 makes that
+    # bracket exactly 0 (the one on plane 2 grows by as much): the energy
+    # inequality holds with equality, the profile keeps a zero coefficient,
+    # and a zero coefficient is admissible, so the comparison still passes
+    fan = paper_example()
+    rho, z = fan.regions[2]
+    (_, b3), = fan_dissipation_profile(fan).entries[3:]
+    flat = _with_region(fan, 2, PHPoint(z.m, z.u11, z.u12, z.q, (z.F[0], z.F[1] - b3)))
+    conds = {c.name: c for c in verify_fan(flat).conditions}
+    assert all(c.status is Status.PASS for c in conds.values())
+    assert _is_zero_witness(conds["rh_energy[3]"].witness)
+    speed, coeff = fan_dissipation_profile(flat).entries[3]
+    assert sign(speed - fan.mu[3]) == 0 and sign(coeff) == 0
+    report = beats_selfsimilar(flat)
+    verdict = next(c for c in report.conditions if c.name == "comparison")
+    assert report.passed and verdict.witness == ProfileOrder.STRICTLY_DOMINATES.value
 
 
 def test_paper_regions_are_strict_subsolutions_not_in_K():

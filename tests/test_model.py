@@ -226,6 +226,12 @@ def test_records_are_class_aware_hashable_and_frozen():
         with pytest.raises(AttributeError):
             delattr(cand, name)
     assert Candidate._fields[-2:] == ("fan", "comparison")
+    # only search_fan puts a fan on a candidate: the constructor takes none
+    for kwargs in ({"fan": None}, {"comparison": None}):
+        with pytest.raises(TypeError):
+            Candidate(PressureLaw(2), left, right, -1.0, [0.0], 3, **kwargs)
+    with pytest.raises(TypeError):
+        Candidate(PressureLaw(2), left, right, -1.0, [0.0], 3, None)
 
 
 def test_candidates_from_equal_arrays_compare_and_hash_equal():

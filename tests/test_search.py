@@ -367,7 +367,8 @@ def test_certify_paper_variables():
     cand = Candidate(LAW2, left, right, SIGMA_F, paper_x())
     fan = certify(cand, SearchConfig(restarts=1))
     assert fan is not None
-    assert cand.fan is None and cand.comparison is None  # certify returns, never stores
+    # a hand-built candidate has no fan: certify certifies it and stores nothing
+    assert cand.fan is None and cand.comparison is None
     assert verify_fan(fan).passed
     profile = fan_dissipation_profile(fan)
     assert sign(profile.entries[1][1] - Rational(27, 4) * S5) == 1
@@ -401,9 +402,12 @@ def test_search_finds_certifiable_fan():
     cand = search_fan(LAW2, left, right, cfg)
     assert cand is not None
     assert cand.fan is not None
+    # certify returns the fan search_fan certified, not a second certification
     fan = certify(cand, cfg)
-    assert fan is not None
-    assert fan_to_json(fan) == fan_to_json(cand.fan)
+    assert fan is cand.fan
+    # a hand-built candidate of the same fields certifies to the same fan
+    fields = (cand.law, cand.left, cand.right, cand.sigma, cand.x, cand.seed)
+    assert fan_to_json(certify(Candidate(*fields), cfg)) == fan_to_json(cand.fan)
     # the comparison certify ran is kept for the CLI, not recomputed there
     assert cand.comparison.passed
     assert cand.comparison.to_dict() == beats_selfsimilar(fan).to_dict()
@@ -441,6 +445,7 @@ def test_problem_matches_the_most_negative_shock_plane(monkeypatch):
     assert prob.sigma == min(float(s) for s, _ in prob.ref.entries) < 0.0
     cand = search_fan(LAW2, left, right, SearchConfig(restarts=1, rng_seed=3))
     assert cand is not None and cand.fan is None
+    # a candidate without a fan is certified again, and still fails
     assert certify(cand, SearchConfig(restarts=1)) is None
     # two rarefactions: no plane to beat, and no float evaluation
     left, right = unit(Fraction(-1, 2)), unit(Fraction(1, 2))
