@@ -3,17 +3,17 @@ rational certification.
 
 The Rankine-Hugoniot equalities are eliminated by construction, in one
 closure (``chain_close``) that works verbatim over floats and over exact
-numbers.  Given the four speeds, the first density and the trace caps, the
-last mass condition and the telescoped normal-momentum condition are linear
-in the two middle densities, with determinant (mu1-mu2)(mu3-mu2)(mu3-mu1);
-the closure solves them, then chains the normal momenta and trace-free
-entries forward from the left boundary.  Each region's density, normal
-momentum and u11 - q do not depend on the trace caps q, so four variables
-decide dominance: the speed gaps d0, d2, d3 around the matched plane and
-the first density.  Given them, each region is negative definite exactly
-when one quantity c_i is positive and its q_i clears a bound, and the
-matched bracket falls in each q_i and in each outer bracket, so the other
-six variables take their best values in closed form.
+numbers.  Given the four speeds and the first density, the last mass
+condition and the telescoped normal-momentum condition are linear in the
+two middle densities, with determinant (mu1-mu2)(mu3-mu2)(mu3-mu1); the
+closure solves them, then chains the normal momenta and v = u11 - q forward
+from the left boundary.  No region's density, normal momentum or v depends
+on the trace caps q, so the closure takes none, and four variables decide
+dominance: the speed gaps d0, d2, d3 around the matched plane and the first
+density.  Given them, each region is negative definite exactly when one
+quantity c_i is positive and its q_i clears a bound, and the matched
+bracket falls in each q_i and in each outer bracket, so the other six
+variables take their best values in closed form.
 
 A restart is one Nelder-Mead phase over z = (ln d0, ln d2, ln d3, ln rho1),
 from a start drawn by ``random.Random(rng_seed + restart)`` near the
@@ -33,12 +33,12 @@ index, so the search bits depend neither on the CPU nor on numpy.
 
 Each Riemann problem is set up once (``_Problem``): the reference solution
 and its profile, whose first entry, the most negative shock plane, is the
-matched plane, and the lifted boundary values.  Certification rounds the
-free variables to rationals of denominator at most 10**12, pins the
-matched plane to its exact speed, re-runs the same closure in the
-quadratic tower, and runs the full exact verification on the fan it
-gives.  That verification decides each Rankine-Hugoniot equality once,
-the two the closure solves included, and the comparison reuses the
+matched plane, and the lifted boundary values.  Certification reads the ten
+floats of the searched point exactly, pins the matched plane to its exact
+speed, re-runs the same closure at q = 0 in the quadratic tower, sets
+u11 = v + q in each region, and runs the full exact verification on the
+fan it gives.  That verification decides each Rankine-Hugoniot equality
+once, the two the closure solves included, and the comparison reuses the
 problem's reference profile and the plane brackets the verification
 computed on the fan.  ``search_fan`` puts the fan it certified, with its
 comparison, on the candidate it returns; no other code puts a fan on a
@@ -50,10 +50,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import Inconclusive, XReal, _is_int, as_xreal, sign
+from .exactnum import Inconclusive, _is_int, as_xreal, sign
 from .fan import FanSubsolution, VerificationReport, compare_selfsimilar, verify_fan
 from .model import EulerState, NonPositiveDensity, PHPoint, PressureLaw, Record, lift_state
 from .riemann import Shock, _sound_speed, plane_bracket, selfsim_dissipation, solve_riemann
@@ -69,7 +68,7 @@ __all__ = [
 
 
 class DegenerateClosure(ZeroDivisionError):
-    """Closure division degenerates (equal densities or speeds)."""
+    """Closure division degenerates (coincident speeds)."""
 
 
 class SearchConfig(Record):
@@ -124,34 +123,30 @@ def _is_zero(v) -> bool:
     return (v == 0.0) if isinstance(v, float) else (sign(v) == 0)
 
 
-def chain_close(minus, plus, mu, rho1, q123):
+def chain_close(minus, plus, mu, rho1):
     """Close the Rankine-Hugoniot equalities of a three-region fan.
 
-    ``minus`` and ``plus`` are the boundary values (rho, m2, u11, q) of the
-    lifted left and right states, ``mu`` holds all four speeds.  The last
-    mass condition and the normal-momentum condition at the last interface
-    (telescoped, so free of the interior q's) are solved as a 2x2 linear
-    system for (rho2, rho3).  The momentum and trace chains then determine
-    the interior normal momenta and trace-free entries from the left
-    boundary, the last mass condition gives the chained mu3, and the
-    last normal-momentum condition is returned as ``residual``; the solve
-    makes the chained mu3 equal ``mu[3]`` and the residual zero, exactly
-    over exact numbers and up to rounding over floats.  Works verbatim
-    over floats or exact numbers.
+    ``minus`` and ``plus`` are the boundary values (rho, m2, v) of the
+    lifted left and right states, with v = u11 - q; ``mu`` holds all four
+    speeds.  The last mass condition and the normal-momentum condition at
+    the last interface (telescoped, so free of the interior v's) are solved
+    as a 2x2 linear system for (rho2, rho3).  The momentum and v chains
+    then determine the interior normal momenta and v's from the left
+    boundary.  Over exact numbers the solve meets both last-interface
+    conditions identically, for any caps q with u11_i = v_i + q_i; over
+    floats, up to rounding.  Works verbatim over floats or exact numbers.
 
-    Returns ((rho1, rho2, rho3), (m1, m2, m3), (u1, u2, u3), mu3, residual);
-    raises DegenerateClosure on coincident speeds or rho3 equal to the
-    right boundary density.
+    Returns ((rho1, rho2, rho3), (m1, m2, m3), (v1, v2, v3)); raises
+    DegenerateClosure on coincident speeds.
     """
-    rho_m, m_m, u_m, q_m = minus
-    rho_p, m_p, u_p, q_p = plus
+    rho_m, m_m, v_m = minus
+    rho_p, m_p, v_p = plus
     mu0, mu1, mu2, mu3 = mu
-    q1, q2, q3 = q123
 
     a1, a2 = mu1 - mu2, mu2 - mu3
     a_rhs = mu0 * rho_m - m_m + (mu1 - mu0) * rho1 + m_p - mu3 * rho_p
     b1, b2 = mu2 * mu2 - mu1 * mu1, mu3 * mu3 - mu2 * mu2
-    b_rhs = ((q_m - u_m) - (q_p - u_p)) - mu0 * mu0 * rho_m \
+    b_rhs = (v_p - v_m) - mu0 * mu0 * rho_m \
         - (mu1 * mu1 - mu0 * mu0) * rho1 + mu3 * mu3 * rho_p
     det = a1 * b2 - a2 * b1
     if _is_zero(det):
@@ -162,16 +157,10 @@ def chain_close(minus, plus, mu, rho1, q123):
     m1 = m_m - mu0 * (rho_m - rho1)
     m2 = m1 - mu1 * (rho1 - rho2)
     m3 = m2 - mu2 * (rho2 - rho3)
-    drho = rho3 - rho_p
-    if _is_zero(drho):
-        raise DegenerateClosure("rho3 equals the right boundary density")
-    mu3_chain = (m3 - m_p) / drho
-
-    u1 = u_m - q_m + q1 + mu0 * (m_m - m1)
-    u2 = u1 - q1 + q2 + mu1 * (m1 - m2)
-    u3 = u2 - q2 + q3 + mu2 * (m2 - m3)
-    residual = mu3_chain * (m3 - m_p) - (-u3 + q3 + u_p - q_p)
-    return (rho1, rho2, rho3), (m1, m2, m3), (u1, u2, u3), mu3_chain, residual
+    v1 = v_m + mu0 * (m_m - m1)
+    v2 = v1 + mu1 * (m1 - m2)
+    v3 = v2 + mu2 * (m2 - m3)
+    return (rho1, rho2, rho3), (m1, m2, m3), (v1, v2, v3)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +174,9 @@ class _Problem:
     exact) and floats ``sigma``, ``ref_coeff`` (None without a shock); the
     search's ``pad`` and ``gap``, 1e-5 and 1e-4 of ``ref_coeff``, and the
     float densities ``shock_rhos`` on either side of the matched shock; the
-    float ``gamma`` of the law; the lifted boundary values, exact and as
-    the floats the search reads."""
+    float ``gamma`` of the law; the lifted boundary values (rho, m2,
+    u11 - q), exact and as the floats the search reads, whose last entry
+    is the float u11 less the float q."""
 
     def __init__(self, law: PressureLaw, left: EulerState, right: EulerState):
         self.sol = solve_riemann(law, left, right)
@@ -201,10 +191,10 @@ class _Problem:
             self.shock_rhos = float(shock.left.rho), float(shock.right.rho)
         self.gamma = float(law.gamma)
         (z_m, e_m), (z_p, e_p) = lift_state(law, left), lift_state(law, right)
-        self.exact_minus = (left.rho, z_m.m[1], z_m.u11, z_m.q)
-        self.exact_plus = (right.rho, z_p.m[1], z_p.u11, z_p.q)
-        self.minus = tuple(map(float, self.exact_minus))
-        self.plus = tuple(map(float, self.exact_plus))
+        self.exact_minus = (left.rho, z_m.m[1], z_m.u11 - z_m.q)
+        self.exact_plus = (right.rho, z_p.m[1], z_p.u11 - z_p.q)
+        self.minus = (float(left.rho), float(z_m.m[1]), float(z_m.u11) - float(z_m.q))
+        self.plus = (float(right.rho), float(z_p.m[1]), float(z_p.u11) - float(z_p.q))
         self.f_m, self.e_m, self.f_p, self.e_p = map(float, (z_m.F[1], e_m, z_p.F[1], e_p))
 
 
@@ -220,8 +210,8 @@ def _kernel(prob: _Problem, z):
     positive.
 
     The speeds are mu0 = sigma - d0, mu2 = sigma + d2 and mu3 = mu2 + d3.
-    The closure at q = 0 gives each region's rho_i, m_i and v_i = u_i - q_i,
-    none of which depends on q.  With p_i = rho_i ** gamma and
+    The closure gives each region's rho_i, m_i and v_i = u_i - q_i, none of
+    which depends on q.  With p_i = rho_i ** gamma and
     k_i = m_i ** 2 / rho_i, region i has -tr M = 2 q_i - k_i - 2 p_i and
     det M = (p_i - v_i - 2 q_i)(k_i + v_i + p_i), both positive exactly when
     c_i = -(k_i + v_i + p_i) > 0 and 2 q_i > max(k_i + 2 p_i, p_i - v_i).
@@ -241,8 +231,7 @@ def _kernel(prob: _Problem, z):
     mu0, mu2 = sigma - d0, sigma + d2
     mu3 = mu2 + d3
     try:
-        rhos, ms, vs, _, _ = chain_close(prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1,
-                                         (0.0, 0.0, 0.0))
+        rhos, ms, vs = chain_close(prob.minus, prob.plus, (mu0, sigma, mu2, mu3), rho1)
     except DegenerateClosure:
         return None
     if min(rhos) <= 0.0:
@@ -409,8 +398,6 @@ def minimize(fun, x0, maxiter: int) -> _Result:
 # ---------------------------------------------------------------------------
 
 _MAX_ITERS = 150
-# largest denominator certification rounds a float variable to
-_DENOMINATOR_CAP = 10 ** 12
 
 
 def search_fan(law: PressureLaw, left: EulerState, right: EulerState,
@@ -471,14 +458,14 @@ def _sample_start(rng: random.Random, prob: _Problem) -> list:
 
 def certify(cand: Candidate, cfg: SearchConfig) -> FanSubsolution | None:
     """The fan ``search_fan`` certified from ``cand``, returned as it is,
-    with no exact work.  A candidate without one is certified here: round
-    the free variables to rationals of denominator at most
-    ``_DENOMINATOR_CAP``, pin the matched plane to the exact reference
-    shock speed, re-close exactly in the tower, and run the full exact
-    verification plus the dissipation comparison.  None when any strict
-    inequality is lost in rounding; otherwise the fan.  ``cand`` is left
-    as it is.  Nothing in ``cfg`` changes the result: its fields steer the
-    restarts of ``search_fan`` only."""
+    with no exact work.  A candidate without one is certified here: read
+    its ten float variables exactly as rationals, pin the matched plane to
+    the exact reference shock speed, close exactly in the tower and set
+    u11 = v + q in each region, and run the full exact verification plus
+    the dissipation comparison.  None when a strict inequality fails
+    exactly; otherwise the fan.  ``cand`` is left as it is.  Nothing in
+    ``cfg`` changes the result: its fields steer the restarts of
+    ``search_fan`` only."""
     if cand.fan is not None:
         return cand.fan
     certified = _certify(cand, _Problem(cand.law, cand.left, cand.right))
@@ -491,25 +478,15 @@ def _certify(cand: Candidate, prob: _Problem) -> tuple[FanSubsolution, Verificat
     report; None as well when the reference is not exact or has no shock."""
     if prob.speed is None:
         return None
-
-    def rnd(v) -> XReal:
-        return as_xreal(Fraction(float(v)).limit_denominator(_DENOMINATOR_CAP))
-
-    mu0, mu2x, mu3x = rnd(cand.x[0]), rnd(cand.x[1]), rnd(cand.x[2])
-    rho1 = rnd(cand.x[3])
-    q123 = (rnd(cand.x[4]), rnd(cand.x[5]), rnd(cand.x[6]))
-    f123 = (rnd(cand.x[7]), rnd(cand.x[8]), rnd(cand.x[9]))
-    mu = (mu0, prob.speed, mu2x, mu3x)
-
+    mu0, mu2, mu3, rho1, *qf = map(as_xreal, cand.x)
+    mu = (mu0, prob.speed, mu2, mu3)
     try:
-        # the chained mu3 and the residual are not read: over exact numbers
-        # the 2x2 solve makes them mu3x and 0, and verify_fan decides the
-        # two equalities behind them as rh_mass[3] and rh_normal[3]
-        rhos, m2s, u11s, _, _ = chain_close(prob.exact_minus, prob.exact_plus, mu, rho1, q123)
+        # verify_fan decides the two last-interface equalities the solve
+        # meets, as rh_mass[3] and rh_normal[3]
+        rhos, m2s, vs = chain_close(prob.exact_minus, prob.exact_plus, mu, rho1)
         zero = as_xreal(0)
-        regions = tuple(
-            (rho, PHPoint((zero, m2s[i]), u11s[i], zero, q123[i], (zero, f123[i])))
-            for i, rho in enumerate(rhos))
+        regions = tuple((rho, PHPoint((zero, m2), v + q, zero, q, (zero, f)))
+                        for rho, m2, v, q, f in zip(rhos, m2s, vs, qf[:3], qf[3:]))
         fan = FanSubsolution(cand.law, mu, cand.left, cand.right, regions)
         if not verify_fan(fan).passed:
             return None
@@ -517,5 +494,5 @@ def _certify(cand: Candidate, prob: _Problem) -> tuple[FanSubsolution, Verificat
         if not comparison.passed:
             return None
         return fan, comparison
-    except (DegenerateClosure, Inconclusive, NonPositiveDensity, ZeroDivisionError):
+    except (Inconclusive, NonPositiveDensity, ZeroDivisionError):
         return None

@@ -111,7 +111,7 @@ def _verify_and_compare_paper_fan():
     return lambda: (verify_fan(fan), beats_selfsimilar(fan))
 
 
-_PAPER_SHOCK_FAN = "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+_PAPER_SHOCK_FAN = "2c2638de2897e21e843dca71533116ed0e1250a4595f3e52127a36f638c6cd56"
 
 
 def _certify_paper_shock():
@@ -194,7 +194,7 @@ def test_search_weak_op_budget(monkeypatch):
     cand = search.search_fan(LAW2, *_weak_shock(), search.SearchConfig(restarts=8, rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.seed == 0
     assert _fan_digest(cand.fan) == \
-        "1c616e82c3afa47a76016239651f05c0f7845e1e1600d3afe81eec08b49b55f5"
+        "51c241254998816684953a500c669b1705060582bd657c0b085d4d29728c8f30"
     _within(counts, {"_kernel": 1})
 
 
@@ -204,7 +204,7 @@ def test_search_paper_shock_budget(monkeypatch):
     cand = search.search_fan(LAW2, *_paper_shock(), search.SearchConfig(rng_seed=0))
     assert cand is not None and cand.fan is not None and cand.seed == 0
     assert _fan_digest(cand.fan) == \
-        "cd59162b34c2aece449c89573646cffb3dbd416b4145f467e1e9b35adf8301a0"
+        "2c2638de2897e21e843dca71533116ed0e1250a4595f3e52127a36f638c6cd56"
     _within(counts, {"_kernel": 21})
 
 
@@ -214,7 +214,7 @@ def test_search_warmup_budget(monkeypatch):
     cand = search.search_fan(LAW2, *_warmup_shock(), search.SearchConfig(restarts=8, rng_seed=21))
     assert cand is not None and cand.fan is not None and cand.seed == 21
     assert _fan_digest(cand.fan) == \
-        "e00086f9371acc2c8ec3df6b1a03629c3fe81bb59ee91fdc7ea6e70d36fced83"
+        "1c3bea293b0efdef252c99ea09784237f556cc8eef6441cb0994c591b35be6f4"
     _within(counts, {"_kernel": 4})
 
 

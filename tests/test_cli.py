@@ -433,6 +433,17 @@ def test_nonpositive_region_density_exit_code(tmp_path, capsys):
     assert "interior densities must be positive" in captured.err
 
 
+def test_zero_region_density_exit_code(tmp_path, capsys):
+    # a density of exactly 0 sits on the boundary of the same check: a
+    # parse error (exit 2), as README gives it
+    def zero_rho(data):
+        data["regions"][1]["rho"] = "0/1"
+    code = run(["verify-fan", _fan_file(tmp_path, zero_rho)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "interior densities must be positive" in captured.err
+
+
 @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
 def test_riemann_reads_json_integers_past_the_digit_limit(tmp_path, capsys, limit):
     # a JSON integer of 5001 digits once raised ValueError in json.load,
@@ -753,9 +764,12 @@ _INPUTS = {
 # (argv, exit code, sha256 of stdout), recorded before the dissipation
 # comparison was folded into one plane walk; the search bytes were
 # re-recorded when the search went over to the four variables that decide
-# dominance, and again when the candidate dropped its float margins and its
-# feasible flag (the same search, the same certified fan); like
-# test_search_golden_bits they depend neither on the CPU nor on numpy.
+# dominance, again when the candidate dropped its float margins and its
+# feasible flag (the same search, the same certified fan), and again when
+# certification read the searched floats exactly and closed at q = 0, where
+# it had rounded them to denominators of at most 10**12 (the same search, a
+# new certified fan); like test_search_golden_bits they depend neither on
+# the CPU nor on numpy.
 _GOLDEN = (
     (("verify-example", "--format", "json"), 0,
      "f0af6cae74a49d85cc2fee2552a00ec7eea6bd74fed184dd949c1337061ebdfd"),
@@ -778,7 +792,7 @@ _GOLDEN = (
     (("riemann", "slip.json", "--format", "json"), 0,
      "677bbd590ba3adc12a5c9dcd7743480cf2c7a98affb3ad6980b50c72c3850a71"),
     (("search", "search8.json", "--format", "json"), 0,
-     "c0574ed3affce610ec4f2ee1ff7f32713dcf9752afbb20c9e84ccdd4fcc9155f"),
+     "0a106309d0fafddf7686e19edc057e9acb23ee65b0d44119716aa00da44c2e0c"),
     # the benchmark's oscillate config and a small one, recorded on the
     # dense grid before the sparse grid and the per-order caches; the JSON
     # carries every float's repr, so it pins the diagnostics bit for bit

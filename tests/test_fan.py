@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,8 @@ from wildfan.fan import (
 )
 from wildfan.hull import in_K, in_W
 from wildfan.model import (
-    EulerState, PHPoint, PressureLaw, lift_state, pressure, pressure_potential,
+    EulerState, NonPositiveDensity, PHPoint, PressureLaw, lift_state, pressure,
+    pressure_potential,
 )
 from wildfan.riemann import DissipationProfile, Shock, plane_bracket, solve_riemann
 
@@ -93,45 +95,95 @@ def _is_zero_witness(witness: str) -> bool:
     return sign(xreal_from_json(ast.literal_eval(witness))) == 0
 
 
-@pytest.mark.parametrize("region, zero, failing", [
-    # q = p + k/2: -tr M = 0, and det M = -(k + v + p)^2 < 0
-    (0, "subsolution_trace[1]", {"subsolution_trace[1]", "subsolution_det[1]"}),
-    # q = (p - v)/2: det M = 0, and -tr M = -(k + v + p) > 0 still
-    (2, "subsolution_det[3]", {"subsolution_det[3]"}),
-], ids=["trace", "det"])
-def test_a_cap_on_its_bound_fails_strict_negative_definiteness(region, zero, failing):
-    # exact boundary fans from the paper fan: region i's cap q sits on the
-    # bound of its zero condition, with p = rho^2, k = m2^2 / rho and
-    # v = u11 - q.  u11 moves with q, so v and every Rankine-Hugoniot
-    # equality hold; the zero condition is strict, so it fails
+# the coefficient of the paper shock's one plane
+PAPER_SHOCK_COEFF = Rational(27, 4) * S5
+
+
+def boundary_fan(case):
+    """(fan, name): an exact boundary fan built from the paper fan, and the
+    condition whose value it puts at exactly 0.
+
+    - "trace": region 1's cap q at p + k/2, so -tr M = 0;
+    - "det": region 3's cap q at (p - v)/2, so det M = 0;
+    - "bracket": region 3's flux F2 lowered by plane 3's bracket, which
+      becomes 0;
+    - "margin": region 1's flux F2 lowered by the matched plane's margin
+      over the reference shock, which becomes 0.
+
+    Here p = rho^2, k = m2^2 / rho and v = u11 - q.  u11 moves with q, so v
+    and every Rankine-Hugoniot equality hold.  A lowered flux raises the
+    bracket of the plane before the region by as much."""
     fan = paper_example()
+    if case in ("trace", "det"):
+        region, name = (0, "subsolution_trace[1]") if case == "trace" else (2, "subsolution_det[3]")
+        rho, z = fan.regions[region]
+        p, k, v = pressure(fan.law, rho), z.m[1] * z.m[1] / rho, z.u11 - z.q
+        q = p + k / 2 if case == "trace" else (p - v) / 2
+        return _with_region(fan, region, PHPoint(z.m, v + q, z.u12, q, z.F)), name
+    entries = fan_dissipation_profile(fan).entries
+    if case == "bracket":
+        region, drop, name = 2, entries[3][1], "rh_energy[3]"
+    else:
+        region, name = 0, f"strict_margin[{float(fan.mu[1]):.6g}]"
+        drop = entries[1][1] - PAPER_SHOCK_COEFF
     rho, z = fan.regions[region]
-    p, k, v = pressure(fan.law, rho), z.m[1] * z.m[1] / rho, z.u11 - z.q
-    q = p + k / 2 if zero.startswith("subsolution_trace") else (p - v) / 2
-    report = verify_fan(_with_region(fan, region, PHPoint(z.m, v + q, z.u12, q, z.F)))
-    conds = {c.name: c for c in report.conditions}
+    return _with_region(fan, region, PHPoint(z.m, z.u11, z.u12, z.q, (z.F[0], z.F[1] - drop))), name
+
+
+@pytest.mark.parametrize("case, failing", [
+    # -tr M = 0, and det M = -(k + v + p)^2 < 0
+    ("trace", {"subsolution_trace[1]", "subsolution_det[1]"}),
+    # det M = 0, and -tr M = -(k + v + p) > 0 still
+    ("det", {"subsolution_det[3]"}),
+], ids=["trace", "det"])
+def test_a_cap_on_its_bound_fails_strict_negative_definiteness(case, failing):
+    # region i's cap q sits on the bound of its zero condition, which is
+    # strict, so it fails
+    fan, zero = boundary_fan(case)
+    conds = {c.name: c for c in verify_fan(fan).conditions}
     assert {name for name, c in conds.items() if c.status is not Status.PASS} == failing
     assert all(conds[name].status is Status.FAIL for name in failing)
     assert _is_zero_witness(conds[zero].witness)
 
 
 def test_an_outer_plane_bracket_of_exactly_zero_passes():
-    # region 3's flux F2 lowered by the bracket on plane 3 makes that
-    # bracket exactly 0 (the one on plane 2 grows by as much): the energy
-    # inequality holds with equality, the profile keeps a zero coefficient,
-    # and a zero coefficient is admissible, so the comparison still passes
-    fan = paper_example()
-    rho, z = fan.regions[2]
-    (_, b3), = fan_dissipation_profile(fan).entries[3:]
-    flat = _with_region(fan, 2, PHPoint(z.m, z.u11, z.u12, z.q, (z.F[0], z.F[1] - b3)))
-    conds = {c.name: c for c in verify_fan(flat).conditions}
+    # the energy inequality holds with equality, the profile keeps a zero
+    # coefficient, and a zero coefficient is admissible, so the comparison
+    # still passes
+    fan, zero = boundary_fan("bracket")
+    conds = {c.name: c for c in verify_fan(fan).conditions}
     assert all(c.status is Status.PASS for c in conds.values())
-    assert _is_zero_witness(conds["rh_energy[3]"].witness)
-    speed, coeff = fan_dissipation_profile(flat).entries[3]
+    assert _is_zero_witness(conds[zero].witness)
+    speed, coeff = fan_dissipation_profile(fan).entries[3]
     assert sign(speed - fan.mu[3]) == 0 and sign(coeff) == 0
-    report = beats_selfsimilar(flat)
+    report = beats_selfsimilar(fan)
     verdict = next(c for c in report.conditions if c.name == "comparison")
     assert report.passed and verdict.witness == ProfileOrder.STRICTLY_DOMINATES.value
+
+
+def test_a_matched_coefficient_equal_to_the_reference_fails_the_strict_margin():
+    # the fan is still admissible, and its matched plane dissipates exactly
+    # as much as the reference shock.  The profile order still reads
+    # StrictlyDominates, from the planes the reference lacks, so the strict
+    # margin alone, failing with a zero witness, fails the comparison
+    fan, zero = boundary_fan("margin")
+    assert verify_fan(fan).passed
+    report = beats_selfsimilar(fan)
+    conds = {c.name: c for c in report.conditions}
+    assert {name for name, c in conds.items() if c.status is not Status.PASS} == {zero}
+    assert conds[zero].status is Status.FAIL and _is_zero_witness(conds[zero].witness)
+    assert conds["comparison"].witness == ProfileOrder.STRICTLY_DOMINATES.value
+    assert not report.passed
+
+
+def test_a_zero_interior_density_is_refused():
+    # a region of density exactly 0 is no fan: the constructor refuses it,
+    # as it refuses a negative one
+    fan = paper_example()
+    for rho in (Rational(0), Rational(-1)):
+        regions = (fan.regions[0], (rho, fan.regions[1][1]), fan.regions[2])
+        with pytest.raises(NonPositiveDensity, match="interior densities must be positive"):
+            FanSubsolution(fan.law, fan.mu, fan.left, fan.right, regions)
 
 
 def test_paper_regions_are_strict_subsolutions_not_in_K():
@@ -316,6 +368,99 @@ def test_reflection_keeps_every_verdict_and_coefficient():
 @given(num=st.integers(1, 9), den=st.integers(1, 9))
 def test_reflection_of_rescaled_fans(num, den):
     _assert_reflection_keeps_verdicts(_scaled_fan(paper_example(), Rational(num, den)))
+
+
+def _boosted_point(law, rho, z, v):
+    """z at density rho in the frame that moves at -v, v = (v1, v2)
+    rational: m + rho v, q + v.m + rho |v|^2/2, U + (v (x) m + m (x) v) +
+    rho v (x) v less its trace part, and F + (q + P) v + (U + (q - p) I) v
+    + (|v|^2/2) m + (v.m + rho |v|^2/2) v."""
+    (v1, v2), (m1, m2) = v, z.m
+    vm, vv = v1 * m1 + v2 * m2, v1 * v1 + v2 * v2
+    p, P = pressure(law, rho), pressure_potential(law, rho)
+    s = z.q - p
+    uv = ((z.u11 + s) * v1 + z.u12 * v2, z.u12 * v1 + (s - z.u11) * v2)
+    w = vm + rho * vv / 2
+    F = tuple(f + (z.q + P) * vi + ui + vv / 2 * mi + w * vi
+              for f, vi, ui, mi in zip(z.F, v, uv, z.m))
+    return PHPoint((m1 + rho * v1, m2 + rho * v2),
+                   z.u11 + v1 * m1 - v2 * m2 + rho * (v1 * v1 - v2 * v2) / 2,
+                   z.u12 + v1 * m2 + v2 * m1 + rho * v1 * v2, z.q + w, F)
+
+
+def _boosted_fan(fan, v):
+    """The Galilean boost of fan by v: every record boosted, every speed
+    mu + v2."""
+    def state(st):
+        return EulerState(st.rho, tuple(m + st.rho * vi for m, vi in zip(st.m, v)))
+    regions = tuple((rho, _boosted_point(fan.law, rho, z, v)) for rho, z in fan.regions)
+    return FanSubsolution(fan.law, tuple(mu + v[1] for mu in fan.mu),
+                          state(fan.left), state(fan.right), regions)
+
+
+def _point_values(z):
+    return (*z.m, z.u11, z.u12, z.q, *z.F)
+
+
+def _plane_residuals(fan, i):
+    """(rh_mass, rh_tangential, rh_normal) of plane i, as verify_fan forms
+    them: mu [rho] - [m2], mu [m1] - [u12] and mu [m2] - [q - u11]."""
+    (rho_a, a), (rho_b, b) = fan.records()[i:i + 2]
+    mu = fan.mu[i]
+    return (mu * (rho_a - rho_b) - (a.m[1] - b.m[1]), mu * (a.m[0] - b.m[0]) - (a.u12 - b.u12),
+            mu * (a.m[1] - b.m[1]) - ((a.q - a.u11) - (b.q - b.u11)))
+
+
+def _fan_to_boost(case):
+    """The paper fan, or its twin under gamma = 3/2, which fails
+    rh_energy[2], rh_normal[3] and rh_energy[3]."""
+    fan = paper_example()
+    if case == "paper":
+        return fan
+    return FanSubsolution(PressureLaw(Fraction(3, 2)), fan.mu, fan.left, fan.right, fan.regions)
+
+
+_VELOCITY = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(["paper", "gamma 3/2"]), v1=_VELOCITY, v2=_VELOCITY)
+@example(case="paper", v1=Fraction(0), v2=Fraction(1, 3))
+@example(case="paper", v1=Fraction(2, 7), v2=Fraction(0))
+@example(case="gamma 3/2", v1=Fraction(-5, 4), v2=Fraction(3, 2))
+def test_a_galilean_boost_keeps_every_verdict_and_coefficient(case, v1, v2):
+    # the boost maps solutions to solutions: the lift commutes with it,
+    # and a plane's coefficient moves by -(v1 rh_tangential + v2 rh_normal
+    # + |v|^2/2 rh_mass), so it stays exactly equal wherever the plane's
+    # equalities hold: on every plane of the paper fan, and on planes 0-2
+    # of the gamma = 3/2 twin.  Its plane 3 (rh_normal[3] = -8) moves by
+    # 8 v2, at most 16 here, and its bracket of about -31 stays negative,
+    # so verify_fan and the comparison give the same status at each
+    # position (the names carry the shifted speeds), and the comparison
+    # keeps its verdict
+    fan, v = _fan_to_boost(case), (Rational(v1), Rational(v2))
+    boosted = _boosted_fan(fan, v)
+    for state, moved in ((fan.left, boosted.left), (fan.right, boosted.right)):
+        (z, e), (z_moved, e_moved) = lift_state(fan.law, state), lift_state(fan.law, moved)
+        want = _boosted_point(fan.law, state.rho, z, v)
+        assert [sign(a - b) for a, b in zip(_point_values(z_moved), _point_values(want))] == [0] * 7
+        assert sign(e_moved - (e + want.q - z.q)) == 0
+    reports = [(verify_fan(f), compare_selfsimilar(f)[0]) for f in (fan, boosted)]
+    for got, want in zip(*reports):
+        assert [c.status for c in got.conditions] == [c.status for c in want.conditions]
+    base, got = fan_dissipation_profile(fan).entries, fan_dissipation_profile(boosted).entries
+    assert len(got) == len(base) == 4
+    moved = []
+    for i, ((speed, coeff), (speed_b, coeff_b)) in enumerate(zip(base, got)):
+        mass, tangential, normal = _plane_residuals(fan, i)
+        shift = -(v[0] * tangential + v[1] * normal + (v[0] ** 2 + v[1] ** 2) / 2 * mass)
+        assert sign(speed_b - speed - v[1]) == 0 and sign(coeff_b - coeff - shift) == 0
+        moved.append(sign(shift) != 0)
+    assert moved == [False, False, False, case != "paper" and v2 != 0]
+    verdicts = [(comparison.overall, [c.witness for c in comparison.conditions
+                                      if c.name == "comparison"]) for _, comparison in reports]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] is (Status.PASS if case == "paper" else Status.FAIL)
 
 
 def test_paper_chain_sits_before_the_shock_margin():

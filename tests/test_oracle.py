@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import pytest
 import sympy as sp
+from test_fan import _is_zero_witness, boundary_fan
 from test_search import _STRONG_SEEDS, _shock
 
 from wildfan.exactnum import QuadExt, Rational, xreal_to_json
@@ -88,8 +89,9 @@ def _records(data: dict):
     return [_number(v) for v in data["mu"]], records
 
 
-def _oracle(data: dict) -> dict[str, str]:
-    """{condition name: "Pass" or "Fail"} of the fan ``data``.
+def _oracle(data: dict, signs: dict | None = None) -> dict[str, str]:
+    """{condition name: "Pass" or "Fail"} of the fan ``data``; each
+    condition's sign goes into ``signs`` too, when it is given.
 
     With jumps [X] = X_left - X_right across the plane y = mu t and
     M = m (x) m / rho - U + (p - q) I with U = ((u11, u12), (u12, -u11)):
@@ -100,8 +102,11 @@ def _oracle(data: dict) -> dict[str, str]:
     mu, records = _records(data)
     verdicts = {}
 
-    def check(name, value, signs):
-        verdicts[name] = "Pass" if _sign(value) in signs else "Fail"
+    def check(name, value, allowed):
+        s = _sign(value)
+        verdicts[name] = "Pass" if s in allowed else "Fail"
+        if signs is not None:
+            signs[name] = s
 
     for i in range(3):
         check(f"ordering[mu{i}<mu{i + 1}]", mu[i + 1] - mu[i], {1})
@@ -125,10 +130,11 @@ def _oracle(data: dict) -> dict[str, str]:
     return verdicts
 
 
-def _comparison_oracle(data: dict, reference) -> dict[str, str]:
+def _comparison_oracle(data: dict, reference, signs: dict | None = None) -> dict[str, str]:
     """{condition name: "Pass" or "Fail"} of the plane conditions of the
     fan ``data`` against ``reference``, the (speed, coefficient) pairs of
-    the self-similar profile, written as ``fan_to_json`` writes numbers.
+    the self-similar profile, written as ``fan_to_json`` writes numbers;
+    each margin's sign goes into ``signs`` too, when it is given.
 
     The fan's coefficient on the plane y = mu t is -mu [E] + [F2] across
     it, added over planes of one speed.  Each reference plane, by
@@ -152,19 +158,21 @@ def _comparison_oracle(data: dict, reference) -> dict[str, str]:
         coeffs = [c for s, c in planes if _sign(s - speed) == 0]
         covers[f"covers_plane[{tag}]"] = "Pass" if coeffs else "Fail"
         if coeffs:
-            margins[f"strict_margin[{tag}]"] = "Pass" if _sign(coeffs[0] - ref_coeff) == 1 \
-                else "Fail"
+            s = _sign(coeffs[0] - ref_coeff)
+            margins[f"strict_margin[{tag}]"] = "Pass" if s == 1 else "Fail"
+            if signs is not None:
+                signs[f"strict_margin[{tag}]"] = s
     return {**covers, **margins}
 
 
-def _assert_comparison_agrees(data: dict) -> dict[str, str]:
+def _assert_comparison_agrees(data: dict, signs: dict | None = None) -> dict[str, str]:
     """The comparison oracle on ``data`` against ``selfsim_dissipation``
     of its Riemann data, checked name by name against
     ``beats_selfsimilar``; returns the oracle's verdicts."""
     fan = fan_from_json(data)
     reference = selfsim_dissipation(fan.law, solve_riemann(fan.law, fan.left, fan.right))
     oracle = _comparison_oracle(
-        data, [(xreal_to_json(s), xreal_to_json(c)) for s, c in reference.entries])
+        data, [(xreal_to_json(s), xreal_to_json(c)) for s, c in reference.entries], signs)
     assert oracle
     report = beats_selfsimilar(fan).to_dict()
     assert [(c["name"], c["status"]) for c in report["conditions"]
@@ -220,6 +228,33 @@ def test_comparison_oracle_agrees_with_beats_selfsimilar(case, fails):
         data = _fan_json(case)
     oracle = _assert_comparison_agrees(data)
     assert [name for name, status in oracle.items() if status == "Fail"] == fails
+
+
+@pytest.mark.parametrize("case, fails, margin_fails", [
+    # the lowered cap lowers region 1's energy, and the margin turns negative
+    ("trace", ["subsolution_trace[1]", "subsolution_det[1]"], ["strict_margin[-1.11803]"]),
+    ("det", ["subsolution_det[3]"], []),
+    ("bracket", [], []),
+    ("margin", [], ["strict_margin[-1.11803]"]),
+])
+def test_oracle_agrees_on_the_boundary_fans(case, fails, margin_fails):
+    # the exact boundary fans of test_fan: both oracles give every
+    # condition the library's status, and the condition each fan puts on
+    # its boundary is an exact zero in the oracle as in the library
+    fan, zero = boundary_fan(case)
+    data = fan_to_json(fan)
+    signs = {}
+    oracle = _oracle(data, signs)
+    assert [name for name, status in oracle.items() if status == "Fail"] == fails
+    report = verify_fan(fan_from_json(data)).to_dict()
+    assert [(c["name"], c["status"]) for c in report["conditions"]] == list(oracle.items())
+    margins = _assert_comparison_agrees(data, signs)
+    assert [name for name, status in margins.items() if status == "Fail"] == margin_fails
+    witnesses = {c["name"]: c["witness"] for c in report["conditions"]}
+    witnesses.update((c.name, c.witness) for c in beats_selfsimilar(fan).conditions)
+    assert [name for name, s in signs.items() if s == 0 and not name.startswith(
+        ("rh_mass", "rh_tangential", "rh_normal"))] == [zero]
+    assert all(_is_zero_witness(witnesses[name]) for name, s in signs.items() if s == 0)
 
 
 def _assert_oracle_passes_searched_fan(rho_l, ratio, rng_seed):

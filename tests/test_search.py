@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from wildfan.exactnum import QuadExt, Rational, adjoin_sqrt, sign
 from wildfan.fan import (
+    FanSubsolution,
+    Status,
     beats_selfsimilar,
     fan_dissipation_profile,
     fan_to_json,
@@ -53,9 +55,11 @@ from wildfan.search import (
 LAW2 = PressureLaw(gamma=2)
 S5 = QuadExt.sqrt_of(5)
 SIGMA_F = -(5 ** 0.5) / 2
-# float boundary values (rho, m2, u11, q) of the paper's left/right states
-MINUS_F = (1.0, 1.5 * 5 ** 0.5, -45 / 8, 53 / 8)
-PLUS_F = (4.0, 0.0, 0.0, 16.0)
+# float lifted values (rho, m2, u11, q) of the paper's left/right states,
+# and the boundary values (rho, m2, v = u11 - q) chain_close takes
+LEFT_F = (1.0, 1.5 * 5 ** 0.5, -45 / 8, 53 / 8)
+RIGHT_F = (4.0, 0.0, 0.0, 16.0)
+MINUS_F, PLUS_F = ((rho, m2, u11 - q) for rho, m2, u11, q in (LEFT_F, RIGHT_F))
 
 
 def paper_boundary():
@@ -77,35 +81,46 @@ def paper_x():
 
 
 def boundary_values(state):
+    """(rho, m2, u11 - q) of the state's lift: the values chain_close takes."""
     z, _ = lift_state(LAW2, state)
-    return state.rho, z.m[1], z.u11, z.q
+    return state.rho, z.m[1], z.u11 - z.q
+
+
+def _last_interface(plus, closed):
+    """(mu3, residual) from the values chain_close returned: the speed the
+    last mass condition gives, and the last normal-momentum condition at
+    that speed; ``plus`` is the right boundary's (rho, m2, v)."""
+    (rho_p, m_p, v_p), (rhos, ms, vs) = plus, closed
+    mu3 = (ms[2] - m_p) / (rhos[2] - rho_p)
+    return mu3, mu3 * (ms[2] - m_p) - (v_p - vs[2])
 
 
 def test_chain_close_reproduces_paper_equalities():
     left, right = paper_boundary()
     fan = paper_example()
-    qs = tuple(z.q for _, z in fan.regions)
-    rhos, m2s, u11s, mu3, residual = chain_close(
-        boundary_values(left), boundary_values(right), fan.mu,
-        fan.regions[0][0], qs)
+    plus = boundary_values(right)
+    closed = chain_close(boundary_values(left), plus, fan.mu, fan.regions[0][0])
+    mu3, residual = _last_interface(plus, closed)
     assert sign(mu3 - fan.mu[3]) == 0
     assert sign(residual) == 0
-    for got, (rho, z) in zip(zip(rhos, m2s, u11s), fan.regions):
-        assert [sign(g - want) for g, want in zip(got, (rho, z.m[1], z.u11))] == [0] * 3
+    for got, (rho, z) in zip(zip(*closed), fan.regions):
+        assert [sign(g - want) for g, want in zip(got, (rho, z.m[1], z.u11 - z.q))] == [0] * 3
 
 
 def test_chain_close_float_residuals_tiny():
+    # at random caps qs, with u11_i = v_i + q_i in each region
     rng = np.random.default_rng(5)
     for _ in range(20):
         mu = tuple(sorted(rng.uniform(-3, 3, 4)))
         rho1 = rng.uniform(0.5, 5)
         qs = tuple(rng.uniform(5, 20, 3))
-        rhos, m2s, u11s, mu3, residual = chain_close(MINUS_F, PLUS_F, mu, rho1, qs)
+        closed = rhos, m2s, vs = chain_close(MINUS_F, PLUS_F, mu, rho1)
+        mu3, residual = _last_interface(PLUS_F, closed)
         mu_full = (*mu[:3], mu3)
-        rho_seq = [MINUS_F[0], *rhos, PLUS_F[0]]
-        m_seq = [MINUS_F[1], *m2s, PLUS_F[1]]
-        u_seq = [MINUS_F[2], *u11s, PLUS_F[2]]
-        q_seq = [MINUS_F[3], *qs, PLUS_F[3]]
+        rho_seq = [LEFT_F[0], *rhos, RIGHT_F[0]]
+        m_seq = [LEFT_F[1], *m2s, RIGHT_F[1]]
+        u_seq = [LEFT_F[2], *(v + q for v, q in zip(vs, qs)), RIGHT_F[2]]
+        q_seq = [LEFT_F[3], *qs, RIGHT_F[3]]
         scale = max(1.0, *(abs(v) for v in (*rho_seq, *m_seq, *u_seq)))
         assert abs(mu3 - mu[3]) < 1e-9 * scale
         assert abs(residual) < 1e-9 * scale * scale
@@ -121,32 +136,29 @@ def test_chain_close_float_residuals_tiny():
 @settings(max_examples=40, deadline=None)
 @given(mu=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=16),
                    min_size=4, max_size=4),
-       rho1=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=16),
-       qs=st.lists(st.fractions(min_value=0, max_value=30, max_denominator=16),
-                   min_size=3, max_size=3))
-def test_exact_chain_close_solves_the_last_interface(mu, rho1, qs):
-    # certify reads neither output: over exact numbers the 2x2 solve makes
-    # the chained mu3 equal mu[3] and the residual zero, identically
+       rho1=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=16))
+def test_exact_chain_close_solves_the_last_interface(mu, rho1):
+    # over exact numbers the 2x2 solve makes the mu3 that the last mass
+    # condition gives equal mu[3] and the last normal-momentum residual
+    # zero, identically; verify_fan decides both again on a certified fan
     left, right = paper_boundary()
+    plus = boundary_values(right)
     try:
-        _, _, _, mu3, residual = chain_close(
-            boundary_values(left), boundary_values(right), tuple(map(Rational, mu)),
-            Rational(rho1), tuple(map(Rational, qs)))
-    except DegenerateClosure:
+        closed = chain_close(boundary_values(left), plus, tuple(map(Rational, mu)), Rational(rho1))
+        mu3, residual = _last_interface(plus, closed)
+    except ZeroDivisionError:  # DegenerateClosure, or rho3 at the right density
         assume(False)
     assert sign(mu3 - mu[3]) == 0 and sign(residual) == 0
 
 
 def test_chain_close_degenerate():
     with pytest.raises(DegenerateClosure):
-        chain_close(MINUS_F, PLUS_F, (-2.0, -1.0, -1.0, 0.0), 2.0,
-                    (9.0, 10.0, 11.0))
+        chain_close(MINUS_F, PLUS_F, (-2.0, -1.0, -1.0, 0.0), 2.0)
     left, right = paper_boundary()
     fan = paper_example()
     with pytest.raises(DegenerateClosure):
         chain_close(boundary_values(left), boundary_values(right),
-                    (fan.mu[0], fan.mu[1], fan.mu[1], fan.mu[3]),
-                    fan.regions[0][0], tuple(z.q for _, z in fan.regions))
+                    (fan.mu[0], fan.mu[1], fan.mu[1], fan.mu[3]), fan.regions[0][0])
 
 
 def _score(prob, z):
@@ -167,8 +179,7 @@ def test_kernel_paper_variables_feasible():
     assert score < 0.0 and surplus > 0.03
     assert all(abs(f - want) < 1e-12 for f, want in zip(filled[:4], x[:4]))
     assert all(q < want for q, want in zip(filled[4:7], x[4:7]))
-    rhos = chain_close(MINUS_F, PLUS_F, (filled[0], SIGMA_F, filled[1], filled[2]), filled[3],
-                       filled[4:7])[0]
+    rhos = chain_close(MINUS_F, PLUS_F, (filled[0], SIGMA_F, filled[1], filled[2]), filled[3])[0]
     assert abs(rhos[1] - 3.19) < 1e-9
     assert abs(rhos[2] - 4.005) < 1e-9
 
@@ -204,7 +215,7 @@ def _brackets(ex, mu, e, fluxes):
 def test_kernel_matches_the_exact_formulas(name, seed):
     # the score, the surplus and every entry of x, recomputed exactly: the
     # float speeds and rho1 the kernel takes from z read as rationals, the
-    # closure at q = 0 over Rational, each cap the pad above its bound, the
+    # closure over Rational, each cap the pad above its bound, the
     # energies e = q + P - p, and the fluxes that put the outer
     # plane_brackets at the pad; the point is a drawn start of the search,
     # moved at random
@@ -220,10 +231,9 @@ def test_kernel_matches_the_exact_formulas(name, seed):
 
     ex = _exact_problem(prob)
     mu0, mu2, mu3, rho1 = map(_exact, x[:4])
-    sigma, pad, zero = ex.sigma, _exact(prob.pad), Rational(0)
-    rhos, m2s, vs, mu3_chain, _ = chain_close(ex.minus, ex.plus, (mu0, sigma, mu2, mu3), rho1,
-                                              (zero, zero, zero))
-    assert sign(mu3_chain - mu3) == 0
+    sigma, pad = ex.sigma, _exact(prob.pad)
+    closed = rhos, m2s, vs = chain_close(ex.minus, ex.plus, (mu0, sigma, mu2, mu3), rho1)
+    assert sign(_last_interface(ex.plus, closed)[0] - mu3) == 0
     qs, c = [], None
     for rho, m2, v in zip(rhos, m2s, vs):
         p, k = pressure(LAW2, rho), m2 * m2 / rho
@@ -269,12 +279,14 @@ def _reduction_point(kind, gaps, rho1):
 
 
 def _closed(point, qs):
-    """chain_close at the point with caps qs: (rhos, ms, us), or None."""
+    """chain_close at the point, with u11_i = v_i + q_i at the caps qs:
+    (rhos, ms, us), or None."""
     minus, plus, mu, rho1 = point
     try:
-        return chain_close(minus, plus, mu, rho1, tuple(qs))[:3]
+        rhos, ms, vs = chain_close(minus, plus, mu, rho1)
     except DegenerateClosure:
         return None
+    return rhos, ms, tuple(v + q for v, q in zip(vs, qs))
 
 
 _KINDS = st.sampled_from(["rational", "tower"])
@@ -286,16 +298,24 @@ _QS = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=16),
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=_KINDS, gaps=_GAPS, rho1=_RHO1, qs=_QS, other=_QS)
-def test_closure_does_not_depend_on_the_caps(kind, gaps, rho1, qs, other):
-    # rho_i, m_i and u_i - q_i are the same for any caps q
+@given(kind=_KINDS, gaps=_GAPS, rho1=_RHO1, qs=_QS)
+def test_closure_does_not_depend_on_the_caps(kind, gaps, rho1, qs):
+    # what certification relies on: for any caps q, the fan with
+    # u11_i = v_i + q_i passes every rh_mass, rh_tangential and rh_normal
+    # condition of verify_fan exactly
     point = _reduction_point(kind, gaps, rho1)
-    a, b = _closed(point, map(Rational, qs)), _closed(point, map(Rational, other))
-    assume(a is not None)
-    (rhos, ms, us), (rhos_b, ms_b, us_b) = a, b
-    for i in range(3):
-        assert sign(rhos[i] - rhos_b[i]) == 0 and sign(ms[i] - ms_b[i]) == 0
-        assert sign((us[i] - qs[i]) - (us_b[i] - other[i])) == 0
+    qs = tuple(map(Rational, qs))
+    closed = _closed(point, qs)
+    assume(closed is not None and all(sign(r) > 0 for r in closed[0]))
+    left, right, _ = _reduction_boundary(kind)
+    zero = Rational(0)
+    regions = [(rho, PHPoint((zero, m), u, zero, q, (zero, zero)))
+               for rho, m, u, q in zip(*closed, qs)]
+    report = verify_fan(FanSubsolution(LAW2, point[2], left, right, regions))
+    equalities = [c for c in report.conditions if c.name.startswith(("rh_mass", "rh_tangential",
+                                                                     "rh_normal"))]
+    assert len(equalities) == 12
+    assert all(c.status is Status.PASS for c in equalities), equalities
 
 
 def _cap_bound(rho, m, v):
@@ -880,10 +900,10 @@ def test_negative_score_points_meet_the_conditions_the_screen_checked(name, seed
     for _, _, x in negative:
         mu0, mu2, mu3, rho1, q1, q2, q3, f1, f2, f3 = map(_exact, x)
         sigma, qs = ex.sigma, (q1, q2, q3)
-        rhos, m2s, u11s, _, _ = chain_close(ex.minus, ex.plus, (mu0, sigma, mu2, mu3), rho1, qs)
+        rhos, m2s, vs = chain_close(ex.minus, ex.plus, (mu0, sigma, mu2, mu3), rho1)
         strict = [sigma - mu0, mu2 - sigma, mu3 - mu2, *rhos]
-        for rho, m2, u11, q, f in zip(rhos, m2s, u11s, qs, (f1, f2, f3)):
-            M = matrix_M(LAW2, rho, PHPoint((zero, m2), u11, zero, q, (zero, f)))
+        for rho, m2, v, q, f in zip(rhos, m2s, vs, qs, (f1, f2, f3)):
+            M = matrix_M(LAW2, rho, PHPoint((zero, m2), v + q, zero, q, (zero, f)))
             strict += [-M.trace(), M.det()]
         brackets = _brackets(ex, (mu0, sigma, mu2, mu3), _energies(ex, rhos, qs), (f1, f2, f3))
         assert [sign(v) for v in strict] == [1] * 12, x
