@@ -29,8 +29,8 @@ W-membership exactly.
 Intervals serve ``IntervalExpr`` only: its enclosure is refined with doubling
 precision until it excludes zero (or is a single point), and ``Inconclusive``
 is raised once the precision cap is reached.  The cap is the constant
-``_PRECISION_CAP`` (4096 bits); ``sign(x, precision_cap=n)`` is the one
-per-call override.  A wrong sign is never returned.
+``_PRECISION_CAP`` (4096 bits); no library code picks another, and
+``sign(x, precision_cap=n)`` overrides it per call.  A wrong sign is never returned.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 _STARTING_PRECISION = 64
 _PRECISION_CAP = 4096
 _MAX_RADICANDS = 4  # independent integer radicands of a tower: 16 coefficients
+_ENCLOSURE_DIGITS = 24  # decimals per endpoint of an interval's JSON enclosure
 
 
 class Inconclusive(Exception):
@@ -928,7 +929,10 @@ def adjoin_sqrt(x: XLike) -> XReal:
 
     Rational-valued inputs, in any tower, produce exact results: either
     rational (perfect square) or a one-radicand QuadExt.  Any other tower
-    element or expression falls back to a certified IntervalExpr sqrt node.
+    element or expression falls back to a certified IntervalExpr sqrt node,
+    which raises NegativeRadicand once an enclosure of x lies below zero.  No
+    library caller passes a negative x: ``model`` roots densities (rho > 0),
+    ``hull`` the vertex radicands R12, R34 (> 0 on V).
     """
     x = as_xreal(x)
     if isinstance(x, QuadExt):
@@ -945,11 +949,6 @@ def adjoin_sqrt(x: XLike) -> XReal:
         if d == 1:
             return Rational(s, v.denominator)
         return QuadExt((d,), (0, Fraction(s, v.denominator)))
-    try:
-        if x.sign_certified(precision_cap=256) < 0:
-            raise NegativeRadicand("certified-negative radicand")
-    except Inconclusive:
-        pass  # sqrt node clamps the lower endpoint at 0; pre guarantees x >= 0
     return IntervalExpr.sqrt(x)
 
 
@@ -957,9 +956,10 @@ def adjoin_sqrt(x: XLike) -> XReal:
 # serialization
 # ---------------------------------------------------------------------------
 
-def xreal_to_json(x: XReal, enclosure_digits: int = 24):
+def xreal_to_json(x: XReal):
     """JSON-encodable form: rationals as "p/q", tower elements as
-    {"d": [...], "c": [...]}, intervals as a decimal enclosure "[lo,hi]"."""
+    {"d": [...], "c": [...]}, intervals as a decimal enclosure "[lo,hi]"
+    with ``_ENCLOSURE_DIGITS`` decimals."""
     if isinstance(x, Rational):
         return str(x)
     if isinstance(x, QuadExt):
@@ -967,11 +967,11 @@ def xreal_to_json(x: XReal, enclosure_digits: int = 24):
             "d": list(x.radicands),
             "c": [f"{_int_str(c.numerator)}/{_int_str(c.denominator)}" for c in x.coeffs],
         }
-    iv = x.enclosure(4 * enclosure_digits)
-    scale = 10 ** enclosure_digits
+    iv = x.enclosure(4 * _ENCLOSURE_DIGITS)
+    scale = 10 ** _ENCLOSURE_DIGITS
     lo = iv.lo.numerator * scale // iv.lo.denominator
     hi = -((-iv.hi.numerator) * scale // iv.hi.denominator)
-    return f"[{_fmt_scaled(lo, enclosure_digits)},{_fmt_scaled(hi, enclosure_digits)}]"
+    return f"[{_fmt_scaled(lo, _ENCLOSURE_DIGITS)},{_fmt_scaled(hi, _ENCLOSURE_DIGITS)}]"
 
 
 _BLOCK_DIGITS = 600  # under every int-to-str digit limit Python allows (>= 640)

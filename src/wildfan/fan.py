@@ -218,7 +218,6 @@ def fan_dissipation_profile(fan: FanSubsolution) -> DissipationProfile:
 
 class ProfileOrder(Enum):
     STRICTLY_DOMINATES = "StrictlyDominates"
-    DOMINATES = "Dominates"
     EQUAL = "Equal"
     INCOMPARABLE = "Incomparable"
     DOMINATED = "Dominated"
@@ -227,68 +226,28 @@ class ProfileOrder(Enum):
 def _merged_planes(a: DissipationProfile, b: DissipationProfile):
     """Union of plane speeds with per-profile coefficients (None off
     support), merged by exact speed comparison; a matched plane has a's speed."""
-    ia = ib = 0
-    ea, eb = a.entries, b.entries
-    while ia < len(ea) or ib < len(eb):
-        if ia >= len(ea):
-            yield eb[ib][0], None, eb[ib][1]
-            ib += 1
-            continue
-        if ib >= len(eb):
-            yield ea[ia][0], ea[ia][1], None
-            ia += 1
-            continue
-        s = sign(ea[ia][0] - eb[ib][0])
-        if s < 0:
-            yield ea[ia][0], ea[ia][1], None
-            ia += 1
-        elif s > 0:
-            yield eb[ib][0], None, eb[ib][1]
-            ib += 1
-        else:
-            yield ea[ia][0], ea[ia][1], eb[ib][1]
-            ia += 1
-            ib += 1
-
-
-def _weak_sign(x: XReal) -> tuple[int, bool]:
-    """(sign, strictness certified).  For interval values whose strict sign
-    is out of reach, falls back to a certified one-sided bound taken at the
-    precision the sign search stopped at."""
-    try:
-        return sign(x), True
-    except Inconclusive as exc:
-        iv = x.enclosure(exc.precision)
-        if iv.lo >= 0:
-            return 1, False
-        if iv.hi <= 0:
-            return -1, False
-        raise
+    ea, eb = list(a.entries), list(b.entries)
+    while ea and eb:
+        s = sign(ea[0][0] - eb[0][0])
+        speed = ea[0][0] if s <= 0 else eb[0][0]
+        yield speed, ea.pop(0)[1] if s <= 0 else None, eb.pop(0)[1] if s >= 0 else None
+    yield from ((speed, ca, None) for speed, ca in ea)
+    yield from ((speed, None, cb) for speed, cb in eb)
 
 
 def _order(candidate: DissipationProfile, reference: DissipationProfile):
     """(order, merged planes) of compare_profiles; the one plane walk."""
-    for _, coeff in candidate.entries:
-        s, _ = _weak_sign(coeff)
-        if s < 0:
-            raise ValueError("candidate profile has a negative coefficient")
+    if any(sign(coeff) < 0 for _, coeff in candidate.entries):
+        raise ValueError("candidate profile has a negative coefficient")
     planes = list(_merged_planes(candidate, reference))
     zero = as_xreal(0)
-    any_pos = any_neg = False
-    strict_pos = False
-    for _, ca, cb in planes:
-        s, strict = _weak_sign((zero if ca is None else ca) - (zero if cb is None else cb))
-        if s > 0:
-            any_pos = True
-            if strict:
-                strict_pos = True
-        elif s < 0:
-            any_neg = True
-    if any_pos and any_neg:
+    signs = {sign((zero if ca is None else ca) - (zero if cb is None else cb))
+             for _, ca, cb in planes}
+    if {1, -1} <= signs:
         return ProfileOrder.INCOMPARABLE, planes
-    if any_pos:
-        return (ProfileOrder.STRICTLY_DOMINATES if strict_pos else ProfileOrder.DOMINATES), planes
-    return (ProfileOrder.DOMINATED if any_neg else ProfileOrder.EQUAL), planes
+    if 1 in signs:
+        return ProfileOrder.STRICTLY_DOMINATES, planes
+    return (ProfileOrder.DOMINATED if -1 in signs else ProfileOrder.EQUAL), planes
 
 
 def compare_profiles(candidate: DissipationProfile,
@@ -297,8 +256,9 @@ def compare_profiles(candidate: DissipationProfile,
 
     Requires every candidate coefficient to be certified nonnegative
     (admissibility).  A plane missing from one side counts as coefficient
-    zero.  'Dominates' only arises for interval-valued profiles where >=
-    holds everywhere but no strict plane can be certified.
+    zero.  Every plane sign is certified by ``sign``: a coefficient or a
+    plane difference that cannot be separated from zero raises
+    ``Inconclusive``, never an order.
     """
     return _order(candidate, reference)[0]
 

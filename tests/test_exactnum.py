@@ -428,9 +428,14 @@ def test_precision_cap_env_override(monkeypatch):
 
 
 def test_adjoin_sqrt_of_interval_expression():
+    # an interval radicand is not signed when the node is built: the first
+    # sign or float of the node, which evaluates it, refuses a negative one
     root2 = IntervalExpr.sqrt(as_xreal(2))
+    negative = adjoin_sqrt(root2 - 2)
     with pytest.raises(NegativeRadicand):
-        adjoin_sqrt(root2 - 2)
+        sign(negative)
+    with pytest.raises(NegativeRadicand):
+        float(negative)
     fourth = adjoin_sqrt(root2)
     assert isinstance(fourth, IntervalExpr)
     iv = fourth.enclosure(200)

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wildfan.exactnum import QuadExt, Rational, sign, xreal_from_json, xreal_to_json
+from wildfan.exactnum import (
+    Inconclusive, IntervalExpr, QuadExt, Rational, as_xreal, sign, xmax, xreal_from_json,
+    xreal_to_json,
+)
 from wildfan.fan import (
     FanSubsolution,
+    NotCertifiableWithinCap,
     ProfileOrder,
     Status,
     VerificationReport,
@@ -231,6 +235,21 @@ def test_compare_profiles_semantics():
     assert compare_profiles(p_a, bigger) is ProfileOrder.DOMINATED
     with pytest.raises(ValueError):
         compare_profiles(DissipationProfile([(0, Rational(-1))]), p_a)
+
+
+def test_merged_planes_walk_both_profiles_by_speed():
+    # a matched plane carries the candidate's speed, here a Rational, where
+    # the reference's is an interval expression of the same value
+    from wildfan.fan import _merged_planes
+
+    candidate = DissipationProfile([(0, 1), (2, 3), (4, 5)])
+    reference = DissipationProfile([(-1, 7), (IntervalExpr.lift(Rational(0)), 9)])
+    planes = list(_merged_planes(candidate, reference))
+    assert [(float(s), ca, cb) for s, ca, cb in planes] == [
+        (-1.0, None, 7), (0.0, 1, 9), (2.0, 3, None), (4.0, 5, None)]
+    assert isinstance(planes[1][0], Rational)
+    assert [(float(s), ca, cb) for s, ca, cb in _merged_planes(reference, candidate)] == [
+        (-1.0, 7, None), (0.0, 9, 1), (2.0, None, 3), (4.0, None, 5)]
 
 
 def test_compare_profiles_antisymmetric():
@@ -520,7 +539,6 @@ def test_reduced_sigma_coefficient_breaks_dominance():
 def test_interval_valued_fan_reports_inconclusive():
     # an exactly-zero interval expression in q makes equality checks
     # undecidable: the report must say Inconclusive, never guess
-    from wildfan.exactnum import IntervalExpr, as_xreal
     fan = paper_example()
     fuzz = IntervalExpr.sqrt(as_xreal(2)) * IntervalExpr.sqrt(as_xreal(2)) - as_xreal(2)
     rho2, z2 = fan.regions[1]
@@ -534,7 +552,6 @@ def test_interval_valued_fan_reports_inconclusive():
 
 
 def test_find_Q_raises_outside_relaxed_set():
-    from wildfan.fan import NotCertifiableWithinCap
     fan = paper_example()
     rho1, z1 = fan.regions[0]
     flat = PHPoint(z1.m, z1.u11, z1.u12, pressure(fan.law, rho1), z1.F)
@@ -649,14 +666,51 @@ GOLDEN_FIND_Q = (
 )
 
 
-def test_find_Q_paper_golden():
+def test_find_Q_paper_golden(monkeypatch):
+    import wildfan.exactnum as exactnum
+
     results = find_Q(paper_example())
     assert len(results) == len(GOLDEN_FIND_Q)
+    monkeypatch.setattr(exactnum, "_ENCLOSURE_DIGITS", 40)  # the goldens' decimals
     for (Q, witness), golden in zip(results, GOLDEN_FIND_Q):
         assert xreal_to_json(Q) == golden["Q"]
-        assert tuple(xreal_to_json(k, 40) for k in witness.kappa) == golden["kappa"]
-        assert tuple(tuple(xreal_to_json(c, 40) for c in v)
+        assert tuple(xreal_to_json(k) for k in witness.kappa) == golden["kappa"]
+        assert tuple(tuple(xreal_to_json(c) for c in v)
                      for v in witness.vertices) == golden["vertices"]
+
+
+def _in_W_inconclusive_where(monkeypatch, undecided):
+    """Patch WGeometry.in_W to raise Inconclusive at the caps Q where
+    undecided(Q) holds; returns the list of caps it is asked about."""
+    import wildfan.hull as hull
+
+    probed, in_W = [], hull.WGeometry.in_W
+
+    def patched(geom, Q):
+        probed.append(Q)
+        if undecided(Q):
+            raise Inconclusive(64)
+        return in_W(geom, Q)
+
+    monkeypatch.setattr(hull.WGeometry, "in_W", patched)
+    return probed
+
+
+def test_find_Q_steps_past_an_inconclusive_cap(monkeypatch):
+    # a cap whose membership cannot be decided is skipped, not taken as a
+    # failure: W grows with the cap, so the next doubling certifies
+    golden = [xreal_from_json(g["Q"]) for g in GOLDEN_FIND_Q]
+    _in_W_inconclusive_where(monkeypatch, lambda Q: any(sign(Q - g) == 0 for g in golden))
+    caps = [Q for Q, _ in find_Q(paper_example())]
+    assert len(caps) == 3 and all(sign(Q - 2 * g) == 0 for Q, g in zip(caps, golden))
+
+
+def test_find_Q_gives_up_after_60_inconclusive_doublings(monkeypatch):
+    probed = _in_W_inconclusive_where(monkeypatch, lambda Q: True)
+    with pytest.raises(NotCertifiableWithinCap, match="no certificate after 60 doublings"):
+        find_Q(paper_example())
+    q1 = paper_example().regions[0][1].q
+    assert len(probed) == 60 and sign(probed[-1] - q1 * 2 ** 60) == 0
 
 
 def test_find_Q_builds_geometry_once_per_region(monkeypatch):
@@ -678,21 +732,45 @@ def test_find_Q_builds_geometry_once_per_region(monkeypatch):
     assert calls == {"matrix_M": 3, "quad_form": 6}  # M once, two A values
 
 
-def test_weak_sign_bound_at_the_sign_cap(monkeypatch):
-    # with enclosure caching switched off, the one-sided bound must come from
-    # the precision the sign search reached, not from a fresh 64-bit pass
+def _unseparated_zero():
+    """max(sqrt2 sqrt2 - 2, 0) over interval arithmetic: exactly zero, and
+    no enclosure of it excludes zero, so its sign raises Inconclusive."""
+    root2 = IntervalExpr.sqrt(as_xreal(2))
+    return xmax(root2 * root2 - 2, 0)
+
+
+def test_a_plane_not_separated_from_zero_is_inconclusive(monkeypatch):
+    # a matched plane whose reference coefficient is the candidate's plus an
+    # unseparated zero: no order is certified, and the comparison reports
+    # Inconclusive rather than an order
     import wildfan.exactnum as exactnum
-    from wildfan.exactnum import Inconclusive, IntervalExpr, as_xreal, xmax
-    from wildfan.fan import _weak_sign
 
     monkeypatch.setattr(exactnum, "_PRECISION_CAP", 128)
-    monkeypatch.setattr(IntervalExpr, "refine", IntervalExpr._eval)
-    root2 = IntervalExpr.sqrt(as_xreal(2))
-    fuzz = root2 * root2 - 2  # exactly zero, never separated from it
     tiny = IntervalExpr.lift(Rational(1, 2 ** 100))
-    # nonnegative; below 2^-100 the rounding of the two leaves hides that
-    x = xmax(fuzz, 0) + (tiny - tiny)
-    assert x.enclosure(64).lo < 0
+    x = _unseparated_zero() + (tiny - tiny)
     with pytest.raises(Inconclusive):
         sign(x)
-    assert _weak_sign(x) == (1, False)
+    fan = paper_example()
+    candidate = fan_dissipation_profile(fan)
+    speed, coeff = candidate.entries[1]
+    reference = DissipationProfile([(speed, coeff + x)])
+    with pytest.raises(Inconclusive):
+        compare_profiles(candidate, reference)
+    sol = solve_riemann(fan.law, fan.left, fan.right)
+    report, planes = compare_selfsimilar(fan, (sol, reference))
+    assert [(c.name, c.status) for c in report.conditions] == [
+        ("selfsimilar_solved", Status.PASS), ("comparison", Status.INCONCLUSIVE)]
+    assert report.overall is Status.INCONCLUSIVE and planes == []
+
+
+@pytest.mark.parametrize("candidate, reference", [
+    # a one-sided enclosure bound reads the plane 1 - (1 + x) as negative,
+    # and the pair as Incomparable: it strictly dominates
+    ([(0, 1), (1, 1)], [(0, 1 + _unseparated_zero())]),
+    # a one-sided enclosure bound reads x as positive, and the pair as
+    # Dominates: the two are equal
+    ([(0, _unseparated_zero())], []),
+], ids=["matched-plane", "candidate-coefficient"])
+def test_an_unseparated_plane_certifies_no_order(candidate, reference):
+    with pytest.raises(Inconclusive):
+        compare_profiles(DissipationProfile(candidate), DissipationProfile(reference))

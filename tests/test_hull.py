@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wildfan.exactnum import Inconclusive, Rational, adjoin_sqrt, as_xreal, sign, xmax
+from wildfan.exactnum import (
+    Inconclusive, IntervalExpr, Rational, adjoin_sqrt, as_xreal, sign, xmax,
+)
 from wildfan.hull import (
     SIGMA,
     HypothesesViolated,
@@ -429,3 +431,21 @@ def test_interval_data_keep_the_refined_W_decision():
                 assert all(sign(k) > 0 for k in witness.kappa)
             failing += not ok
     assert failing  # region 1 first certifies at 2^4 q
+
+
+def test_a_cap_with_a_W_slack_of_exactly_zero_is_outside_W():
+    # rho = 1, m = 0, U = 0, q = 2, F = (1/4, 1/4): A^j = 1/2, both vertex
+    # radicands are 4 at Q = 5/2, and there the polytope slack 1 - lo - hi
+    # is exactly 0.  W is open, so that cap is outside it: on the tower
+    # path, and on the refined path with the cap an interval expression,
+    # whose enclosures are then all points and give the slack the sign 0
+    z = PHPoint((0, 0), 0, 0, 2, (Rational(1, 4), Rational(1, 4)))
+    geom = WGeometry(LAW2, Rational(1), z)
+    boundary, step = Rational(5, 2), Rational(1, 10 ** 6)
+    for Q, slack in ((boundary - step, -1), (boundary, 0), (boundary + step, 1)):
+        assert geom._slack_sign(*geom._radicands(Q)) == slack
+        assert in_W(LAW2, Rational(1), Q, z)[0] is (slack > 0)
+        interval_Q = IntervalExpr.lift(Q)
+        assert geom._slack_sign(*geom._radicands(interval_Q)) is None
+        assert _interval_slack_sign(geom, interval_Q) == slack
+        assert geom.in_W(interval_Q)[0] is (slack > 0)

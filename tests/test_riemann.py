@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wildfan.exactnum import QuadExt, Rational, adjoin_sqrt, sign
+from wildfan.exactnum import Inconclusive, QuadExt, Rational, adjoin_sqrt, sign
 from wildfan.model import EulerState, PressureLaw, lift_state, pressure
 from wildfan.riemann import (
     DissipationProfile,
@@ -172,6 +172,26 @@ def test_isothermal_exact_shock_with_log_energy():
     assert sign(coeff) == 1
     # hand oracle: -sigma(E_L - E_R) + F2_L = (9/8 - 8 ln2)/2 + 51/16
     assert abs(float(coeff) - (15 / 4 - 4 * math.log(2))) < 1e-12
+
+
+def test_an_undecided_jump_relation_falls_back_to_the_float_solver(monkeypatch):
+    # gamma = 4/3, rho 1 -> 2: rho_r^gamma is an interval expression, and
+    # the velocity drop is the square root of the jump, rounded down to 200
+    # bits.  At a 128-bit cap the jump relation is neither certified nor
+    # refuted: the exact path gives up and the float solver answers
+    import wildfan.exactnum as exactnum
+
+    monkeypatch.setattr(exactnum, "_PRECISION_CAP", 128)
+    law = PressureLaw(Fraction(4, 3))
+    rho_l, rho_r = Rational(1), Rational(2)
+    jump_sq = (pressure(law, rho_r) - pressure(law, rho_l)) * (rho_r - rho_l) / (rho_l * rho_r)
+    drop = Rational(adjoin_sqrt(jump_sq).enclosure(200).lo)
+    with pytest.raises(Inconclusive):
+        sign(drop * drop - jump_sq)
+    left = EulerState(rho_l, (Rational(0), drop))
+    right = EulerState(rho_r, (Rational(0), Rational(0)))
+    sol = solve_riemann(law, left, right)
+    assert not sol.exact and sol.waves
 
 
 _SIZES = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)

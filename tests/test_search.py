@@ -20,7 +20,7 @@ import scipy.optimize
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from wildfan.exactnum import QuadExt, Rational, adjoin_sqrt, sign
+from wildfan.exactnum import Inconclusive, QuadExt, Rational, adjoin_sqrt, sign
 from wildfan.fan import (
     FanSubsolution,
     Status,
@@ -409,6 +409,31 @@ def test_certify_rejects_a_closure_with_nonpositive_density():
     x[3] = -1.0
     cand = Candidate(LAW2, left, right, SIGMA_F, x)
     assert _certify(cand, _Problem(LAW2, left, right)) is None
+
+
+def test_certify_rejects_coincident_speeds():
+    # mu2 = mu3: the closure's 2x2 system is singular, DegenerateClosure
+    left, right = paper_boundary()
+    x = paper_x()
+    x[2] = x[1]
+    cand = Candidate(LAW2, left, right, SIGMA_F, x)
+    assert _certify(cand, _Problem(LAW2, left, right)) is None
+
+
+def test_certify_rejects_an_undecided_sign(monkeypatch):
+    # a sign of the closure that cannot be decided gives no fan, not a guess
+    import wildfan.search as search
+
+    left, right = paper_boundary()
+    cand = Candidate(LAW2, left, right, SIGMA_F, paper_x())
+    prob = _Problem(LAW2, left, right)
+    assert _certify(cand, prob) is not None
+
+    def undecided(x):
+        raise Inconclusive(64)
+
+    monkeypatch.setattr(search, "sign", undecided)
+    assert _certify(cand, prob) is None
 
 
 def test_search_zero_restarts():
