@@ -28,7 +28,11 @@ W-membership exactly.
 
 Intervals serve ``IntervalExpr`` only: its enclosure is refined with doubling
 precision until it excludes zero (or is a single point), and ``Inconclusive``
-is raised once the precision cap is reached.  The cap is the constant
+is raised once the precision cap is reached.  A ``QuadExt`` is rounded to a
+float from integers too: its value scaled by 2^k is bracketed by integer
+square roots (``math.isqrt``), and k doubles until both ends of the bracket
+round to the same double.  Powers square and multiply with no product past
+the top bit, so x ** 2 is one tower product.  The cap is the constant
 ``_PRECISION_CAP`` (4096 bits); no library code picks another, and
 ``sign(x, precision_cap=n)`` overrides it per call.  A wrong sign is never returned.
 """
@@ -305,14 +309,18 @@ class XReal:
             return NotImplemented
         if n < 0:
             return as_xreal(1) / (self ** (-n))
-        out: XReal = Rational(1)
+        if n == 0:
+            return Rational(1)
+        # square and multiply from the lowest set bit, no square past the
+        # top one: x ** 2 is one product
         base: XReal = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
+        while not n & 1:
+            base, n = base * base, n >> 1
+        out = base
+        while n := n >> 1:
             base = base * base
-            k >>= 1
+            if n & 1:
+                out = out * base
         return out
 
     def __neg__(self) -> "XReal":
@@ -341,7 +349,8 @@ class XReal:
         magnitude.  The rounded midpoint is returned instead for a value on
         a rounding tie at the precision cap, and for an interval expression
         whose enclosure still holds zero at 256 bits (it may be zero, which
-        refinement never decides)."""
+        refinement never decides).  ``QuadExt`` brackets its value with
+        integer square roots instead and comes here only at the cap."""
         prec, cap = _STARTING_PRECISION, _PRECISION_CAP
         while True:
             iv = self.enclosure(prec)
@@ -461,8 +470,28 @@ class QuadExt(XReal):
         return not any(self.nums)
 
     def __float__(self) -> float:
-        if self.is_rational():
-            return self.nums[0] / self.den  # int division rounds correctly
+        """The double nearest the value, by int division, which rounds
+        correctly.  An irrational value is bracketed at scale 2^k: with each
+        term n*sqrt(D)*2^k = +-sqrt(n*n*D*4^k) floored by ``math.isqrt``, the
+        scaled numerator lies strictly between L and L + t, t the number of
+        irrational terms.  When both ends round to one double, so does the
+        value; otherwise k doubles up to ``_PRECISION_CAP``, past which the
+        enclosure rule of ``XReal.__float__`` decides."""
+        nums, den = self.nums, self.den
+        if not any(nums[1:]):
+            return nums[0] / den
+        terms = [(n, d) for d, n in zip(_basis_radicands(self.radicands)[1:], nums[1:]) if n]
+        k = _STARTING_PRECISION
+        while k <= _PRECISION_CAP:
+            low = nums[0] << k
+            for n, d in terms:
+                r = math.isqrt(n * n * d << 2 * k)
+                low += r if n > 0 else -r - 1
+            scaled = den << k
+            f = low / scaled
+            if f == (low + len(terms)) / scaled:
+                return f
+            k *= 2
         return super().__float__()
 
     def enclosure(self, prec: int) -> _Ival:

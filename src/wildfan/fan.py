@@ -125,9 +125,32 @@ class Status(Enum):
 
 
 class ConditionResult(Record):
+    """A named condition, its status and its witness text.
+
+    A result ``decided`` from a value holds that ``value`` and formats
+    ``witness`` on first read, as ``label`` followed by ``_witness(value)``,
+    then keeps the text: a report that nothing reads, as in ``search``'s
+    certification, formats nothing.  An interval expression is formatted
+    at once, since its enclosure tightens as later signs refine the nodes
+    it shares.  Equality, hash, repr and ``to_dict`` read the text, so such
+    a result is equal to one made with it."""
+
     name: str
     status: Status
     witness: str
+
+    @classmethod
+    def decided(cls, name: str, status: Status, value: XReal,
+                label: str = "") -> "ConditionResult":
+        result = object.__new__(cls)
+        result.__dict__.update(name=name, status=status, value=value, _label=label)
+        if not value.is_exact:
+            result.witness
+        return result
+
+    @cached_property
+    def witness(self) -> str:
+        return self._label + _witness(self.value)
 
 
 class VerificationReport(Record):
@@ -169,9 +192,9 @@ def _check(name: str, value: XReal, relation: str) -> ConditionResult:
     try:
         s = sign(value)
     except Inconclusive:
-        return ConditionResult(name, Status.INCONCLUSIVE, _witness(value))
+        return ConditionResult.decided(name, Status.INCONCLUSIVE, value)
     ok = {"zero": s == 0, "nonneg": s >= 0, "pos": s > 0}[relation]
-    return ConditionResult(name, Status.PASS if ok else Status.FAIL, _witness(value))
+    return ConditionResult.decided(name, Status.PASS if ok else Status.FAIL, value)
 
 
 def _energy(law: PressureLaw, rho: XReal, q: XReal) -> XReal:
@@ -396,10 +419,10 @@ def compare_selfsimilar(fan: FanSubsolution,
 
     for speed, coeff, ref_coeff in planes:
         if ref_coeff is not None:
-            conds.append(ConditionResult(
+            conds.append(ConditionResult.decided(
                 f"covers_plane[{_speed_tag(speed)}]",
                 Status.PASS if coeff is not None else Status.FAIL,
-                f"reference coefficient {_witness(ref_coeff)}"))
+                ref_coeff, "reference coefficient "))
     for speed, coeff, ref_coeff in planes:
         if coeff is not None and ref_coeff is not None:
             conds.append(_check(f"strict_margin[{_speed_tag(speed)}]",

@@ -56,11 +56,11 @@ def _within(counts: dict[str, int], budget: dict[str, int]) -> None:
 
 
 @pytest.mark.parametrize("operation, budget", [
-    (verify_fan, {"_tower_sign": 223, "_tower_mul": 133, "_refine_until": 0,
+    (verify_fan, {"_tower_sign": 223, "_tower_mul": 107, "_refine_until": 0,
                   "enclosure": 0, "in_W": 0, "root": 0}),
-    (beats_selfsimilar, {"_tower_sign": 190, "_tower_mul": 131, "_refine_until": 0,
-                         "enclosure": 2, "in_W": 0, "root": 2}),
-    (find_Q, {"_tower_sign": 3294, "_tower_mul": 2130, "_refine_until": 0,
+    (beats_selfsimilar, {"_tower_sign": 186, "_tower_mul": 81, "_refine_until": 0,
+                         "enclosure": 0, "in_W": 0, "root": 0}),
+    (find_Q, {"_tower_sign": 3294, "_tower_mul": 2118, "_refine_until": 0,
               "enclosure": 0, "in_W": 25, "root": 0}),
 ], ids=["verify_fan", "beats_selfsimilar", "find_Q"])
 def test_exact_operation_budget(monkeypatch, operation, budget):
@@ -94,13 +94,13 @@ def _fan_digest(fan) -> str:
     return hashlib.sha256(json.dumps(fan_to_json(fan), sort_keys=True).encode()).hexdigest()
 
 
-def _counted_everywhere(monkeypatch, names) -> dict[str, int]:
-    """Count the calls of each named ``model`` function through every
-    wildfan module that binds it, ``model`` included, so that calls made
-    inside ``model`` count too."""
+def _counted_everywhere(monkeypatch, names, source=model) -> dict[str, int]:
+    """Count the calls of each named ``source`` function (of ``model`` by
+    default) through every wildfan module that binds it, ``source``
+    included, so that calls made inside ``source`` count too."""
     targets = []
     for name in names:
-        fn = getattr(model, name)
+        fn = getattr(source, name)
         targets += [(module, name) for module_name, module in sorted(sys.modules.items())
                     if module_name.startswith("wildfan.") and getattr(module, name, None) is fn]
     return _counted(monkeypatch, targets)
@@ -185,6 +185,18 @@ def test_search_and_certify_certify_once(monkeypatch):
                                     (fan_module, "solve_riemann")])
     op()
     assert counts == {"_certify": 1, "solve_riemann": 1}
+
+
+def test_search_formats_nothing(monkeypatch):
+    # certification reads each report's verdicts only: no witness is
+    # formatted, and the floats of the problem and of the plane names come
+    # from integer square roots, not from interval enclosures
+    shock = _paper_shock()
+    counts = _counted_everywhere(monkeypatch, ["xreal_to_json"], exactnum)
+    counts.update(_counted(monkeypatch, [(QuadExt, "enclosure")]))
+    cand = search.search_fan(LAW2, *shock, search.SearchConfig(rng_seed=0))
+    assert cand is not None and cand.fan is not None
+    _within(counts, {"xreal_to_json": 0, "enclosure": 0})
 
 
 def test_search_weak_op_budget(monkeypatch):

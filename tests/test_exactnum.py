@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wildfan import exactnum
 from wildfan.exactnum import (
     Inconclusive,
     IntervalExpr,
@@ -19,6 +20,7 @@ from wildfan.exactnum import (
     QuadExt,
     RadicandMismatch,
     Rational,
+    XReal,
     adjoin_sqrt,
     as_xreal,
     sign,
@@ -221,6 +223,88 @@ def test_float_is_correctly_rounded(q):
         # that close to a double)
         root2 = Fraction(math.isqrt(2 << 6000), 1 << 3000)
         assert float(QuadExt.sqrt_of(2) * Rational(q)) == float(root2 * q)
+
+
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+
+
+@st.composite
+def _tower_elements(draw):
+    """An irrational element of a tower of 1-4 prime radicands, numerators
+    and denominator up to 10^30.  In half the draws its rational part is
+    minus its irrational part rounded to 2^-60, term by term (a = -[b
+    sqrt(d) 2^60] / 2^60 for one radicand), so the t irrational terms leave
+    a value within 2^-60 t / den of zero."""
+    rads = draw(_PRIMES)
+    nums = draw(st.lists(_BIG, min_size=1 << len(rads), max_size=1 << len(rads)))
+    if not any(nums[1:]):
+        nums[1] = 1
+    den = draw(st.integers(1, 10 ** 30))
+    cs = [Fraction(n, den) for n in nums]
+    if draw(st.booleans()):
+        basis = [math.prod(d for i, d in enumerate(rads) if mask >> i & 1)
+                 for mask in range(1 << len(rads))]
+        near = sum(math.isqrt(n * n * d << 120) * (1 if n > 0 else -1)
+                   for n, d in zip(nums[1:], basis[1:]))
+        cs[0] = Fraction(-near, den << 60)
+    return QuadExt(rads, cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_tower_elements())
+@example(x=QuadExt((2,), (Fraction(-math.isqrt(2 << 120), 1 << 60), 1)))
+@example(x=QuadExt((3, 7), (Fraction(-math.isqrt(10 ** 60 * 21 << 120), 1 << 60), 0, 0, 10 ** 30)))
+# small values over odd denominators, whose bracket shifted by one unit
+# rounds to a neighbour of the nearest double: a negative term's up, a
+# positive term's up, a negative term's down
+@example(x=QuadExt((2,), (Fraction(574541936035, 91), Fraction(-406262499046, 91))))
+@example(x=QuadExt((2,), (Fraction(-136397759129, 1687), Fraction(96447780419, 1687))))
+@example(x=QuadExt((2,), (Fraction(1231025324087, 3545), Fraction(-870466354474, 3545))))
+def test_float_of_a_tower_element_is_the_nearest_double(x):
+    # x lies strictly between the midpoints to f's neighbouring doubles,
+    # decided by tower signs; and f is what the enclosure rule gives
+    f = float(x)
+    below, above = math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+    assert sign(x - (Fraction(f) + Fraction(below)) / 2) > 0
+    assert sign((Fraction(f) + Fraction(above)) / 2 - x) > 0
+    assert f == XReal.__float__(x)
+
+
+_POW_BASES = {
+    "rational": Rational(-7, 3),
+    "two radicands": QuadExt((2, 3), (Fraction(1, 2), -2, 3, Fraction(5, 7))),
+    "interval": IntervalExpr.sqrt(as_xreal(2)) + Rational(1, 3),
+}
+
+
+@pytest.mark.parametrize("name", _POW_BASES)
+def test_pow_is_the_product_of_n_copies(name):
+    x = _POW_BASES[name]
+    product = Rational(1)
+    for n in range(10):
+        pairs = ((x ** n, product), (x ** -n, Rational(1) / product))
+        product = product * x
+        if x.is_exact:
+            assert all(got == want for got, want in pairs)
+            continue
+        # interval expressions: the enclosures of either form overlap, and
+        # refinement narrows both
+        for got, want in pairs:
+            a, b = got.enclosure(200), want.enclosure(200)
+            assert max(a.lo, b.lo) <= min(a.hi, b.hi)
+            assert a.hi - a.lo < Fraction(1, 2 ** 180) and b.hi - b.lo < Fraction(1, 2 ** 180)
+
+
+@pytest.mark.parametrize("x", [Rational(-7, 3), _POW_BASES["two radicands"]],
+                         ids=["rational", "two radicands"])
+def test_a_square_is_one_product(monkeypatch, x):
+    calls = []
+    tower_mul = exactnum._tower_mul
+    monkeypatch.setattr(exactnum, "_tower_mul",
+                        lambda *args: calls.append(1) or tower_mul(*args), raising=True)
+    assert x ** 2 == QuadExt._reduced(x.radicands, tower_mul(x.nums, x.nums, x.radicands),
+                                      x.den * x.den)
+    assert len(calls) == 1
 
 
 def test_random_field_ops_roundtrip():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,13 @@ from wildfan.exactnum import (
     xreal_to_json,
 )
 from wildfan.fan import (
+    ConditionResult,
     FanSubsolution,
     NotCertifiableWithinCap,
     ProfileOrder,
     Status,
     VerificationReport,
+    _witness,
     beats_selfsimilar,
     compare_profiles,
     compare_selfsimilar,
@@ -539,16 +543,70 @@ def test_reduced_sigma_coefficient_breaks_dominance():
 def test_interval_valued_fan_reports_inconclusive():
     # an exactly-zero interval expression in q makes equality checks
     # undecidable: the report must say Inconclusive, never guess
+    report = verify_fan(_fuzzy_fan())
+    assert report.overall is Status.INCONCLUSIVE
+    assert any(c.status is Status.INCONCLUSIVE for c in report.conditions)
+    assert not any(c.status is Status.FAIL for c in report.conditions)
+
+
+def _fuzzy_fan():
+    """The paper fan with region 2's cap moved by sqrt2 sqrt2 - 2 over
+    interval arithmetic: its equalities are Inconclusive."""
     fan = paper_example()
     fuzz = IntervalExpr.sqrt(as_xreal(2)) * IntervalExpr.sqrt(as_xreal(2)) - as_xreal(2)
     rho2, z2 = fan.regions[1]
     fuzzy = PHPoint(z2.m, z2.u11, z2.u12, z2.q + fuzz, z2.F)
-    bent = FanSubsolution(fan.law, fan.mu, fan.left, fan.right,
-                          (fan.regions[0], (rho2, fuzzy), fan.regions[2]))
-    report = verify_fan(bent)
-    assert report.overall is Status.INCONCLUSIVE
-    assert any(c.status is Status.INCONCLUSIVE for c in report.conditions)
-    assert not any(c.status is Status.FAIL for c in report.conditions)
+    return FanSubsolution(fan.law, fan.mu, fan.left, fan.right,
+                           (fan.regions[0], (rho2, fuzzy), fan.regions[2]))
+
+
+# sha256 of the two reports' to_dict JSON, as formatted when each witness
+# was formatted as its condition was decided
+_REPORT_DIGESTS = {
+    "paper": "64e5c1e46e105858551a35e1bc38eebc0217fa01060a6f4844291a323be55cbc",
+    "gamma 3/2": "6d1080dd2e6c5c119ce31c112d8c3e5086647c819913227d302bbed78994ba20",
+    "trace": "d7125c9c5d03e5ace29dd5e0f04856cae55beac9ea2623b124badb4b46c9795b",
+    "det": "7bfea338ef8cdfdd011bd9b74523250789bae72ea52f7f6bd6dae6f1f001fb13",
+    "bracket": "5895a119b9acea751a8b94185ef5a27a24bae1c0ed8185784f62a59412889fbd",
+    "margin": "d263c4dad5282d44ded46f013bce3108d9097834108dddae75d2b71891f4cf94",
+    "inconclusive": "3f93503be6dd4c1236a9564cb4103f492e1c1ce7764d7ab0a898f0d07900164a",
+}
+
+
+@pytest.mark.parametrize("case", _REPORT_DIGESTS)
+def test_witnesses_formatted_on_read_are_the_old_witnesses(monkeypatch, case):
+    # a decided condition keeps its value and formats it, as _witness does,
+    # when its witness is first read; the reports read as they read when
+    # every witness was formatted as it was decided
+    if case == "inconclusive":
+        import wildfan.exactnum as exactnum
+
+        monkeypatch.setattr(exactnum, "_PRECISION_CAP", 128)
+        fan = _fuzzy_fan()
+    elif case in ("paper", "gamma 3/2"):
+        fan = _fan_to_boost(case)
+    else:
+        fan = boundary_fan(case)[0]
+    reports = (verify_fan(fan), compare_selfsimilar(fan)[0])
+    if case == "inconclusive":
+        assert any(c.status is Status.INCONCLUSIVE for c in reports[0].conditions)
+    for report in reports:
+        decided = [c for c in report.conditions if "value" in vars(c)]
+        # only the reference's solve, admissibility and the profile order
+        # are text alone
+        assert {c.name for c in report.conditions if "value" not in vars(c)} <= {
+            "selfsimilar_solved", "candidate_admissible", "comparison"}
+        assert all("witness" not in vars(c) for c in decided if c.value.is_exact)
+        texts = [("reference coefficient " if c.name.startswith("covers_plane[") else "")
+                 + _witness(c.value) for c in decided]
+        first = [c.witness for c in decided]
+        assert first == texts and all(a is c.witness for a, c in zip(first, decided))
+        twin = VerificationReport(tuple(ConditionResult(c.name, c.status, c.witness)
+                                        for c in report.conditions))
+        assert twin == report and hash(twin) == hash(report) and repr(twin) == repr(report)
+        assert twin.to_dict() == report.to_dict()
+    shown = json.dumps([report.to_dict() for report in reports], sort_keys=True)
+    assert hashlib.sha256(shown.encode()).hexdigest() == _REPORT_DIGESTS[case]
 
 
 def test_find_Q_raises_outside_relaxed_set():
